@@ -12,9 +12,8 @@ from .expressions import (Bindings, Const, EvalError, Expr, ExprError, Neg,
                           BinOp, Call, ParseError, Var, as_expr, diff,
                           evaluate, parse, subst, to_text, variables)
 from .grids import (Grid2, GridError, GridFormatError, GridGeometry, Jet2,
-                    MaskedCellError, MaskedGrid2, fd_jet, geometry_from_domain,
-                    interior_jets, jet_exprs, read_grid, sample, symbolic_jet,
-                    write_grid)
+                    MaskedGrid2, geometry_from_domain, interior_jets, jet_exprs,
+                    read_grid, sample, symbolic_jet, write_grid)
 from .transforms import (DEGENERACY_EPS, ContactImage, DegenerateJetError,
                          DualGrid1, FoldError, ScatteredSamples, TransformError,
                          ampere_discrete, ampere_step, compose_chain,
@@ -29,7 +28,7 @@ from .linsolve import (BoundaryValues, EllipticProblem, NotConvergedError,
                        NotEllipticError, SolveReport, boundary_from_expr,
                        constant_f_family, mms_source, problem_from_exprs,
                        solve_dirichlet)
-from .lift import (EmptyLiftError, LiftedSample, LiftedSurface, PipelineConfig,
+from .lift import (EmptyLiftError, LiftedSurface, PipelineConfig,
                    PipelineError, PipelineResult, VerificationReport,
                    lift_parametric, pipeline, resample, verify_lift,
                    write_lifted)

@@ -4,7 +4,7 @@ Subcommands: classify, solve, lift, elasticity, khabirov.  Every run writes a
 manifest naming the inputs, seed, tolerances and SHA-256 hashes of the emitted
 artifacts; re-running a command with the same inputs reproduces bit-identical
 CSV files.  Exit codes: 0 success, 1 usage or parse error, 2 mathematical
-rejection (not in class, not elliptic), 3 non-convergence.
+rejection (not in class, not elliptic, all nodes degenerate), 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ import numpy as np
 
 from .elasticity import (ElasticityError, deformation_from_dict,
                          incompressibility_check, write_deformed_points)
-from .equations import (KhabirovError, catalog_get, classification_report,
-                        equation_from_dict, equation_to_dict, khabirov_push)
+from .equations import (KhabirovError, NotInClassError, catalog_get,
+                        classification_report, equation_from_dict,
+                        equation_to_dict, khabirov_push)
 from .expressions import ExprError, parse, to_text, variables
 from .grids import GridError, geometry_from_domain, write_grid, GridGeometry
-from .lift import PipelineConfig, PipelineError, pipeline, write_lifted
+from .lift import (EmptyLiftError, PipelineConfig, PipelineError, pipeline,
+                   write_lifted)
 from .linsolve import (NotConvergedError, NotEllipticError,
                        boundary_from_edge_exprs, problem_from_exprs,
                        solve_dirichlet)
@@ -294,11 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", help="input JSON file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--ny", type=int, default=None)
         p.add_argument("--force", action="store_true",
                        help="allow overwriting existing artifacts")
+
+    def solver(p):
+        for flag, kind in (("--tol", float), ("--nx", int), ("--ny", int)):
+            p.add_argument(flag, type=kind, default=None)
 
     p = sub.add_parser("classify", help="test an equation for the linearizable class")
     common(p)
@@ -307,10 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve U_XX + f(X,Y) U_YY = g with Dirichlet data")
     common(p)
+    solver(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("lift", help="run the classify/solve/lift/verify pipeline")
     common(p)
+    solver(p)
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("elasticity", help="area-preservation report for a deformation")
@@ -346,7 +351,7 @@ def main(argv=None) -> int:
         return EXIT_NOT_CONVERGED
     except PipelineError as err:
         cause = err.cause
-        if isinstance(cause, NotEllipticError):
+        if isinstance(cause, (NotEllipticError, NotInClassError, EmptyLiftError)):
             print(f"rejected: {err}", file=sys.stderr)
             return EXIT_REJECTED
         if isinstance(cause, NotConvergedError):

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .expressions import Expr, diff, evaluate, subst, parse, variables
-from .grids import Grid2, Jet2, interior_jets, symbolic_jet
+from .grids import Grid2, Jet2, JetArrays, interior_jets, jet_exprs, symbolic_jet
 from .lift import LiftedSurface
 
 __all__ = [
@@ -83,12 +83,21 @@ def _uses_inversion(kind: str) -> bool:
     return kind in ("from-V", "axisym-V", "membrane")
 
 
-def inversion_coords(X: float, Y: float) -> tuple[float, float]:
-    """The involutive intermediate chart (X, Y) -> (X, -Y)/(X^2 + Y^2)."""
+def inversion_coords(X, Y):
+    """The involutive intermediate chart (X, Y) -> (X, -Y)/(X^2 + Y^2), pointwise."""
     r2 = X * X + Y * Y
-    if r2 == 0.0:
+    if np.any(r2 == 0.0):
         raise ElasticityError("inversion is singular at the origin")
     return X / r2, -Y / r2
+
+
+def _potential_variables(kind: str, pot: Expr) -> tuple[str, str]:
+    v1, v2 = KIND_VARIABLES[kind]
+    extra = variables(pot) - {v1, v2}
+    if extra:
+        raise ElasticityError(
+            f"{kind} potential must be a function of ({v1}, {v2}), found {sorted(extra)}")
+    return v1, v2
 
 
 def _component_exprs(d: Deformation) -> tuple[Expr, Expr, tuple[str, str]]:
@@ -98,11 +107,7 @@ def _component_exprs(d: Deformation) -> tuple[Expr, Expr, tuple[str, str]]:
     if not isinstance(pot, Expr):
         raise ElasticityError(f"{kind} with a {type(pot).__name__} potential has no "
                               "symbolic map; use the jet-based operations")
-    v1, v2 = KIND_VARIABLES[kind]
-    extra = variables(pot) - {v1, v2}
-    if extra:
-        raise ElasticityError(
-            f"{kind} potential must be a function of ({v1}, {v2}), found {sorted(extra)}")
+    v1, v2 = _potential_variables(kind, pot)
     g1, g2 = diff(pot, v1), diff(pot, v2)
     if kind in ("from-U", "axisym-U"):
         return g1, g2, (v1, v2)
@@ -117,11 +122,11 @@ def _component_exprs(d: Deformation) -> tuple[Expr, Expr, tuple[str, str]]:
     return subst(g1, chart), subst(g2, chart), mat
 
 
-def deform(d: Deformation, point: tuple[float, float]) -> tuple[float, float]:
-    """Image of a material point under the deformation map."""
+def deform(d: Deformation, point: tuple) -> tuple:
+    """Image of a material point, or of arrays of points, under the deformation map."""
     kind = _kind(d)
     X, Y = point
-    if _uses_inversion(kind) and X * X + Y * Y == 0.0:
+    if _uses_inversion(kind) and np.any(X * X + Y * Y == 0.0):
         raise ElasticityError("inversion is singular at the origin")
     xe, ye, mat = _component_exprs(d)
     b = {mat[0]: X, mat[1]: Y}
@@ -129,7 +134,7 @@ def deform(d: Deformation, point: tuple[float, float]) -> tuple[float, float]:
         pot = d.potential
         g1 = evaluate(diff(pot, "X"), b)
         g2 = evaluate(diff(pot, "Y"), b)
-        if g1 * g1 + g2 * g2 <= _GRAD_EPS:
+        if np.any(g1 * g1 + g2 * g2 <= _GRAD_EPS):
             raise ElasticityError(f"zero potential gradient at {point}")
     return evaluate(xe, b), evaluate(ye, b)
 
@@ -154,19 +159,20 @@ def jacobian(d: Deformation, point: tuple[float, float]) -> float:
     return j11 * j22 - j12 * j21
 
 
-def jacobian_from_jet(kind: str, jet: Jet2,
-                      material_point: Optional[tuple[float, float]] = None) -> float:
+def jacobian_from_jet(kind: str, jet: Union[Jet2, JetArrays],
+                      material_point: Optional[tuple] = None):
     """Total map jacobian from a potential jet, via the chain rule.
 
     The inversion factor is (X^2+Y^2)^-2 for intermediate-chart kinds and
-    |grad W|^-4 for the gradient-inversion kind.
+    |grad W|^-4 for the gradient-inversion kind.  With JetArrays and arrays
+    of material points, the jacobian at every node at once.
     """
     det = jet.hessian_det()
     if kind in ("from-U", "axisym-U"):
         return det
     if kind == "from-W":
         g2 = jet.ux ** 2 + jet.uy ** 2
-        if g2 <= _GRAD_EPS:
+        if np.any(g2 <= _GRAD_EPS):
             raise ElasticityError("zero potential gradient")
         return det / g2 ** 2
     if kind in ("from-V", "axisym-V", "membrane"):
@@ -174,17 +180,18 @@ def jacobian_from_jet(kind: str, jet: Jet2,
             raise ElasticityError(f"{kind} needs the material point for the inversion factor")
         X, Y = material_point
         r2 = X * X + Y * Y
-        if r2 == 0.0:
+        if np.any(r2 == 0.0):
             raise ElasticityError("inversion is singular at the origin")
         return det / r2 ** 2
     raise ElasticityError(f"unknown kind {kind!r}")
 
 
-def ma_residual_from_jet(kind: str, jet: Jet2, point: tuple[float, float]) -> float:
+def ma_residual_from_jet(kind: str, jet: Union[Jet2, JetArrays], point: tuple):
     """Residual of the balance equation matching the kind, at a potential jet.
 
     `point` is the potential's own chart: (X, Y) for from-U/from-W,
-    (alpha, beta) for the inversion kinds, (R, Z) for axisym-U.
+    (alpha, beta) for the inversion kinds, (R, Z) for axisym-U.  Like
+    jacobian_from_jet, it takes a jet and a point or arrays of both.
     """
     det = jet.hessian_det()
     a, b = point
@@ -218,10 +225,11 @@ class IncompressibilityReport:
                 "max_ma_residual": self.max_ma_residual}
 
 
-def _potential_chart_point(kind: str, material: tuple[float, float]) -> tuple[float, float]:
-    if _uses_inversion(kind):
-        return inversion_coords(*material)
-    return material
+def _material_mesh(domain: tuple[float, float, float, float], n: int):
+    """The n-by-n material points of a domain, flattened X-major."""
+    X0, X1, Y0, Y1 = domain
+    Xm, Ym = np.meshgrid(np.linspace(X0, X1, n), np.linspace(Y0, Y1, n), indexing="ij")
+    return Xm.ravel(), Ym.ravel()
 
 
 def incompressibility_check(d: Deformation,
@@ -235,44 +243,34 @@ def incompressibility_check(d: Deformation,
     """
     kind = _kind(d)
     pot = d.potential
-    devs, residuals = [], []
 
     if isinstance(pot, Expr):
         if domain is None:
             raise ElasticityError("expression potentials need a material domain")
-        X0, X1, Y0, Y1 = domain
-        v1, v2 = KIND_VARIABLES[kind]
-        for Xm in np.linspace(X0, X1, n):
-            for Ym in np.linspace(Y0, Y1, n):
-                J = jacobian(d, (Xm, Ym))
-                devs.append(abs(J - 1.0))
-                pa, pb = _potential_chart_point(kind, (Xm, Ym))
-                jet = symbolic_jet(pot, (v1, v2), pa, pb)
-                residuals.append(abs(ma_residual_from_jet(kind, jet, (pa, pb))))
+        names = _potential_variables(kind, pot)
+        material = _material_mesh(domain, n)
+        chart = inversion_coords(*material) if _uses_inversion(kind) else material
+        b = dict(zip(names, chart))
+        fields = [evaluate(e, b) for e in jet_exprs(pot, names)]
+        jet = JetArrays(*fields, valid=np.ones(fields[0].shape, dtype=bool))
     elif isinstance(pot, LiftedSurface):
-        for smp in pot.samples():
-            J = jacobian_from_jet(kind, smp.jet, material_point=(smp.x, smp.y))
-            devs.append(abs(J - 1.0))
-            residuals.append(abs(ma_residual_from_jet(kind, smp.jet, (smp.x, smp.y))))
+        jet = pot.jets().compress()
+        material = chart = (pot.x[pot.valid], pot.y[pot.valid])
     elif isinstance(pot, Grid2):
         jets = interior_jets(pot)
-        xs, ys = pot.xs()[1:-1], pot.ys()[1:-1]
-        for j, i in zip(*np.nonzero(jets.valid)):
-            jet = Jet2(float(jets.u[j, i]), float(jets.ux[j, i]), float(jets.uy[j, i]),
-                       float(jets.uxx[j, i]), float(jets.uxy[j, i]), float(jets.uyy[j, i]))
-            pt = (float(xs[i]), float(ys[j]))
-            J = jacobian_from_jet(kind, jet, material_point=pt)
-            devs.append(abs(J - 1.0))
-            residuals.append(abs(ma_residual_from_jet(kind, jet, pt)))
+        Xg, Yg = np.meshgrid(pot.xs()[1:-1], pot.ys()[1:-1])
+        jet = jets.compress()
+        material = chart = (Xg[jets.valid], Yg[jets.valid])
     else:
         raise ElasticityError(f"unsupported potential type {type(pot).__name__}")
 
-    if not devs:
+    devs = np.abs(jacobian_from_jet(kind, jet, material_point=material) - 1.0)
+    if devs.size == 0:
         raise ElasticityError("no usable sample points")
-    darr = np.asarray(devs)
+    residuals = np.abs(ma_residual_from_jet(kind, jet, chart))
     return IncompressibilityReport(
-        kind=kind, samples=darr.size,
-        max_jac_dev=float(darr.max()), mean_jac_dev=float(darr.mean()),
+        kind=kind, samples=devs.size,
+        max_jac_dev=float(devs.max()), mean_jac_dev=float(devs.mean()),
         max_ma_residual=float(np.max(residuals)))
 
 
@@ -290,10 +288,9 @@ def deformation_from_dict(data: dict) -> Deformation:
 def write_deformed_points(d: Deformation, domain: tuple[float, float, float, float],
                           n: int, path) -> None:
     """Material/spatial pairs over an n-by-n mesh, as CSV rows X,Y,x,y."""
-    X0, X1, Y0, Y1 = domain
+    Xm, Ym = _material_mesh(domain, n)
+    x, y = deform(d, (Xm, Ym))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# deformed\n")
-        for Xm in np.linspace(X0, X1, n):
-            for Ym in np.linspace(Y0, Y1, n):
-                x, y = deform(d, (float(Xm), float(Ym)))
-                fh.write(f"{Xm:.17g},{Ym:.17g},{x:.17g},{y:.17g}\n")
+        for row in zip(Xm, Ym, x, y):
+            fh.write("{:.17g},{:.17g},{:.17g},{:.17g}\n".format(*row))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .expressions import (Const, Expr, Var, evaluate, parse, subst, to_text,
                           variables)
-from .grids import Jet2
+from .grids import Jet2, JetArrays
 from .transforms import legendre_point_map
 
 __all__ = [
@@ -48,8 +48,8 @@ class MAEquation:
             raise ValueError(f"equation {self.id!r} uses unknown variables {sorted(extra)}")
 
 
-def residual(eq: MAEquation, jet: Jet2, x: float, y: float) -> float:
-    """Signed residual u_xx*u_yy - u_xy^2 - F at a jet; zero on solutions."""
+def residual(eq: MAEquation, jet: Jet2 | JetArrays, x, y):
+    """Signed residual u_xx*u_yy - u_xy^2 - F at a jet or JetArrays; zero on solutions."""
     F = evaluate(eq.F, {"x": x, "y": y, "u": jet.u, "p": jet.ux, "q": jet.uy})
     return jet.hessian_det() - F
 
@@ -68,8 +68,21 @@ class NotInClassError(Exception):
         self.witness = witness
 
 
-def _eval_F(F: Expr, x, y, u, p, q) -> float:
+def _eval_F(F: Expr, x, y, u, p, q) -> np.ndarray:
     return evaluate(F, {"x": x, "y": y, "u": u, "p": p, "q": q})
+
+
+def _differs(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    return np.abs(a - b) > tol * (1.0 + np.abs(b))
+
+
+def _first_failure(bad: list[np.ndarray]):
+    """(test, sample) of the first failure by sample, then by test; None if none."""
+    bad = np.stack(bad)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad.any(axis=0)))
+    return int(np.argmax(bad[:, k])), k
 
 
 def classify(eq: MAEquation, seed: int = 42, samples: int = 64,
@@ -79,7 +92,8 @@ def classify(eq: MAEquation, seed: int = 42, samples: int = 64,
     Tests, in order: independence of x and y, then positive homogeneity of
     degree 4 in (p, q).  Evenness in (p, q) is recorded but not required; f is
     extracted on the chart q > 0 only.  Raises NotInClassError carrying the
-    first failed test and a witness sample.
+    first failed test and a witness sample, and EvalError when F cannot be
+    evaluated at some sample.
     """
     rng = np.random.default_rng(seed)
     F = eq.F
@@ -90,38 +104,34 @@ def classify(eq: MAEquation, seed: int = 42, samples: int = 64,
     ys1 = rng.uniform(*_XY_BOX, samples)
     xs2 = rng.uniform(*_XY_BOX, samples)
     ys2 = rng.uniform(*_XY_BOX, samples)
+    base = _eval_F(F, xs1, ys1, us, ps, qs)
 
-    for k in range(samples):
-        base = _eval_F(F, xs1[k], ys1[k], us[k], ps[k], qs[k])
-        for name, x2, y2 in (("x", xs2[k], ys1[k]), ("y", xs1[k], ys2[k])):
-            other = _eval_F(F, x2, y2, us[k], ps[k], qs[k])
-            if abs(other - base) > tol * (1.0 + abs(base)):
-                raise NotInClassError(
-                    f"{name}-dependence",
-                    {"test": f"{name}-independence",
-                     "sample": {"x": xs1[k], "y": ys1[k], "u": us[k],
-                                "p": ps[k], "q": qs[k], name + "2": float(x2 if name == "x" else y2)},
-                     "values": [base, other]})
+    moved = (("x", xs2, _eval_F(F, xs2, ys1, us, ps, qs)),
+             ("y", ys2, _eval_F(F, xs1, ys2, us, ps, qs)))
+    first = _first_failure([_differs(other, base, tol) for _, _, other in moved])
+    if first is not None:
+        (name, v2, other), k = moved[first[0]], first[1]
+        raise NotInClassError(
+            f"{name}-dependence",
+            {"test": f"{name}-independence",
+             "sample": {"x": xs1[k], "y": ys1[k], "u": us[k],
+                        "p": ps[k], "q": qs[k], name + "2": float(v2[k])},
+             "values": [float(base[k]), float(other[k])]})
 
-    for k in range(samples):
-        base = _eval_F(F, xs1[k], ys1[k], us[k], ps[k], qs[k])
-        for lam in (0.5, 2.0, 3.0):
-            scaled = _eval_F(F, xs1[k], ys1[k], us[k], lam * ps[k], lam * qs[k])
-            want = lam ** 4 * base
-            if abs(scaled - want) > tol * (1.0 + abs(want)):
-                raise NotInClassError(
-                    "not positively homogeneous of degree 4 in (p, q)",
-                    {"test": "homogeneity-degree-4",
-                     "sample": {"u": us[k], "p": ps[k], "q": qs[k], "lambda": lam},
-                     "values": [scaled, want]})
+    lams = (0.5, 2.0, 3.0)
+    scaled = [_eval_F(F, xs1, ys1, us, lam * ps, lam * qs) for lam in lams]
+    wants = [lam ** 4 * base for lam in lams]
+    first = _first_failure([_differs(sc, want, tol) for sc, want in zip(scaled, wants)])
+    if first is not None:
+        m, k = first
+        raise NotInClassError(
+            "not positively homogeneous of degree 4 in (p, q)",
+            {"test": "homogeneity-degree-4",
+             "sample": {"u": us[k], "p": ps[k], "q": qs[k], "lambda": lams[m]},
+             "values": [float(scaled[m][k]), float(wants[m][k])]})
 
-    even = True
-    for k in range(samples):
-        base = _eval_F(F, xs1[k], ys1[k], us[k], ps[k], qs[k])
-        flipped = _eval_F(F, xs1[k], ys1[k], us[k], -ps[k], -qs[k])
-        if abs(flipped - base) > tol * (1.0 + abs(base)):
-            even = False
-            break
+    flipped = _eval_F(F, xs1, ys1, us, -ps, -qs)
+    even = not _differs(flipped, base, tol).any()
 
     f = subst(F, {"p": Var("s"), "q": 1.0, "x": 1.0, "y": 1.0})
     return LinearizableClass(f=f, even=even, seed=seed)

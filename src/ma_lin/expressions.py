@@ -1,10 +1,10 @@
 """A small expression language: parsing, printing, evaluation, exact differentiation.
 
-Trees are immutable values.  Evaluation is plain IEEE double arithmetic with a
-fixed left-to-right child order, so the same tree with the same bindings always
-produces a bit-identical result.  There is no simplifier: the only rewriting
-ever performed is folding of all-literal subtrees when new nodes are built by
-`diff` or `subst`.
+Trees are immutable values.  Evaluation, over floats or whole arrays, is plain
+IEEE double arithmetic with a fixed left-to-right child order, so the same tree
+with the same bindings always produces a bit-identical result.  There is no
+simplifier: the only rewriting ever performed is folding of all-literal
+subtrees when new nodes are built by `diff` or `subst`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Optional, Union
+
+import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Call",
@@ -21,7 +23,7 @@ __all__ = [
     "variables", "to_text",
 ]
 
-Bindings = Mapping[str, float]
+Bindings = Mapping[str, Union[float, np.ndarray]]
 
 
 class ExprError(Exception):
@@ -35,6 +37,8 @@ class ParseError(ExprError):
 
 
 class EvalError(ExprError):
+    index: Optional[int] = None  # first failing flat cell of an array evaluation
+
     def __init__(self, message: str, node: "Expr"):
         super().__init__(f"{message} in `{to_text(node)}`")
         self.node = node
@@ -232,93 +236,115 @@ def parse(text: str) -> Expr:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# Scalars stay Python floats through `+ - * /` and integer powers, so a scalar
+# evaluation does the same IEEE operations as each cell of an array one.  Calls
+# and pow() use numpy ufuncs for both, which run the same loop on one value as
+# on many (tests/test_expressions.py checks the bit-for-bit agreement).
 
-def _guard_sqrt(v: float, node: Expr) -> float:
-    if v < 0.0:
-        raise EvalError(f"sqrt of negative value {v!r}", node)
-    return math.sqrt(v)
-
-
-def _guard_ln(v: float, node: Expr) -> float:
-    if v <= 0.0:
-        raise EvalError(f"ln of non-positive value {v!r}", node)
-    return math.log(v)
-
-
-def _overflowing(fn: Callable[[float], float]):
-    def apply(v: float, node: Expr) -> float:
-        try:
-            return fn(v)
-        except OverflowError:
-            raise EvalError("overflow", node) from None
-    return apply
-
-
-FUNCTIONS: dict[str, Callable[[float, Expr], float]] = {
-    "sqrt": _guard_sqrt,
-    "exp": _overflowing(math.exp),
-    "ln": _guard_ln,
-    "sin": lambda v, n: math.sin(v),
-    "cos": lambda v, n: math.cos(v),
-    "sinh": _overflowing(math.sinh),
-    "cosh": _overflowing(math.cosh),
-    "arctan": lambda v, n: math.atan(v),
-    "abs": lambda v, n: abs(v),
+FUNCTIONS: dict[str, Callable] = {
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "ln": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "arctan": np.arctan,
+    "abs": np.abs,
 }
 
+_OVERFLOWING = frozenset(("exp", "sinh", "cosh"))
+_MAX_INT_EXPONENT = 2.0 ** 31
+_MAX_PRODUCT_POWER = 64  # larger integer powers go through pow()
+_FRACTIONAL_BASE = "power with non-integer exponent requires a positive base, got {!r}"
 
-def _power(base: float, expo: float, node: Expr) -> float:
+
+def _plain(v):
+    """Numpy scalars and 0-d arrays become Python floats; arrays pass through."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return v
+    return float(v)
+
+
+def _guard(bad, template: str, value, node: Expr, shape: tuple) -> None:
+    """Raise EvalError, quoting `value`, at the first cell (row-major) where `bad` holds."""
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return
+    if not shape:
+        raise EvalError(template.format(float(value)), node)
+    k = int(np.argmax(np.broadcast_to(bad, shape)))
+    v = float(np.broadcast_to(value, shape).flat[k])
+    err = EvalError(f"{template.format(v)} at flat index {k}", node)
+    err.index = k
+    raise err
+
+
+def _call(func: str, v, node: Expr, shape: tuple):
+    if func == "sqrt":
+        _guard(v < 0.0, "sqrt of negative value {!r}", v, node, shape)
+    elif func == "ln":
+        _guard(v <= 0.0, "ln of non-positive value {!r}", v, node, shape)
+    r = FUNCTIONS[func](v)
+    if func in _OVERFLOWING:
+        _guard(np.isinf(r) & np.isfinite(v), "overflow", r, node, shape)
+    return _plain(r)
+
+
+def _checked_pow(a, b, node: Expr, shape: tuple):
+    r = np.power(a, b)
+    _guard(np.isinf(r) & np.isfinite(a) & np.isfinite(b), "overflow in power", r, node, shape)
+    return _plain(r)
+
+
+def _power(a, b, node: Expr, shape: tuple):
+    if isinstance(b, np.ndarray):
+        return _power_per_cell(a, b, node, shape)
     # Integer exponents use repeated multiplication, so negative bases are fine.
-    if math.isfinite(expo) and expo == math.floor(expo) and abs(expo) <= 2**31:
-        n = int(expo)
-        if n == 0:
-            return 1.0
-        k = abs(n)
-        if k <= 64:
+    if math.isfinite(b) and b == math.floor(b) and abs(b) <= _MAX_INT_EXPONENT:
+        k = int(abs(b))
+        if k <= _MAX_PRODUCT_POWER:
             r = 1.0
             for _ in range(k):
-                r *= base
+                r = r * a
         else:
-            try:
-                r = math.pow(abs(base), k)
-            except OverflowError:
-                raise EvalError("overflow in power", node) from None
-            if base < 0.0 and k % 2 == 1:
-                r = -r
-        if n < 0:
-            if r == 0.0:
-                raise EvalError("zero base with negative exponent", node)
+            r = _checked_pow(a, float(k), node, shape)
+        if b < 0.0:
+            _guard(r == 0.0, "zero base with negative exponent", r, node, shape)
             r = 1.0 / r
         return r
-    if base <= 0.0:
-        raise EvalError(
-            f"power with non-integer exponent requires a positive base, got {base!r}", node
-        )
-    try:
-        return math.pow(base, expo)
-    except OverflowError:
-        raise EvalError("overflow in power", node) from None
+    _guard(a <= 0.0, _FRACTIONAL_BASE, a, node, shape)
+    return _checked_pow(a, b, node, shape)
 
 
-def evaluate(e: Expr, bindings: Bindings) -> float:
-    """Evaluate a tree at the given variable bindings.
+def _power_per_cell(a, b: np.ndarray, node: Expr, shape: tuple) -> np.ndarray:
+    """`_power` for an exponent that varies by cell, with its rules applied per cell."""
+    integral = np.isfinite(b) & (b == np.floor(b)) & (np.abs(b) <= _MAX_INT_EXPONENT)
+    _guard(~integral & (a <= 0.0), _FRACTIONAL_BASE, a, node, shape)
+    k = np.where(integral, np.abs(b), 0.0)
+    r = np.ones(np.broadcast_shapes(np.shape(a), b.shape))
+    for m in range(1, int(min(k.max(initial=0.0), _MAX_PRODUCT_POWER)) + 1):
+        r = np.where(k >= m, r * a, r)
+    by_product = integral & (k <= _MAX_PRODUCT_POWER)
+    r = np.where(by_product, r, _checked_pow(
+        a, np.where(by_product, 0.0, np.where(integral, k, b)), node, shape))
+    negative = integral & (b < 0.0)
+    _guard(negative & (r == 0.0), "zero base with negative exponent", r, node, shape)
+    return np.where(negative, 1.0 / r, r)
 
-    Unbound variables and domain violations (sqrt of a negative, ln of a
-    non-positive, division by zero) raise EvalError naming the offending
-    subtree.
-    """
+
+def _eval(e: Expr, env: dict, shape: tuple):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}", e) from None
+        if e.name not in env:
+            _guard(True, f"unbound variable {e.name!r}", 0.0, e, shape)
+        return env[e.name]
     if isinstance(e, Neg):
-        return -evaluate(e.arg, bindings)
+        return -_eval(e.arg, env, shape)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, bindings)
-        b = evaluate(e.right, bindings)
+        a = _eval(e.left, env, shape)
+        b = _eval(e.right, env, shape)
         op = e.op
         if op == "+":
             return a + b
@@ -327,16 +353,36 @@ def evaluate(e: Expr, bindings: Bindings) -> float:
         if op == "*":
             return a * b
         if op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero", e)
+            _guard(b == 0.0, "division by zero", b, e, shape)
             return a / b
         if op == "^":
-            return _power(a, b, e)
+            return _power(a, b, e, shape)
         raise EvalError(f"unknown operator {op!r}", e)
     if isinstance(e, Call):
-        v = evaluate(e.arg, bindings)
-        return FUNCTIONS[e.func](v, e)
+        return _call(e.func, _eval(e.arg, env, shape), e, shape)
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+def evaluate(e: Expr, bindings: Bindings):
+    """Evaluate a tree at the given variable bindings.
+
+    Bindings are floats or ndarrays that broadcast together.  With scalar
+    bindings the result is a Python float; otherwise it is a new array of the
+    bindings' broadcast shape, and each cell equals the scalar evaluation at
+    that cell's bindings bit for bit.  Unbound variables and domain violations
+    (sqrt of a negative, ln of a non-positive, division by zero, overflow)
+    raise EvalError naming the offending subtree and, for arrays, the first
+    offending cell as a flat row-major index into the broadcast shape.
+    """
+    env = {name: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray) and v.ndim
+           else float(v) for name, v in bindings.items()}
+    shapes = [v.shape for v in env.values() if isinstance(v, np.ndarray)]
+    shape = np.broadcast_shapes(*shapes) if shapes else ()
+    with np.errstate(all="ignore"):
+        r = _eval(e, env, shape)
+    if not shape:
+        return float(r)
+    return np.array(np.broadcast_to(r, shape), dtype=np.float64)
 
 
 def variables(e: Expr) -> frozenset[str]:

@@ -17,9 +17,9 @@ import numpy as np
 from .expressions import Expr, EvalError, diff, evaluate
 
 __all__ = [
-    "GridError", "GridFormatError", "MaskedCellError",
+    "GridError", "GridFormatError",
     "GridGeometry", "geometry_from_domain", "Grid2", "MaskedGrid2", "Jet2",
-    "JetArrays", "sample", "fd_jet", "interior_jets",
+    "JetArrays", "sample", "interior_jets",
     "jet_exprs", "symbolic_jet", "write_grid", "read_grid",
 ]
 
@@ -29,10 +29,6 @@ class GridError(Exception):
 
 
 class GridFormatError(GridError):
-    pass
-
-
-class MaskedCellError(GridError):
     pass
 
 
@@ -102,7 +98,7 @@ class Jet2:
                 raise ValueError(f"jet entries must be finite, got {self!r}")
 
     def hessian_det(self) -> float:
-        return self.uxx * self.uyy - self.uxy ** 2
+        return self.uxx * self.uyy - self.uxy * self.uxy
 
 
 @dataclass(frozen=True)
@@ -197,40 +193,17 @@ class MaskedGrid2:
 def sample(e: Expr, names: tuple[str, str], geom: GridGeometry) -> Grid2:
     """Evaluate an expression at every node: values[j, i] = e(x0+i*dx, y0+j*dy)."""
     n1, n2 = names
-    xs, ys = geom.xs(), geom.ys()
-    out = np.empty((geom.ny, geom.nx))
-    for j in range(geom.ny):
-        for i in range(geom.nx):
-            try:
-                out[j, i] = evaluate(e, {n1: xs[i], n2: ys[j]})
-            except EvalError as err:
-                raise GridError(f"evaluation failed at cell (i={i}, j={j}): {err}") from err
-    return Grid2(geom, out)
-
-
-def fd_jet(g: Grid2, i: int, j: int) -> Jet2:
-    """Second-order central-difference jet at the interior node (i, j)."""
-    if not (1 <= i <= g.nx - 2 and 1 <= j <= g.ny - 2):
-        raise GridError(f"({i}, {j}) is not an interior node of a {g.nx}x{g.ny} grid")
-    patch = g.values[j - 1:j + 2, i - 1:i + 2]
-    if not np.isfinite(patch).all():
-        raise MaskedCellError(f"stencil at (i={i}, j={j}) touches a masked cell")
-    v = g.values
-    dx, dy = g.dx, g.dy
-    return Jet2(
-        u=float(v[j, i]),
-        ux=float((v[j, i + 1] - v[j, i - 1]) / (2 * dx)),
-        uy=float((v[j + 1, i] - v[j - 1, i]) / (2 * dy)),
-        uxx=float((v[j, i + 1] - 2 * v[j, i] + v[j, i - 1]) / dx ** 2),
-        uxy=float((v[j + 1, i + 1] - v[j + 1, i - 1] - v[j - 1, i + 1] + v[j - 1, i - 1])
-                  / (4 * dx * dy)),
-        uyy=float((v[j + 1, i] - 2 * v[j, i] + v[j - 1, i]) / dy ** 2),
-    )
+    try:
+        values = evaluate(e, {n1: geom.xs()[None, :], n2: geom.ys()[:, None]})
+    except EvalError as err:
+        j, i = divmod(err.index, geom.nx)
+        raise GridError(f"evaluation failed at cell (i={i}, j={j}): {err}") from err
+    return Grid2(geom, values)
 
 
 @dataclass(frozen=True)
 class JetArrays:
-    """Jets at all interior nodes, vectorized; same arithmetic as fd_jet."""
+    """Second-order jets at many nodes at once, one array per entry."""
 
     u: np.ndarray
     ux: np.ndarray
@@ -238,10 +211,23 @@ class JetArrays:
     uxx: np.ndarray
     uxy: np.ndarray
     uyy: np.ndarray
-    valid: np.ndarray  # False where the 3x3 neighborhood touches a mask
+    valid: np.ndarray  # False where the jet is masked
+
+    def hessian_det(self) -> np.ndarray:
+        return self.uxx * self.uyy - self.uxy * self.uxy
+
+    def compress(self) -> "JetArrays":
+        """The valid jets only, as flat arrays in row-major node order."""
+        v = self.valid
+        return JetArrays(self.u[v], self.ux[v], self.uy[v], self.uxx[v],
+                         self.uxy[v], self.uyy[v], valid=v[v])
 
 
 def interior_jets(g: Grid2) -> JetArrays:
+    """Central-difference jets at the interior nodes; entry [j-1, i-1] is node (i, j).
+
+    A jet is invalid where its 3x3 stencil touches a masked cell.
+    """
     if g.nx < 3 or g.ny < 3:
         raise GridError("interior jets need at least a 3x3 grid")
     v = g.values

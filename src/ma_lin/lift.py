@@ -9,6 +9,7 @@ the structured source mesh with a damped Newton iteration per bilinear cell.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -18,14 +19,14 @@ from .equations import (LinearizableClass, MAEquation, catalog_get, classify,
                         equation_from_class_function, linear_coefficient,
                         residual)
 from .expressions import Expr, evaluate, to_text, variables
-from .grids import (Grid2, GridGeometry, Jet2, MaskedGrid2, geometry_from_domain,
-                    interior_jets, jet_exprs, sample)
+from .grids import (Grid2, GridGeometry, JetArrays, MaskedGrid2,
+                    geometry_from_domain, interior_jets, jet_exprs)
 from .linsolve import BoundaryValues, problem_from_exprs, solve_dirichlet
 from .transforms import DEGENERACY_EPS, push_jet_arrays
 
 __all__ = [
     "LiftError", "EmptyLiftError", "PipelineError",
-    "LiftedSample", "LiftedSurface", "VerificationReport",
+    "LiftedSurface", "VerificationReport",
     "lift_parametric", "verify_lift", "resample",
     "PipelineConfig", "PipelineResult", "pipeline",
     "write_lifted", "read_lifted",
@@ -38,16 +39,6 @@ class LiftError(Exception):
 
 class EmptyLiftError(LiftError):
     pass
-
-
-@dataclass(frozen=True)
-class LiftedSample:
-    X: float
-    Y: float
-    x: float
-    y: float
-    jet: Jet2
-    jacobian: float
 
 
 @dataclass(frozen=True)
@@ -81,16 +72,10 @@ class LiftedSurface:
     def mask_fraction(self) -> float:
         return 1.0 - self.n_valid / self.valid.size
 
-    def samples(self) -> list[LiftedSample]:
-        out = []
-        for j, i in zip(*np.nonzero(self.valid)):
-            out.append(LiftedSample(
-                X=float(self.X[j, i]), Y=float(self.Y[j, i]),
-                x=float(self.x[j, i]), y=float(self.y[j, i]),
-                jet=Jet2(float(self.u[j, i]), float(self.ux[j, i]), float(self.uy[j, i]),
-                         float(self.uxx[j, i]), float(self.uxy[j, i]), float(self.uyy[j, i])),
-                jacobian=float(self.jac[j, i])))
-        return out
+    def jets(self) -> JetArrays:
+        """The image jets of u(x, y) at every node, masked where invalid."""
+        return JetArrays(self.u, self.ux, self.uy, self.uxx, self.uxy, self.uyy,
+                         valid=self.valid)
 
 
 @dataclass(frozen=True)
@@ -126,14 +111,7 @@ def lift_parametric(U: Union[Expr, Grid2],
         X0, X1, Y0, Y1 = domain
         geom = geometry_from_domain(X0, X1, Y0, Y1, n, n)
         Xg, Yg = np.meshgrid(geom.xs(), geom.ys())
-        exprs = jet_exprs(U, ("X", "Y"))
-        fields = []
-        for e in exprs:
-            vals = np.empty_like(Xg)
-            for j in range(geom.ny):
-                for i in range(geom.nx):
-                    vals[j, i] = evaluate(e, {"X": Xg[j, i], "Y": Yg[j, i]})
-            fields.append(vals)
+        fields = [evaluate(e, {"X": Xg, "Y": Yg}) for e in jet_exprs(U, ("X", "Y"))]
         kind, desc = "symbolic", to_text(U)
     elif isinstance(U, Grid2):
         jets = interior_jets(U)
@@ -141,12 +119,9 @@ def lift_parametric(U: Union[Expr, Grid2],
         xs = geomI.xs()[1:-1]
         ys = geomI.ys()[1:-1]
         Xg, Yg = np.meshgrid(xs, ys)
-        raw = [jets.u, jets.ux, jets.uy, jets.uxx, jets.uxy, jets.uyy]
-        fields = []
-        for a in raw:
-            a = np.array(a)
-            a[~jets.valid] = np.nan
-            fields.append(a)
+        # a stencil that touches a masked cell leaves a NaN in at least one
+        # entry of the jet, and push_jet_arrays masks non-finite jets
+        fields = [jets.u, jets.ux, jets.uy, jets.uxx, jets.uxy, jets.uyy]
         kind, desc = "grid", f"{U.nx}x{U.ny} grid"
     else:
         raise TypeError(f"unsupported source type {type(U).__name__}")
@@ -162,12 +137,7 @@ def lift_parametric(U: Union[Expr, Grid2],
 
 def verify_lift(s: LiftedSurface, eq: MAEquation) -> VerificationReport:
     """Residual of the nonlinear equation over every valid lifted sample."""
-    res = []
-    for j, i in zip(*np.nonzero(s.valid)):
-        jet = Jet2(float(s.u[j, i]), float(s.ux[j, i]), float(s.uy[j, i]),
-                   float(s.uxx[j, i]), float(s.uxy[j, i]), float(s.uyy[j, i]))
-        res.append(abs(residual(eq, jet, float(s.x[j, i]), float(s.y[j, i]))))
-    arr = np.asarray(res)
+    arr = np.abs(residual(eq, s.jets().compress(), s.x[s.valid], s.y[s.valid]))
     return VerificationReport(
         equation_id=eq.id,
         samples=arr.size,
@@ -365,10 +335,18 @@ def _infer_target(surface: LiftedSurface, nx: int, ny: int) -> GridGeometry:
     return geometry_from_domain(x0 + mx, x1 - mx, y0 + my, y1 - my, nx, ny)
 
 
+@contextmanager
+def _stage(name: str):
+    """Wrap any failure inside the block as PipelineError(name, cause)."""
+    try:
+        yield
+    except Exception as err:
+        raise PipelineError(name, err) from err
+
+
 def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResult:
     """classify -> linear coefficient -> solve -> lift -> resample -> verify."""
-    stage = "classify"
-    try:
+    with _stage("classify"):
         if isinstance(f_or_id, str):
             eq = catalog_get(f_or_id)
         else:
@@ -377,43 +355,26 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
                 raise LiftError(f"class function must use only (u, s), found {sorted(extra)}")
             eq = equation_from_class_function(f_or_id)
         cls = classify(eq, seed=config.seed)
-    except Exception as err:
-        raise PipelineError(stage, err) from err
 
-    stage = "coefficient"
-    try:
+    with _stage("coefficient"):
         coeff = linear_coefficient(cls)
-    except Exception as err:
-        raise PipelineError(stage, err) from err
 
-    stage = "solve"
-    try:
+    with _stage("solve"):
         X0, X1, Y0, Y1 = config.lin_domain
         geom = geometry_from_domain(X0, X1, Y0, Y1, config.lin_nx, config.lin_ny)
         problem = problem_from_exprs(geom, coeff, None, config.boundary)
         solution, report = solve_dirichlet(problem, tol=config.solve_tol,
                                            max_iter=config.solve_max_iter)
-    except Exception as err:
-        raise PipelineError(stage, err) from err
 
-    stage = "lift"
-    try:
+    with _stage("lift"):
         surface = lift_parametric(solution)
-    except Exception as err:
-        raise PipelineError(stage, err) from err
 
-    stage = "resample"
-    try:
+    with _stage("resample"):
         target = config.target or _infer_target(surface, config.target_nx, config.target_ny)
         grid = resample(surface, target)
-    except Exception as err:
-        raise PipelineError(stage, err) from err
 
-    stage = "verify"
-    try:
+    with _stage("verify"):
         verification = verify_lift(surface, eq)
-    except Exception as err:
-        raise PipelineError(stage, err) from err
 
     return PipelineResult(equation=eq, lin_class=cls, coefficient=coeff,
                           solution=solution, solve_report=report,

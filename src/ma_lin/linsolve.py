@@ -167,10 +167,10 @@ def boundary_from_expr(e: Expr, geom: GridGeometry,
     n1, n2 = names
     xs, ys = geom.xs(), geom.ys()
     return BoundaryValues(
-        left=np.array([evaluate(e, {n1: xs[0], n2: y}) for y in ys]),
-        right=np.array([evaluate(e, {n1: xs[-1], n2: y}) for y in ys]),
-        bottom=np.array([evaluate(e, {n1: x, n2: ys[0]}) for x in xs]),
-        top=np.array([evaluate(e, {n1: x, n2: ys[-1]}) for x in xs]),
+        left=evaluate(e, {n1: xs[0], n2: ys}),
+        right=evaluate(e, {n1: xs[-1], n2: ys}),
+        bottom=evaluate(e, {n1: xs, n2: ys[0]}),
+        top=evaluate(e, {n1: xs, n2: ys[-1]}),
     )
 
 
@@ -179,10 +179,10 @@ def boundary_from_edge_exprs(left: Expr, right: Expr, bottom: Expr, top: Expr,
     """Edge expressions in the edge's running coordinate: Y on left/right, X on bottom/top."""
     xs, ys = geom.xs(), geom.ys()
     return BoundaryValues(
-        left=np.array([evaluate(left, {"Y": y}) for y in ys]),
-        right=np.array([evaluate(right, {"Y": y}) for y in ys]),
-        bottom=np.array([evaluate(bottom, {"X": x}) for x in xs]),
-        top=np.array([evaluate(top, {"X": x}) for x in xs]),
+        left=evaluate(left, {"Y": ys}),
+        right=evaluate(right, {"Y": ys}),
+        bottom=evaluate(bottom, {"X": xs}),
+        top=evaluate(top, {"X": xs}),
     )
 
 

@@ -1,9 +1,10 @@
 """Contact, Ampere, point, Legendre and rotation transformations.
 
-`contact_map` is the combined map sending a jet of U(X, Y) to a jet of u(x, y)
-with x = U_Y, y = U - Y*U_Y, u = X.  `compose_chain` rebuilds the same image by
-running the four elementary steps one after another, each with its own small
-jet push-forward; it exists so the equivalence of the two routes is testable.
+`push_jet_arrays` is the combined map sending jets of U(X, Y) to jets of u(x, y)
+with x = U_Y, y = U - Y*U_Y, u = X; `contact_map` is its one-jet form.
+`compose_chain` rebuilds the same image by running the four elementary steps
+one after another, each with its own small jet push-forward; it exists so the
+equivalence of the two routes is testable.
 
 Discrete counterparts: a convex-conjugate sweep on sampled 1-D/2-D data and a
 column-wise discrete Ampere transform producing scattered (x, y, u) samples.
@@ -59,29 +60,23 @@ class ContactImage:
 def contact_map(jet_U: Jet2, X: float, Y: float, eps: float = DEGENERACY_EPS) -> ContactImage:
     """Push a jet of U at (X, Y) through x=U_Y, y=U-Y*U_Y, u=X.
 
-    Requires |U_X| and |U_YY| above the degeneracy threshold; those are the
-    fold lines of the map.
+    A single-node call of push_jet_arrays.  Where that call masks the node,
+    raises DegenerateJetError for the first of |U_X|, |U_YY| and the
+    jacobian at or below the threshold; those are the fold lines of the map.
     """
-    UX, UY = jet_U.ux, jet_U.uy
-    UXX, UXY, UYY = jet_U.uxx, jet_U.uxy, jet_U.uyy
-    if abs(UX) <= eps:
-        raise DegenerateJetError("U_X", UX)
-    if abs(UYY) <= eps:
-        raise DegenerateJetError("U_YY", UYY)
-    c = 1.0 / (UX * UX * UX * UYY)
-    jet = Jet2(
-        u=X,
-        ux=Y / UX,
-        uy=1.0 / UX,
-        uxx=(Y * Y * UXY * UXY - Y * Y * UXX * UYY - 2 * Y * UX * UXY + UX * UX) * c,
-        uxy=(Y * UXY * UXY - Y * UXX * UYY - UX * UXY) * c,
-        uyy=(UXY * UXY - UXX * UYY) * c,
-    )
-    return ContactImage(x=UY, y=jet_U.u - Y * UY, jet=jet, jacobian=-UX * UYY)
+    x, y, u, ux, uy, uxx, uxy, uyy, jac, valid = push_jet_arrays(
+        jet_U.u, jet_U.ux, jet_U.uy, jet_U.uxx, jet_U.uxy, jet_U.uyy, X, Y, eps=eps)
+    if not valid:
+        for quantity, value in (("U_X", jet_U.ux), ("U_YY", jet_U.uyy),
+                                ("jacobian", -jet_U.ux * jet_U.uyy)):
+            if abs(value) <= eps:
+                raise DegenerateJetError(quantity, value)
+    jet = Jet2(*(float(a) for a in (u, ux, uy, uxx, uxy, uyy)))
+    return ContactImage(x=float(x), y=float(y), jet=jet, jacobian=float(jac))
 
 
 def push_jet_arrays(U, UX, UY, UXX, UXY, UYY, X, Y, eps: float = DEGENERACY_EPS):
-    """Vectorized contact_map over arrays; same arithmetic per node.
+    """Push arrays of jets of U at (X, Y) through the contact map, node by node.
 
     Returns (x, y, u, ux, uy, uxx, uxy, uyy, jac, valid); entries where the
     map degenerates (or inputs are non-finite) are NaN with valid=False.
@@ -103,12 +98,8 @@ def push_jet_arrays(U, UX, UY, UXX, UXY, UYY, X, Y, eps: float = DEGENERACY_EPS)
         uxx = (Y * Y * UXY * UXY - Y * Y * UXX * UYY - 2 * Y * UX * UXY + UX * UX) * c
         uxy = (Y * UXY * UXY - Y * UXX * UYY - UX * UXY) * c
         uyy = (UXY * UXY - UXX * UYY) * c
-    out = []
-    for a in (x, y, u, ux, uy, uxx, uxy, uyy, jac):
-        a = np.array(a)
-        a[~valid] = np.nan
-        out.append(a)
-    return (*out, valid)
+    out = (x, y, u, ux, uy, uxx, uxy, uyy, jac)
+    return (*(np.where(valid, a, np.nan) for a in out), valid)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,17 @@ def measured_order(err_coarse: float, err_fine: float) -> float:
     return math.log2(err_coarse / err_fine)
 
 
+def stencil_jet(v, i: int, j: int, dx: float, dy: float) -> dict:
+    """Scalar second-order central-difference jet at interior node (i, j) of values v[j, i]."""
+    c = float(v[j, i])
+    e, w, n, s = float(v[j, i + 1]), float(v[j, i - 1]), float(v[j + 1, i]), float(v[j - 1, i])
+    ne, nw = float(v[j + 1, i + 1]), float(v[j + 1, i - 1])
+    se, sw = float(v[j - 1, i + 1]), float(v[j - 1, i - 1])
+    return {"u": c, "ux": (e - w) / (2 * dx), "uy": (n - s) / (2 * dy),
+            "uxx": (e - 2 * c + w) / dx ** 2, "uxy": (ne - nw - se + sw) / (4 * dx * dy),
+            "uyy": (n - 2 * c + s) / dy ** 2}
+
+
 def central_second(fn, x, h):
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / h ** 2
 

@@ -50,6 +50,12 @@ def test_classify_needs_input(tmp_path):
     assert main(["classify", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_grid_options_only_on_solver_subcommands(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["classify", "--id", "grad-inversion", "--nx", "5", "--out", out]) == 1
+    assert main(["khabirov", "--g", "1", "--tol", "1e-3", "--out", out]) == 1
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -144,10 +150,20 @@ def test_lift_not_elliptic_exits_2(tmp_path):
     assert main(["lift", "--in", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_lift_not_in_class_exits_2(tmp_path):
+def test_lift_not_in_class_exits_2(tmp_path, capsys):
     data = {"id": "axisym", "domain": [0.5, 1.5, 0.5, 1.5], "boundary": "X^2-Y^2"}
     cfg = _write(tmp_path / "l.json", data)
-    assert main(["lift", "--in", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(["lift", "--in", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "rejected: pipeline stage 'classify' failed" in capsys.readouterr().err
+
+
+def test_lift_all_nodes_degenerate_exits_2(tmp_path, capsys):
+    # the Laplace solution U = X*Y has U_YY = 0 at every node
+    data = {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+            "nx": 9, "ny": 9, "boundary": "X*Y"}
+    cfg = _write(tmp_path / "l.json", data)
+    assert main(["lift", "--in", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "rejected: pipeline stage 'lift' failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,115 @@ def test_diff_is_linear_exactly():
 
 
 # ---------------------------------------------------------------------------
+# array evaluation
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(((a == b) & (np.signbit(a) == np.signbit(b)))
+                       | (np.isnan(a) & np.isnan(b))))
+
+
+def _scalar_cells(tree, cells):
+    """Per-cell scalar results (NaN where it raises) and which cells raise."""
+    n = len(next(iter(cells.values())))
+    out, raised = np.full(n, np.nan), np.zeros(n, dtype=bool)
+    for k in range(n):
+        try:
+            out[k] = evaluate(tree, {v: float(a[k]) for v, a in cells.items()})
+        except EvalError:
+            raised[k] = True
+    return out, raised
+
+
+def _assert_array_matches_scalar(tree, cells):
+    scalar, raised = _scalar_cells(tree, cells)
+    if raised.any():
+        with pytest.raises(EvalError) as exc:
+            evaluate(tree, cells)
+        assert raised[exc.value.index], (to_text(tree), exc.value.index)
+    else:
+        got = evaluate(tree, cells)
+        assert got.shape == scalar.shape
+        assert _same_bits(got, scalar), to_text(tree)
+    return raised
+
+
+def test_array_evaluation_matches_scalar_bitwise_random_trees():
+    rng = np.random.default_rng(20261018)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 40.0, -40.0, 750.0])
+    counts = np.zeros(2, dtype=int)
+    for _ in range(300):
+        tree = _random_tree(rng, depth=int(rng.integers(1, 6)))
+        cells = {v: np.concatenate([rng.uniform(-3, 3, 24), rng.permutation(special)])
+                 for v in _VARS}
+        raised = _assert_array_matches_scalar(tree, cells)
+        counts[int(raised.any())] += 1
+    assert counts.min() >= 20  # both outcomes are exercised
+
+
+def test_scalar_evaluation_returns_python_float():
+    assert type(evaluate(parse("sin(x)+2"), {"x": np.float64(1.0)})) is float
+    assert type(evaluate(parse("x"), {"x": np.array(3.0)})) is float
+    assert to_text(subst(parse("exp(y)*2^x"), {"y": 0, "x": 0.5})) == repr(2 ** 0.5)
+
+
+def test_array_evaluation_broadcasts_bindings():
+    x = np.array([[1.0], [2.0]])
+    y = np.array([10.0, 20.0, 30.0])
+    got = evaluate(parse("x*y+1"), {"x": x, "y": y})
+    assert np.array_equal(got, x * y + 1)
+    # a tree without variables still fills the broadcast shape
+    assert np.array_equal(evaluate(parse("2^3"), {"x": x, "y": y}), np.full((2, 3), 8.0))
+
+
+def test_variable_exponent_mixes_integer_and_fractional_cells():
+    X = np.array([-2.0, -2.0, 2.0, 3.0, 2.0, 0.0, 1.5, -1.1, 1.0])
+    Y = np.array([3.0, -2.0, 0.5, 1.5, 70.0, 0.0, -65.0, 67.0, 2.0 ** 40])
+    tree = parse("X^Y")
+    assert not _assert_array_matches_scalar(tree, {"X": X, "Y": Y}).any()
+    got = evaluate(tree, {"X": X, "Y": Y})
+    assert got[0] == -8.0 and got[1] == 0.25 and got[4] == 2.0 ** 70
+    assert got[7] < 0  # odd power above 64 keeps the sign
+    assert got[8] == 1.0  # an exponent above 2^31 takes the pow() route
+    # each failure is reported at its own cell, and only there
+    for k, (x, y, fragment) in enumerate([(-2.0, 0.5, "positive base"),
+                                          (0.0, -3.0, "zero base"),
+                                          (2.0, 5000.5, "overflow")]):
+        Xk, Yk = X.copy(), Y.copy()
+        Xk[4 + k], Yk[4 + k] = x, y
+        raised = _assert_array_matches_scalar(tree, {"X": Xk, "Y": Yk})
+        assert list(np.flatnonzero(raised)) == [4 + k]
+        with pytest.raises(EvalError) as exc:
+            evaluate(tree, {"X": Xk, "Y": Yk})
+        assert exc.value.index == 4 + k and fragment in str(exc.value)
+        assert f"at flat index {4 + k}" in str(exc.value)
+
+
+@pytest.mark.parametrize("text,values,bad", [
+    ("exp(x)", [0.0, 709.0, 710.0, -800.0], 2),
+    ("sinh(x)", [-711.0, 1.0], 0),
+    ("cosh(x)", [1.0, 2.0, 711.0], 2),
+    ("x^100", [2.0, -3.0, 1e4], 2),
+    ("2^x", [1.0, 1024.5], 1),
+])
+def test_overflow_raises_at_the_first_cell(text, values, bad):
+    tree = parse(text)
+    x = np.array(values)
+    raised = _assert_array_matches_scalar(tree, {"x": x})
+    assert list(np.flatnonzero(raised)) == [bad]
+    with pytest.raises(EvalError) as exc:
+        evaluate(tree, {"x": x})
+    assert exc.value.index == bad
+    fine = np.delete(x, bad)
+    assert _same_bits(evaluate(tree, {"x": fine}), _scalar_cells(tree, {"x": fine})[0])
+
+
+def test_large_integer_power_keeps_sign_and_value():
+    assert evaluate(parse("x^65"), {"x": -2.0}) == -(2.0 ** 65)
+    assert evaluate(parse("x^(-66)"), {"x": -2.0}) == 2.0 ** -66
+
+
+# ---------------------------------------------------------------------------
 # printing
 
 def test_print_round_trip_corpus():

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import measured_order
-from ma_lin.expressions import parse
+from helpers import measured_order, stencil_jet
+from ma_lin.expressions import evaluate, parse
 from ma_lin.grids import (Grid2, GridError, GridFormatError, GridGeometry,
-                          Jet2, MaskedCellError, MaskedGrid2, fd_jet,
-                          geometry_from_domain, interior_jets, read_grid,
-                          sample, symbolic_jet, write_grid)
+                          Jet2, MaskedGrid2, geometry_from_domain,
+                          interior_jets, jet_exprs, read_grid, sample,
+                          write_grid)
 
 
 def _unit_geom(n=3):
@@ -68,55 +68,69 @@ def test_sample_domain_error_carries_indices():
     with pytest.raises(GridError) as exc:
         sample(parse("sqrt(X)"), ("X", "Y"), geom)
     assert "i=0" in str(exc.value)
+    # the first failing cell in row-major order, for a node that depends on Y only
+    with pytest.raises(GridError) as exc:
+        sample(parse("X + ln(Y-1)"), ("X", "Y"), geom)
+    assert "(i=0, j=0)" in str(exc.value)
+    with pytest.raises(GridError) as exc:
+        sample(parse("1/(X*Y-2)"), ("X", "Y"), geom)
+    assert "(i=2, j=2)" in str(exc.value) and "division by zero" in str(exc.value)
+
+
+def test_sample_broadcasts_a_constant_to_the_full_grid():
+    geom = GridGeometry(4, 3, 0.0, 0.0, 1.0, 1.0)
+    for text, want in (("1", 1.0), ("2*3-sqrt(4)", 4.0)):
+        g = sample(parse(text), ("X", "Y"), geom)
+        assert g.values.shape == (3, 4)
+        assert np.all(g.values == want)
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 
+def _jet_at(jets, i, j):
+    """The interior_jets entry of node (i, j)."""
+    return {k: getattr(jets, k)[j - 1, i - 1]
+            for k in ("u", "ux", "uy", "uxx", "uxy", "uyy", "valid")}
+
+
 def test_fd_jet_exact_on_bilinear():
     geom = geometry_from_domain(0, 2, 0, 2, 5, 5)
     g = sample(parse("X*Y"), ("X", "Y"), geom)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            jet = fd_jet(g, i, j)
-            x, y = g.point(i, j)
-            assert abs(jet.ux - y) <= 1e-12
-            assert abs(jet.uy - x) <= 1e-12
-            assert abs(jet.uxy - 1.0) <= 1e-12
-            assert abs(jet.uxx) <= 1e-12 and abs(jet.uyy) <= 1e-12
+    jets = interior_jets(g)
+    assert jets.valid.all()
+    Xg, Yg = np.meshgrid(g.xs()[1:-1], g.ys()[1:-1])
+    assert np.max(np.abs(jets.ux - Yg)) <= 1e-12
+    assert np.max(np.abs(jets.uy - Xg)) <= 1e-12
+    assert np.max(np.abs(jets.uxy - 1.0)) <= 1e-12
+    assert np.max(np.abs(jets.uxx)) <= 1e-12 and np.max(np.abs(jets.uyy)) <= 1e-12
 
 
 def test_fd_jet_exact_on_quadratic():
     geom = geometry_from_domain(-1, 1, -1, 1, 9, 9)
     g = sample(parse("X^2-Y^2"), ("X", "Y"), geom)
-    jet = fd_jet(g, 4, 4)
-    assert abs(jet.uxx - 2.0) <= 1e-12
-    assert abs(jet.uyy + 2.0) <= 1e-12
+    jet = _jet_at(interior_jets(g), 4, 4)
+    assert abs(jet["uxx"] - 2.0) <= 1e-12
+    assert abs(jet["uyy"] + 2.0) <= 1e-12
 
 
 def test_fd_jet_exact_on_all_degree2_polynomials():
     geom = geometry_from_domain(0.3, 1.3, -0.2, 0.8, 6, 6)
-    for text, want in [
-        ("1", dict(uxx=0, uyy=0, uxy=0)),
-        ("X", dict(ux=1)),
-        ("Y", dict(uy=1)),
-        ("X^2", dict(uxx=2)),
-        ("Y^2", dict(uyy=2)),
-        ("X*Y", dict(uxy=1)),
-    ]:
+    Xg, Yg = np.meshgrid(geom.xs()[1:-1], geom.ys()[1:-1])
+    for text in ("1", "X", "Y", "X^2", "Y^2", "X*Y", "3-X+2*Y+X^2-X*Y+0.5*Y^2"):
         g = sample(parse(text), ("X", "Y"), geom)
-        jet = fd_jet(g, 2, 3)
-        exact = symbolic_jet(parse(text), ("X", "Y"), *g.point(2, 3))
-        for name in ("u", "ux", "uy", "uxx", "uxy", "uyy"):
-            assert abs(getattr(jet, name) - getattr(exact, name)) <= 1e-12
+        jets = interior_jets(g)
+        exact = jet_exprs(parse(text), ("X", "Y"))
+        for name, e in zip(("u", "ux", "uy", "uxx", "uxy", "uyy"), exact):
+            want = evaluate(e, {"X": Xg, "Y": Yg})
+            assert np.max(np.abs(getattr(jets, name) - want)) <= 1e-12, (text, name)
 
 
 def test_fd_jet_truncation_sin():
     geom = GridGeometry(201, 3, 0.0, 0.0, 0.01, 0.01)
     g = sample(parse("sin(X)"), ("X", "Y"), geom)
-    i = 50  # X = 0.5
-    jet = fd_jet(g, i, 1)
-    assert abs(jet.uxx + math.sin(0.5)) <= 1e-4
+    jet = _jet_at(interior_jets(g), 50, 1)  # X = 0.5
+    assert abs(jet["uxx"] + math.sin(0.5)) <= 1e-4
 
 
 def test_fd_jet_convergence_order():
@@ -124,15 +138,11 @@ def test_fd_jet_convergence_order():
     errs = []
     for n in (33, 65):
         geom = geometry_from_domain(0, 1, 0, 1, n, n)
-        g = sample(e, ("X", "Y"), geom)
-        worst = {k: 0.0 for k in ("ux", "uy", "uxx", "uxy", "uyy")}
-        for i in range(1, n - 1):
-            for j in range(1, n - 1):
-                jet = fd_jet(g, i, j)
-                exact = symbolic_jet(e, ("X", "Y"), *g.point(i, j))
-                for k in worst:
-                    worst[k] = max(worst[k], abs(getattr(jet, k) - getattr(exact, k)))
-        errs.append(worst)
+        jets = interior_jets(sample(e, ("X", "Y"), geom))
+        Xg, Yg = np.meshgrid(geom.xs()[1:-1], geom.ys()[1:-1])
+        _, *exact = jet_exprs(e, ("X", "Y"))
+        errs.append({k: float(np.max(np.abs(getattr(jets, k) - evaluate(t, {"X": Xg, "Y": Yg}))))
+                     for k, t in zip(("ux", "uy", "uxx", "uxy", "uyy"), exact)})
     for k in errs[0]:
         assert measured_order(errs[0][k], errs[1][k]) >= 1.9, k
 
@@ -140,16 +150,19 @@ def test_fd_jet_convergence_order():
 def test_fd_jet_rejects_boundary_and_masked():
     geom = _unit_geom(4)
     vals = np.ones((4, 4))
-    g = Grid2(geom, vals)
-    with pytest.raises(GridError):
-        fd_jet(g, 0, 1)
+    # boundary nodes carry no jet, and a grid under 3x3 has no interior
+    assert interior_jets(Grid2(geom, vals)).u.shape == (2, 2)
+    for shape in ((2, 4), (4, 2)):
+        with pytest.raises(GridError):
+            interior_jets(Grid2(GridGeometry(shape[1], shape[0], 0.0, 0.0, 1.0, 1.0),
+                                np.ones(shape)))
     vals2 = vals.copy()
     vals2[0, 0] = np.nan
-    g2 = Grid2(geom, vals2)
-    with pytest.raises(MaskedCellError):
-        fd_jet(g2, 1, 1)
+    jets = interior_jets(Grid2(geom, vals2))
+    assert not _jet_at(jets, 1, 1)["valid"]
     # masking is contagious only within the 3x3 neighborhood
-    assert fd_jet(g2, 2, 2) is not None
+    assert _jet_at(jets, 2, 2)["valid"]
+    assert jets.valid.sum() == 3
 
 
 def test_interior_jets_match_fd_jet_bitwise():
@@ -158,9 +171,9 @@ def test_interior_jets_match_fd_jet_bitwise():
     jets = interior_jets(g)
     for i in range(1, g.nx - 1):
         for j in range(1, g.ny - 1):
-            ref = fd_jet(g, i, j)
+            ref = stencil_jet(g.values, i, j, g.dx, g.dy)
             for k in ("u", "ux", "uy", "uxx", "uxy", "uyy"):
-                assert getattr(jets, k)[j - 1, i - 1] == getattr(ref, k)
+                assert getattr(jets, k)[j - 1, i - 1] == ref[k]
 
 
 # ---------------------------------------------------------------------------

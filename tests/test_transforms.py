@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from helpers import (brute_conjugate, brute_conjugate_2d, invert_contact_point,
                      measured_order, seeded_closed_forms)
 from ma_lin.expressions import parse
-from ma_lin.grids import (Grid2, GridGeometry, Jet2, fd_jet,
-                          geometry_from_domain, sample, symbolic_jet)
+from ma_lin.grids import (Grid2, GridGeometry, Jet2, geometry_from_domain,
+                          interior_jets, sample, symbolic_jet)
 from ma_lin.transforms import (DEGENERACY_EPS, DegenerateJetError, FoldError,
                                TransformError, ampere_discrete, ampere_step,
                                compose_chain, contact_map,
@@ -49,23 +49,29 @@ def test_contact_map_degenerate_jet():
         contact_map(Jet2(0.0, 0.0, 1.0, 1.0, 0.0, 1.0), 0.0, 0.0)
 
 
-def test_push_jet_arrays_matches_contact_map_bitwise():
+def test_contact_map_raises_exactly_where_push_jet_arrays_masks():
     rng = np.random.default_rng(3)
-    J = {k: rng.uniform(-2, 2, 40) for k in "abcdef"}
-    X, Y = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)
-    out = push_jet_arrays(J["a"], J["b"], J["c"], J["d"], J["e"], J["f"], X, Y)
-    x, y, u, ux, uy, uxx, uxy, uyy, jac, valid = out
-    for k in range(40):
-        jet = Jet2(*(J[c][k] for c in "abcdef"))
+    J = {k: rng.uniform(-2, 2, 60) for k in "abcdef"}
+    # put some nodes on or next to each fold: U_X, U_YY, and the jacobian
+    J["b"][:6] = [0.0, 1e-9, -1e-8, 1e-4, 1e-4, 2e-8]
+    J["f"][6:12] = [0.0, -1e-9, 1e-8, 1e-4, 1e-4, 3e-4]
+    X, Y = rng.uniform(-1, 1, 60), rng.uniform(-1, 1, 60)
+    *fields, valid = push_jet_arrays(J["a"], J["b"], J["c"], J["d"], J["e"], J["f"], X, Y)
+    assert 0 < valid.sum() < 60
+    for k in range(60):
+        jet = Jet2(*(float(J[c][k]) for c in "abcdef"))
         if valid[k]:
             im = contact_map(jet, X[k], Y[k])
-            assert (x[k], y[k], u[k]) == (im.x, im.y, im.jet.u)
-            assert (ux[k], uy[k]) == (im.jet.ux, im.jet.uy)
-            assert (uxx[k], uxy[k], uyy[k]) == (im.jet.uxx, im.jet.uxy, im.jet.uyy)
-            assert jac[k] == im.jacobian
+            entries = ("u", "ux", "uy", "uxx", "uxy", "uyy")
+            got = (im.x, im.y, *(getattr(im.jet, c) for c in entries), im.jacobian)
+            assert got == tuple(a[k] for a in fields)
         else:
-            assert (abs(jet.ux) <= DEGENERACY_EPS or abs(jet.uyy) <= DEGENERACY_EPS
-                    or abs(jet.ux * jet.uyy) <= DEGENERACY_EPS)
+            with pytest.raises(DegenerateJetError) as exc:
+                contact_map(jet, X[k], Y[k])
+            first = next(q for q, v in (("U_X", jet.ux), ("U_YY", jet.uyy),
+                                        ("jacobian", jet.ux * jet.uyy))
+                         if abs(v) <= DEGENERACY_EPS)
+            assert exc.value.quantity == first
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +222,8 @@ def _surface_patch(U, x0, y0, X0, Y0, h):
 
 
 def _patch_jet(patch, h):
-    g = Grid2(GridGeometry(5, 5, 0.0, 0.0, h, h), patch)
-    return fd_jet(g, 2, 2)
+    jets = interior_jets(Grid2(GridGeometry(5, 5, 0.0, 0.0, h, h), patch))
+    return Jet2(*(float(getattr(jets, k)[1, 1]) for k in ("u", "ux", "uy", "uxx", "uxy", "uyy")))
 
 
 def test_pushforward_matches_surface_differentiation():
