@@ -171,10 +171,10 @@ def jacobian_from_jet(kind: str, jet: Union[Jet2, JetArrays],
     if kind in ("from-U", "axisym-U"):
         return det
     if kind == "from-W":
-        g2 = jet.ux ** 2 + jet.uy ** 2
+        g2 = jet.ux * jet.ux + jet.uy * jet.uy
         if np.any(g2 <= _GRAD_EPS):
             raise ElasticityError("zero potential gradient")
-        return det / g2 ** 2
+        return det / (g2 * g2)
     if kind in ("from-V", "axisym-V", "membrane"):
         if material_point is None:
             raise ElasticityError(f"{kind} needs the material point for the inversion factor")
@@ -182,7 +182,7 @@ def jacobian_from_jet(kind: str, jet: Union[Jet2, JetArrays],
         r2 = X * X + Y * Y
         if np.any(r2 == 0.0):
             raise ElasticityError("inversion is singular at the origin")
-        return det / r2 ** 2
+        return det / (r2 * r2)
     raise ElasticityError(f"unknown kind {kind!r}")
 
 
@@ -198,16 +198,18 @@ def ma_residual_from_jet(kind: str, jet: Union[Jet2, JetArrays], point: tuple):
     if kind == "from-U":
         return det - 1.0
     if kind == "from-W":
-        return det - (jet.ux ** 2 + jet.uy ** 2) ** 2
+        g2 = jet.ux * jet.ux + jet.uy * jet.uy
+        return det - g2 * g2
+    r2 = a * a + b * b
     if kind in ("from-V",):
-        return det - (a * a + b * b) ** -2
+        return det - 1.0 / (r2 * r2)
     if kind == "membrane":
         combo = a * jet.ux + b * jet.uy - jet.u
-        return det - (a * a + b * b) ** -2 / combo
+        return det - 1.0 / (r2 * r2) / combo
     if kind == "axisym-U":
         return det - a / jet.ux
     if kind == "axisym-V":
-        return det - a / ((a * a + b * b) ** 2 * jet.ux)
+        return det - a / (r2 * r2 * jet.ux)
     raise ElasticityError(f"unknown kind {kind!r}")
 
 

@@ -6,15 +6,15 @@ with x = U_Y, y = U - Y*U_Y, u = X; `contact_map` is its one-jet form.
 one after another, each with its own small jet push-forward; it exists so the
 equivalence of the two routes is testable.
 
-Discrete counterparts: a convex-conjugate sweep on sampled 1-D/2-D data and a
-column-wise discrete Ampere transform producing scattered (x, y, u) samples.
+Discrete counterparts: the convex conjugate of sampled 1-D/2-D data, taken as
+the maximum over all (slope, node) pairs, and a column-wise discrete Ampere
+transform producing scattered (x, y, u) samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -218,35 +218,12 @@ def _check_increasing(a: np.ndarray, what: str) -> None:
         raise TransformError(f"{what} must be strictly increasing")
 
 
-def _lower_hull(xs: Sequence[float], vs: Sequence[float]) -> list[int]:
-    """Indices of the lower convex envelope of (xs, vs), collinear points kept.
-
-    Turn tests run in exact rational arithmetic so the hull never depends on
-    rounding.
-    """
-    fx = [Fraction(float(x)) for x in xs]
-    fv = [Fraction(float(v)) for v in vs]
-    hull: list[int] = []
-    for k in range(len(fx)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            cross = (fx[b] - fx[a]) * (fv[k] - fv[a]) - (fv[b] - fv[a]) * (fx[k] - fx[a])
-            if cross < 0:  # b lies strictly above segment a-k
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    return hull
-
-
 def discrete_legendre_1d(xs, vs, slopes) -> DualGrid1:
     """Conjugate of sampled data: values[k] = max_i (slopes[k]*xs[i] - vs[i]).
 
-    Computed by a monotone sweep over the lower convex envelope; both the
-    query slopes and the envelope breakpoints increase, so the argmax pointer
-    only moves forward.  Exact-tie plateaus are resolved by taking the largest
-    floating-point candidate, which makes the result identical to the brute
-    force maximum over all nodes.
+    Evaluated as written, over every (slope, node) pair at once, so the
+    result is the brute-force maximum bit for bit.  Time and memory are
+    O(len(slopes) * len(xs)): one temporary of that shape per call.
     """
     xs = np.asarray(xs, dtype=np.float64)
     vs = np.asarray(vs, dtype=np.float64)
@@ -258,33 +235,17 @@ def discrete_legendre_1d(xs, vs, slopes) -> DualGrid1:
     if not np.isfinite(vs).all():
         raise TransformError("vs must be finite")
 
-    hull = _lower_hull(xs, vs)
-    hx = [Fraction(float(xs[i])) for i in hull]
-    hv = [Fraction(float(vs[i])) for i in hull]
-    out = np.empty(slopes.size)
-    e = 0
-    for k in range(slopes.size):
-        s = Fraction(float(slopes[k]))
-        # advance past edges with slope strictly below s
-        while e + 1 < len(hull) and (hv[e + 1] - hv[e]) < s * (hx[e + 1] - hx[e]):
-            e += 1
-        # the exact-argmax plateau: vertex e plus any following edges of slope s
-        best = float(slopes[k]) * xs[hull[e]] - vs[hull[e]]
-        t = e
-        while t + 1 < len(hull) and (hv[t + 1] - hv[t]) == s * (hx[t + 1] - hx[t]):
-            t += 1
-            cand = float(slopes[k]) * xs[hull[t]] - vs[hull[t]]
-            if cand > best:
-                best = cand
-        out[k] = best
-    return DualGrid1(slopes=slopes.copy(), values=out)
+    values = (slopes[:, None] * xs[None, :] - vs[None, :]).max(axis=1)
+    return DualGrid1(slopes=slopes.copy(), values=values)
 
 
 def discrete_legendre_2d(g: Grid2, slope_geom: GridGeometry) -> Grid2:
     """Two-dimensional conjugate W(xi, eta) = max_{x,y} (xi*x + eta*y - Z(x, y)).
 
     Computed as two sequential 1-D conjugations (along x per row, then along y
-    per column of the intermediate), which equals the joint maximum.
+    per column of the intermediate), which equals the joint maximum.  One
+    call per row and per slope column keeps each temporary two-dimensional;
+    a single broadcast over all of them would need cubic memory.
     """
     if not np.isfinite(g.values).all():
         raise TransformError("2-D conjugate requires a fully unmasked grid")
@@ -319,11 +280,10 @@ def ampere_discrete(V: Grid2) -> ScatteredSamples:
     """Column-wise discrete Ampere transform of V(alpha, beta).
 
     For each alpha-column the image ordinates are the centered differences
-    y = V_beta at interior nodes and u = V - beta*V_beta.  Each column must
-    have a strictly monotone discrete slope (V_beta_beta of one sign);
-    otherwise the column contains a fold.  The values are computed through the
-    convex-conjugate kernel: a convex column is conjugated directly and
-    negated, a concave column is handled by conjugating -V.
+    y = V_beta at interior nodes and u = V - beta*V_beta, evaluated as
+    written.  Each column must have a strictly monotone discrete slope
+    (V_beta_beta of one sign); otherwise the column contains a fold.  The
+    column is labelled "convex" or "concave" by that sign.
     """
     if not np.isfinite(V.values).all():
         raise TransformError("discrete Ampere transform requires an unmasked grid")
@@ -334,24 +294,21 @@ def ampere_discrete(V: Grid2) -> ScatteredSamples:
     for i in range(V.nx):
         col = V.values[:, i]
         slope = (col[2:] - col[:-2]) / (2 * V.dy)
-        # one-signed second difference = strictly monotone edge slopes; this is
-        # what makes the conjugate at each centered slope land on its own node
+        # one-signed second difference = strictly monotone edge slopes, so
+        # beta -> V_beta is one-to-one; monotone centered slopes alone can
+        # still hide a wiggle
         d2 = col[2:] - 2 * col[1:-1] + col[:-2]
         if np.all(d2 > 0):
             branch = "convex"
-            dual = discrete_legendre_1d(betas, col, slope)
-            u = -dual.values
         elif np.all(d2 < 0):
             branch = "concave"
-            dual = discrete_legendre_1d(betas, -col, -slope)
-            u = dual.values
         else:
             raise FoldError(
                 f"column alpha={alphas[i]:.6g} has a non-monotone discrete slope (fold)")
         branches.append(branch)
         xs_out.append(np.full(slope.size, alphas[i]))
         ys_out.append(slope)
-        us_out.append(u)
+        us_out.append(col[1:-1] - betas[1:-1] * slope)
     return ScatteredSamples(
         x=np.concatenate(xs_out),
         y=np.concatenate(ys_out),

@@ -247,6 +247,18 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "o" / "classification.json").exists()
 
 
+def test_runtime_imports_no_scipy():
+    # the README promises numpy as the only runtime dependency; scipy may be
+    # installed in a test environment, so a stray import would go unnoticed
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ma_lin, ma_lin.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_manifest_records_input_hash(tmp_path):
     eq = _write(tmp_path / "eq.json", {"id": "g", "F": "(p^2+q^2)^2", "note": ""})
     out = tmp_path / "o"

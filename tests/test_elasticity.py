@@ -9,7 +9,7 @@ from ma_lin.elasticity import (AxisymDeformation, ElasticityError,
                                inversion_coords, jacobian, jacobian_from_jet,
                                ma_residual_from_jet)
 from ma_lin.expressions import parse
-from ma_lin.grids import Jet2, symbolic_jet
+from ma_lin.grids import Jet2, JetArrays, symbolic_jet
 from ma_lin.lift import PipelineConfig, pipeline
 
 
@@ -161,6 +161,28 @@ def test_axisym_residual_reporters():
     UYY = (UXY ** 2 + R / UR) / UXX
     jet = Jet2(0.0, UR, 1.0, UXX, UXY, UYY)
     assert abs(ma_residual_from_jet("axisym-U", jet, (R, Z))) <= 1e-12
+
+
+def test_jet_formulas_agree_bitwise_between_jet2_and_jet_arrays():
+    # one jet passed as a Jet2 or inside JetArrays must give the same bits;
+    # Python's x**2 is libm pow and numpy's is a square, which differ in the
+    # last bit on some inputs
+    rng = np.random.default_rng(31)
+    n = 2000
+    cols = rng.uniform(-2.0, 2.0, (6, n))
+    pts = rng.uniform(0.2, 2.0, (2, n)) * rng.choice((-1.0, 1.0), (2, n))
+    arrays = JetArrays(*cols, valid=np.ones(n, dtype=bool))
+    jets = [Jet2(*cols[:, k].tolist()) for k in range(n)]
+    points = [tuple(pts[:, k].tolist()) for k in range(n)]
+    for kind in ("from-U", "from-W", "from-V", "axisym-U", "axisym-V", "membrane"):
+        needs_point = kind in ("from-V", "axisym-V", "membrane")
+        J = jacobian_from_jet(kind, arrays, tuple(pts) if needs_point else None)
+        R = ma_residual_from_jet(kind, arrays, tuple(pts))
+        J1 = [jacobian_from_jet(kind, jet, p if needs_point else None)
+              for jet, p in zip(jets, points)]
+        R1 = [ma_residual_from_jet(kind, jet, p) for jet, p in zip(jets, points)]
+        assert np.array_equal(J, J1), kind
+        assert np.array_equal(R, R1), kind
 
 
 # ---------------------------------------------------------------------------
