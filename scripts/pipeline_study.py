@@ -40,11 +40,11 @@ def main() -> None:
         write_grid(tg.grid, outdir / f"resampled_{n}.csv")
         write_lifted(res.surface, outdir / f"lifted_{n}.csv")
 
-    print(f"{'n':>5} {'max |u - u*|':>14} {'order':>7} {'max residual':>14} {'iters':>7}")
+    print(f"{'n':>5} {'max |u - u*|':>14} {'order':>7} {'max residual':>14} {'cycles':>7}")
     prev = None
-    for n, err, resid, iters in rows:
+    for n, err, resid, cycles in rows:
         order = f"{math.log2(prev / err):7.3f}" if prev else "      -"
-        print(f"{n:>5} {err:14.4e} {order} {resid:14.4e} {iters:>7}")
+        print(f"{n:>5} {err:14.4e} {order} {resid:14.4e} {cycles:>7}")
         prev = err
     print(f"\nartifacts in {outdir}")
 

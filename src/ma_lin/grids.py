@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, EvalError, diff, evaluate
+from .expressions import BinOp, Const, Expr, EvalError, Neg, Var, diff, evaluate
 
 __all__ = [
     "GridError", "GridFormatError",
@@ -252,12 +252,42 @@ def interior_jets(g: Grid2) -> JetArrays:
         )
 
 
+_DERIVATIVES: dict = {}  # (tree key, names) -> (e_x, e_y, e_xx, e_xy, e_yy)
+_DERIVATIVES_MAX = 256
+
+
+def _tree_key(e: Expr):
+    """A hashable key equal only for trees with the same shape and constant bits.
+
+    Dataclass equality would let Const(0.0) and Const(-0.0) alias, and their
+    derivatives can differ in sign."""
+    if isinstance(e, Const):
+        return (float(e.value).hex(),)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        return ("-", _tree_key(e.arg))
+    if isinstance(e, BinOp):
+        return (e.op, _tree_key(e.left), _tree_key(e.right))
+    return (e.func, _tree_key(e.arg))
+
+
 def jet_exprs(e: Expr, names: tuple[str, str]) -> tuple[Expr, Expr, Expr, Expr, Expr, Expr]:
-    """The six expressions (e, e_x, e_y, e_xx, e_xy, e_yy)."""
+    """The six expressions (e, e_x, e_y, e_xx, e_xy, e_yy).
+
+    The five derivative trees are differentiated once per tree and pair of
+    names and then reused; the first entry is always the caller's own tree."""
     n1, n2 = names
-    ex = diff(e, n1)
-    ey = diff(e, n2)
-    return e, ex, ey, diff(ex, n1), diff(ex, n2), diff(ey, n2)
+    key = (_tree_key(e), n1, n2)
+    derived = _DERIVATIVES.get(key)
+    if derived is None:
+        ex = diff(e, n1)
+        ey = diff(e, n2)
+        derived = (ex, ey, diff(ex, n1), diff(ex, n2), diff(ey, n2))
+        if len(_DERIVATIVES) >= _DERIVATIVES_MAX:
+            del _DERIVATIVES[next(iter(_DERIVATIVES))]
+        _DERIVATIVES[key] = derived
+    return (e, *derived)
 
 
 def symbolic_jet(e: Expr, names: tuple[str, str], x: float, y: float) -> Jet2:

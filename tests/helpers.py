@@ -47,6 +47,36 @@ def stencil_jet(v, i: int, j: int, dx: float, dy: float) -> dict:
             "uyy": (n - 2 * c + s) / dy ** 2}
 
 
+def dense_dirichlet(problem) -> np.ndarray:
+    """Reference Dirichlet solve: the five-point matrix assembled row by row
+    and handed to np.linalg.solve.  Small grids only (n <= 21 per axis)."""
+    geom = problem.geom
+    nx, ny = geom.nx, geom.ny
+    if max(nx, ny) > 21:
+        raise ValueError("dense reference is for grids of at most 21 nodes per axis")
+    U = np.zeros((ny, nx))
+    U[:, 0], U[:, -1] = problem.boundary.left, problem.boundary.right
+    U[0, :], U[-1, :] = problem.boundary.bottom, problem.boundary.top
+    cx = 1.0 / geom.dx ** 2
+    unknown = {(j, i): k for k, (j, i) in
+               enumerate((j, i) for j in range(1, ny - 1) for i in range(1, nx - 1))}
+    A = np.zeros((len(unknown), len(unknown)))
+    b = np.zeros(len(unknown))
+    for (j, i), k in unknown.items():
+        cy = problem.fcoeff.values[j, i] / geom.dy ** 2
+        A[k, k] = -2.0 * cx - 2.0 * cy
+        b[k] = problem.source.values[j, i]
+        for (jj, ii), c in (((j, i - 1), cx), ((j, i + 1), cx), ((j - 1, i), cy), ((j + 1, i), cy)):
+            if (jj, ii) in unknown:
+                A[k, unknown[(jj, ii)]] = c
+            else:
+                b[k] -= c * U[jj, ii]
+    x = np.linalg.solve(A, b)
+    for (j, i), k in unknown.items():
+        U[j, i] = x[k]
+    return U
+
+
 def central_second(fn, x, h):
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / h ** 2
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 
 from ma_lin.cli import main
 from ma_lin.grids import read_grid
+from ma_lin.linsolve import FLOOR_FACTOR
 
 
 def _write(path, data):
@@ -92,6 +94,18 @@ def test_solve_not_converged_exits_3_with_report(tmp_path):
     assert main(["solve", "--in", cfg, "--out", str(out)]) == 3
     rep = _read_json(out / "solve_report.json")
     assert rep["converged"] is False and rep["iterations"] == 1
+
+
+def test_solve_unmeetable_tol_exits_3_quickly(tmp_path):
+    cfg = _write(tmp_path / "p.json", _solve_config())
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["solve", "--in", cfg, "--tol", "1e-16", "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 5.0
+    rep = _read_json(out / "solve_report.json")
+    assert rep["converged"] is False and rep["tol"] == 1e-16
+    assert 0.0 < rep["residual_floor"] and rep["residual"] > rep["tol"]
+    assert rep["iterations"] < 200_000
 
 
 def test_solve_edge_boundary_form(tmp_path):
@@ -245,6 +259,19 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "o" / "classification.json").exists()
+
+
+def test_lift_grad_inversion_n97_converges(tmp_path):
+    # red-black SOR took 98,217 iterations (about a minute) on this request
+    cfg = _write(tmp_path / "l.json", {"id": "grad-inversion", "domain": [0.5, 1.5, 0.5, 1.5],
+                                        "nx": 97, "ny": 97, "boundary": "X^2-Y^2"})
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["lift", "--in", cfg, "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 30.0
+    rep = _read_json(out / "solve_report.json")
+    assert rep["converged"] is True and rep["residual"] <= rep["tol"]
+    assert rep["tol"] == FLOOR_FACTOR * rep["residual_floor"]
 
 
 def test_runtime_imports_no_scipy():

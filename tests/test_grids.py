@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import measured_order, stencil_jet
-from ma_lin.expressions import evaluate, parse
+from ma_lin.expressions import Const, Var, diff, evaluate, parse
 from ma_lin.grids import (Grid2, GridError, GridFormatError, GridGeometry,
                           Jet2, MaskedGrid2, geometry_from_domain,
                           interior_jets, jet_exprs, read_grid, sample,
-                          write_grid)
+                          symbolic_jet, write_grid)
 
 
 def _unit_geom(n=3):
@@ -124,6 +124,33 @@ def test_fd_jet_exact_on_all_degree2_polynomials():
         for name, e in zip(("u", "ux", "uy", "uxx", "uxy", "uyy"), exact):
             want = evaluate(e, {"X": Xg, "Y": Yg})
             assert np.max(np.abs(getattr(jets, name) - want)) <= 1e-12, (text, name)
+
+
+def test_symbolic_jet_keeps_the_sign_of_zero_constants():
+    # X^0.0 and X^-0.0 are equal dataclasses with equal hashes, but the first
+    # derivative of one is +0.0 and of the other -0.0; reused derivative trees
+    # must not carry one tree's signs over to the other
+    X = Var("X")
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        a, b = X ** Const(first), X ** Const(second)
+        assert a == b and a is not b
+        symbolic_jet(a, ("X", "Y"), 1.0, 2.0)
+        got = symbolic_jet(b, ("X", "Y"), 1.0, 2.0)
+        bx, by = diff(b, "X"), diff(b, "Y")
+        trees = (b, bx, by, diff(bx, "X"), diff(bx, "Y"), diff(by, "Y"))
+        want = [evaluate(t, {"X": 1.0, "Y": 2.0}) for t in trees]
+        got = [got.u, got.ux, got.uy, got.uxx, got.uxy, got.uyy]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert math.copysign(1.0, got[1]) == math.copysign(1.0, second)
+
+
+def test_jet_exprs_returns_the_callers_tree():
+    a, b = parse("X^2*Y + sin(Y)"), parse("X^2*Y + sin(Y)")
+    assert a == b and a is not b
+    assert jet_exprs(a, ("X", "Y"))[0] is a
+    jb = jet_exprs(b, ("X", "Y"))
+    assert jb[0] is b
+    assert jb[1:] == jet_exprs(a, ("X", "Y"))[1:]
 
 
 def test_fd_jet_truncation_sin():

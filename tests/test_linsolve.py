@@ -1,13 +1,22 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import measured_order
+from helpers import dense_dirichlet, measured_order
+from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
 from ma_lin.grids import geometry_from_domain, sample
-from ma_lin.linsolve import (BoundaryValues, NotConvergedError,
+from ma_lin.linsolve import (FLOOR_FACTOR, BoundaryValues, NotConvergedError,
                              NotEllipticError, boundary_from_edge_exprs,
-                             constant_f_family, mms_source, problem_from_exprs,
-                             solve_dirichlet)
+                             constant_f_family, discrete_residual, mms_source,
+                             problem_from_exprs, solve_dirichlet)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _solve_expr(fcoeff, Ustar, n, tol=None, source=None):
@@ -56,8 +65,8 @@ def test_separable_quartic_source_is_stencil_exact():
     ("exp(0.5*X)*cos(Y)+Y^4", "(1+Y^2)^2", (33, 65)),
 ])
 def test_mms_order_at_least_1p9(ustar, fcoeff, grids):
-    # default tolerance: the solver tail (~1e-10) sits far below the
-    # discretization error being measured
+    # default tolerance: the solver stops at a few rounding floors, far below
+    # the discretization error being measured
     errs = []
     for n in grids:
         src = mms_source(parse(ustar), parse(fcoeff))
@@ -118,8 +127,98 @@ def test_not_converged_carries_report_and_grid():
     with pytest.raises(NotConvergedError) as exc:
         solve_dirichlet(prob, max_iter=1)
     assert exc.value.report.converged is False
-    assert exc.value.report.iterations == 1
+    assert exc.value.report.iterations == 1  # one V-cycle
+    assert exc.value.report.residual_floor > 0.0
     assert exc.value.grid.values.shape == (17, 17)
+
+
+def test_unmeetable_tol_stops_at_the_rounding_floor():
+    # a tol below what doubles can represent: the residual stops falling and
+    # the solve gives up after a few cycles, not after max_iter
+    geom = geometry_from_domain(0, 1, 0, 1, 33, 33)
+    prob = problem_from_exprs(geom, parse("(1+Y^2)^2"), None, parse("X^2-Y^2"))
+    with pytest.raises(NotConvergedError) as exc:
+        solve_dirichlet(prob, tol=1e-16, max_iter=200_000)
+    rep = exc.value.report
+    assert rep.tol == 1e-16 and rep.iterations <= 30
+    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+    assert "rounding floor" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# multigrid robustness
+
+ROBUST_COEFFS = ("100", "0.01", "1+100*X^2", "exp(3*Y)")
+
+
+def _robust_problem(fcoeff, nx, ny):
+    geom = geometry_from_domain(0, 1, 0, 1, nx, ny)
+    return problem_from_exprs(geom, parse(fcoeff), parse("X*Y"), parse("X^2-Y^2+sin(3*X*Y)"))
+
+
+def _max_residual(prob, U):
+    f, g = prob.fcoeff.values, prob.source.values
+    r = discrete_residual(U, f[1:-1, 1:-1], g[1:-1, 1:-1], prob.geom.dx, prob.geom.dy)
+    return float(np.max(np.abs(r)))
+
+
+@pytest.mark.parametrize("fcoeff", ROBUST_COEFFS)
+@pytest.mark.parametrize("nx,ny", [(3, 3), (21, 21), (21, 9)])
+def test_multigrid_matches_dense_reference(fcoeff, nx, ny):
+    prob = _robust_problem(fcoeff, nx, ny)
+    U, rep = solve_dirichlet(prob)
+    ref = dense_dirichlet(prob)
+    r_ref = _max_residual(prob, ref)
+    # both solutions sit at the rounding floor ...
+    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+    assert r_ref <= FLOOR_FACTOR * rep.residual_floor
+    # ... and the scheme is exact on (X - X0)(X1 - X)/2, so the discrete
+    # maximum principle bounds their difference on the unit square by
+    # max|L(U - ref)| / 8, plus rounding of the values themselves
+    bound = (rep.residual + r_ref) / 8 + 4 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(U.values - ref)) <= bound
+
+
+@pytest.mark.parametrize("fcoeff", ROBUST_COEFFS)
+@pytest.mark.parametrize("nx,ny", [(3, 3), (21, 21), (50, 37), (64, 64)])
+def test_multigrid_cycle_bound(fcoeff, nx, ny):
+    prob = _robust_problem(fcoeff, nx, ny)
+    _, rep = solve_dirichlet(prob)
+    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+    # with a tol well above the floor only the convergence rate counts
+    _, fast = solve_dirichlet(prob, tol=1e3 * rep.residual_floor)
+    if (nx, ny) == (3, 3):
+        assert fast.iterations == 1  # one interior node: the line solve is exact
+    assert fast.iterations <= 12, fast
+
+
+def test_solution_bytes_independent_of_blas_threads():
+    code = ("import hashlib; from ma_lin import geometry_from_domain, parse, "
+            "problem_from_exprs, solve_dirichlet; "
+            "g = geometry_from_domain(0.5, 1.5, 0.5, 1.5, 65, 50); "
+            "p = problem_from_exprs(g, parse('1+100*X^2'), None, parse('X^2-Y^2')); "
+            "print(hashlib.sha256(solve_dirichlet(p)[0].values.tobytes()).hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_grad_inversion_n129_converges():
+    # red-black SOR stalled here at 1.34e-10 against its absolute tol of 1e-10
+    coeff = linear_coefficient(classify(catalog_get("grad-inversion")))
+    geom = geometry_from_domain(0.5, 1.5, 0.5, 1.5, 129, 129)
+    prob = problem_from_exprs(geom, coeff, None, parse("X^2-Y^2"))
+    start = time.perf_counter()
+    U, rep = solve_dirichlet(prob)
+    assert time.perf_counter() - start < 20.0
+    assert rep.converged and rep.residual <= rep.tol
+    assert _max_residual(prob, U.values) == rep.residual
 
 
 def test_boundary_corner_consistency_enforced():

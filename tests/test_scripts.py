@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+from ma_lin.linsolve import FLOOR_FACTOR
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,3 +31,8 @@ def test_solver_convergence_runs(monkeypatch, capsys):
     rows = [ln.split() for ln in out.splitlines() if ln.strip().startswith(("9 ", "17 "))]
     assert len(rows) == 8
     assert all(math.isfinite(float(row[1])) for row in rows)
+    # n, error, order, V-cycles, final residual, rounding floor
+    assert "cycles" in out and "floor" in out
+    for row in rows:
+        cycles, residual, floor = int(row[3]), float(row[4]), float(row[5])
+        assert 1 <= cycles <= 30 and 0.0 < floor and residual <= FLOOR_FACTOR * floor
