@@ -315,9 +315,9 @@ def write_grid(g: Grid2, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# nx={g.nx},ny={g.ny},x0={_fmt(g.geom.x0)},y0={_fmt(g.geom.y0)},"
                  f"dx={_fmt(g.dx)},dy={_fmt(g.dy)}\n")
-        for j in range(g.ny):
-            fh.write(",".join(_fmt(v) for v in g.values[j, :]))
-            fh.write("\n")
+        row = ",".join(["%.17g"] * g.nx) + "\n"
+        for values in g.values:
+            fh.write(row % tuple(values.tolist()))
 
 
 def _parse_real(token: str, line_no: int, col: int) -> float:

@@ -3,12 +3,14 @@
 The parametric representation on the (X, Y) chart is primary: each source node
 carries its image point (x, y), the full image jet, and the map jacobian.
 Gridded u(x, y) is derived output, produced by inverting the cell images of
-the structured source mesh with a damped Newton iteration per bilinear cell.
+the structured source mesh: every (cell, target) pair whose padded cell
+bounding box holds the target runs a damped bilinear Newton iteration, all
+pairs at once as array code, and each target keeps its first hit in row-major
+cell order.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -153,139 +155,128 @@ def verify_lift(s: LiftedSurface, eq: MAEquation) -> VerificationReport:
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX = 20
+_BOX_PAD = 1e-12
+_INSIDE_PAD = 1e-9
+
+
+def _larger(a, b):
+    """Elementwise max(a, b) as Python's max takes it: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _bilinear_residual(cx, cy, s, t, tx, ty):
+    return (cx[0] + cx[1] * s + cx[2] * t + cx[3] * s * t - tx,
+            cy[0] + cy[1] * s + cy[2] * t + cy[3] * s * t - ty)
 
 
 def _invert_bilinear(cx, cy, tx, ty):
-    """Solve the bilinear cell map for (s, t); returns None on failure.
+    """Solve bilinear cell maps for (s, t), one cell-target pair per column.
 
-    cx, cy are the 4 coefficients of P(s,t) = c0 + c1 s + c2 t + c3 s t per
-    coordinate.  Damped Newton from the cell center: a step that grows the
-    residual is halved (factor 0.5) before giving up on that iteration.
+    cx, cy have shape (4, m): the coefficients of P(s,t) = c0 + c1 s + c2 t +
+    c3 s t per coordinate.  Damped Newton from the cell center: a step that
+    does not shrink the residual is halved, up to 8 times, before the pair is
+    given up.  Returns (s, t, ok), with s and t NaN where ok is False.  Each
+    pair gets the arithmetic of the scalar iteration in the same order, so the
+    bits do not depend on which other pairs share the call.
     """
-    s, t = 0.5, 0.5
-    rx = cx[0] + cx[1] * s + cx[2] * t + cx[3] * s * t - tx
-    ry = cy[0] + cy[1] * s + cy[2] * t + cy[3] * s * t - ty
-    scale = 1.0 + max(abs(tx), abs(ty))
-    for _ in range(_NEWTON_MAX):
-        if max(abs(rx), abs(ry)) <= _NEWTON_TOL * scale:
-            return s, t
-        a11 = cx[1] + cx[3] * t
-        a12 = cx[2] + cx[3] * s
-        a21 = cy[1] + cy[3] * t
-        a22 = cy[2] + cy[3] * s
-        det = a11 * a22 - a12 * a21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        ds = (-rx * a22 + ry * a12) / det
-        dt = (-ry * a11 + rx * a21) / det
-        best = max(abs(rx), abs(ry))
-        lam = 1.0
-        for _ in range(8):
-            s2, t2 = s + lam * ds, t + lam * dt
-            rx2 = cx[0] + cx[1] * s2 + cx[2] * t2 + cx[3] * s2 * t2 - tx
-            ry2 = cy[0] + cy[1] * s2 + cy[2] * t2 + cy[3] * s2 * t2 - ty
-            if max(abs(rx2), abs(ry2)) < best:
+    m = tx.size
+    s_out, t_out = np.full(m, np.nan), np.full(m, np.nan)
+    ok = np.zeros(m, dtype=bool)
+    pair = np.arange(m)
+    s, t = np.full(m, 0.5), np.full(m, 0.5)
+    rx, ry = _bilinear_residual(cx, cy, s, t, tx, ty)
+    bound = _NEWTON_TOL * (1.0 + _larger(np.abs(tx), np.abs(ty)))
+    with np.errstate(all="ignore"):
+        for step in range(_NEWTON_MAX + 1):
+            res = _larger(np.abs(rx), np.abs(ry))
+            done = res <= bound
+            s_out[pair[done]], t_out[pair[done]], ok[pair[done]] = s[done], t[done], True
+            if step == _NEWTON_MAX:
                 break
-            lam *= 0.5
-        else:
-            return None
-        s, t, rx, ry = s2, t2, rx2, ry2
-    if max(abs(rx), abs(ry)) <= _NEWTON_TOL * scale:
-        return s, t
-    return None
-
-
-_INSIDE_PAD = 1e-9
+            a11, a12 = cx[1] + cx[3] * t, cx[2] + cx[3] * s
+            a21, a22 = cy[1] + cy[3] * t, cy[2] + cy[3] * s
+            det = a11 * a22 - a12 * a21
+            ds = (-rx * a22 + ry * a12) / det
+            dt = (-ry * a11 + rx * a21) / det
+            pending = ~done & (det != 0.0) & np.isfinite(det)
+            live = pending.copy()
+            lam = 1.0
+            for _ in range(8):
+                s2, t2 = s + lam * ds, t + lam * dt
+                rx2, ry2 = _bilinear_residual(cx, cy, s2, t2, tx, ty)
+                take = pending & (_larger(np.abs(rx2), np.abs(ry2)) < res)
+                s, t = np.where(take, s2, s), np.where(take, t2, t)
+                rx, ry = np.where(take, rx2, rx), np.where(take, ry2, ry)
+                pending &= ~take
+                if not pending.any():
+                    break
+                lam *= 0.5
+            keep = live & ~pending
+            cx, cy, tx, ty, bound = cx[:, keep], cy[:, keep], tx[keep], ty[keep], bound[keep]
+            s, t, rx, ry, pair = s[keep], t[keep], rx[keep], ry[keep], pair[keep]
+    return s_out, t_out, ok
 
 
 def resample(s: LiftedSurface, target: GridGeometry) -> MaskedGrid2:
     """Tabulate u on a regular (x, y) grid by inverting the lifted cell images.
 
-    Targets outside the image, or landing in fold cells (any masked corner),
-    are masked rather than extrapolated.
+    The candidates for a target are the cells with four valid corners whose
+    bounding box, padded by 1e-12, holds it.  The target takes its value from
+    the first candidate in row-major (cj, ci) cell order whose bilinear
+    inverse lands inside the cell, so each target's value is independent of
+    the other targets.  Targets outside the image, or landing only in fold
+    cells (any masked corner), are masked rather than extrapolated.  The work
+    is linear in the cells, the targets and the (cell, target) pairs.
     """
     nY, nX = s.valid.shape
-    nci, ncj = nX - 1, nY - 1
-    if nci < 1 or ncj < 1:
+    if nX < 2 or nY < 2:
         raise LiftError("resampling needs a mesh of at least 2x2 nodes")
 
-    cell_ok = (s.valid[:-1, :-1] & s.valid[:-1, 1:]
-               & s.valid[1:, :-1] & s.valid[1:, 1:])
-    p00x, p10x = s.x[:-1, :-1], s.x[:-1, 1:]
-    p01x, p11x = s.x[1:, :-1], s.x[1:, 1:]
-    p00y, p10y = s.y[:-1, :-1], s.y[:-1, 1:]
-    p01y, p11y = s.y[1:, :-1], s.y[1:, 1:]
-    with np.errstate(invalid="ignore"):
-        bxmin = np.fmin(np.fmin(p00x, p10x), np.fmin(p01x, p11x))
-        bxmax = np.fmax(np.fmax(p00x, p10x), np.fmax(p01x, p11x))
-        bymin = np.fmin(np.fmin(p00y, p10y), np.fmin(p01y, p11y))
-        bymax = np.fmax(np.fmax(p00y, p10y), np.fmax(p01y, p11y))
+    def cell_corners(a):
+        return a[:-1, :-1], a[:-1, 1:], a[1:, :-1], a[1:, 1:]
 
-    def corners(ci, cj):
-        xs = (s.x[cj, ci], s.x[cj, ci + 1], s.x[cj + 1, ci], s.x[cj + 1, ci + 1])
-        ys = (s.y[cj, ci], s.y[cj, ci + 1], s.y[cj + 1, ci], s.y[cj + 1, ci + 1])
-        us = (s.u[cj, ci], s.u[cj, ci + 1], s.u[cj + 1, ci], s.u[cj + 1, ci + 1])
-        return xs, ys, us
+    def box_range(a, ts):
+        """Index range [lo, hi) of the sorted coordinates ts in each padded box."""
+        lo = np.minimum.reduce(cell_corners(a)) - _BOX_PAD
+        hi = np.maximum.reduce(cell_corners(a)) + _BOX_PAD
+        return np.searchsorted(ts, lo, "left"), np.searchsorted(ts, hi, "right")
 
-    def try_cell(ci, cj, tx, ty):
-        """Returns (u, None) on a hit, (None, walk step) on a miss."""
-        xs, ys, us = corners(ci, cj)
-        cx = (xs[0], xs[1] - xs[0], xs[2] - xs[0], xs[3] - xs[1] - xs[2] + xs[0])
-        cy = (ys[0], ys[1] - ys[0], ys[2] - ys[0], ys[3] - ys[1] - ys[2] + ys[0])
-        st = _invert_bilinear(cx, cy, tx, ty)
-        if st is None:
-            return None, None
-        sv, tv = st
-        if -_INSIDE_PAD <= sv <= 1.0 + _INSIDE_PAD and -_INSIDE_PAD <= tv <= 1.0 + _INSIDE_PAD:
-            sv = min(max(sv, 0.0), 1.0)
-            tv = min(max(tv, 0.0), 1.0)
-            u = ((1 - sv) * (1 - tv) * us[0] + sv * (1 - tv) * us[1]
-                 + (1 - sv) * tv * us[2] + sv * tv * us[3])
-            return float(u), None
-        di = -1 if sv < 0 else (1 if sv > 1 else 0)
-        dj = -1 if tv < 0 else (1 if tv > 1 else 0)
-        return None, (di, dj)
+    txs, tys = target.xs(), target.ys()
+    i0, i1 = box_range(s.x, txs)
+    j0, j1 = box_range(s.y, tys)
+    cj, ci = np.nonzero(np.logical_and.reduce(cell_corners(s.valid))
+                        & (i1 > i0) & (j1 > j0))
+    i0, j0 = i0[cj, ci], j0[cj, ci]
+    w = i1[cj, ci] - i0
+    count = w * (j1[cj, ci] - j0)
 
-    def locate(tx, ty, hint):
-        # walk from the hint cell, steering by the out-of-range parameters
-        ci, cj = hint
-        seen = set()
-        for _ in range(2 * (nci + ncj)):
-            if not (0 <= ci < nci and 0 <= cj < ncj) or (ci, cj) in seen:
-                break
-            seen.add((ci, cj))
-            if not cell_ok[cj, ci]:
-                break
-            u, step = try_cell(ci, cj, tx, ty)
-            if u is not None:
-                return u, (ci, cj)
-            if step is None or step == (0, 0):
-                break
-            ci, cj = ci + step[0], cj + step[1]
-        # fall back to scanning every cell whose bounding box contains the point
-        cand = np.nonzero(cell_ok & (bxmin - 1e-12 <= tx) & (tx <= bxmax + 1e-12)
-                          & (bymin - 1e-12 <= ty) & (ty <= bymax + 1e-12))
-        for cj2, ci2 in zip(*cand):
-            if (ci2, cj2) in seen:
-                continue
-            u, _step = try_cell(int(ci2), int(cj2), tx, ty)
-            if u is not None:
-                return u, (int(ci2), int(cj2))
-        return None, hint
+    # (cell, target) pairs, grouped by cell in row-major cell order
+    cell = np.repeat(np.arange(ci.size), count)
+    k = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+    ti = i0[cell] + k % w[cell]
+    tj = j0[cell] + k // w[cell]
+
+    x00, x10, x01, x11 = (a[cj, ci] for a in cell_corners(s.x))
+    y00, y10, y01, y11 = (a[cj, ci] for a in cell_corners(s.y))
+    cx = np.stack((x00, x10 - x00, x01 - x00, x11 - x10 - x01 + x00))
+    cy = np.stack((y00, y10 - y00, y01 - y00, y11 - y10 - y01 + y00))
+    sv, tv, ok = _invert_bilinear(cx[:, cell], cy[:, cell], txs[ti], tys[tj])
+    hit = (ok & (-_INSIDE_PAD <= sv) & (sv <= 1.0 + _INSIDE_PAD)
+           & (-_INSIDE_PAD <= tv) & (tv <= 1.0 + _INSIDE_PAD))
+    # return_index picks each target's first hit in pair order, i.e. cell order
+    flat, first = np.unique((tj * target.nx + ti)[hit], return_index=True)
+    take = np.flatnonzero(hit)[first]
+    # min(max(v, 0.0), 1.0) as Python takes it
+    sv, tv = (np.where(1.0 < v, 1.0, _larger(v, 0.0)) for v in (sv[take], tv[take]))
+    hj, hi = cj[cell[take]], ci[cell[take]]
+    u00, u10, u01, u11 = (a[hj, hi] for a in cell_corners(s.u))
+    u = ((1 - sv) * (1 - tv) * u00 + sv * (1 - tv) * u10
+         + (1 - sv) * tv * u01 + sv * tv * u11)
 
     out = np.full((target.ny, target.nx), np.nan)
     mask = np.zeros((target.ny, target.nx), dtype=bool)
-    txs, tys = target.xs(), target.ys()
-    hint = (nci // 2, ncj // 2)
-    for j in range(target.ny):
-        row_hint = hint
-        for i in range(target.nx):
-            u, row_hint = locate(float(txs[i]), float(tys[j]), row_hint)
-            if u is not None:
-                out[j, i] = u
-                mask[j, i] = True
-            if i == 0:
-                hint = row_hint
+    out.flat[flat] = u
+    mask.flat[flat] = True
     return MaskedGrid2(Grid2(target, out), mask)
 
 
@@ -387,11 +378,12 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
 
 def write_lifted(s: LiftedSurface, path) -> None:
     cols = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# lifted\n")
-        for j, i in zip(*np.nonzero(s.valid)):
-            fh.write(",".join(f"{c[j, i]:.17g}" for c in cols))
-            fh.write("\n")
+        for j, keep in enumerate(s.valid):
+            for values in np.column_stack([c[j, keep] for c in cols]).tolist():
+                fh.write(row % tuple(values))
 
 
 def read_lifted(path) -> np.ndarray:

@@ -77,6 +77,83 @@ def dense_dirichlet(problem) -> np.ndarray:
     return U
 
 
+def invert_bilinear(cx, cy, tx, ty):
+    """Scalar reference for the array Newton of ma_lin.lift.resample.
+
+    Solves P(s,t) = c0 + c1 s + c2 t + c3 s t = (tx, ty) for one cell, where
+    cx, cy hold the 4 coefficients per coordinate; returns (s, t) or None.
+    Damped Newton from the cell center: a step that does not shrink the
+    residual is halved, up to 8 times, before giving up.
+    """
+    s, t = 0.5, 0.5
+    rx = cx[0] + cx[1] * s + cx[2] * t + cx[3] * s * t - tx
+    ry = cy[0] + cy[1] * s + cy[2] * t + cy[3] * s * t - ty
+    scale = 1.0 + max(abs(tx), abs(ty))
+    for _ in range(20):
+        if max(abs(rx), abs(ry)) <= 1e-12 * scale:
+            return s, t
+        a11 = cx[1] + cx[3] * t
+        a12 = cx[2] + cx[3] * s
+        a21 = cy[1] + cy[3] * t
+        a22 = cy[2] + cy[3] * s
+        det = a11 * a22 - a12 * a21
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        ds = (-rx * a22 + ry * a12) / det
+        dt = (-ry * a11 + rx * a21) / det
+        best = max(abs(rx), abs(ry))
+        lam = 1.0
+        for _ in range(8):
+            s2, t2 = s + lam * ds, t + lam * dt
+            rx2 = cx[0] + cx[1] * s2 + cx[2] * t2 + cx[3] * s2 * t2 - tx
+            ry2 = cy[0] + cy[1] * s2 + cy[2] * t2 + cy[3] * s2 * t2 - ty
+            if max(abs(rx2), abs(ry2)) < best:
+                break
+            lam *= 0.5
+        else:
+            return None
+        s, t, rx, ry = s2, t2, rx2, ry2
+    if max(abs(rx), abs(ry)) <= 1e-12 * scale:
+        return s, t
+    return None
+
+
+def first_hit_resample(surface, target):
+    """Brute-force reference for ma_lin.lift.resample: (values, mask).
+
+    For each target, every cell with four valid corners whose bounding box,
+    padded by 1e-12, holds the target is tried in row-major (cj, ci) order with
+    the scalar invert_bilinear; the first inverse within 1e-9 of the unit
+    square gives the bilinear interpolant of u at the clamped (s, t).
+    """
+    x, y, u, valid = surface.x, surface.y, surface.u, surface.valid
+    ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
+    box = [np.stack((a[:-1, :-1], a[:-1, 1:], a[1:, :-1], a[1:, 1:])) for a in (x, y)]
+    xlo, xhi = box[0].min(axis=0) - 1e-12, box[0].max(axis=0) + 1e-12
+    ylo, yhi = box[1].min(axis=0) - 1e-12, box[1].max(axis=0) + 1e-12
+    values = np.full((target.ny, target.nx), np.nan)
+    mask = np.zeros((target.ny, target.nx), dtype=bool)
+    for j, ty in enumerate(target.ys().tolist()):
+        for i, tx in enumerate(target.xs().tolist()):
+            cand = ok & (xlo <= tx) & (tx <= xhi) & (ylo <= ty) & (ty <= yhi)
+            for cj, ci in zip(*np.nonzero(cand)):
+                corners = [(cj, ci), (cj, ci + 1), (cj + 1, ci), (cj + 1, ci + 1)]
+                xs = [float(x[c]) for c in corners]
+                ys = [float(y[c]) for c in corners]
+                us = [float(u[c]) for c in corners]
+                cx = (xs[0], xs[1] - xs[0], xs[2] - xs[0], xs[3] - xs[1] - xs[2] + xs[0])
+                cy = (ys[0], ys[1] - ys[0], ys[2] - ys[0], ys[3] - ys[1] - ys[2] + ys[0])
+                st = invert_bilinear(cx, cy, tx, ty)
+                if st is None or not all(-1e-9 <= v <= 1.0 + 1e-9 for v in st):
+                    continue
+                sv, tv = (min(max(v, 0.0), 1.0) for v in st)
+                values[j, i] = ((1 - sv) * (1 - tv) * us[0] + sv * (1 - tv) * us[1]
+                                + (1 - sv) * tv * us[2] + sv * tv * us[3])
+                mask[j, i] = True
+                break
+    return values, mask
+
+
 def central_second(fn, x, h):
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / h ** 2
 

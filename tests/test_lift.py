@@ -1,15 +1,19 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from helpers import measured_order
+from helpers import first_hit_resample, invert_bilinear, measured_order
 from ma_lin.equations import catalog_get
 from ma_lin.expressions import parse, evaluate
-from ma_lin.grids import GridGeometry, geometry_from_domain, sample
+from ma_lin.grids import (Grid2, GridGeometry, geometry_from_domain, sample,
+                          write_grid)
 from ma_lin.lift import (EmptyLiftError, LiftError, PipelineConfig,
-                         PipelineError, lift_parametric, pipeline, read_lifted,
-                         resample, verify_lift, write_lifted)
+                         PipelineError, _invert_bilinear, lift_parametric,
+                         pipeline, read_lifted, resample, verify_lift,
+                         write_lifted)
 from ma_lin.linsolve import problem_from_exprs, solve_dirichlet
 
 
@@ -122,6 +126,100 @@ def test_resample_convergence_against_closed_form():
     assert measured_order(errs[0], errs[1]) >= 1.9
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _bilinear_cases(seed):
+    """Cells of four kinds with targets inside, on an edge, on a corner and outside."""
+    rng = np.random.default_rng(seed)
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # p00 p10 p01 p11
+    cases = []
+    for kind in ("ccw", "cw", "twisted", "zero-area"):
+        for _ in range(25):
+            p = unit * rng.uniform(0.01, 3.0) + rng.uniform(-0.2, 0.2, (4, 2)) * 0.1
+            p += rng.uniform(-5.0, 5.0, 2)
+            if kind == "cw":
+                p[:, 0] = -p[:, 0]
+            elif kind == "twisted":
+                p[[1, 3]] = p[[3, 1]]
+            elif kind == "zero-area":
+                q = rng.uniform(-1.0, 1.0, 4) if rng.random() < 0.5 else np.zeros(4)
+                p = p[0] + np.outer(q, rng.uniform(-1.0, 1.0, 2))
+            cx, cy = ((c[0], c[1] - c[0], c[2] - c[0], c[3] - c[1] - c[2] + c[0]) for c in p.T)
+            s, t = rng.uniform(0.05, 0.95, 2)
+            params = [(s, t), (s, 0.0), (1.0, t), (0.0, 0.0), (1.0, 1.0),
+                      (1.0 + s, t), (s, -1.0 - t), (-3.0, 4.0)]
+            targets = [(cx[0] + cx[1] * a + cx[2] * b + cx[3] * a * b,
+                        cy[0] + cy[1] * a + cy[2] * b + cy[3] * a * b) for a, b in params]
+            targets += [tuple(c) for c in p]  # the corner nodes themselves
+            cases += [(cx, cy, tx, ty) for tx, ty in targets]
+    return cases
+
+
+def test_array_newton_matches_scalar_reference_bitwise():
+    cases = _bilinear_cases(20261018)
+    cx = np.array([c[0] for c in cases]).T
+    cy = np.array([c[1] for c in cases]).T
+    tx = np.array([c[2] for c in cases])
+    ty = np.array([c[3] for c in cases])
+    s, t, ok = _invert_bilinear(cx, cy, tx, ty)
+    refs = [invert_bilinear(tuple(map(float, a)), tuple(map(float, b)), float(x), float(y))
+            for a, b, x, y in cases]
+    assert ok.tolist() == [r is not None for r in refs]
+    assert 0 < ok.sum() < ok.size  # both outcomes are exercised
+    ref_s = np.array([r[0] if r else np.nan for r in refs])
+    ref_t = np.array([r[1] if r else np.nan for r in refs])
+    assert np.array_equal(_bits(s[ok]), _bits(ref_s[ok]))
+    assert np.array_equal(_bits(t[ok]), _bits(ref_t[ok]))
+    assert np.isnan(s[~ok]).all() and np.isnan(t[~ok]).all()
+
+
+def _resample_case(name):
+    if name == "clockwise":
+        return (lift_parametric(parse("X^2+Y^2"), (0.5, 1.5, 0.5, 1.5), 33),
+                geometry_from_domain(1.3, 2.7, -0.9, 0.9, 21, 21))
+    res = pipeline(name, PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5),
+                                        boundary=parse("X^2-Y^2")))
+    return res.surface, res.resampled.grid.geom
+
+
+@pytest.mark.parametrize("name", ["plane-strain-class", "grad-inversion", "clockwise"])
+def test_resample_equals_brute_force_first_hit(name):
+    # on the solved saddle some targets lie on edges shared by two cells whose
+    # bilinear interpolants differ in the last bits, so cell order matters
+    surface, target = _resample_case(name)
+    got = resample(surface, target)
+    values, mask = first_hit_resample(surface, target)
+    assert np.array_equal(got.mask, mask)
+    assert 0 < mask.sum() < mask.size
+    assert np.array_equal(_bits(got.grid.values), _bits(values))
+    # a target's value does not depend on the other targets
+    xs, ys = target.xs(), target.ys()
+    for j in (0, target.ny // 2, target.ny - 1):
+        row = resample(surface, GridGeometry(target.nx, 1, target.x0, float(ys[j]),
+                                             target.dx, target.dy))
+        assert np.array_equal(_bits(row.grid.values[0]), _bits(got.grid.values[j]))
+    for i in (0, target.nx // 3, target.nx - 1):
+        col = resample(surface, GridGeometry(1, target.ny, float(xs[i]), target.y0,
+                                             target.dx, target.dy))
+        assert np.array_equal(_bits(col.grid.values[:, 0]), _bits(got.grid.values[:, i]))
+
+
+def test_resample_257_target_over_257_mesh_within_budget():
+    # a search that scans the cell boxes once per target takes 40-400 s here
+    s = lift_parametric(parse("X^2-Y^2"), (0.5, 1.5, 0.5, 1.5), 257)
+    x, y = s.x[s.valid], s.y[s.valid]
+    target = geometry_from_domain(x.min(), x.max(), y.min(), y.max(), 257, 257)
+    start = time.perf_counter()
+    tg = resample(s, target)
+    assert time.perf_counter() - start < 5.0
+    xs, ys = np.meshgrid(tg.grid.xs(), tg.grid.ys())
+    closed = np.sqrt(ys[tg.mask] - xs[tg.mask] ** 2 / 4)
+    assert tg.n_valid > 30000
+    assert np.max(np.abs(tg.grid.values[tg.mask] - closed)) <= 1e-5
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -222,3 +320,25 @@ def test_lifted_csv_round_trip(tmp_path):
     assert (x, y, u) == (-2.0, 2.0, 1.0)
     assert (ux, uy, uxx, uxy, uyy) == (0.5, 0.5, -0.5, -0.25, -0.25)
     assert jac == 4.0
+
+
+def test_csv_writers_match_per_value_format(tmp_path):
+    specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    s = lift_parametric(parse("X^2-Y^2"), (0.5, 1.5, 0.5, 1.5), 3)
+    u = s.u.copy()
+    u.flat[:len(specials)] = specials
+    valid = s.valid.copy()
+    valid[2, 2] = False
+    s = dataclasses.replace(s, u=u, valid=valid)
+    cols = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
+    expect = "# lifted\n" + "".join(
+        ",".join(f"{c[j, i]:.17g}" for c in cols) + "\n" for j, i in zip(*np.nonzero(valid)))
+    write_lifted(s, tmp_path / "l.csv")
+    assert (tmp_path / "l.csv").read_bytes() == expect.encode()
+
+    values = np.array([specials, [np.nan, -np.nan, 2.5, -0.0, 5e-324, 1e-310]])
+    g = Grid2(GridGeometry(6, 2, -0.0, 0.1, 0.2, 0.3), values)
+    header = "# nx=6,ny=2,x0=-0,y0=0.10000000000000001,dx=0.20000000000000001,dy=0.29999999999999999\n"
+    expect = header + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+    write_grid(g, tmp_path / "g.csv")
+    assert (tmp_path / "g.csv").read_bytes() == expect.encode()
