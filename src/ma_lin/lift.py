@@ -4,9 +4,9 @@ The parametric representation on the (X, Y) chart is primary: each source node
 carries its image point (x, y), the full image jet, and the map jacobian.
 Gridded u(x, y) is derived output, produced by inverting the cell images of
 the structured source mesh: every (cell, target) pair whose padded cell
-bounding box holds the target runs a damped bilinear Newton iteration, all
-pairs at once as array code, and each target keeps its first hit in row-major
-cell order.
+bounding box holds the target runs a damped bilinear Newton iteration, as
+array code over fixed-size chunks of pairs taken in row-major cell order, and
+each target keeps its first hit in that order.
 """
 
 from __future__ import annotations
@@ -157,6 +157,7 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX = 20
 _BOX_PAD = 1e-12
 _INSIDE_PAD = 1e-9
+_PAIR_CHUNK = 4096  # (cell, target) pairs per Newton batch: bounds the working set
 
 
 def _larger(a, b):
@@ -226,7 +227,9 @@ def resample(s: LiftedSurface, target: GridGeometry) -> MaskedGrid2:
     inverse lands inside the cell, so each target's value is independent of
     the other targets.  Targets outside the image, or landing only in fold
     cells (any masked corner), are masked rather than extrapolated.  The work
-    is linear in the cells, the targets and the (cell, target) pairs.
+    is linear in the cells, the targets and the (cell, target) pairs; the
+    pairs run in chunks of _PAIR_CHUNK in cell order, so the memory the
+    Newton iteration takes does not grow with their number.
     """
     nY, nX = s.valid.shape
     if nX < 2 or nY < 2:
@@ -249,35 +252,41 @@ def resample(s: LiftedSurface, target: GridGeometry) -> MaskedGrid2:
     i0, j0 = i0[cj, ci], j0[cj, ci]
     w = i1[cj, ci] - i0
     count = w * (j1[cj, ci] - j0)
+    del i1, j1  # mesh-sized, and not needed from here on
+    # (cell, target) pairs, grouped by cell in row-major cell order; cell c
+    # holds pairs start[c] to start[c] + count[c] - 1
+    start = np.cumsum(count) - count
+    total = int(count.sum())
 
-    # (cell, target) pairs, grouped by cell in row-major cell order
-    cell = np.repeat(np.arange(ci.size), count)
-    k = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
-    ti = i0[cell] + k % w[cell]
-    tj = j0[cell] + k // w[cell]
-
-    x00, x10, x01, x11 = (a[cj, ci] for a in cell_corners(s.x))
-    y00, y10, y01, y11 = (a[cj, ci] for a in cell_corners(s.y))
-    cx = np.stack((x00, x10 - x00, x01 - x00, x11 - x10 - x01 + x00))
-    cy = np.stack((y00, y10 - y00, y01 - y00, y11 - y10 - y01 + y00))
-    sv, tv, ok = _invert_bilinear(cx[:, cell], cy[:, cell], txs[ti], tys[tj])
-    hit = (ok & (-_INSIDE_PAD <= sv) & (sv <= 1.0 + _INSIDE_PAD)
-           & (-_INSIDE_PAD <= tv) & (tv <= 1.0 + _INSIDE_PAD))
-    # return_index picks each target's first hit in pair order, i.e. cell order
-    flat, first = np.unique((tj * target.nx + ti)[hit], return_index=True)
-    take = np.flatnonzero(hit)[first]
-    # min(max(v, 0.0), 1.0) as Python takes it
-    sv, tv = (np.where(1.0 < v, 1.0, _larger(v, 0.0)) for v in (sv[take], tv[take]))
-    hj, hi = cj[cell[take]], ci[cell[take]]
-    u00, u10, u01, u11 = (a[hj, hi] for a in cell_corners(s.u))
-    u = ((1 - sv) * (1 - tv) * u00 + sv * (1 - tv) * u10
-         + (1 - sv) * tv * u01 + sv * tv * u11)
-
-    out = np.full((target.ny, target.nx), np.nan)
-    mask = np.zeros((target.ny, target.nx), dtype=bool)
-    out.flat[flat] = u
-    mask.flat[flat] = True
-    return MaskedGrid2(Grid2(target, out), mask)
+    out = np.full(target.ny * target.nx, np.nan)
+    mask = np.zeros(target.ny * target.nx, dtype=bool)
+    for first_pair in range(0, total, _PAIR_CHUNK):
+        pair = np.arange(first_pair, min(first_pair + _PAIR_CHUNK, total))
+        cell = np.searchsorted(start, pair, "right") - 1
+        k = pair - start[cell]
+        ti = i0[cell] + k % w[cell]
+        tj = j0[cell] + k // w[cell]
+        hj, hi = cj[cell], ci[cell]
+        x00, x10, x01, x11 = (a[hj, hi] for a in cell_corners(s.x))
+        y00, y10, y01, y11 = (a[hj, hi] for a in cell_corners(s.y))
+        cx = np.stack((x00, x10 - x00, x01 - x00, x11 - x10 - x01 + x00))
+        cy = np.stack((y00, y10 - y00, y01 - y00, y11 - y10 - y01 + y00))
+        sv, tv, ok = _invert_bilinear(cx, cy, txs[ti], tys[tj])
+        hit = (ok & (-_INSIDE_PAD <= sv) & (sv <= 1.0 + _INSIDE_PAD)
+               & (-_INSIDE_PAD <= tv) & (tv <= 1.0 + _INSIDE_PAD))
+        # return_index picks each target's first hit in pair order, i.e. cell
+        # order; a target hit in an earlier chunk keeps that hit
+        flat, first = np.unique((tj * target.nx + ti)[hit], return_index=True)
+        new = ~mask[flat]
+        flat, take = flat[new], np.flatnonzero(hit)[first[new]]
+        # min(max(v, 0.0), 1.0) as Python takes it
+        sv, tv = (np.where(1.0 < v, 1.0, _larger(v, 0.0)) for v in (sv[take], tv[take]))
+        u00, u10, u01, u11 = (a[hj[take], hi[take]] for a in cell_corners(s.u))
+        out[flat] = ((1 - sv) * (1 - tv) * u00 + sv * (1 - tv) * u10
+                     + (1 - sv) * tv * u01 + sv * tv * u11)
+        mask[flat] = True
+    shape = (target.ny, target.nx)
+    return MaskedGrid2(Grid2(target, out.reshape(shape)), mask.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +386,24 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
 # CSV export of the parametric surface (valid samples only)
 
 def write_lifted(s: LiftedSurface, path) -> None:
-    cols = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    # X, Y and u = X + 0.0*U come from the mesh axes, so their columns hold a
+    # few hundred distinct values: each is formatted once, keyed by its bits
+    # so that -0.0 keeps its sign
+    texts: dict = {}
+
+    def axis_texts(c: np.ndarray) -> list:
+        c = np.asarray(c, dtype=np.float64)
+        return [texts[b] if b in texts else texts.setdefault(b, "%.17g" % v)
+                for b, v in zip(c.view(np.int64).tolist(), c.tolist())]
+
+    values = (s.x, s.y, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
+    row = "%s,%s,%.17g,%.17g,%s" + ",%.17g" * 6 + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# lifted\n")
         for j, keep in enumerate(s.valid):
-            for values in np.column_stack([c[j, keep] for c in cols]).tolist():
-                fh.write(row % tuple(values))
+            X, Y, u = (axis_texts(c[j, keep]) for c in (s.X, s.Y, s.u))
+            x, y, *rest = (c[j, keep].tolist() for c in values)
+            fh.writelines(row % r for r in zip(X, Y, x, y, u, *rest))
 
 
 def read_lifted(path) -> np.ndarray:

@@ -77,6 +77,17 @@ def dense_dirichlet(problem) -> np.ndarray:
     return U
 
 
+def dense_line_solve(diag, lo, hi, rhs) -> np.ndarray:
+    """Reference for one tridiagonal line: diag u - lo u_prev - hi u_next = rhs,
+    assembled as a dense matrix and handed to np.linalg.solve (lo[0] and hi[-1]
+    are ignored)."""
+    A = np.diag(np.asarray(diag, dtype=np.float64))
+    for m in range(1, len(diag)):
+        A[m, m - 1] = -lo[m]
+        A[m - 1, m] = -hi[m - 1]
+    return np.linalg.solve(A, rhs)
+
+
 def invert_bilinear(cx, cy, tx, ty):
     """Scalar reference for the array Newton of ma_lin.lift.resample.
 

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import first_hit_resample, invert_bilinear, measured_order
+from ma_lin import lift
 from ma_lin.equations import catalog_get
 from ma_lin.expressions import parse, evaluate
 from ma_lin.grids import (Grid2, GridGeometry, geometry_from_domain, sample,
@@ -185,7 +187,7 @@ def _resample_case(name):
 
 
 @pytest.mark.parametrize("name", ["plane-strain-class", "grad-inversion", "clockwise"])
-def test_resample_equals_brute_force_first_hit(name):
+def test_resample_equals_brute_force_first_hit(name, monkeypatch):
     # on the solved saddle some targets lie on edges shared by two cells whose
     # bilinear interpolants differ in the last bits, so cell order matters
     surface, target = _resample_case(name)
@@ -194,6 +196,11 @@ def test_resample_equals_brute_force_first_hit(name):
     assert np.array_equal(got.mask, mask)
     assert 0 < mask.sum() < mask.size
     assert np.array_equal(_bits(got.grid.values), _bits(values))
+    # a target hit in an earlier chunk of pairs keeps that hit
+    monkeypatch.setattr(lift, "_PAIR_CHUNK", 97)
+    small = resample(surface, target)
+    assert np.array_equal(small.mask, mask)
+    assert np.array_equal(_bits(small.grid.values), _bits(values))
     # a target's value does not depend on the other targets
     xs, ys = target.xs(), target.ys()
     for j in (0, target.ny // 2, target.ny - 1):
@@ -218,6 +225,23 @@ def test_resample_257_target_over_257_mesh_within_budget():
     closed = np.sqrt(ys[tg.mask] - xs[tg.mask] ** 2 / 4)
     assert tg.n_valid > 30000
     assert np.max(np.abs(tg.grid.values[tg.mask] - closed)) <= 1e-5
+
+
+def test_resample_memory_does_not_grow_with_the_pairs():
+    # 131,200 (cell, target) pairs; holding every pair's Newton state at once
+    # took about 50 MB more
+    s = lift_parametric(parse("X^2-Y^2"), (0.5, 1.5, 0.5, 1.5), 257)
+    x, y = s.x[s.valid], s.y[s.valid]
+    target = geometry_from_domain(x.min(), x.max(), y.min(), y.max(), 257, 257)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tg = resample(s, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tg.n_valid > 30000
+    assert peak - base < 10e6
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +351,13 @@ def test_csv_writers_match_per_value_format(tmp_path):
     s = lift_parametric(parse("X^2-Y^2"), (0.5, 1.5, 0.5, 1.5), 3)
     u = s.u.copy()
     u.flat[:len(specials)] = specials
+    # where X is -0.0, u = X + 0.0*U takes the sign of U: -0.0 above, +0.0 here
+    X = s.X.copy()
+    X[:, 0] = -0.0
+    u[2, 0] = 0.0
     valid = s.valid.copy()
     valid[2, 2] = False
-    s = dataclasses.replace(s, u=u, valid=valid)
+    s = dataclasses.replace(s, X=X, u=u, valid=valid)
     cols = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
     expect = "# lifted\n" + "".join(
         ",".join(f"{c[j, i]:.17g}" for c in cols) + "\n" for j, i in zip(*np.nonzero(valid)))

@@ -31,8 +31,9 @@ def test_solver_convergence_runs(monkeypatch, capsys):
     rows = [ln.split() for ln in out.splitlines() if ln.strip().startswith(("9 ", "17 "))]
     assert len(rows) == 8
     assert all(math.isfinite(float(row[1])) for row in rows)
-    # n, error, order, V-cycles, final residual, rounding floor
-    assert "cycles" in out and "floor" in out
+    # n, error, order, V-cycles, final residual, rounding floor, seconds
+    assert "cycles" in out and "floor" in out and "seconds" in out
     for row in rows:
         cycles, residual, floor = int(row[3]), float(row[4]), float(row[5])
         assert 1 <= cycles <= 30 and 0.0 < floor and residual <= FLOOR_FACTOR * floor
+        assert len(row) == 7 and 0.0 <= float(row[6]) < 60.0
