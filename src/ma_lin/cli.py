@@ -46,8 +46,13 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(path) -> str:
+    """The file's SHA-256, read in 64 KiB pieces so that no artifact is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for piece in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 class _Outputs:
@@ -85,6 +90,13 @@ class _Outputs:
         writer(tmp)
         self._commit(name, tmp)
 
+    def fail(self, stage: str, err: Exception) -> None:
+        """Finish with why the run failed: the stage, the message and the exit code."""
+        cause = err.cause if isinstance(err, PipelineError) else err
+        self.manifest["error"] = {"stage": stage, "message": str(cause),
+                                  "exit_code": _exit_code(err)}
+        self.finish()
+
     def finish(self) -> None:
         path = self._target("manifest.json")
         tmp = path.with_name(path.name + ".tmp")
@@ -101,10 +113,6 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"input file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise UsageError(f"malformed JSON in {path}: {err}") from None
-
-
-def _input_hash(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _geometry_from_config(cfg: dict, nx: Optional[int], ny: Optional[int]) -> GridGeometry:
@@ -137,7 +145,7 @@ def cmd_classify(args) -> int:
         inputs = {"catalog_id": args.id}
     elif args.infile:
         eq = equation_from_dict(_load_json(args.infile))
-        inputs = {args.infile: _input_hash(args.infile)}
+        inputs = {args.infile: _sha256(args.infile)}
     else:
         raise UsageError("classify needs --in FILE or --id CATALOG-ID")
     report = classification_report(eq, seed=args.seed)
@@ -159,7 +167,7 @@ def cmd_solve(args) -> int:
     )
     tol = args.tol if args.tol is not None else cfg.get("tol")
     max_iter = int(cfg.get("max_iter", 200_000))
-    inputs = {args.infile: _input_hash(args.infile)}
+    inputs = {args.infile: _sha256(args.infile)}
     out = _Outputs(args.out, args.force, "solve", inputs, args.seed,
                    {"tol": tol, "max_iter": max_iter})
     try:
@@ -169,11 +177,11 @@ def cmd_solve(args) -> int:
         rep["seed"] = args.seed
         out.write_json("solve_report.json", rep)
         out.write_with("solution.csv", lambda p: write_grid(err.grid, p))
-        out.finish()
+        out.fail("solve", err)
         print("solver did not converge", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except NotEllipticError:
-        out.finish()
+    except NotEllipticError as err:
+        out.fail("solve", err)
         raise
     rep = report.to_dict()
     rep["seed"] = args.seed
@@ -210,13 +218,13 @@ def cmd_lift(args) -> int:
         solve_tol=args.tol if args.tol is not None else cfg.get("tol"),
         seed=args.seed,
     )
-    inputs = {args.infile: _input_hash(args.infile)}
+    inputs = {args.infile: _sha256(args.infile)}
     out = _Outputs(args.out, args.force, "lift", inputs, args.seed,
                    {"tol": pc.solve_tol})
     try:
         result = pipeline(f_or_id, pc)
-    except PipelineError:
-        out.finish()
+    except PipelineError as err:
+        out.fail(err.stage, err)
         raise
     ver = result.verification.to_dict()
     ver["seed"] = args.seed
@@ -246,7 +254,7 @@ def cmd_elasticity(args) -> int:
     report = incompressibility_check(d, domain=domain, n=n)
     rep = report.to_dict()
     rep["seed"] = args.seed
-    inputs = {args.infile: _input_hash(args.infile)}
+    inputs = {args.infile: _sha256(args.infile)}
     out = _Outputs(args.out, args.force, "elasticity", inputs, args.seed, {})
     out.write_json("incompressibility.json", rep)
     if domain is not None:
@@ -263,7 +271,7 @@ def cmd_khabirov(args) -> int:
     elif args.infile:
         data = _load_json(args.infile)
         g = parse(str(data["g"]))
-        inputs = {args.infile: _input_hash(args.infile)}
+        inputs = {args.infile: _sha256(args.infile)}
     else:
         raise UsageError("khabirov needs --g EXPR or --in FILE with {\"g\": ...}")
     extra = variables(g) - {"s"}
@@ -332,6 +340,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(err: Exception) -> int:
+    """The exit code of a run that a subcommand ended with err."""
+    if isinstance(err, PipelineError):
+        if isinstance(err.cause, (NotEllipticError, NotInClassError, EmptyLiftError)):
+            return EXIT_REJECTED
+        if isinstance(err.cause, NotConvergedError):
+            return EXIT_NOT_CONVERGED
+        return EXIT_USAGE
+    if isinstance(err, (NotEllipticError, TransformError, ElasticityError, KhabirovError)):
+        return EXIT_REJECTED
+    if isinstance(err, NotConvergedError):
+        return EXIT_NOT_CONVERGED
+    return EXIT_USAGE
+
+
+_EXIT_LABELS = {EXIT_USAGE: "error", EXIT_REJECTED: "rejected",
+                EXIT_NOT_CONVERGED: "not converged"}
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -340,28 +367,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ExprError, GridError, KeyError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotEllipticError,) as err:
-        print(f"rejected: {err}", file=sys.stderr)
-        return EXIT_REJECTED
-    except NotConvergedError as err:
-        print(f"not converged: {err}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except PipelineError as err:
-        cause = err.cause
-        if isinstance(cause, (NotEllipticError, NotInClassError, EmptyLiftError)):
-            print(f"rejected: {err}", file=sys.stderr)
-            return EXIT_REJECTED
-        if isinstance(cause, NotConvergedError):
-            print(f"not converged: {err}", file=sys.stderr)
-            return EXIT_NOT_CONVERGED
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TransformError, ElasticityError, KhabirovError) as err:
-        print(f"rejected: {err}", file=sys.stderr)
-        return EXIT_REJECTED
+    except (UsageError, ExprError, GridError, KeyError, ValueError, OSError,
+            NotEllipticError, NotConvergedError, PipelineError,
+            TransformError, ElasticityError, KhabirovError) as err:
+        code = _exit_code(err)
+        print(f"{_EXIT_LABELS[code]}: {err}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -16,7 +16,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .expressions import Expr, diff, evaluate, subst, parse, variables
-from .grids import Grid2, Jet2, JetArrays, interior_jets, jet_exprs, symbolic_jet
+from .grids import (Grid2, Jet2, JetArrays, _write_rows, interior_jets, jet_exprs,
+                    symbolic_jet)
 from .lift import LiftedSurface
 
 __all__ = [
@@ -292,7 +293,6 @@ def write_deformed_points(d: Deformation, domain: tuple[float, float, float, flo
     """Material/spatial pairs over an n-by-n mesh, as CSV rows X,Y,x,y."""
     Xm, Ym = _material_mesh(domain, n)
     x, y = deform(d, (Xm, Ym))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# deformed\n")
-        for row in zip(Xm, Ym, x, y):
-            fh.write("{:.17g},{:.17g},{:.17g},{:.17g}\n".format(*row))
+    with open(path, "wb") as fh:
+        fh.write(b"# deformed\n")
+        _write_rows(fh, np.column_stack((Xm, Ym, x, y)))

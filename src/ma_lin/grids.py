@@ -8,6 +8,7 @@ through any stencil that touches it.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -311,13 +312,187 @@ _HEADER = re.compile(
 )
 
 
+@functools.lru_cache(maxsize=None)  # p is bounded by the fast path's range
+def _pow10(p: int) -> tuple[float, float]:
+    """10**p as a double-double: hi the nearest double, lo the rest rounded."""
+    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into a high half of 26 significant bits and
+    the exact rest, so that products of halves are exact."""
+    c = 134217729.0 * a
+    h = c - (c - a)
+    return h, a - h
+
+
+def _scaled(a: np.ndarray, p: np.ndarray):
+    """a * 10**p as P + L: P the rounded product, L the rest to about 1e-14.
+
+    Returns (P, L, exact), exact where 10**p is a double and P + L is exact."""
+    first = int(p.min())
+    hi, lo = np.array([_pow10(q) for q in range(first, int(p.max()) + 1)]).T
+    h = hi.take(p - first)
+    P = a * h
+    ah, al = _split(a)
+    hh, hl = _split(h)
+    # L = (((ah*hh - P) + ah*hl) + al*hh) + al*hl + a*lo, in place
+    L = ah * hh
+    L -= P
+    ah *= hl
+    L += ah
+    hh *= al
+    L += hh
+    hl *= al
+    L += hl
+    l = lo.take(p - first)
+    exact = l == 0.0
+    l *= a
+    L += l
+    return P, L, exact
+
+
+_FAST_RANGE = (1e-280, 1e280)  # the products and splits stay normal and finite
+_NEAR_TIE = 1e-6  # far above the error of L: closer to a half, Python decides
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|v| rounded half to even to 17 significant digits, as D * 10**(X-16).
+
+    Returns (D, X, fast): D in [1e16, 1e17) (0 for zeros), the decimal
+    exponent X, and fast, False where v is non-finite, |v| lies outside
+    _FAST_RANGE, or the product lies within _NEAR_TIE of a rounding tie that
+    is not exact, so that D and X cannot be trusted.
+    """
+    a = np.abs(v)
+    zero = a == 0.0
+    inrange = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
+    a = np.where(inrange, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    P, L, exact = _scaled(a, 16 - k)
+    # next to a power of ten log10 can miss floor(log10 a) by one, and the
+    # product then falls outside [1e16, 1e17); P - 1e16 and P - 1e17 are
+    # exact wherever the sign of the sum with L is in doubt
+    shift = (((P - 1e17) + L >= 0).view(np.int8)
+             - ((P - 1e16) + L < 0).view(np.int8))
+    fix = np.flatnonzero(shift)
+    if fix.size:
+        k[fix] += shift[fix]
+        P[fix], L[fix], exact[fix] = _scaled(a[fix], 16 - k[fix])
+    # P is an even integer, so P + L rounds half to even where L does
+    r = np.rint(L)
+    fast = zero | (inrange & (exact | (np.abs(L - r) <= 0.5 - _NEAR_TIE)))
+    D = P.astype(np.int64) + r.astype(np.int64)
+    carry = D == 10 ** 17
+    D = np.where(carry, 10 ** 16, D)
+    D *= ~zero  # zeros were scaled as 1.0, so their X is already 0
+    return D, k + carry, fast
+
+
+def _digit_rows(D: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each D in ASCII, row c holding the c-th.
+
+    Each level splits every part by a power of ten into a high and a low
+    part, in the narrowest integer type the low parts fit."""
+    digits = np.empty((17, D.size), np.uint8)
+    lead = D // 10 ** 16
+    digits[0] = lead + 48
+    parts = (D - lead * 10 ** 16)[None]
+    for size, dtype in ((10 ** 8, np.uint32), (10 ** 4, np.uint16), (100, np.uint8), (10, np.uint8)):
+        high = parts // size
+        split = np.empty((2 * len(parts), D.size), dtype)
+        split[0::2] = high
+        split[1::2] = parts - high * size
+        parts = split
+    np.add(parts, 48, out=digits[1:])
+    return digits
+
+
+_BLOCK_VALUES = 8192  # values per formatted block: bounds the working set
+# rows of the field matrix, one column per value: the sign, "0.000" before
+# the digits of 1e-4 <= |v| < 1, 17 digits with a point after the integer
+# part, "e+XXX", the separator
+_SIGN, _LEAD, _BODY, _EXP, _SEP = 0, 1, 6, 24, 29
+_WIDTH = 30
+
+
+def _format_rows(rows: np.ndarray) -> tuple[bytes, int]:
+    """CSV lines of a 2-D float block, each byte-identical to
+    ",".join("%.17g" % v for v in row) + "\n".
+
+    Returns the bytes and the number of values that Python's own % formats:
+    those where _decimal is not fast, apart from NaN, which is always "nan".
+    Each value gets a fixed-width field of NUL-padded ASCII in the layout
+    %.17g takes for its exponent, and the NULs are dropped.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    ncols = rows.shape[1]
+    v = rows.ravel()
+    n = v.size
+    if n == 0:
+        return b"", 0
+    D, X, fast = _decimal(v)
+    digits = _digit_rows(D)
+    del D
+    # later[c]: a digit other than 0 sits at c or after it
+    later = np.zeros((18, n), bool)
+    np.not_equal(digits, 48, out=later[:17])
+    for c in range(15, -1, -1):
+        later[c] |= later[c + 1]
+    expo = (X < -4) | (X >= 17)
+    small = (X < 0) & ~expo
+    last_int = np.where(expo, 0, np.where(small, -1, X))  # last integer digit
+    integer = np.arange(17, dtype=np.int8)[:, None] <= last_int.astype(np.int8)
+
+    m = np.zeros((_WIDTH, n), np.uint8)
+    m[_SIGN] = np.signbit(v) * np.uint8(45)
+    lead = np.frombuffer(b"0.000", np.uint8)[:, None]
+    m[_LEAD:_BODY] = lead * (np.arange(5)[:, None] < np.where(small, 1 - X, 0))
+    # the digits one row down, trailing zeros dropped, then the integer
+    # digits one row up over them; the point goes between the two
+    np.multiply(digits, later[:17], out=m[_BODY + 1:_BODY + 18])
+    np.copyto(m[_BODY:_BODY + 17], digits, where=integer)
+    del digits, integer
+    at = np.arange(n)
+    m.reshape(-1)[(_BODY + 1 + last_int) * n + at] = (
+        later.reshape(-1)[(last_int + 1) * n + at] & ~small) * np.uint8(46)
+    del later
+    if expo.any():
+        i = np.flatnonzero(expo)
+        e = np.abs(X[i])
+        m[_EXP, i] = 101
+        m[_EXP + 1, i] = np.where(X[i] < 0, 45, 43)
+        m[_EXP + 2, i] = (e >= 100) * (e // 100 + 48)
+        m[_EXP + 3, i] = e // 10 % 10 + 48
+        m[_EXP + 4, i] = e % 10 + 48
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        m[:_SEP, slow] = 0
+        nan = np.isnan(v[slow])  # masked cells: "nan" whatever the sign bit
+        m[_BODY:_BODY + 3, slow[nan]] = np.frombuffer(b"nan", np.uint8)[:, None]
+        slow = slow[~nan]
+        text = np.array(["%.17g" % x for x in v[slow].tolist()], dtype="S24")
+        m[:24, slow] = text.view(np.uint8).reshape(-1, 24).T
+    m[_SEP] = 44
+    m[_SEP, ncols - 1::ncols] = 10
+    return m.T.tobytes().translate(None, b"\0"), slow.size
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """Write a 2-D float block as CSV lines, _BLOCK_VALUES values at a time."""
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    for first in range(0, len(rows), step):
+        fh.write(_format_rows(rows[first:first + step])[0])
+
+
 def write_grid(g: Grid2, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         fh.write(f"# nx={g.nx},ny={g.ny},x0={_fmt(g.geom.x0)},y0={_fmt(g.geom.y0)},"
-                 f"dx={_fmt(g.dx)},dy={_fmt(g.dy)}\n")
-        row = ",".join(["%.17g"] * g.nx) + "\n"
-        for values in g.values:
-            fh.write(row % tuple(values.tolist()))
+                 f"dx={_fmt(g.dx)},dy={_fmt(g.dy)}\n".encode())
+        _write_rows(fh, g.values)
 
 
 def _parse_real(token: str, line_no: int, col: int) -> float:

@@ -21,8 +21,8 @@ from .equations import (LinearizableClass, MAEquation, catalog_get, classify,
                         equation_from_class_function, linear_coefficient,
                         residual)
 from .expressions import Expr, evaluate, to_text, variables
-from .grids import (Grid2, GridGeometry, JetArrays, MaskedGrid2,
-                    geometry_from_domain, interior_jets, jet_exprs)
+from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, MaskedGrid2,
+                    _format_rows, geometry_from_domain, interior_jets, jet_exprs)
 from .linsolve import BoundaryValues, problem_from_exprs, solve_dirichlet
 from .transforms import DEGENERACY_EPS, push_jet_arrays
 
@@ -386,24 +386,15 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
 # CSV export of the parametric surface (valid samples only)
 
 def write_lifted(s: LiftedSurface, path) -> None:
-    # X, Y and u = X + 0.0*U come from the mesh axes, so their columns hold a
-    # few hundred distinct values: each is formatted once, keyed by its bits
-    # so that -0.0 keeps its sign
-    texts: dict = {}
-
-    def axis_texts(c: np.ndarray) -> list:
-        c = np.asarray(c, dtype=np.float64)
-        return [texts[b] if b in texts else texts.setdefault(b, "%.17g" % v)
-                for b, v in zip(c.view(np.int64).tolist(), c.tolist())]
-
-    values = (s.x, s.y, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
-    row = "%s,%s,%.17g,%.17g,%s" + ",%.17g" * 6 + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# lifted\n")
-        for j, keep in enumerate(s.valid):
-            X, Y, u = (axis_texts(c[j, keep]) for c in (s.X, s.Y, s.u))
-            x, y, *rest = (c[j, keep].tolist() for c in values)
-            fh.writelines(row % r for r in zip(X, Y, x, y, u, *rest))
+    columns = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
+    # a few mesh rows at a time, so the working set does not grow with the mesh
+    step = max(1, _BLOCK_VALUES // (len(columns) * s.valid.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write(b"# lifted\n")
+        for j in range(0, s.valid.shape[0], step):
+            keep = s.valid[j:j + step]
+            rows = np.column_stack([c[j:j + step][keep] for c in columns])
+            fh.write(_format_rows(rows)[0])
 
 
 def read_lifted(path) -> np.ndarray:

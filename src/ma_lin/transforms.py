@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .expressions import Expr
-from .grids import Grid2, GridGeometry, Jet2, symbolic_jet
+from .grids import Grid2, GridGeometry, Jet2, _write_rows, symbolic_jet
 
 __all__ = [
     "DEGENERACY_EPS", "TransformError", "DegenerateJetError", "FoldError",
@@ -318,10 +318,9 @@ def ampere_discrete(V: Grid2) -> ScatteredSamples:
 
 
 def write_scattered(s: ScatteredSamples, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# scattered\n")
-        for x, y, u in zip(s.x, s.y, s.u):
-            fh.write(f"{x:.17g},{y:.17g},{u:.17g}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"# scattered\n")
+        _write_rows(fh, np.column_stack((s.x, s.y, s.u)))
 
 
 def read_scattered(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,6 +15,12 @@ from ma_lin.expressions import Expr, evaluate, parse
 from ma_lin.grids import jet_exprs
 
 
+def percent_g_rows(rows) -> bytes:
+    """CSV lines of a 2-D block, every value formatted on its own by %.17g."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in np.asarray(rows, dtype=np.float64).tolist()).encode()
+
+
 def brute_conjugate(xs, vs, slopes) -> np.ndarray:
     """O(n*m) reference for the discrete convex conjugate."""
     out = np.empty(len(slopes))

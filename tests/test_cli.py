@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 
+from helpers import percent_g_rows
 from ma_lin.cli import main
 from ma_lin.grids import read_grid
 from ma_lin.linsolve import FLOOR_FACTOR
@@ -84,6 +85,9 @@ def test_solve_not_elliptic_exits_2(tmp_path, capsys):
     assert main(["solve", "--in", cfg, "--out", str(out)]) == 2
     # the rejected run still records its manifest
     assert _read_json(out / "manifest.json")["artifacts"] == {}
+    error = _read_json(out / "manifest.json")["error"]
+    assert (error["stage"], error["exit_code"]) == ("solve", 2)
+    assert "positive" in error["message"]
 
 
 def test_solve_not_converged_exits_3_with_report(tmp_path):
@@ -94,6 +98,9 @@ def test_solve_not_converged_exits_3_with_report(tmp_path):
     assert main(["solve", "--in", cfg, "--out", str(out)]) == 3
     rep = _read_json(out / "solve_report.json")
     assert rep["converged"] is False and rep["iterations"] == 1
+    man = _read_json(out / "manifest.json")
+    assert sorted(man["artifacts"]) == ["solution.csv", "solve_report.json"]
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == ("solve", 3)
 
 
 def test_solve_unmeetable_tol_exits_3_quickly(tmp_path):
@@ -171,6 +178,17 @@ def test_lift_not_in_class_exits_2(tmp_path, capsys):
     assert "rejected: pipeline stage 'classify' failed" in capsys.readouterr().err
 
 
+def test_failed_lift_manifest_says_why(tmp_path):
+    data = {"id": "axisym", "domain": [0.5, 1.5, 0.5, 1.5], "boundary": "X^2-Y^2"}
+    cfg = _write(tmp_path / "l.json", data)
+    out = tmp_path / "o"
+    assert main(["lift", "--in", cfg, "--out", str(out)]) == 2
+    man = _read_json(out / "manifest.json")
+    assert man["artifacts"] == {}
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == ("classify", 2)
+    assert man["error"]["message"]
+
+
 def test_lift_all_nodes_degenerate_exits_2(tmp_path, capsys):
     # the Laplace solution U = X*Y has U_YY = 0 at every node
     data = {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
@@ -196,6 +214,8 @@ def test_elasticity_report(tmp_path):
     assert len(lines) == 1 + 49
     X, Y, x, y = (float(t) for t in lines[1].split(","))
     assert (x, y) == (2 * X + Y, X + Y)  # gradient of the quadratic
+    rows = [[float(t) for t in line.split(",")] for line in lines[1:]]
+    assert (out / "deformed.csv").read_bytes() == b"# deformed\n" + percent_g_rows(rows)
 
 
 def test_elasticity_negative_control(tmp_path):
@@ -274,13 +294,20 @@ def test_lift_grad_inversion_n97_converges(tmp_path):
     assert rep["tol"] == FLOOR_FACTOR * rep["residual_floor"]
 
 
-def test_runtime_imports_no_scipy():
+def test_runtime_imports_no_scipy(tmp_path):
     # the README promises numpy as the only runtime dependency; scipy may be
-    # installed in a test environment, so a stray import would go unnoticed
+    # installed in a test environment, so a stray import would go unnoticed.
+    # fractions, decimal and numpy.ma cost import time and memory that no
+    # part of a lift needs
+    cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+                                        "nx": 9, "ny": 9, "boundary": "X^2-Y^2"})
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ma_lin, ma_lin.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"assert ma_lin.cli.main(['lift', '--in', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('scipy', 'fractions', 'decimal') "
+         "or m.split('.')[:2] == ['numpy', 'ma']))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

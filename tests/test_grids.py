@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import measured_order, stencil_jet
+from helpers import measured_order, percent_g_rows, stencil_jet
 from ma_lin.expressions import Const, Var, diff, evaluate, parse
 from ma_lin.grids import (Grid2, GridError, GridFormatError, GridGeometry,
-                          Jet2, MaskedGrid2, geometry_from_domain,
+                          Jet2, MaskedGrid2, _format_rows, geometry_from_domain,
                           interior_jets, jet_exprs, read_grid, sample,
                           symbolic_jet, write_grid)
 
@@ -269,3 +269,84 @@ def test_round_trip_random_grids(tmp_path_factory, nx, ny, data):
     write_grid(g, path)
     g2 = read_grid(path)
     assert np.array_equal(g.values, g2.values, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the %.17g row formatter
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324]),
+    st.integers(0, 2 ** 64 - 1).map(_from_bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                       elements=_ANY_FLOAT))
+def test_format_rows_equals_percent_g(rows):
+    assert _format_rows(rows)[0] == percent_g_rows(rows)
+
+
+def test_format_rows_equals_percent_g_on_random_values():
+    rng = np.random.default_rng(1601)
+    n = 500_000
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    magnitudes = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 25, n)
+    fallbacks = {}
+    for name, values in (("bits", bits), ("magnitudes", magnitudes)):
+        rows = values.reshape(-1, 10)
+        fallbacks[name] = 0
+        for first in range(0, len(rows), 4096):
+            text, slow = _format_rows(rows[first:first + 4096])
+            assert text == percent_g_rows(rows[first:first + 4096])
+            fallbacks[name] += slow
+    # in the fast range only products within 1e-6 of an inexact tie fall back
+    assert fallbacks["magnitudes"] < 20
+
+
+def test_format_rows_next_to_powers_of_ten():
+    # log10 misses floor(log10 |v|) next to powers of ten; the doubles 1e-14
+    # and 1e98 lie below their powers of ten and round up to them, a carry
+    powers = [float(f"1e{e}") for e in range(-5, 23)]
+    values = [w for p in powers for w in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf))]
+    values += [99999999999999999.0, 9.99999999999999999e-5, 2.0 ** -60, 12345 / 2 ** 29,
+               1e-14, 1e98]
+    rows = np.array(values + [-w for w in values]).reshape(-1, 2)
+    text, fallbacks = _format_rows(rows)
+    assert text == percent_g_rows(rows)
+    assert fallbacks == 0
+
+
+def test_format_rows_rounds_exact_ties_half_to_even():
+    # 18 significant digits ending in 5, exact in binary: the 17th digit
+    # goes to the even neighbour, up as often as down
+    values = np.array([1234567890123456.25, 1234567890123456.75, 2000000000000000.25,
+                       999999999999999.875, 999999999999999.625, 562949953421312.125])
+    rows = np.concatenate([values, -values]).reshape(-1, 3)
+    text, fallbacks = _format_rows(rows)
+    assert text == percent_g_rows(rows)
+    assert text.split(b"\n")[0] == b"1234567890123456.2,1234567890123456.8,2000000000000000.2"
+    assert fallbacks == 0
+
+
+def test_format_rows_falls_back_to_python():
+    # non-finite values, |v| outside the fast range, and 3 * 2**-24, whose
+    # 18-digit expansion ends in 5 while 10**23 is not a double; NaN is
+    # written as "nan" without Python
+    rows = np.array([[np.inf, -np.inf, 5e-324, -1.7976931348623157e308],
+                     [1e-300, 3 * 2.0 ** -24, np.nan, -np.nan]])
+    text, fallbacks = _format_rows(rows)
+    assert text == percent_g_rows(rows)
+    assert fallbacks == 6
+
+
+def test_write_grid_matches_percent_g(tmp_path):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((40, 300)) * 10.0 ** rng.integers(-8, 20, (40, 300))
+    values[rng.random((40, 300)) < 0.3] = np.nan
+    write_grid(Grid2(GridGeometry(300, 40, 0.0, 0.0, 1.0, 1.0), values), tmp_path / "g.csv")
+    assert (tmp_path / "g.csv").read_bytes().split(b"\n", 1)[1] == percent_g_rows(values)

@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import first_hit_resample, invert_bilinear, measured_order
+from helpers import first_hit_resample, invert_bilinear, measured_order, percent_g_rows
 from ma_lin import lift
 from ma_lin.equations import catalog_get
 from ma_lin.expressions import parse, evaluate
-from ma_lin.grids import (Grid2, GridGeometry, geometry_from_domain, sample,
-                          write_grid)
+from ma_lin.grids import (Grid2, GridGeometry, _format_rows, geometry_from_domain,
+                          sample, write_grid)
 from ma_lin.lift import (EmptyLiftError, LiftError, PipelineConfig,
                          PipelineError, _invert_bilinear, lift_parametric,
                          pipeline, read_lifted, resample, verify_lift,
@@ -370,3 +370,31 @@ def test_csv_writers_match_per_value_format(tmp_path):
     expect = header + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
     write_grid(g, tmp_path / "g.csv")
     assert (tmp_path / "g.csv").read_bytes() == expect.encode()
+
+
+@pytest.mark.parametrize("family", ["plane-strain-class", "grad-inversion"])
+@pytest.mark.parametrize("n", [33, 65, 97, 257])
+def test_lifted_values_take_the_fast_path(family, n, tmp_path):
+    config = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5), boundary=parse("X^2-Y^2"),
+                            lin_nx=n, lin_ny=n)
+    s = pipeline(family, config).surface
+    cols = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
+    rows = np.column_stack([c[s.valid] for c in cols])
+    assert sum(_format_rows(rows[first:first + 512])[1] for first in range(0, len(rows), 512)) == 0
+    if n <= 97:
+        write_lifted(s, tmp_path / "l.csv")
+        assert (tmp_path / "l.csv").read_bytes() == b"# lifted\n" + percent_g_rows(rows)
+
+
+def test_write_lifted_memory_stays_small(tmp_path):
+    # the formatter works on a few mesh rows at a time; the whole 257^2
+    # surface as one block would take about 90 MB
+    s = lift_parametric(parse("X^2-Y^2"), (0.5, 1.5, 0.5, 1.5), 257)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_lifted(s, tmp_path / "l.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2e6

@@ -145,6 +145,20 @@ def test_unmeetable_tol_stops_at_the_rounding_floor():
     assert "rounding floor" in str(exc.value)
 
 
+@pytest.mark.parametrize("fcoeff", ["exp(3*Y)", "100"])
+def test_stall_leaves_headroom_below_the_acceptance_bound(fcoeff):
+    # with tol=0 the V-cycle runs until the residual stops falling; where it
+    # stalls, relative to the rounding floor, is the headroom the default
+    # bound of FLOOR_FACTOR floors has against rounding the line solves add
+    # (2.36 and 2.66 floors when this test was written)
+    geom = geometry_from_domain(0.5, 1.5, 0.5, 1.5, 257, 257)
+    prob = problem_from_exprs(geom, parse(fcoeff), None, parse("X^2-Y^2"))
+    with pytest.raises(NotConvergedError) as exc:
+        solve_dirichlet(prob, tol=0.0)
+    rep = exc.value.report
+    assert rep.residual / rep.residual_floor < 3.5, rep
+
+
 # ---------------------------------------------------------------------------
 # multigrid robustness
 

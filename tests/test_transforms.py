@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_conjugate, brute_conjugate_2d, invert_contact_point,
-                     measured_order, seeded_closed_forms)
+                     measured_order, seeded_closed_forms, percent_g_rows)
 from ma_lin.expressions import parse
 from ma_lin.grids import (Grid2, GridGeometry, Jet2, geometry_from_domain,
                           interior_jets, sample, symbolic_jet)
@@ -452,3 +452,4 @@ def test_scattered_round_trip(tmp_path):
     write_scattered(sc, path)
     x, y, u = read_scattered(path)
     assert np.array_equal(x, sc.x) and np.array_equal(y, sc.y) and np.array_equal(u, sc.u)
+    assert path.read_bytes() == b"# scattered\n" + percent_g_rows(np.column_stack((x, y, u)))
