@@ -11,7 +11,7 @@ step by residual and identity checks.
 from .expressions import (Bindings, Const, EvalError, Expr, ExprError, Neg,
                           BinOp, Call, ParseError, Var, as_expr, diff,
                           evaluate, parse, subst, to_text, variables)
-from .grids import (Grid2, GridError, GridFormatError, GridGeometry, Jet2,
+from .grids import (Grid2, GridError, GridFormatError, GridGeometry, JetArrays,
                     MaskedGrid2, geometry_from_domain, interior_jets, jet_exprs,
                     read_grid, sample, symbolic_jet, write_grid)
 from .transforms import (DEGENERACY_EPS, ContactImage, DegenerateJetError,

@@ -16,8 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .expressions import Expr, diff, evaluate, subst, parse, variables
-from .grids import (Grid2, Jet2, JetArrays, _write_rows, interior_jets, jet_exprs,
-                    symbolic_jet)
+from .grids import Grid2, JetArrays, _write_rows, interior_jets, symbolic_jet
 from .lift import LiftedSurface
 
 __all__ = [
@@ -140,8 +139,9 @@ def deform(d: Deformation, point: tuple) -> tuple:
     return evaluate(xe, b), evaluate(ye, b)
 
 
-def jacobian(d: Deformation, point: tuple[float, float]) -> float:
-    """Determinant of the total map derivative, by symbolic differentiation.
+def jacobian(d: Deformation, point: tuple):
+    """Determinant of the total map derivative, by symbolic differentiation,
+    at a material point or at arrays of them.
 
     For the gradient kinds this is the potential's Hessian determinant, with
     the same arithmetic the balance residual uses.
@@ -160,13 +160,13 @@ def jacobian(d: Deformation, point: tuple[float, float]) -> float:
     return j11 * j22 - j12 * j21
 
 
-def jacobian_from_jet(kind: str, jet: Union[Jet2, JetArrays],
+def jacobian_from_jet(kind: str, jet: JetArrays,
                       material_point: Optional[tuple] = None):
     """Total map jacobian from a potential jet, via the chain rule.
 
     The inversion factor is (X^2+Y^2)^-2 for intermediate-chart kinds and
-    |grad W|^-4 for the gradient-inversion kind.  With JetArrays and arrays
-    of material points, the jacobian at every node at once.
+    |grad W|^-4 for the gradient-inversion kind.  With an array jet and
+    arrays of material points, the jacobian at every node at once.
     """
     det = jet.hessian_det()
     if kind in ("from-U", "axisym-U"):
@@ -187,7 +187,7 @@ def jacobian_from_jet(kind: str, jet: Union[Jet2, JetArrays],
     raise ElasticityError(f"unknown kind {kind!r}")
 
 
-def ma_residual_from_jet(kind: str, jet: Union[Jet2, JetArrays], point: tuple):
+def ma_residual_from_jet(kind: str, jet: JetArrays, point: tuple):
     """Residual of the balance equation matching the kind, at a potential jet.
 
     `point` is the potential's own chart: (X, Y) for from-U/from-W,
@@ -253,9 +253,7 @@ def incompressibility_check(d: Deformation,
         names = _potential_variables(kind, pot)
         material = _material_mesh(domain, n)
         chart = inversion_coords(*material) if _uses_inversion(kind) else material
-        b = dict(zip(names, chart))
-        fields = [evaluate(e, b) for e in jet_exprs(pot, names)]
-        jet = JetArrays(*fields, valid=np.ones(fields[0].shape, dtype=bool))
+        jet = symbolic_jet(pot, names, *chart)
     elif isinstance(pot, LiftedSurface):
         jet = pot.jets().compress()
         material = chart = (pot.x[pot.valid], pot.y[pot.valid])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .expressions import (Const, Expr, Var, evaluate, parse, subst, to_text,
                           variables)
-from .grids import Jet2, JetArrays
+from .grids import JetArrays
 from .transforms import legendre_point_map
 
 __all__ = [
@@ -48,8 +48,9 @@ class MAEquation:
             raise ValueError(f"equation {self.id!r} uses unknown variables {sorted(extra)}")
 
 
-def residual(eq: MAEquation, jet: Jet2 | JetArrays, x, y):
-    """Signed residual u_xx*u_yy - u_xy^2 - F at a jet or JetArrays; zero on solutions."""
+def residual(eq: MAEquation, jet: JetArrays, x, y):
+    """Signed residual u_xx*u_yy - u_xy^2 - F at a jet and its point, or at
+    array jets and arrays of points; zero on solutions."""
     F = evaluate(eq.F, {"x": x, "y": y, "u": jet.u, "p": jet.ux, "q": jet.uy})
     return jet.hessian_det() - F
 
@@ -204,39 +205,35 @@ def khabirov_push(g: Expr, seed: int = 42, checks: int = 50,
         note="RHS depends on x and y only")
 
     rng = np.random.default_rng(seed)
-    done = 0
-    while done < checks:
-        UX = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-        UY = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-        UXY = rng.uniform(-2.0, 2.0)
-        UXX = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-        gval = evaluate(g, {"s": UY / UX})
-        if gval == 0.0:
-            raise KhabirovError(f"g vanishes at verification sample s={UY / UX!r}")
-        F0 = UX ** -4 * gval
-        UYY = (UXY ** 2 + 1.0 / F0) / UXX
-        det = UXX * UYY - UXY ** 2
-        if abs(det * F0 - 1.0) > tol:
-            raise KhabirovError("constructed jet fails (det Hessian)*F = 1")
-        # identity between the two ways of writing the original RHS
-        lhs = evaluate(original.F, {"x": UX, "y": UY, "u": 0.0, "p": 0.0, "q": 0.0})
-        rhs_v = UY ** -4 * evaluate(gstar, {"s": UY / UX})
-        if abs(lhs - rhs_v) > 1e-9 * (1.0 + abs(lhs)):
-            raise KhabirovError("identity x^-4 g(y/x) = y^-4 g*(y/x) fails")
-        X, Y, U0 = rng.uniform(-2, 2, 3)
-        ujet = Jet2(U0, UX, UY, UXX, UXY, UYY)
-        # transformed equation holds at the source jet ...
-        r_t = residual(transformed, ujet, X, Y)
-        scale_t = 1.0 + abs(evaluate(transformed.F,
-                                     {"x": X, "y": Y, "u": U0, "p": UX, "q": UY}))
-        if abs(r_t) > 1e-9 * scale_t:
-            raise KhabirovError("transformed equation residual nonzero at constructed jet")
-        # ... and the original one at its Legendre image
-        ix, iy, ijet = legendre_point_map(ujet, X, Y)
-        r_o = residual(original, ijet, ix, iy)
-        if abs(r_o) > 1e-9 * (1.0 + abs(F0)):
-            raise KhabirovError("original equation residual nonzero at Legendre image")
-        done += 1
+    UX, UY, UXX = rng.uniform(0.5, 2.0, (3, checks)) * rng.choice((-1.0, 1.0), (3, checks))
+    UXY = rng.uniform(-2.0, 2.0, checks)
+    X, Y, U0 = rng.uniform(-2.0, 2.0, (3, checks))
+    s_val = UY / UX
+    gval = evaluate(g, {"s": s_val})
+    if np.any(gval == 0.0):
+        k = int(np.argmax(gval == 0.0))
+        raise KhabirovError(f"g vanishes at verification sample s={s_val[k]!r}")
+    F0 = gval / (UX * UX * UX * UX)
+    UYY = (UXY * UXY + 1.0 / F0) / UXX
+    det = UXX * UYY - UXY * UXY
+    if np.any(np.abs(det * F0 - 1.0) > tol):
+        raise KhabirovError("constructed jet fails (det Hessian)*F = 1")
+    # identity between the two ways of writing the original RHS
+    lhs = evaluate(original.F, {"x": UX, "y": UY, "u": 0.0, "p": 0.0, "q": 0.0})
+    rhs_v = evaluate(gstar, {"s": s_val}) / (UY * UY * UY * UY)
+    if np.any(np.abs(lhs - rhs_v) > 1e-9 * (1.0 + np.abs(lhs))):
+        raise KhabirovError("identity x^-4 g(y/x) = y^-4 g*(y/x) fails")
+    ujet = JetArrays(U0, UX, UY, UXX, UXY, UYY, valid=np.ones(checks, dtype=bool))
+    # transformed equation holds at the source jets ...
+    r_t = residual(transformed, ujet, X, Y)
+    scale_t = 1.0 + np.abs(evaluate(transformed.F, {"x": X, "y": Y, "u": U0, "p": UX, "q": UY}))
+    if np.any(np.abs(r_t) > 1e-9 * scale_t):
+        raise KhabirovError("transformed equation residual nonzero at constructed jet")
+    # ... and the original one at their Legendre images
+    ix, iy, ijet = legendre_point_map(ujet, X, Y)
+    r_o = residual(original, ijet, ix, iy)
+    if np.any(np.abs(r_o) > 1e-9 * (1.0 + np.abs(F0))):
+        raise KhabirovError("original equation residual nonzero at Legendre image")
     return KhabirovCase(g=g, gstar=gstar, Gstar=Gstar, equation=transformed)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .expressions import BinOp, Const, Expr, EvalError, Neg, Var, diff, evaluate
 
 __all__ = [
     "GridError", "GridFormatError",
-    "GridGeometry", "geometry_from_domain", "Grid2", "MaskedGrid2", "Jet2",
+    "GridGeometry", "geometry_from_domain", "Grid2", "MaskedGrid2",
     "JetArrays", "sample", "interior_jets",
     "jet_exprs", "symbolic_jet", "write_grid", "read_grid",
 ]
@@ -80,26 +80,6 @@ def geometry_from_domain(x0: float, x1: float, y0: float, y1: float,
     if nx < 2 or ny < 2:
         raise GridError("a domain needs at least two nodes per axis")
     return GridGeometry(nx, ny, x0, y0, (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1))
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Value and derivatives through second order of a function of two variables."""
-
-    u: float
-    ux: float
-    uy: float
-    uxx: float
-    uxy: float
-    uyy: float
-
-    def __post_init__(self):
-        for f in (self.u, self.ux, self.uy, self.uxx, self.uxy, self.uyy):
-            if not math.isfinite(f):
-                raise ValueError(f"jet entries must be finite, got {self!r}")
-
-    def hessian_det(self) -> float:
-        return self.uxx * self.uyy - self.uxy * self.uxy
 
 
 @dataclass(frozen=True)
@@ -204,7 +184,8 @@ def sample(e: Expr, names: tuple[str, str], geom: GridGeometry) -> Grid2:
 
 @dataclass(frozen=True)
 class JetArrays:
-    """Second-order jets at many nodes at once, one array per entry."""
+    """Value and derivatives through second order of a function of two
+    variables: floats for one point, or arrays of one shape for many."""
 
     u: np.ndarray
     ux: np.ndarray
@@ -214,11 +195,18 @@ class JetArrays:
     uyy: np.ndarray
     valid: np.ndarray  # False where the jet is masked
 
+    def entries(self) -> tuple:
+        return self.u, self.ux, self.uy, self.uxx, self.uxy, self.uyy
+
+    def finite(self) -> np.ndarray:
+        """True where all six entries are finite."""
+        return functools.reduce(np.logical_and, map(np.isfinite, self.entries()))
+
     def hessian_det(self) -> np.ndarray:
         return self.uxx * self.uyy - self.uxy * self.uxy
 
     def compress(self) -> "JetArrays":
-        """The valid jets only, as flat arrays in row-major node order."""
+        """The valid jets of an array jet only, as flat arrays in row-major node order."""
         v = self.valid
         return JetArrays(self.u[v], self.ux[v], self.uy[v], self.uxx[v],
                          self.uxy[v], self.uyy[v], valid=v[v])
@@ -291,12 +279,15 @@ def jet_exprs(e: Expr, names: tuple[str, str]) -> tuple[Expr, Expr, Expr, Expr, 
     return (e, *derived)
 
 
-def symbolic_jet(e: Expr, names: tuple[str, str], x: float, y: float) -> Jet2:
-    """Exact jet of an expression at a point, by symbolic differentiation."""
+def symbolic_jet(e: Expr, names: tuple[str, str], x, y) -> JetArrays:
+    """Exact jet of an expression at a point, or at arrays of points that
+    broadcast together, by symbolic differentiation; valid where finite.
+
+    Each array entry equals the single-point jet at that point bit for bit."""
     n1, n2 = names
     b = {n1: x, n2: y}
-    j = jet_exprs(e, names)
-    return Jet2(*(evaluate(t, b) for t in j))
+    jet = JetArrays(*(evaluate(t, b) for t in jet_exprs(e, names)), valid=True)
+    return replace(jet, valid=jet.finite())
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ import numpy as np
 from .equations import (LinearizableClass, MAEquation, catalog_get, classify,
                         equation_from_class_function, linear_coefficient,
                         residual)
-from .expressions import Expr, evaluate, to_text, variables
+from .expressions import Expr, to_text, variables
 from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, MaskedGrid2,
-                    _format_rows, geometry_from_domain, interior_jets, jet_exprs)
+                    _format_rows, geometry_from_domain, interior_jets, symbolic_jet)
 from .linsolve import BoundaryValues, problem_from_exprs, solve_dirichlet
 from .transforms import DEGENERACY_EPS, push_jet_arrays
 
@@ -113,27 +113,23 @@ def lift_parametric(U: Union[Expr, Grid2],
         X0, X1, Y0, Y1 = domain
         geom = geometry_from_domain(X0, X1, Y0, Y1, n, n)
         Xg, Yg = np.meshgrid(geom.xs(), geom.ys())
-        fields = [evaluate(e, {"X": Xg, "Y": Yg}) for e in jet_exprs(U, ("X", "Y"))]
+        jet = symbolic_jet(U, ("X", "Y"), Xg, Yg)
         kind, desc = "symbolic", to_text(U)
     elif isinstance(U, Grid2):
-        jets = interior_jets(U)
-        geomI = U.geom
-        xs = geomI.xs()[1:-1]
-        ys = geomI.ys()[1:-1]
-        Xg, Yg = np.meshgrid(xs, ys)
         # a stencil that touches a masked cell leaves a NaN in at least one
         # entry of the jet, and push_jet_arrays masks non-finite jets
-        fields = [jets.u, jets.ux, jets.uy, jets.uxx, jets.uxy, jets.uyy]
+        jet = interior_jets(U)
+        Xg, Yg = np.meshgrid(U.xs()[1:-1], U.ys()[1:-1])
         kind, desc = "grid", f"{U.nx}x{U.ny} grid"
     else:
         raise TypeError(f"unsupported source type {type(U).__name__}")
 
-    x, y, u, ux, uy, uxx, uxy, uyy, jac, valid = push_jet_arrays(
-        *fields, Xg, Yg, eps=eps)
-    if not valid.any():
+    im = push_jet_arrays(jet, Xg, Yg, eps=eps)
+    if not im.jet.valid.any():
         raise EmptyLiftError("every node is degenerate under the contact map")
-    return LiftedSurface(X=Xg, Y=Yg, x=x, y=y, u=u, ux=ux, uy=uy,
-                         uxx=uxx, uxy=uxy, uyy=uyy, jac=jac, valid=valid,
+    j = im.jet
+    return LiftedSurface(X=Xg, Y=Yg, x=im.x, y=im.y, u=j.u, ux=j.ux, uy=j.uy,
+                         uxx=j.uxx, uxy=j.uxy, uyy=j.uyy, jac=im.jacobian, valid=j.valid,
                          source_kind=kind, source_desc=desc)
 
 

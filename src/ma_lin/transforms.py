@@ -1,10 +1,11 @@
 """Contact, Ampere, point, Legendre and rotation transformations.
 
-`push_jet_arrays` is the combined map sending jets of U(X, Y) to jets of u(x, y)
-with x = U_Y, y = U - Y*U_Y, u = X; `contact_map` is its one-jet form.
-`compose_chain` rebuilds the same image by running the four elementary steps
-one after another, each with its own small jet push-forward; it exists so the
-equivalence of the two routes is testable.
+Jets are `JetArrays`: float fields for one point or arrays for many, with the
+same bits for a point either way. `push_jet_arrays` sends jets of U(X, Y) to
+jets of u(x, y) with x = U_Y, y = U - Y*U_Y, u = X, masking where it folds;
+`contact_map` raises there instead. `compose_chain` rebuilds the same image by
+running the four elementary steps one after another, each with its own small
+jet push-forward; it exists so the equivalence of the two routes is testable.
 
 Discrete counterparts: the convex conjugate of sampled 1-D/2-D data, taken as
 the maximum over all (slope, node) pairs, and a column-wise discrete Ampere
@@ -19,12 +20,12 @@ from typing import Union
 import numpy as np
 
 from .expressions import Expr
-from .grids import Grid2, GridGeometry, Jet2, _write_rows, symbolic_jet
+from .grids import Grid2, GridGeometry, JetArrays, _write_rows, symbolic_jet
 
 __all__ = [
     "DEGENERACY_EPS", "TransformError", "DegenerateJetError", "FoldError",
     "ContactImage", "contact_map", "push_jet_arrays",
-    "AmpereImage", "ampere_step", "point_step", "rotation_step",
+    "ampere_step", "point_step", "rotation_step",
     "legendre_point_map", "compose_chain",
     "DualGrid1", "discrete_legendre_1d", "discrete_legendre_2d",
     "ScatteredSamples", "ampere_discrete", "write_scattered", "read_scattered",
@@ -39,55 +40,73 @@ class TransformError(Exception):
 
 
 class DegenerateJetError(TransformError):
-    def __init__(self, quantity: str, value: float):
-        super().__init__(f"degenerate jet: |{quantity}| = {abs(value):.3e} <= {DEGENERACY_EPS}")
+    """`quantity` is at most `eps` in absolute value at flat index `index`,
+    or, for the quantity "non-finite", `value` is a non-finite jet entry."""
+
+    def __init__(self, quantity: str, value: float, eps: float, index: int):
+        super().__init__(f"degenerate jet at flat index {index}: " + (
+            f"non-finite entry {value}" if quantity == "non-finite"
+            else f"|{quantity}| = {abs(value):.3e} <= {eps}"))
         self.quantity = quantity
         self.value = value
+        self.eps = eps
+        self.index = index
 
 
 class FoldError(TransformError):
     pass
 
 
+def _raise_first(quantity: str, value, eps: float, bad=None) -> None:
+    """Raise DegenerateJetError at the first flat index where `bad` holds,
+    by default where |value| <= eps."""
+    bad = abs(value) <= eps if bad is None else bad
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad))
+        raise DegenerateJetError(quantity, float(np.ravel(value)[k]), eps, k)
+
+
+def _require_finite(jet: JetArrays, eps: float) -> None:
+    """Raise for the first non-finite entry, u first and u_yy last."""
+    if not jet.finite().all():
+        for a in jet.entries():
+            _raise_first("non-finite", a, eps, ~np.isfinite(a))
+
+
 @dataclass(frozen=True)
 class ContactImage:
-    x: float
-    y: float
-    jet: Jet2  # jet of u at (x, y)
-    jacobian: float  # det of the (X,Y) -> (x,y) map, equals -U_X * U_YY
+    x: np.ndarray
+    y: np.ndarray
+    jet: JetArrays  # jet of u at (x, y)
+    jacobian: np.ndarray  # det of the (X,Y) -> (x,y) map, equals -U_X * U_YY
 
 
-def contact_map(jet_U: Jet2, X: float, Y: float, eps: float = DEGENERACY_EPS) -> ContactImage:
-    """Push a jet of U at (X, Y) through x=U_Y, y=U-Y*U_Y, u=X.
+def contact_map(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
+    """Push jets of U at (X, Y) through x=U_Y, y=U-Y*U_Y, u=X.
 
-    A single-node call of push_jet_arrays.  Where that call masks the node,
-    raises DegenerateJetError for the first of |U_X|, |U_YY| and the
-    jacobian at or below the threshold; those are the fold lines of the map.
+    push_jet_arrays, except that where it would mask a point this raises
+    DegenerateJetError for the first of a non-finite entry, |U_X|, |U_YY|
+    and the jacobian at or below eps; those are the fold lines of the map.
     """
-    x, y, u, ux, uy, uxx, uxy, uyy, jac, valid = push_jet_arrays(
-        jet_U.u, jet_U.ux, jet_U.uy, jet_U.uxx, jet_U.uxy, jet_U.uyy, X, Y, eps=eps)
-    if not valid:
+    im = push_jet_arrays(jet_U, X, Y, eps=eps)
+    if not im.jet.valid.all():
+        _require_finite(jet_U, eps)
         for quantity, value in (("U_X", jet_U.ux), ("U_YY", jet_U.uyy),
                                 ("jacobian", -jet_U.ux * jet_U.uyy)):
-            if abs(value) <= eps:
-                raise DegenerateJetError(quantity, value)
-    jet = Jet2(*(float(a) for a in (u, ux, uy, uxx, uxy, uyy)))
-    return ContactImage(x=float(x), y=float(y), jet=jet, jacobian=float(jac))
+            _raise_first(quantity, value, eps)
+    return im
 
 
-def push_jet_arrays(U, UX, UY, UXX, UXY, UYY, X, Y, eps: float = DEGENERACY_EPS):
-    """Push arrays of jets of U at (X, Y) through the contact map, node by node.
+def push_jet_arrays(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
+    """Push jets of U at (X, Y) through the contact map, point by point.
 
-    Returns (x, y, u, ux, uy, uxx, uxy, uyy, jac, valid); entries where the
-    map degenerates (or inputs are non-finite) are NaN with valid=False.
+    The image jet is valid where the source entries are finite and |U_X|,
+    |U_YY| and the jacobian exceed eps; elsewhere every image field is NaN.
     """
-    arrs = [np.asarray(a, dtype=np.float64) for a in (U, UX, UY, UXX, UXY, UYY, X, Y)]
-    U, UX, UY, UXX, UXY, UYY, X, Y = arrs
-    fin = np.isfinite(U)
-    for a in arrs[1:6]:
-        fin = fin & np.isfinite(a)
+    U, UX, UY, UXX, UXY, UYY, X, Y = (np.asarray(a, dtype=np.float64)
+                                      for a in (*jet_U.entries(), X, Y))
     jac = -UX * UYY
-    valid = fin & (np.abs(UX) > eps) & (np.abs(UYY) > eps) & (np.abs(jac) > eps)
+    valid = jet_U.finite() & (np.abs(UX) > eps) & (np.abs(UYY) > eps) & (np.abs(jac) > eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = 1.0 / (UX * UX * UX * UYY)
         x = UY + 0.0 * U
@@ -98,106 +117,100 @@ def push_jet_arrays(U, UX, UY, UXX, UXY, UYY, X, Y, eps: float = DEGENERACY_EPS)
         uxx = (Y * Y * UXY * UXY - Y * Y * UXX * UYY - 2 * Y * UX * UXY + UX * UX) * c
         uxy = (Y * UXY * UXY - Y * UXX * UYY - UX * UXY) * c
         uyy = (UXY * UXY - UXX * UYY) * c
-    out = (x, y, u, ux, uy, uxx, uxy, uyy, jac)
-    return (*(np.where(valid, a, np.nan) for a in out), valid)
+    x, y, u, ux, uy, uxx, uxy, uyy, jac = (
+        np.where(valid, a, np.nan)[()] for a in (x, y, u, ux, uy, uxx, uxy, uyy, jac))
+    return ContactImage(x=x, y=y, jet=JetArrays(u, ux, uy, uxx, uxy, uyy, valid=valid),
+                        jacobian=jac)
 
 
-@dataclass(frozen=True)
-class AmpereImage:
-    x: float
-    y: float
-    u: float
-    dy_dbeta: float  # V_beta_beta; local invertibility indicator
+def ampere_step(V: Union[JetArrays, Expr], alpha, beta, eps: float = DEGENERACY_EPS):
+    """The one-variable Legendre-type step x=alpha, y=V_beta, u=V-beta*V_beta.
 
-
-def ampere_step(V: Union[Jet2, Expr], alpha: float, beta: float,
-                eps: float = DEGENERACY_EPS) -> AmpereImage:
-    """The one-variable Legendre-type step x=alpha, y=V_beta, u=V-beta*V_beta."""
+    Returns (x, y, u); V_beta_beta at or below eps makes the step a fold.
+    """
     if isinstance(V, Expr):
         V = symbolic_jet(V, ("alpha", "beta"), alpha, beta)
-    if abs(V.uyy) <= eps:
-        raise DegenerateJetError("V_beta_beta", V.uyy)
-    return AmpereImage(x=alpha, y=V.uy, u=V.u - beta * V.uy, dy_dbeta=V.uyy)
+    _raise_first("V_beta_beta", V.uyy, eps)
+    return alpha, V.uy, V.u - beta * V.uy
 
 
-def point_step(xi: float, eta: float, W: float,
-               eps: float = DEGENERACY_EPS) -> tuple[float, float, float]:
+def point_step(xi, eta, W, eps: float = DEGENERACY_EPS):
     """alpha = xi, beta = 1/eta, V = W/eta."""
-    if abs(eta) <= eps:
-        raise DegenerateJetError("eta", eta)
+    _raise_first("eta", eta, eps)
     return xi, 1.0 / eta, W / eta
 
 
-def rotation_step(tau: float, sigma: float, Z: float) -> tuple[float, float, float]:
+def rotation_step(tau, sigma, Z):
     """Invert tau = -Y, sigma = X, Z = -U: returns (X, Y, U)."""
     return sigma, -tau, -Z
 
 
-def legendre_point_map(jet: Jet2, X: float, Y: float,
-                       eps: float = DEGENERACY_EPS) -> tuple[float, float, Jet2]:
-    """Full Legendre map x=U_X, y=U_Y, u=X*U_X+Y*U_Y-U on a nondegenerate jet.
+def legendre_point_map(jet: JetArrays, X, Y, eps: float = DEGENERACY_EPS):
+    """Full Legendre map x=U_X, y=U_Y, u=X*U_X+Y*U_Y-U on nondegenerate jets.
 
-    The image second derivatives are the inverse Hessian, so applying the map
-    twice is the identity.
+    Returns (x, y, image jet). The image second derivatives are the inverse
+    Hessian, so applying the map twice is the identity.
     """
+    _require_finite(jet, eps)
     det = jet.hessian_det()
-    if abs(det) <= eps:
-        raise DegenerateJetError("U_XX*U_YY - U_XY^2", det)
-    image = Jet2(
+    _raise_first("U_XX*U_YY - U_XY^2", det, eps)
+    image = JetArrays(
         u=X * jet.ux + Y * jet.uy - jet.u,
         ux=X,
         uy=Y,
         uxx=jet.uyy / det,
         uxy=-jet.uxy / det,
         uyy=jet.uxx / det,
+        valid=jet.valid,
     )
     return jet.ux, jet.uy, image
 
 
-def compose_chain(U: Expr, X: float, Y: float, eps: float = DEGENERACY_EPS) -> ContactImage:
+def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     """Run the four elementary steps in sequence starting from U(X, Y).
 
     Each step pushes the full second-order jet with the chain rule for that
     step alone; nothing here reuses the combined contact_map formulas, so
     agreement between the two is a real consistency check.  Every intermediate
-    nondegeneracy condition must hold at the point.
+    nondegeneracy condition must hold at every point.
     """
     jU = symbolic_jet(U, ("X", "Y"), X, Y)
 
     # rotation/scaling, inverted: tau=-Y, sigma=X, Z=-U
     tau, sigma = -Y, X
-    zjet = Jet2(u=-jU.u, ux=jU.uy, uy=-jU.ux,
-                uxx=-jU.uyy, uxy=jU.uxy, uyy=-jU.uxx)
+    zjet = JetArrays(u=-jU.u, ux=jU.uy, uy=-jU.ux,
+                     uxx=-jU.uyy, uxy=jU.uxy, uyy=-jU.uxx, valid=jU.valid)
     det_z = zjet.hessian_det()
 
     # Legendre: (tau, sigma, Z) -> (xi, eta, W)
     xi, eta, wjet = legendre_point_map(zjet, tau, sigma, eps=eps)
 
     # point step, inverted: alpha=xi, beta=1/eta, V=beta*W
-    if abs(eta) <= eps:
-        raise DegenerateJetError("eta", eta)
+    _raise_first("eta", eta, eps)
     alpha, beta = xi, 1.0 / eta
-    vjet = Jet2(
+    vjet = JetArrays(
         u=beta * wjet.u,
         ux=beta * wjet.ux,
         uy=wjet.u - eta * wjet.uy,
         uxx=beta * wjet.uxx,
         uxy=wjet.ux - eta * wjet.uxy,
-        uyy=eta ** 3 * wjet.uyy,
+        uyy=eta * eta * eta * wjet.uyy,
+        valid=wjet.valid,
     )
 
     # Ampere step: x=alpha, y=V_beta, u=V-beta*V_beta
-    am = ampere_step(vjet, alpha, beta, eps=eps)
-    ujet = Jet2(
-        u=am.u,
+    x, y, u = ampere_step(vjet, alpha, beta, eps=eps)
+    ujet = JetArrays(
+        u=u,
         ux=vjet.ux,
         uy=-beta,
-        uxx=vjet.uxx - vjet.uxy ** 2 / vjet.uyy,
+        uxx=vjet.uxx - vjet.uxy * vjet.uxy / vjet.uyy,
         uxy=vjet.uxy / vjet.uyy,
         uyy=-1.0 / vjet.uyy,
+        valid=vjet.valid,
     )
-    jac = vjet.uyy * (-1.0 / eta ** 2) * det_z
-    return ContactImage(x=am.x, y=am.y, jet=ujet, jacobian=jac)
+    jac = vjet.uyy * (-1.0 / (eta * eta)) * det_z
+    return ContactImage(x=x, y=y, jet=ujet, jacobian=jac)
 
 
 # ---------------------------------------------------------------------------

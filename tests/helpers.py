@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ma_lin.expressions import Expr, evaluate, parse
-from ma_lin.grids import jet_exprs
+from ma_lin.grids import JetArrays, jet_exprs
 
 
 def percent_g_rows(rows) -> bytes:
@@ -36,6 +36,49 @@ def brute_conjugate_2d(xs, ys, Z, xi, eta) -> np.ndarray:
         for k, s in enumerate(xi):
             out[l, k] = np.max(np.subtract.outer(e * np.asarray(ys), -s * np.asarray(xs)) - Z)
     return out
+
+
+def point_jet(u, ux, uy, uxx, uxy, uyy) -> JetArrays:
+    """The jet of one point, six floats."""
+    return JetArrays(u, ux, uy, uxx, uxy, uyy, valid=True)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bits, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def jacobian_reference(kind: str, jet: tuple, material_point=None) -> float:
+    """Total map jacobian of one potential jet (u, ux, uy, uxx, uxy, uyy) of
+    floats: the Hessian determinant, divided by |grad W|^4 for from-W and by
+    (X^2+Y^2)^2 for the inversion-chart kinds."""
+    _, ux, uy, uxx, uxy, uyy = jet
+    det = uxx * uyy - uxy * uxy
+    if kind in ("from-U", "axisym-U"):
+        return det
+    if kind == "from-W":
+        g2 = ux * ux + uy * uy
+        return det / (g2 * g2)
+    X, Y = material_point
+    r2 = X * X + Y * Y
+    return det / (r2 * r2)
+
+
+def ma_residual_reference(kind: str, jet: tuple, point: tuple) -> float:
+    """Balance residual det - F of one potential jet of floats at its own
+    chart point (a, b), F as the kind's balance equation states it."""
+    u, ux, uy, uxx, uxy, uyy = jet
+    a, b = point
+    det = uxx * uyy - uxy * uxy
+    r2 = a * a + b * b
+    F = {"from-U": lambda: 1.0,
+         "from-W": lambda: (ux * ux + uy * uy) * (ux * ux + uy * uy),
+         "from-V": lambda: 1.0 / (r2 * r2),
+         "membrane": lambda: 1.0 / (r2 * r2) / (a * ux + b * uy - u),
+         "axisym-U": lambda: a / ux,
+         "axisym-V": lambda: a / (r2 * r2 * ux)}[kind]()
+    return det - F
 
 
 def measured_order(err_coarse: float, err_fine: float) -> float:

@@ -12,13 +12,13 @@ import time
 
 import numpy as np
 
-from helpers import measured_order, seeded_closed_forms
+from helpers import measured_order, point_jet, seeded_closed_forms
 from ma_lin.cli import main as cli_main
 from ma_lin.equations import (catalog, catalog_get, classification_report,
                               classify, khabirov_push, linear_coefficient,
                               residual)
 from ma_lin.expressions import evaluate, parse
-from ma_lin.grids import (Grid2, GridGeometry, Jet2, geometry_from_domain,
+from ma_lin.grids import (Grid2, GridGeometry, geometry_from_domain,
                           interior_jets, sample, symbolic_jet)
 from ma_lin.lift import PipelineConfig, lift_parametric, pipeline, verify_lift
 from ma_lin.linsolve import mms_source, problem_from_exprs, solve_dirichlet
@@ -55,7 +55,7 @@ def test_criterion_1_linearization_identity():
         Y = float(rng.uniform(0.8, 1.2))
         jU = symbolic_jet(U, ("X", "Y"), X, Y)
         fXY = evaluate(coeff, {"X": X, "Y": Y})
-        jet = Jet2(jU.u, jU.ux, jU.uy, -fXY * jU.uyy, jU.uxy, jU.uyy)
+        jet = point_jet(jU.u, jU.ux, jU.uy, -fXY * jU.uyy, jU.uxy, jU.uyy)
         im = contact_map(jet, X, Y)
         r = residual(eq, im.jet, im.x, im.y)
         F = evaluate(eq.F, {"x": im.x, "y": im.y, "u": im.jet.u,

@@ -8,8 +8,9 @@ from ma_lin.elasticity import (AxisymDeformation, ElasticityError,
                                deformation_from_dict, incompressibility_check,
                                inversion_coords, jacobian, jacobian_from_jet,
                                ma_residual_from_jet)
+from helpers import jacobian_reference, ma_residual_reference, point_jet, same_bits
 from ma_lin.expressions import parse
-from ma_lin.grids import Jet2, JetArrays, symbolic_jet
+from ma_lin.grids import JetArrays, symbolic_jet
 from ma_lin.lift import PipelineConfig, pipeline
 
 
@@ -134,7 +135,7 @@ def test_constructed_jets_satisfying_gradient_quartic_give_unit_jacobian():
         WXX = rng.uniform(0.3, 2) * rng.choice((-1, 1))
         g2 = WX * WX + WY * WY
         WYY = (WXY ** 2 + g2 ** 2) / WXX
-        jet = Jet2(0.0, WX, WY, WXX, WXY, WYY)
+        jet = point_jet(0.0, WX, WY, WXX, WXY, WYY)
         assert abs(jacobian_from_jet("from-W", jet) - 1.0) <= 1e-10
         assert abs(ma_residual_from_jet("from-W", jet, (0.0, 0.0))) <= 1e-9
 
@@ -148,7 +149,7 @@ def test_constructed_jets_satisfying_inverted_plane_strain_give_unit_jacobian():
         Vab = rng.uniform(-2, 2)
         rhs = (a * a + b * b) ** -2
         Vbb = (Vab ** 2 + rhs) / Vaa
-        jet = Jet2(0.0, rng.uniform(-1, 1), rng.uniform(-1, 1), Vaa, Vab, Vbb)
+        jet = point_jet(0.0, rng.uniform(-1, 1), rng.uniform(-1, 1), Vaa, Vab, Vbb)
         J = jacobian_from_jet("from-V", jet, material_point=(X, Y))
         assert abs(J - 1.0) <= 1e-10
 
@@ -159,30 +160,39 @@ def test_axisym_residual_reporters():
     UR = 2.0
     UXX, UXY = 1.0, 0.5
     UYY = (UXY ** 2 + R / UR) / UXX
-    jet = Jet2(0.0, UR, 1.0, UXX, UXY, UYY)
+    jet = point_jet(0.0, UR, 1.0, UXX, UXY, UYY)
     assert abs(ma_residual_from_jet("axisym-U", jet, (R, Z))) <= 1e-12
 
 
-def test_jet_formulas_agree_bitwise_between_jet2_and_jet_arrays():
-    # one jet passed as a Jet2 or inside JetArrays must give the same bits;
-    # Python's x**2 is libm pow and numpy's is a square, which differ in the
-    # last bit on some inputs
+def test_jet_formulas_match_scalar_references_bit_for_bit():
+    # every array entry must carry the bits of the scalar formula at that
+    # jet; a power such as x**3 on a float and on an array can differ in the
+    # last bit, so both sides write powers as products
     rng = np.random.default_rng(31)
     n = 2000
     cols = rng.uniform(-2.0, 2.0, (6, n))
     pts = rng.uniform(0.2, 2.0, (2, n)) * rng.choice((-1.0, 1.0), (2, n))
     arrays = JetArrays(*cols, valid=np.ones(n, dtype=bool))
-    jets = [Jet2(*cols[:, k].tolist()) for k in range(n)]
+    jets = [tuple(cols[:, k].tolist()) for k in range(n)]
     points = [tuple(pts[:, k].tolist()) for k in range(n)]
     for kind in ("from-U", "from-W", "from-V", "axisym-U", "axisym-V", "membrane"):
         needs_point = kind in ("from-V", "axisym-V", "membrane")
         J = jacobian_from_jet(kind, arrays, tuple(pts) if needs_point else None)
         R = ma_residual_from_jet(kind, arrays, tuple(pts))
-        J1 = [jacobian_from_jet(kind, jet, p if needs_point else None)
-              for jet, p in zip(jets, points)]
-        R1 = [ma_residual_from_jet(kind, jet, p) for jet, p in zip(jets, points)]
-        assert np.array_equal(J, J1), kind
-        assert np.array_equal(R, R1), kind
+        J1 = [jacobian_reference(kind, jet, p) for jet, p in zip(jets, points)]
+        R1 = [ma_residual_reference(kind, jet, p) for jet, p in zip(jets, points)]
+        assert same_bits(J, J1), kind
+        assert same_bits(R, R1), kind
+
+
+def test_jacobian_of_an_array_of_points_equals_the_single_points():
+    rng = np.random.default_rng(32)
+    X, Y = rng.uniform(0.3, 1.5, (2, 50))
+    for d in (PlaneDeformation("from-U", parse("sin(X)*cosh(Y) + X^2*Y")),
+              PlaneDeformation("from-W", parse("X^2 - Y*arctan(Y) + 0.2*X*Y")),
+              PlaneDeformation("from-V", parse("(alpha^2+beta^2)/2 + alpha^3/3"))):
+        singles = [jacobian(d, p) for p in zip(X.tolist(), Y.tolist())]
+        assert same_bits(jacobian(d, (X, Y)), singles), d.kind
 
 
 # ---------------------------------------------------------------------------

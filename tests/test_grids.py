@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from helpers import measured_order, percent_g_rows, stencil_jet
 from ma_lin.expressions import Const, Var, diff, evaluate, parse
 from ma_lin.grids import (Grid2, GridError, GridFormatError, GridGeometry,
-                          Jet2, MaskedGrid2, _format_rows, geometry_from_domain,
+                          MaskedGrid2, _format_rows, geometry_from_domain,
                           interior_jets, jet_exprs, read_grid, sample,
                           symbolic_jet, write_grid)
 
@@ -20,13 +20,6 @@ def _unit_geom(n=3):
 
 # ---------------------------------------------------------------------------
 # types
-
-def test_jet_requires_finite_entries():
-    with pytest.raises(ValueError):
-        Jet2(1.0, math.inf, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Jet2(1.0, 0.0, math.nan, 0.0, 0.0, 0.0)
-
 
 def test_grid_shape_and_inf_checks():
     with pytest.raises(GridError):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_conjugate, brute_conjugate_2d, invert_contact_point,
-                     measured_order, seeded_closed_forms, percent_g_rows)
+                     measured_order, point_jet, same_bits, seeded_closed_forms,
+                     percent_g_rows)
 from ma_lin.expressions import parse
-from ma_lin.grids import (Grid2, GridGeometry, Jet2, geometry_from_domain,
+from ma_lin.grids import (Grid2, GridGeometry, JetArrays, geometry_from_domain,
                           interior_jets, sample, symbolic_jet)
 from ma_lin.transforms import (DEGENERACY_EPS, DegenerateJetError, FoldError,
                                TransformError, ampere_discrete, ampere_step,
@@ -18,6 +19,13 @@ from ma_lin.transforms import (DEGENERACY_EPS, DegenerateJetError, FoldError,
                                read_scattered, rotation_step, write_scattered)
 
 SQRT_SOLUTION = parse("sqrt(y - x^2/4)")  # image of X^2 - Y^2 under the map
+# U = c U* for the two lift families, plane-strain-class and grad-inversion
+_LIFT_FAMILIES = ("1.1*(X^2-Y^2)", "0.9*(X^2 - Y*arctan(Y))")
+
+
+def _image_fields(im):
+    """The nine fields of a contact image, in the benchmark's column order."""
+    return (im.x, im.y, im.jacobian, *im.jet.entries())
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +52,42 @@ def test_contact_map_residual_identity_harmonic_source():
 
 def test_contact_map_degenerate_jet():
     with pytest.raises(DegenerateJetError):
-        contact_map(Jet2(0.0, 1.0, 1.0, 1.0, 0.0, 0.0), 0.0, 0.0)
+        contact_map(point_jet(0.0, 1.0, 1.0, 1.0, 0.0, 0.0), 0.0, 0.0)
     with pytest.raises(DegenerateJetError):
-        contact_map(Jet2(0.0, 0.0, 1.0, 1.0, 0.0, 1.0), 0.0, 0.0)
+        contact_map(point_jet(0.0, 0.0, 1.0, 1.0, 0.0, 1.0), 0.0, 0.0)
+
+
+def test_degenerate_jet_error_quotes_the_threshold_in_force():
+    with pytest.raises(DegenerateJetError) as exc:
+        contact_map(point_jet(0.0, 5e-4, 1.0, 1.0, 0.0, 1.0), 0.0, 0.0, eps=1e-3)
+    assert (exc.value.quantity, exc.value.eps) == ("U_X", 1e-3)
+    assert "|U_X| = 5.000e-04 <= 0.001" in str(exc.value)
+    # the Legendre step of X^2-Y^2 has Hessian determinant -4 everywhere
+    with pytest.raises(DegenerateJetError) as exc:
+        compose_chain(parse("X^2-Y^2"), 1, 1, eps=10)
+    assert exc.value.eps == 10
+    assert str(exc.value).endswith("4.000e+00 <= 10")
+
+
+def test_jet_requires_finite_entries():
+    # a non-finite entry is rejected by name, never pushed on to NaNs
+    for k, bad in ((1, math.inf), (2, math.nan), (5, -math.inf)):
+        entries = [1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+        entries[k] = bad
+        with pytest.raises(DegenerateJetError) as exc:
+            contact_map(point_jet(*entries), 0.5, 0.5)
+        assert exc.value.quantity == "non-finite" and exc.value.index == 0
+        assert str(bad) in str(exc.value)
+    U = np.ones(5)
+    U[3] = math.nan
+    with pytest.raises(DegenerateJetError) as exc:
+        contact_map(JetArrays(U, *np.ones((5, 5)), valid=np.ones(5, bool)), 0.5, 0.5)
+    assert exc.value.quantity == "non-finite" and exc.value.index == 3
+    # a NaN point, and a point where U = X^2 - Y^2 overflows to inf
+    for X in (math.nan, 1e200):
+        with pytest.raises(DegenerateJetError) as exc:
+            compose_chain(parse("X^2-Y^2"), np.array([1.0, X]), 1.0)
+        assert exc.value.quantity == "non-finite" and exc.value.index == 1
 
 
 def test_contact_map_raises_exactly_where_push_jet_arrays_masks():
@@ -56,15 +97,18 @@ def test_contact_map_raises_exactly_where_push_jet_arrays_masks():
     J["b"][:6] = [0.0, 1e-9, -1e-8, 1e-4, 1e-4, 2e-8]
     J["f"][6:12] = [0.0, -1e-9, 1e-8, 1e-4, 1e-4, 3e-4]
     X, Y = rng.uniform(-1, 1, 60), rng.uniform(-1, 1, 60)
-    *fields, valid = push_jet_arrays(J["a"], J["b"], J["c"], J["d"], J["e"], J["f"], X, Y)
+    jets = JetArrays(*(J[c] for c in "abcdef"), valid=np.ones(60, bool))
+    pushed = push_jet_arrays(jets, X, Y)
+    fields, valid = _image_fields(pushed), pushed.jet.valid
     assert 0 < valid.sum() < 60
+    with pytest.raises(DegenerateJetError) as exc:
+        contact_map(jets, X, Y)
+    assert (exc.value.quantity, exc.value.index) == ("U_X", 0)
     for k in range(60):
-        jet = Jet2(*(float(J[c][k]) for c in "abcdef"))
+        jet = point_jet(*(float(J[c][k]) for c in "abcdef"))
         if valid[k]:
             im = contact_map(jet, X[k], Y[k])
-            entries = ("u", "ux", "uy", "uxx", "uxy", "uyy")
-            got = (im.x, im.y, *(getattr(im.jet, c) for c in entries), im.jacobian)
-            assert got == tuple(a[k] for a in fields)
+            assert _image_fields(im) == tuple(a[k] for a in fields)
         else:
             with pytest.raises(DegenerateJetError) as exc:
                 contact_map(jet, X[k], Y[k])
@@ -79,14 +123,11 @@ def test_contact_map_raises_exactly_where_push_jet_arrays_masks():
 
 def test_ampere_step_quadratic():
     # V = a^2 - b^2 at (1, 1): V_b = -2, u = V - b V_b = 0 + 2 = 2
-    im = ampere_step(parse("alpha^2-beta^2"), 1.0, 1.0)
-    assert (im.x, im.y, im.u) == (1.0, -2.0, 2.0)
-    assert im.dy_dbeta == -2.0
+    assert ampere_step(parse("alpha^2-beta^2"), 1.0, 1.0) == (1.0, -2.0, 2.0)
 
 
 def test_ampere_step_half_square():
-    im = ampere_step(parse("beta^2/2"), 0.0, 1.0)
-    assert (im.x, im.y, im.u) == (0.0, 1.0, -0.5)
+    assert ampere_step(parse("beta^2/2"), 0.0, 1.0) == (0.0, 1.0, -0.5)
 
 
 def test_ampere_step_degenerate():
@@ -141,7 +182,7 @@ def test_legendre_is_an_involution(vals, X, Y):
     det = uxx * uyy - uxy * uxy
     if abs(det) < 1e-3:
         return
-    jet = Jet2(u, ux, uy, uxx, uxy, uyy)
+    jet = point_jet(u, ux, uy, uxx, uxy, uyy)
     x1, y1, j1 = legendre_point_map(jet, X, Y)
     x2, y2, j2 = legendre_point_map(j1, x1, y1)
     assert abs(x2 - X) <= 1e-12 * (1 + abs(X))
@@ -153,7 +194,7 @@ def test_legendre_is_an_involution(vals, X, Y):
 
 def test_legendre_rejects_singular_hessian():
     with pytest.raises(DegenerateJetError):
-        legendre_point_map(Jet2(0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.0, 0.0)
+        legendre_point_map(point_jet(0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +212,72 @@ def test_compose_chain_example():
         assert abs(getattr(im.jet, k) - getattr(ref.jet, k)) <= 1e-12
 
 
+def _assert_chain_agrees(U, X, Y, label):
+    ref = contact_map(symbolic_jet(U, ("X", "Y"), X, Y), X, Y)
+    im = compose_chain(U, X, Y)
+    names = ("x", "y", "jac", "u", "ux", "uy", "uxx", "uxy", "uyy")
+    for name, a, b in zip(names, _image_fields(im), _image_fields(ref)):
+        assert np.all(np.abs(a - b) <= 1e-10 * (1 + np.abs(b))), (label, name)
+
+
 def test_compose_chain_agrees_with_contact_map_everywhere():
     rng = np.random.default_rng(11)
     for text in _CHAIN_FORMS:
         U = parse(text)
-        done = 0
-        while done < 100:
+        points = []
+        while len(points) < 100:
             X = float(rng.uniform(0.6, 1.7))
             Y = float(rng.uniform(0.6, 1.7))
             jet = symbolic_jet(U, ("X", "Y"), X, Y)
             det = jet.hessian_det()
             if (abs(jet.ux) < 1e-3 or abs(jet.uyy) < 1e-3 or abs(det) < 1e-3):
                 continue
-            ref = contact_map(jet, X, Y)
-            im = compose_chain(U, X, Y)
-            for name, a, b in (("x", im.x, ref.x), ("y", im.y, ref.y),
-                               ("jac", im.jacobian, ref.jacobian)):
-                assert abs(a - b) <= 1e-10 * (1 + abs(b)), (text, name)
-            for k in ("u", "ux", "uy", "uxx", "uxy", "uyy"):
-                a, b = getattr(im.jet, k), getattr(ref.jet, k)
-                assert abs(a - b) <= 1e-10 * (1 + abs(b)), (text, k)
-            done += 1
+            _assert_chain_agrees(U, X, Y, text)
+            points.append((X, Y))
+        _assert_chain_agrees(U, *np.array(points).T, text)
+
+
+def test_array_calls_equal_single_point_calls_bit_for_bit():
+    rng = np.random.default_rng(13)
+    X, Y = rng.uniform(0.5, 1.5, (2, 200))
+    pts = list(zip(X.tolist(), Y.tolist()))
+    for text in _LIFT_FAMILIES:
+        U = parse(text)
+        jets = symbolic_jet(U, ("X", "Y"), X, Y)
+        singles = [symbolic_jet(U, ("X", "Y"), a, b) for a, b in pts]
+        assert np.all(jets.valid)
+        for a, b in zip(jets.entries(), zip(*(j.entries() for j in singles))):
+            assert same_bits(a, b), text
+        for name, images, single in (
+                ("chain", compose_chain(U, X, Y), [compose_chain(U, a, b) for a, b in pts]),
+                ("contact", contact_map(jets, X, Y),
+                 [contact_map(j, a, b) for j, (a, b) in zip(singles, pts)])):
+            for a, b in zip(_image_fields(images), zip(*map(_image_fields, single))):
+                assert same_bits(a, b), (text, name)
+
+
+def test_benchmark_point_calls_match_the_array_push():
+    # the closed-form benchmark calls compose_chain and
+    # contact_map(symbolic_jet(...)) once per row of a float64 point array
+    # and stacks each image's nine fields into one row
+    rng = np.random.default_rng(14)
+    points = rng.uniform(0.5, 1.5, (50, 2))
+    X, Y = points[:, 0], points[:, 1]
+
+    def fields(images):
+        return np.array([(m.x, m.y, m.jacobian, m.jet.u, m.jet.ux, m.jet.uy,
+                          m.jet.uxx, m.jet.uxy, m.jet.uyy) for m in images]).reshape(-1, 9)
+
+    for text in _LIFT_FAMILIES:
+        U = parse(text)
+        assert all(type(X0) is np.float64 for X0, _ in points)
+        chained = fields([compose_chain(U, X0, Y0) for X0, Y0 in points])
+        direct = fields([contact_map(symbolic_jet(U, ("X", "Y"), X0, Y0), X0, Y0)
+                         for X0, Y0 in points])
+        pushed = np.column_stack(_image_fields(
+            push_jet_arrays(symbolic_jet(U, ("X", "Y"), X, Y), X, Y)))
+        assert direct.dtype == np.float64 and same_bits(direct, pushed), text
+        assert np.all(np.abs(chained - pushed) <= 1e-9 * (1 + np.abs(pushed))), text
 
 
 def test_compose_chain_degenerate_from_chain():
@@ -223,7 +309,7 @@ def _surface_patch(U, x0, y0, X0, Y0, h):
 
 def _patch_jet(patch, h):
     jets = interior_jets(Grid2(GridGeometry(5, 5, 0.0, 0.0, h, h), patch))
-    return Jet2(*(float(getattr(jets, k)[1, 1]) for k in ("u", "ux", "uy", "uxx", "uxy", "uyy")))
+    return point_jet(*(float(a[1, 1]) for a in jets.entries()))
 
 
 def test_pushforward_matches_surface_differentiation():
