@@ -3,29 +3,35 @@
 Five-point scheme, solved by geometric multigrid (Briggs, Henson and
 McCormick, *A Multigrid Tutorial*): V-cycles of alternating zebra line
 relaxation, which stays robust when f makes the problem strongly anisotropic.
-Each level keeps every other node of the finer one, so any grid with at least
-3 nodes per axis coarsens down to one with 3 nodes on some axis, where a
-single line solve is exact; an axis with an even node count merges its last
-three intervals into one.  Transfers are 1-D linear interpolation and its
-transpose weighted by control-volume width (full weighting on a uniform
-axis).  Coarse levels are rediscretised on their (possibly non-uniform) nodes
-with f carried down by that same restriction: the average a smooth error's
-restricted defect actually sees, where plain injection of a fast-varying f
-such as exp(3*Y) makes the cycle diverge.
+Each level keeps every other node of the finer one; an axis with an even node
+count merges its last three intervals into one.  The hierarchy ends at the
+first level with 3 nodes on some axis, where a single line solve is exact,
+or before it at the first coarse level whose interior has at most
+DIRECT_SIDE nodes on each axis, which is solved exactly by a dense inverse
+built once per solve.
+Transfers are 1-D linear interpolation and its transpose weighted by
+control-volume width (full weighting on a uniform axis).  Coarse levels are
+rediscretised on their (possibly non-uniform) nodes with f carried down by
+that same restriction: the average a smooth error's restricted defect
+actually sees, where plain injection of a fast-varying f such as exp(3*Y)
+makes the cycle diverge.
 
 Each zebra half-step solves every line of one colour exactly, all at once,
 by cyclic reduction (see `_Lines`): about 2 log2 L whole-array steps for
 lines of L nodes.  One V-cycle is thus O(nodes) arithmetic in O(log^2 n)
-numpy calls, and the cycle count does not grow with n.
+numpy calls, and the cycle count does not grow with n.  Below the direct
+level the coarse grids would cost about as many numpy calls per cycle as the
+fine ones while holding almost none of the nodes; one multiply-and-sum with
+the inverse replaces them.
 
-Every operation in a cycle is elementwise numpy arithmetic in a fixed order,
-with no BLAS or LAPACK call, so a given problem always produces a
-bit-identical solution whatever the thread count.  Convergence is declared on
-the max-norm of the discrete residual, matching the scheme the solution is
-supposed to satisfy, against a scale-aware bound: by default
-``max|r| <= FLOOR_FACTOR * residual_floor`` with
-``residual_floor = eps * (2/dx^2 + 2*max f/dy^2) * max|U|``, the size of the
-residual that rounding U to doubles alone can leave.
+Every operation in a cycle, and in building the inverse, is elementwise
+numpy arithmetic or a sum in a fixed order, with no BLAS or LAPACK call, so
+a given problem always produces a bit-identical solution whatever the thread
+count.  Convergence is declared on the max-norm of the discrete residual,
+matching the scheme the solution is supposed to satisfy, against a
+scale-aware bound: by default ``max|r| <= FLOOR_FACTOR * residual_floor``
+with ``residual_floor = eps * (2/dx^2 + 2*max f/dy^2) * max|U|``, the size of
+the residual that rounding U to doubles alone can leave.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .expressions import Const, Expr, Var, diff, evaluate
 from .grids import Grid2, GridGeometry, sample
 
 __all__ = [
-    "FLOOR_FACTOR", "BoundaryValues", "EllipticProblem", "SolveReport",
+    "FLOOR_FACTOR", "DIRECT_SIDE", "BoundaryValues", "EllipticProblem", "SolveReport",
     "NotEllipticError", "NotConvergedError", "solve_dirichlet",
     "boundary_from_expr", "boundary_from_edge_exprs", "problem_from_exprs",
     "mms_source", "constant_f_family", "discrete_residual",
@@ -52,6 +58,14 @@ __all__ = [
 # to 2 floors on grids of 3 to 129 nodes per axis; 4 leaves room for the spread.
 FLOOR_FACTOR = 4.0
 STALL_CYCLES = 3    # give up when this many V-cycles in a row fail to halve the residual
+# A coarse level with at most this many interior nodes on each axis, so at
+# most 256 unknowns, is solved by a dense inverse: at 65x65 the 17x17 level
+# and those below it took 45% of each V-cycle.  The inverse and the products
+# that build it hold at most 16^4 doubles, 0.5 MB.  Bounding the unknowns
+# alone lets a thin level through: the 127-node rows of a 129x4 level took
+# 33 MB and tripled a 257x7 solve, and the 127 rows of a 4x129 level cost
+# more to eliminate one by one than the cycles saved.
+DIRECT_SIDE = 16
 
 
 class NotEllipticError(Exception):
@@ -122,11 +136,15 @@ class SolveReport:
     elapsed: float
     tol: float
     residual_floor: float
+    levels: tuple        # (nx, ny) of each multigrid level, finest first
+    direct_unknowns: int  # interior nodes of the level solved exactly, 0 if none
 
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "residual": self.residual,
                 "converged": self.converged, "elapsed": self.elapsed, "tol": self.tol,
-                "residual_floor": self.residual_floor}
+                "residual_floor": self.residual_floor,
+                "levels": [list(shape) for shape in self.levels],
+                "direct_unknowns": self.direct_unknowns}
 
 
 def discrete_residual(U: np.ndarray, f_int: np.ndarray, g_int: np.ndarray,
@@ -158,37 +176,36 @@ def _stencil(pos: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 def _widths(pos: np.ndarray) -> np.ndarray:
     """Control-volume width of each node."""
     half = np.diff(pos) / 2
-    return np.r_[half, 0.0] + np.r_[0.0, half]
-
-
-def _ell(rows: list[list[tuple[int, float]]]) -> tuple[np.ndarray, np.ndarray]:
-    """A sparse 1-D transfer as (index, weight) arrays of one width, zero-padded."""
-    width = max(len(r) for r in rows)
-    idx = np.zeros((len(rows), width), dtype=np.intp)
-    w = np.zeros((len(rows), width))
-    for k, r in enumerate(rows):
-        for m, (i, v) in enumerate(r):
-            idx[k, m], w[k, m] = i, v
-    return idx, w
+    w = np.zeros(len(pos))
+    w[:-1] = half
+    w[1:] += half
+    return w
 
 
 def _transfers(pos: np.ndarray, keep: np.ndarray):
     """Linear interpolation from the kept nodes to all of pos, and its transpose
-    weighted by control-volume widths (full weighting on a uniform axis).
-    The restriction's weights sum to one on each interior coarse node, and
-    its two boundary rows are empty."""
+    weighted by control-volume widths (full weighting on a uniform axis), each
+    as (index, weight) arrays of one width, zero-padded.  The restriction's
+    weights sum to one on each interior coarse node and come in fine-node
+    order; its two boundary rows are empty."""
     coarse = pos[keep]
-    left = np.clip(np.searchsorted(coarse, pos, side="right") - 1, 0, len(coarse) - 2)
+    nc = len(coarse)
+    left = np.clip(np.searchsorted(coarse, pos, side="right") - 1, 0, nc - 2)
     t = (pos - coarse[left]) / (coarse[left + 1] - coarse[left])
-    prolong = [[(int(m), 1.0 - float(s)), (int(m) + 1, float(s))] for m, s in zip(left, t)]
-    wf, wc = _widths(pos), _widths(coarse)
-    restrict = [[] for _ in coarse]
-    for i, row in enumerate(prolong):
-        for m, v in row:
-            if v != 0.0 and 0 < m < len(coarse) - 1:
-                restrict[m].append((i, v * wf[i] / wc[m]))
-    restrict[0] = restrict[-1] = [(0, 0.0)]
-    return _ell(prolong), _ell(restrict)
+    prolong = np.stack((left, left + 1), axis=1), np.stack((1.0 - t, t), axis=1)
+    # every nonzero interpolation weight into an interior coarse node m,
+    # grouped by m (a stable sort keeps the fine nodes in order)
+    fine, m, v = np.repeat(np.arange(len(pos)), 2), prolong[0].ravel(), prolong[1].ravel()
+    use = (v != 0.0) & (m > 0) & (m < nc - 1)
+    order = np.argsort(m[use], kind="stable")
+    fine, m, v = fine[use][order], m[use][order], v[use][order]
+    counts = np.bincount(m, minlength=nc)
+    slot = np.arange(len(m)) - (np.cumsum(counts) - counts)[m]
+    idx = np.zeros((nc, max(1, int(counts.max()))), dtype=np.intp)
+    w = np.zeros(idx.shape)
+    idx[m, slot] = fine
+    w[m, slot] = v * _widths(pos)[fine] / _widths(coarse)[m]
+    return prolong, (idx, w)
 
 
 def _apply(ell, A: np.ndarray, axis: int) -> np.ndarray:
@@ -270,13 +287,62 @@ class _Lines:
         V[1:-1, cols] = u
 
 
+def _gauss_jordan(T: np.ndarray) -> np.ndarray:
+    """Inverse of a small matrix whose Gauss elimination needs no pivoting."""
+    n = T.shape[0]
+    A = np.concatenate((T, np.eye(n)), axis=1)
+    for k in range(n):
+        row = A[k] / A[k, k]
+        A -= A[:, k, None] * row
+        A[k] = row
+    return A[:, n:]
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matrix product as one multiply and a sum over the leading axis."""
+    return (A.T[:, :, None] * B[:, None, :]).sum(axis=0)
+
+
+def _dense_inverse(W, E, S, N, C) -> np.ndarray:
+    """Inverse of ``W u_w + E u_e + S u_s + N u_n - C u`` on the interior
+    nodes of a grid, zero on its boundary, with the nodes in row-major order.
+
+    Block elimination over the J grid rows of n nodes (Schur complements),
+    without pivoting: the negated operator is an M-matrix.  Row j of it reads
+    ``-S_j u_{j-1} + D_j u_j - N_j u_{j+1}`` with D_j tridiagonal.  Forward,
+    G_j is the inverse of D_j - S_j G_{j-1} N_{j-1}, and block row j of
+    Z = G_j (I_j + S_j Z_{j-1}) holds the eliminated right-hand sides of the
+    identity; backward, X_j = Z_j + G_j N_j X_{j+1}.  About 1.5 J^2 n^3
+    multiply-adds, and J n pivots in sequence, each on an n x 2n array."""
+    J, n = C.shape
+    k = np.arange(n)
+    Z = np.zeros((J, n, J * n))
+    G = []
+    for j in range(J):
+        T = np.zeros((n, n))
+        T[k, k] = C[j]
+        T[k[1:], k[:-1]] = -W[j, 1:]
+        T[k[:-1], k[1:]] = -E[j, :-1]
+        if j:
+            T -= S[j][:, None] * G[-1] * N[j - 1]
+        G.append(_gauss_jordan(T))
+        if j:
+            Z[j, :, :j * n] = _product(G[j] * S[j], Z[j - 1, :, :j * n])
+        Z[j, :, j * n:(j + 1) * n] = G[j]
+    for j in range(J - 2, -1, -1):
+        Z[j] += _product(G[j] * N[j], Z[j + 1])
+    return -Z.reshape(J * n, J * n)
+
+
 class _Level:
     """One level of the hierarchy: the five-point operator
-    ``W u_w + E u_e + S u_s + N u_n - C u`` on nodes at (px*dx, py*dy), its
-    zebra lines, and, unless an axis has 3 nodes, the transfers to the next
-    coarser level and that level."""
+    ``W u_w + E u_e + S u_s + N u_n - C u`` on nodes at (px*dx, py*dy) and
+    either its dense inverse, for a direct level, or its zebra lines and,
+    unless an axis has 3 nodes, the transfers to the next coarser level and
+    that level."""
 
-    def __init__(self, f: np.ndarray, px: np.ndarray, py: np.ndarray, dx: float, dy: float):
+    def __init__(self, f: np.ndarray, px: np.ndarray, py: np.ndarray, dx: float, dy: float,
+                 direct: bool = False):
         self.shape = f.shape
         w, e = _stencil(px, dx)
         s, n = _stencil(py, dy)
@@ -285,16 +351,27 @@ class _Level:
         S, N = fi * s[:, None], fi * n[:, None]
         C = W + E + S + N
         self.op = (W, E, S, N, C)
+        self.coarse = self.inverse = None
+        if direct:
+            self.inverse = _dense_inverse(W, E, S, N, C)
+            return
         # zebra colours: lines at odd full indices first, then at even ones
         self.y_lines = [_Lines(S, N, W, E, C, k) for k in (1, 2) if k < f.shape[1] - 1]
         self.x_lines = [_Lines(W.T, E.T, S.T, N.T, C.T, k) for k in (1, 2)
                         if k < f.shape[0] - 1]
-        self.coarse = None
         if min(f.shape) > 3:
             kx, ky = _coarse_nodes(len(px)), _coarse_nodes(len(py))
             self.prolong_x, self.restrict_x = _transfers(px, kx)
             self.prolong_y, self.restrict_y = _transfers(py, ky)
-            self.coarse = _Level(self.restrict(f), px[kx], py[ky], dx, dy)
+            # a level with 3 nodes on an axis is already solved exactly by
+            # one line solve, with nothing to build
+            self.coarse = _Level(self.restrict(f), px[kx], py[ky], dx, dy,
+                                 direct=3 < min(len(kx), len(ky))
+                                 and max(len(kx), len(ky)) - 2 <= DIRECT_SIDE)
+
+    def levels(self) -> list:
+        """This level and every coarser one."""
+        return [self] + (self.coarse.levels() if self.coarse is not None else [])
 
     def restrict(self, A: np.ndarray) -> np.ndarray:
         return _apply(self.restrict_x, _apply(self.restrict_y, A, 0), 1)
@@ -319,7 +396,13 @@ class _Level:
             lines.solve(U.T, g.T)
 
     def cycle(self, U: np.ndarray, g: np.ndarray) -> None:
-        """One V(1,1)-cycle on U in place; the coarsest level relaxes once."""
+        """One V(1,1)-cycle on U in place; the coarsest level relaxes once.  A
+        direct level solves exactly instead, for the zero boundary values a
+        coarse correction has."""
+        if self.inverse is not None:
+            inner = U[1:-1, 1:-1]
+            inner[...] = (self.inverse * g[1:-1, 1:-1].ravel()).sum(axis=1).reshape(inner.shape)
+            return
         self.relax(U, g)
         if self.coarse is None:
             return
@@ -369,9 +452,12 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
             break
         top.cycle(U, g)
         cycles += 1
+    levels = top.levels()
     report = SolveReport(iterations=cycles, residual=res, converged=res <= bound,
                          elapsed=time.perf_counter() - start, tol=bound,
-                         residual_floor=floor)
+                         residual_floor=floor,
+                         levels=tuple(lev.shape[::-1] for lev in levels),
+                         direct_unknowns=0 if levels[-1].inverse is None else len(levels[-1].inverse))
     if not report.converged:
         raise NotConvergedError(report, Grid2(geom, U))
     return Grid2(geom, U), report

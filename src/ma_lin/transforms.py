@@ -85,12 +85,16 @@ def contact_map(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactI
     """Push jets of U at (X, Y) through x=U_Y, y=U-Y*U_Y, u=X.
 
     push_jet_arrays, except that where it would mask a point this raises
-    DegenerateJetError for the first of a non-finite entry, |U_X|, |U_YY|
-    and the jacobian at or below eps; those are the fold lines of the map.
+    DegenerateJetError for the first of a non-finite entry, a non-finite base
+    point, |U_X|, |U_YY| and the jacobian at or below eps; the last three are
+    the fold lines of the map.
     """
     im = push_jet_arrays(jet_U, X, Y, eps=eps)
     if not im.jet.valid.all():
         _require_finite(jet_U, eps)
+        for base in (X, Y):
+            base = np.broadcast_to(np.asarray(base, dtype=np.float64), np.shape(im.x))
+            _raise_first("non-finite", base, eps, ~np.isfinite(base))
         for quantity, value in (("U_X", jet_U.ux), ("U_YY", jet_U.uyy),
                                 ("jacobian", -jet_U.ux * jet_U.uyy)):
             _raise_first(quantity, value, eps)
@@ -100,13 +104,18 @@ def contact_map(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactI
 def push_jet_arrays(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     """Push jets of U at (X, Y) through the contact map, point by point.
 
-    The image jet is valid where the source entries are finite and |U_X|,
-    |U_YY| and the jacobian exceed eps; elsewhere every image field is NaN.
+    The image jet is valid where the source entries and the base point are
+    finite and |U_X|, |U_YY| and the jacobian exceed eps; elsewhere every image
+    field is NaN.  Every field takes the shape the jet and the points
+    broadcast to.
     """
     U, UX, UY, UXX, UXY, UYY, X, Y = (np.asarray(a, dtype=np.float64)
                                       for a in (*jet_U.entries(), X, Y))
     jac = -UX * UYY
-    valid = jet_U.finite() & (np.abs(UX) > eps) & (np.abs(UYY) > eps) & (np.abs(jac) > eps)
+    # valid draws on all eight inputs, so it has their broadcast shape, and
+    # np.where gives every field that shape
+    valid = (jet_U.finite() & np.isfinite(X) & np.isfinite(Y)
+             & (np.abs(UX) > eps) & (np.abs(UYY) > eps) & (np.abs(jac) > eps))
     with np.errstate(divide="ignore", invalid="ignore"):
         c = 1.0 / (UX * UX * UX * UYY)
         x = UY + 0.0 * U

@@ -137,6 +137,59 @@ def dense_line_solve(diag, lo, hi, rhs) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
+def dense_level_operator(op) -> np.ndarray:
+    """A multigrid level's operator W u_w + E u_e + S u_s + N u_n - C u on its
+    interior nodes in row-major order, zero boundary values, assembled entry
+    by entry from the stencil arrays (W, E, S, N, C)."""
+    W, E, S, N, C = (np.asarray(a, dtype=np.float64) for a in op)
+    ny, nx = C.shape
+    A = np.zeros((ny * nx, ny * nx))
+    for j in range(ny):
+        for i in range(nx):
+            k = j * nx + i
+            A[k, k] = -C[j, i]
+            if i > 0:
+                A[k, k - 1] = W[j, i]
+            if i < nx - 1:
+                A[k, k + 1] = E[j, i]
+            if j > 0:
+                A[k, k - nx] = S[j, i]
+            if j < ny - 1:
+                A[k, k + nx] = N[j, i]
+    return A
+
+
+def transfers_reference(pos, keep):
+    """Node-by-node reference for ma_lin.linsolve._transfers: linear
+    interpolation from pos[keep] to pos, and its transpose weighted by
+    control-volume widths, each as zero-padded (index, weight) arrays."""
+    def ell(rows):
+        width = max(len(r) for r in rows)
+        idx = np.zeros((len(rows), width), dtype=np.intp)
+        w = np.zeros((len(rows), width))
+        for k, r in enumerate(rows):
+            for m, (i, v) in enumerate(r):
+                idx[k, m], w[k, m] = i, v
+        return idx, w
+
+    def widths(p):
+        half = np.diff(p) / 2
+        return np.r_[half, 0.0] + np.r_[0.0, half]
+
+    coarse = pos[keep]
+    left = np.clip(np.searchsorted(coarse, pos, side="right") - 1, 0, len(coarse) - 2)
+    t = (pos - coarse[left]) / (coarse[left + 1] - coarse[left])
+    prolong = [[(int(m), 1.0 - float(s)), (int(m) + 1, float(s))] for m, s in zip(left, t)]
+    wf, wc = widths(pos), widths(coarse)
+    restrict = [[] for _ in coarse]
+    for i, row in enumerate(prolong):
+        for m, v in row:
+            if v != 0.0 and 0 < m < len(coarse) - 1:
+                restrict[m].append((i, v * wf[i] / wc[m]))
+    restrict[0] = restrict[-1] = [(0, 0.0)]
+    return ell(prolong), ell(restrict)
+
+
 def invert_bilinear(cx, cy, tx, ty):
     """Scalar reference for the array Newton of ma_lin.lift.resample.
 

@@ -294,6 +294,18 @@ def test_lift_grad_inversion_n97_converges(tmp_path):
     assert rep["tol"] == FLOOR_FACTOR * rep["residual_floor"]
 
 
+def test_lift_solve_report_records_the_multigrid_levels(tmp_path):
+    cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+                                        "nx": 65, "ny": 65, "boundary": "X^2-Y^2",
+                                        "target_nx": 9, "target_ny": 9})
+    out = tmp_path / "o"
+    assert main(["lift", "--in", cfg, "--out", str(out)]) == 0
+    rep = _read_json(out / "solve_report.json")
+    # 65 -> 33 -> 17 nodes per axis; the 15x15 interior of the last is solved exactly
+    assert rep["levels"] == [[65, 65], [33, 33], [17, 17]]
+    assert rep["direct_unknowns"] == 225
+
+
 def test_runtime_imports_no_scipy(tmp_path):
     # the README promises numpy as the only runtime dependency; scipy may be
     # installed in a test environment, so a stray import would go unnoticed.

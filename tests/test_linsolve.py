@@ -7,14 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense_dirichlet, dense_line_solve, measured_order
+from helpers import (dense_dirichlet, dense_level_operator, dense_line_solve,
+                     measured_order, transfers_reference)
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
 from ma_lin.grids import geometry_from_domain, sample
-from ma_lin.linsolve import (FLOOR_FACTOR, BoundaryValues, NotConvergedError,
-                             NotEllipticError, boundary_from_edge_exprs,
-                             constant_f_family, discrete_residual, mms_source,
-                             _Level, problem_from_exprs, solve_dirichlet)
+from ma_lin.linsolve import (DIRECT_SIDE, FLOOR_FACTOR, BoundaryValues,
+                             NotConvergedError, NotEllipticError,
+                             boundary_from_edge_exprs, constant_f_family,
+                             discrete_residual, mms_source, _coarse_nodes,
+                             _Level, _transfers, problem_from_exprs, solve_dirichlet)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -284,21 +286,100 @@ def test_line_solve_matches_dense_reference(axis, uniform):
                 assert np.max(np.abs(u - ref)) <= bound + 4 * eps * np.max(np.abs(ref))
 
 
+def _coarsened(n: int, times: int) -> np.ndarray:
+    """Node positions of an n-node axis after `times` coarsenings."""
+    pos = np.arange(n)
+    for _ in range(times):
+        pos = pos[_coarse_nodes(len(pos))]
+    return pos
+
+
+def test_transfers_match_the_node_by_node_reference():
+    # uniform axes of every length, and the non-uniform axes that coarsening
+    # even node counts leaves (the last three intervals merged into one)
+    axes = [np.arange(n) for n in range(4, 70)]
+    axes += [_coarsened(n, times) for n in range(8, 140, 2) for times in (1, 2)
+             if len(_coarsened(n, times)) >= 4]
+    for pos in axes:
+        keep = _coarse_nodes(len(pos))
+        for got, want in zip(_transfers(pos, keep), transfers_reference(pos, keep)):
+            assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0]), pos
+            assert got[1].tobytes() == want[1].tobytes(), pos
+
+
+@pytest.mark.parametrize("px,py", [
+    (np.arange(17), np.arange(17)),
+    (_coarsened(34, 1), _coarsened(30, 1)),   # 17 and 15 nodes, last interval of 3
+    (_coarsened(130, 3), np.arange(9)),       # wider than tall
+    (np.arange(5), _coarsened(100, 1)),       # taller than wide
+    (np.arange(3), np.arange(3)),
+])
+def test_direct_level_inverse_matches_the_dense_operator(px, py):
+    rng = np.random.default_rng(len(px) * 1000 + len(py))
+    f = rng.uniform(0.01, 100.0, (len(py), len(px)))
+    lev = _Level(f, px, py, 0.3, 0.2, direct=True)
+    A = dense_level_operator(lev.op)
+    ref = np.linalg.inv(A)
+    assert lev.inverse.shape == A.shape and lev.coarse is None
+    # both inverses carry rounding of order eps times the condition number
+    cond = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(ref).sum(axis=1))
+    eps = np.finfo(np.float64).eps
+    assert np.max(np.abs(lev.inverse - ref)) <= eps * cond * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nx,ny,levels,direct", [
+    (17, 17, ((17, 17), (9, 9)), 49),             # the top level is never solved directly
+    (35, 35, ((35, 35), (18, 18)), 256),          # 16 x 16 interior: at the limit
+    (37, 37, ((37, 37), (19, 19), (10, 10)), 64),  # 17 x 17 interior: one level more
+    (601, 5, ((601, 5), (301, 3)), 0),            # 3 nodes before the limit: line solves
+    (33, 5, ((33, 5), (17, 3)), 0),               # 3 nodes within the limit: still line solves
+    (5, 33, ((5, 33), (3, 17)), 0),
+    (511, 5, ((511, 5), (256, 3)), 0),
+    (5, 511, ((5, 511), (3, 256)), 0),
+    (257, 7, ((257, 7), (129, 4), (65, 3)), 0),   # 254 unknowns in rows of 127
+    (7, 257, ((7, 257), (4, 129), (3, 65)), 0),   # ... or in 127 rows
+    (65, 17, ((65, 17), (33, 9), (17, 5)), 45),   # one axis within the limit is not enough
+    (3, 3, ((3, 3),), 0),
+])
+def test_hierarchy_ends_at_the_first_coarse_level_within_the_limit(nx, ny, levels, direct):
+    _, rep = solve_dirichlet(_robust_problem("1+100*X^2", nx, ny))
+    assert (rep.levels, rep.direct_unknowns) == (levels, direct)
+    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+
+
+@pytest.mark.parametrize("fcoeff", ["1", "(1+Y^2)^2"])
+def test_lift_families_take_no_more_cycles_with_the_direct_level(fcoeff):
+    # the plane-strain-class and grad-inversion coefficients with their lift
+    # boundary data; the V-cycles each took when the hierarchy went on down to
+    # 3 nodes per axis
+    boundary, before = {"1": ("X^2-Y^2", (11, 11, 11, 11)),
+                        "(1+Y^2)^2": ("X^2 - Y*arctan(Y)", (9, 10, 10, 10))}[fcoeff]
+    for n, cycles, direct in zip((33, 65, 97, 129), before, (225, 225, 121, 225)):
+        geom = geometry_from_domain(0.5, 1.5, 0.5, 1.5, n, n)
+        _, rep = solve_dirichlet(problem_from_exprs(geom, parse(fcoeff), None, parse(boundary)))
+        assert rep.iterations <= cycles, (n, rep)
+        assert rep.direct_unknowns == direct <= DIRECT_SIDE ** 2
+        assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+
+
 def test_solution_bytes_independent_of_blas_threads():
+    # the problem's 17x13 coarse level is solved by the dense inverse
     code = ("import hashlib; from ma_lin import geometry_from_domain, parse, "
             "problem_from_exprs, solve_dirichlet; "
             "g = geometry_from_domain(0.5, 1.5, 0.5, 1.5, 65, 50); "
             "p = problem_from_exprs(g, parse('1+100*X^2'), None, parse('X^2-Y^2')); "
-            "print(hashlib.sha256(solve_dirichlet(p)[0].values.tobytes()).hexdigest())")
-    digests = []
+            "U, rep = solve_dirichlet(p); "
+            "print(rep.direct_unknowns, hashlib.sha256(U.values.tobytes()).hexdigest())")
+    outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+        outputs.append(proc.stdout.split())
+    assert outputs[0][0] == str(15 * 11) and len(outputs[0][1]) == 64
+    assert outputs[0] == outputs[1]
 
 
 def test_grad_inversion_n129_converges():

@@ -90,6 +90,35 @@ def test_jet_requires_finite_entries():
         assert exc.value.quantity == "non-finite" and exc.value.index == 1
 
 
+def test_non_finite_base_point_is_masked():
+    jet = JetArrays(1.0, 1.0, 1.0, 1.0, 0.0, 1.0, valid=None)
+    for bad in (math.nan, math.inf, -math.inf):
+        for X, Y in ((bad, 1.0), (1.0, bad)):
+            im = push_jet_arrays(jet, X, Y)
+            assert not im.jet.valid and np.isnan(_image_fields(im)).all(), (X, Y)
+            with pytest.raises(DegenerateJetError) as exc:
+                contact_map(jet, X, Y)
+            assert exc.value.quantity == "non-finite" and exc.value.index == 0
+    X, Y = np.array([0.5, math.nan, 0.5]), np.array([0.5, 0.5, -math.inf])
+    assert push_jet_arrays(jet, X, Y).jet.valid.tolist() == [True, False, False]
+    with pytest.raises(DegenerateJetError) as exc:
+        contact_map(jet, X, Y)
+    assert exc.value.index == 1
+
+
+def test_push_jet_arrays_fields_share_the_broadcast_shape():
+    # float jet fields pushed at two points: every field has the points' shape,
+    # and each point has the bits it has alone
+    jet = JetArrays(1.0, 1.0, 1.0, 1.0, 0.0, 1.0, valid=None)
+    X, Y = np.array([0.5, 1.5]), np.array([1.0, 2.0])
+    im = push_jet_arrays(jet, X, Y)
+    assert {np.shape(a) for a in (*_image_fields(im), im.jet.valid)} == {(2,)}
+    for k in range(2):
+        alone = push_jet_arrays(jet, X[k], Y[k])
+        assert all(same_bits(a[k], b) for a, b in zip(_image_fields(im), _image_fields(alone)))
+    assert im.jet.compress().u.tolist() == [0.5, 1.5]
+
+
 def test_contact_map_raises_exactly_where_push_jet_arrays_masks():
     rng = np.random.default_rng(3)
     J = {k: rng.uniform(-2, 2, 60) for k in "abcdef"}
