@@ -29,8 +29,8 @@ from .grids import GridError, geometry_from_domain, write_grid, GridGeometry
 from .lift import (EmptyLiftError, PipelineConfig, PipelineError, pipeline,
                    write_lifted)
 from .linsolve import (NotConvergedError, NotEllipticError,
-                       boundary_from_edge_exprs, problem_from_exprs,
-                       solve_dirichlet)
+                       boundary_from_edge_exprs, check_solve_limits,
+                       problem_from_exprs, solve_dirichlet)
 from .transforms import TransformError
 
 EXIT_OK = 0
@@ -158,6 +158,10 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_json(args.infile)
+    tol = args.tol if args.tol is not None else cfg.get("tol")
+    max_iter = cfg.get("max_iter", 200_000)
+    check_solve_limits(tol, max_iter)  # a usage error (exit 1) before any output
+    max_iter = int(max_iter)
     geom = _geometry_from_config(cfg, args.nx, args.ny)
     problem = problem_from_exprs(
         geom,
@@ -165,8 +169,6 @@ def cmd_solve(args) -> int:
         parse(str(cfg["source"])) if cfg.get("source") else None,
         _boundary_from_config(cfg, geom),
     )
-    tol = args.tol if args.tol is not None else cfg.get("tol")
-    max_iter = int(cfg.get("max_iter", 200_000))
     inputs = {args.infile: _sha256(args.infile)}
     out = _Outputs(args.out, args.force, "solve", inputs, args.seed,
                    {"tol": tol, "max_iter": max_iter})
@@ -199,6 +201,8 @@ def cmd_lift(args) -> int:
         f_or_id = parse(str(cfg["f"]))
     else:
         raise UsageError("lift config needs 'id' (catalog) or 'f' (class function in u, s)")
+    tol = args.tol if args.tol is not None else cfg.get("tol")
+    check_solve_limits(tol, PipelineConfig.solve_max_iter)  # before any output
     X0, X1, Y0, Y1 = (float(v) for v in cfg["domain"])
     nx = int(args.nx or cfg.get("nx", 33))
     ny = int(args.ny or cfg.get("ny", 33))
@@ -215,7 +219,7 @@ def cmd_lift(args) -> int:
         target=target,
         target_nx=int(cfg.get("target_nx", 33)),
         target_ny=int(cfg.get("target_ny", 33)),
-        solve_tol=args.tol if args.tol is not None else cfg.get("tol"),
+        solve_tol=tol,
         seed=args.seed,
     )
     inputs = {args.infile: _sha256(args.infile)}

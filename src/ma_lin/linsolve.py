@@ -24,6 +24,15 @@ level the coarse grids would cost about as many numpy calls per cycle as the
 fine ones while holding almost none of the nodes; one multiply-and-sum with
 the inverse replaces them.
 
+A solve starts by nested iteration (full multigrid, *A Multigrid Tutorial*
+ch. 3) rather than from a zero interior: each coarse level takes its boundary
+values by injection from the level above and its right-hand side by
+restriction, the coarsest is solved exactly, and going up each level's
+interior is interpolated from the one below and given one V-cycle.  The
+finest level's cycle is the first iteration counted; it leaves an error near
+the discretization error, not of the size of the boundary data, and spares
+the 2-4 cycles a zero start spends getting there.
+
 Every operation in a cycle, and in building the inverse, is elementwise
 numpy arithmetic or a sum in a fixed order, with no BLAS or LAPACK call, so
 a given problem always produces a bit-identical solution whatever the thread
@@ -37,6 +46,7 @@ the residual that rounding U to doubles alone can leave.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -48,7 +58,7 @@ from .grids import Grid2, GridGeometry, sample
 
 __all__ = [
     "FLOOR_FACTOR", "DIRECT_SIDE", "BoundaryValues", "EllipticProblem", "SolveReport",
-    "NotEllipticError", "NotConvergedError", "solve_dirichlet",
+    "NotEllipticError", "NotConvergedError", "check_solve_limits", "solve_dirichlet",
     "boundary_from_expr", "boundary_from_edge_exprs", "problem_from_exprs",
     "mms_source", "constant_f_family", "discrete_residual",
 ]
@@ -130,19 +140,20 @@ class EllipticProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int  # V-cycles run
+    iterations: int  # V-cycles run, the finest one of the nested start included
     residual: float
     converged: bool
     elapsed: float
     tol: float
     residual_floor: float
+    residuals: tuple     # max|r| at each convergence check, the first after the start
     levels: tuple        # (nx, ny) of each multigrid level, finest first
     direct_unknowns: int  # interior nodes of the level solved exactly, 0 if none
 
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "residual": self.residual,
                 "converged": self.converged, "elapsed": self.elapsed, "tol": self.tol,
-                "residual_floor": self.residual_floor,
+                "residual_floor": self.residual_floor, "residuals": list(self.residuals),
                 "levels": [list(shape) for shape in self.levels],
                 "direct_unknowns": self.direct_unknowns}
 
@@ -363,11 +374,23 @@ class _Level:
             kx, ky = _coarse_nodes(len(px)), _coarse_nodes(len(py))
             self.prolong_x, self.restrict_x = _transfers(px, kx)
             self.prolong_y, self.restrict_y = _transfers(py, ky)
+            self.keep = np.ix_(ky, kx)
             # a level with 3 nodes on an axis is already solved exactly by
             # one line solve, with nothing to build
             self.coarse = _Level(self.restrict(f), px[kx], py[ky], dx, dy,
                                  direct=3 < min(len(kx), len(ky))
                                  and max(len(kx), len(ky)) - 2 <= DIRECT_SIDE)
+
+    def start(self, U: np.ndarray, g: np.ndarray) -> None:
+        """Nested iteration (full multigrid): solve the coarser levels first,
+        each with boundary values injected from the level above and the
+        restricted g, interpolate the result into U's interior and run one
+        V-cycle.  The coarsest level's cycle is already an exact solve."""
+        if self.coarse is not None:
+            Uc = U[self.keep]
+            self.coarse.start(Uc, self.restrict(g))
+            U[1:-1, 1:-1] = self.prolong(Uc)[1:-1, 1:-1]
+        self.cycle(U, g)
 
     def levels(self) -> list:
         """This level and every coarser one."""
@@ -397,11 +420,12 @@ class _Level:
 
     def cycle(self, U: np.ndarray, g: np.ndarray) -> None:
         """One V(1,1)-cycle on U in place; the coarsest level relaxes once.  A
-        direct level solves exactly instead, for the zero boundary values a
-        coarse correction has."""
+        direct level solves exactly instead: the inverse, which assumes zero
+        boundary values, corrects U by its applied defect."""
         if self.inverse is not None:
             inner = U[1:-1, 1:-1]
-            inner[...] = (self.inverse * g[1:-1, 1:-1].ravel()).sum(axis=1).reshape(inner.shape)
+            d = self.defect(U, g)[1:-1, 1:-1].ravel()
+            inner += (self.inverse * d).sum(axis=1).reshape(inner.shape)
             return
         self.relax(U, g)
         if self.coarse is None:
@@ -412,16 +436,33 @@ class _Level:
         self.relax(U, g)
 
 
+def check_solve_limits(tol, max_iter) -> None:
+    """Raise ValueError, naming the field, unless tol is None or a finite
+    number >= 0 and max_iter is a whole number >= 1."""
+    def finite(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    if tol is not None and not (finite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not (finite(max_iter) and max_iter == int(max_iter) and max_iter >= 1):
+        raise ValueError(f"max_iter must be a whole number >= 1, got {max_iter!r}")
+
+
 def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
                     max_iter: int = 100_000) -> tuple[Grid2, SolveReport]:
     """Solve the five-point scheme to a max-norm residual below tol.
 
-    The default tol is FLOOR_FACTOR times the rounding floor of the current
-    iterate.  Rejects any non-positive coefficient node (the Dirichlet problem
-    is only well-posed for f > 0).  Raises NotConvergedError, carrying the
-    report and the last iterate, when max_iter V-cycles are run or when
-    STALL_CYCLES cycles in a row fail to halve the residual, whichever is first.
+    Starts by nested iteration (`_Level.start`): every coarser level is solved
+    first and its solution interpolated up, and the finest level's V-cycle
+    after that is the first of the `iterations` the report counts.  The
+    default tol is FLOOR_FACTOR times the rounding floor of the current
+    iterate; tol = 0 runs until the residual stalls.  Rejects any non-positive
+    coefficient node (the Dirichlet problem is only well-posed for f > 0),
+    and a tol or max_iter that `check_solve_limits` refuses.  Raises
+    NotConvergedError, carrying the report and the last iterate, when
+    max_iter V-cycles are run or when STALL_CYCLES cycles in a row fail to
+    halve the residual, whichever is first.
     """
+    check_solve_limits(tol, max_iter)
     f = problem.fcoeff.values
     if not np.all(f > 0.0):
         worst = float(np.min(f))
@@ -439,11 +480,13 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
     U[-1, :] = problem.boundary.top
 
     top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
-    cycles, mark, since = 0, math.inf, 0
+    top.start(U, g)
+    cycles, mark, since, residuals = 1, math.inf, 0, []
     while True:
         res = float(np.max(np.abs(discrete_residual(U, f_int, g_int, geom.dx, geom.dy))))
+        residuals.append(res)
         floor = scale * float(np.max(np.abs(U)))
-        bound = FLOOR_FACTOR * floor if tol is None else tol
+        bound = FLOOR_FACTOR * floor if tol is None else float(tol)
         if res < 0.5 * mark:
             mark, since = res, 0
         else:
@@ -455,7 +498,7 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
     levels = top.levels()
     report = SolveReport(iterations=cycles, residual=res, converged=res <= bound,
                          elapsed=time.perf_counter() - start, tol=bound,
-                         residual_floor=floor,
+                         residual_floor=floor, residuals=tuple(residuals),
                          levels=tuple(lev.shape[::-1] for lev in levels),
                          direct_unknowns=0 if levels[-1].inverse is None else len(levels[-1].inverse))
     if not report.converged:

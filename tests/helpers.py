@@ -190,6 +190,31 @@ def transfers_reference(pos, keep):
     return ell(prolong), ell(restrict)
 
 
+def zero_start_solve(problem, max_iter: int = 100_000):
+    """Reference for ma_lin.linsolve.solve_dirichlet without its nested start:
+    V-cycles of `_Level.cycle` from a zero interior under the same default
+    stopping rule (FLOOR_FACTOR rounding floors, or STALL_CYCLES cycles in a
+    row that fail to halve the residual, or max_iter).  Returns the iterate,
+    the V-cycles run, the final max-norm residual and whether it met the
+    bound."""
+    from ma_lin.linsolve import FLOOR_FACTOR, STALL_CYCLES, _Level, discrete_residual
+    geom, f, g = problem.geom, problem.fcoeff.values, problem.source.values
+    U = np.zeros((geom.ny, geom.nx))
+    U[:, 0], U[:, -1] = problem.boundary.left, problem.boundary.right
+    U[0, :], U[-1, :] = problem.boundary.bottom, problem.boundary.top
+    top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
+    scale = np.finfo(np.float64).eps * (2 / geom.dx ** 2 + 2 * np.max(f[1:-1, 1:-1]) / geom.dy ** 2)
+    cycles, mark, since = 0, math.inf, 0
+    while True:
+        res = np.max(np.abs(discrete_residual(U, f[1:-1, 1:-1], g[1:-1, 1:-1], geom.dx, geom.dy)))
+        bound = FLOOR_FACTOR * scale * np.max(np.abs(U))
+        mark, since = (res, 0) if res < 0.5 * mark else (mark, since + 1)
+        if res <= bound or cycles >= max_iter or since >= STALL_CYCLES:
+            return U, cycles, float(res), bool(res <= bound)
+        top.cycle(U, g)
+        cycles += 1
+
+
 def invert_bilinear(cx, cy, tx, ty):
     """Scalar reference for the array Newton of ma_lin.lift.resample.
 

@@ -4,6 +4,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from helpers import percent_g_rows
 from ma_lin.cli import main
@@ -113,6 +114,39 @@ def test_solve_unmeetable_tol_exits_3_quickly(tmp_path):
     assert rep["converged"] is False and rep["tol"] == 1e-16
     assert 0.0 < rep["residual_floor"] and rep["residual"] > rep["tol"]
     assert rep["iterations"] < 200_000
+
+
+@pytest.mark.parametrize("command,limits,flags,field", [
+    ("solve", {"tol": "abc"}, [], "tol"),
+    ("solve", {"tol": -1}, [], "tol"),
+    ("solve", {"tol": float("nan")}, [], "tol"),
+    ("solve", {}, ["--tol", "inf"], "tol"),
+    ("solve", {"max_iter": 0}, [], "max_iter"),
+    ("solve", {"max_iter": -3}, [], "max_iter"),
+    ("solve", {"max_iter": "abc"}, [], "max_iter"),
+    ("lift", {"tol": "abc"}, [], "tol"),
+    ("lift", {"tol": -1}, [], "tol"),
+    ("lift", {}, ["--tol=-1e-9"], "tol"),
+])
+def test_out_of_range_limits_exit_1_before_any_artifact(tmp_path, capsys, command, limits,
+                                                        flags, field):
+    data = {**(_solve_config() if command == "solve" else _lift_config()), **limits}
+    cfg = _write(tmp_path / "p.json", data)
+    out = tmp_path / "o"
+    assert main([command, "--in", cfg, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_tol_stays_legal(tmp_path):
+    # tol = 0 runs until the residual stalls, then exits 3 with the report
+    data = {**_solve_config(), "tol": 0}
+    cfg = _write(tmp_path / "p.json", data)
+    out = tmp_path / "o"
+    assert main(["solve", "--in", cfg, "--out", str(out)]) == 3
+    rep = _read_json(out / "solve_report.json")
+    assert rep["tol"] == 0.0 and rep["residual"] <= FLOOR_FACTOR * rep["residual_floor"]
 
 
 def test_solve_edge_boundary_form(tmp_path):
@@ -304,6 +338,20 @@ def test_lift_solve_report_records_the_multigrid_levels(tmp_path):
     # 65 -> 33 -> 17 nodes per axis; the 15x15 interior of the last is solved exactly
     assert rep["levels"] == [[65, 65], [33, 33], [17, 17]]
     assert rep["direct_unknowns"] == 225
+
+
+def test_lift_solve_report_records_the_residual_history(tmp_path):
+    cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+                                        "nx": 65, "ny": 65, "boundary": "X^2-Y^2",
+                                        "target_nx": 9, "target_ny": 9})
+    out = tmp_path / "o"
+    assert main(["lift", "--in", cfg, "--out", str(out)]) == 0
+    rep = _read_json(out / "solve_report.json")
+    # one max-norm residual per V-cycle, the first after the nested start,
+    # each at most half the one before
+    history = rep["residuals"]
+    assert len(history) == rep["iterations"] and history[-1] == rep["residual"] <= rep["tol"]
+    assert all(b <= 0.5 * a for a, b in zip(history, history[1:]))
 
 
 def test_runtime_imports_no_scipy(tmp_path):

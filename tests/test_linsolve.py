@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (dense_dirichlet, dense_level_operator, dense_line_solve,
-                     measured_order, transfers_reference)
+                     measured_order, transfers_reference, zero_start_solve)
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
 from ma_lin.grids import geometry_from_domain, sample
@@ -134,6 +135,39 @@ def test_not_converged_carries_report_and_grid():
     assert exc.value.grid.values.shape == (17, 17)
 
 
+@pytest.mark.parametrize("limits,field", [
+    ({"tol": "abc"}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol"),
+    ({"tol": math.inf}, "tol"), ({"tol": True}, "tol"),
+    ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+    ({"max_iter": 2.5}, "max_iter"), ({"max_iter": "10"}, "max_iter"),
+])
+def test_out_of_range_limits_are_rejected_before_solving(limits, field):
+    geom = geometry_from_domain(0, 1, 0, 1, 9, 9)
+    prob = problem_from_exprs(geom, parse("1"), None, parse("X^2-Y^2"))
+    with pytest.raises(ValueError, match=f"^{field} "):
+        solve_dirichlet(prob, **limits)
+
+
+def test_tol_zero_and_whole_float_max_iter_stay_legal():
+    # tol = 0 runs until the residual stalls; a JSON max_iter may be 1e5
+    geom = geometry_from_domain(0, 1, 0, 1, 9, 9)
+    prob = problem_from_exprs(geom, parse("1"), None, parse("X^2-Y^2"))
+    with pytest.raises(NotConvergedError) as exc:
+        solve_dirichlet(prob, tol=0, max_iter=1e5)
+    assert exc.value.report.tol == 0.0 and exc.value.report.iterations < 1e5
+
+
+def test_residuals_record_each_convergence_check():
+    geom = geometry_from_domain(0, 1, 0, 1, 33, 33)
+    prob = problem_from_exprs(geom, parse("(1+Y^2)^2"), None, parse("X^2-Y^2"))
+    _, rep = solve_dirichlet(prob)
+    assert len(rep.residuals) == rep.iterations and rep.residuals[-1] == rep.residual
+    assert all(b < 0.5 * a for a, b in zip(rep.residuals, rep.residuals[1:]))
+    with pytest.raises(NotConvergedError) as exc:
+        solve_dirichlet(prob, max_iter=2)
+    assert exc.value.report.residuals == rep.residuals[:2]
+
+
 def test_unmeetable_tol_stops_at_the_rounding_floor():
     # a tol below what doubles can represent: the residual stops falling and
     # the solve gives up after a few cycles, not after max_iter
@@ -212,10 +246,9 @@ SWEEP_COEFFS = ("1", "100", "0.01", "1+100*X^2", "exp(3*Y)", "(1+Y^2)^2",
                 "2+sin(5*X)*cos(3*Y)", "1+X^2+Y^2", "0.1+X^4", "1/(1+X^2)")
 
 
-def test_seeded_random_problems_converge_within_26_cycles():
-    # six problems per family on random grids and rectangles, three of them
-    # with a source; rounding error the line solves leave in the cycle shows
-    # up here as a residual that stalls above FLOOR_FACTOR floors
+def _seeded_problems():
+    """Six problems per family on random grids and rectangles, three of them
+    with a source."""
     rng = np.random.default_rng(20261018)
     for k in range(60):
         fcoeff = SWEEP_COEFFS[k % len(SWEEP_COEFFS)]
@@ -226,9 +259,54 @@ def test_seeded_random_problems_converge_within_26_cycles():
         boundary = parse(f"{a:.6f}*(X^2-Y^2) + sin({b:.6f}*X*Y) + exp({c:.6f}*Y)")
         source = parse(f"{c:.6f}*X*Y + cos({a:.6f}*X)") if (k // 10) % 2 else None
         geom = geometry_from_domain(X0, X1, Y0, Y1, nx, ny)
-        prob = problem_from_exprs(geom, parse(fcoeff), source, boundary)
+        yield (k, fcoeff, nx, ny), problem_from_exprs(geom, parse(fcoeff), source, boundary)
+
+
+def test_seeded_random_problems_converge_within_26_cycles():
+    # rounding error the line solves leave in the cycle shows up here as a
+    # residual that stalls above FLOOR_FACTOR floors
+    for case, prob in _seeded_problems():
         _, rep = solve_dirichlet(prob)  # raises NotConvergedError on a stall
-        assert rep.iterations <= 26, (k, fcoeff, nx, ny, rep)
+        assert rep.iterations <= 26, (case, rep)
+
+
+def test_nested_start_takes_no_more_cycles_than_a_zero_start():
+    # 641 V-cycles from a zero start against 473 from the nested one when
+    # this test was written
+    total = [0, 0]
+    for case, prob in _seeded_problems():
+        _, rep = solve_dirichlet(prob)
+        _, cycles, _, converged = zero_start_solve(prob)
+        assert converged and rep.iterations <= cycles, (case, rep.iterations, cycles)
+        total[0], total[1] = total[0] + rep.iterations, total[1] + cycles
+    assert total[0] < 0.8 * total[1], total
+
+
+def _lift_family_problem(fcoeff, nx, ny):
+    """A lift family's coefficient and boundary data, with no source."""
+    boundary = {"1": "X^2-Y^2", "(1+Y^2)^2": "X^2 - Y*arctan(Y)"}[fcoeff]
+    return problem_from_exprs(geometry_from_domain(0.5, 1.5, 0.5, 1.5, nx, ny),
+                              parse(fcoeff), None, parse(boundary))
+
+
+@pytest.mark.parametrize("make,fcoeff,nx,ny", [
+    (_robust_problem, "1+100*X^2", 65, 65),   # ends at a direct level
+    (_robust_problem, "exp(3*Y)", 511, 5),    # ... or at 3-node line solves
+    (_robust_problem, "0.01", 5, 511),
+    (_robust_problem, "100", 257, 7),
+    (_robust_problem, "1", 3, 3),
+    (_lift_family_problem, "1", 65, 65),       # no source
+    (_lift_family_problem, "(1+Y^2)^2", 65, 65),
+], ids=["65x65", "511x5", "5x511", "257x7", "3x3", "lift-laplace-65", "lift-grad-inversion-65"])
+def test_nested_start_agrees_with_a_zero_start(make, fcoeff, nx, ny):
+    prob = make(fcoeff, nx, ny)
+    U, rep = solve_dirichlet(prob)
+    ref, cycles, r_ref, converged = zero_start_solve(prob)
+    assert converged and rep.converged and rep.iterations <= cycles
+    # the discrete maximum principle on a domain one unit wide, as in
+    # test_multigrid_matches_dense_reference
+    bound = (rep.residual + r_ref) / 8 + 4 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(U.values - ref)) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +428,16 @@ def test_hierarchy_ends_at_the_first_coarse_level_within_the_limit(nx, ny, level
 @pytest.mark.parametrize("fcoeff", ["1", "(1+Y^2)^2"])
 def test_lift_families_take_no_more_cycles_with_the_direct_level(fcoeff):
     # the plane-strain-class and grad-inversion coefficients with their lift
-    # boundary data; the V-cycles each took when the hierarchy went on down to
-    # 3 nodes per axis
-    boundary, before = {"1": ("X^2-Y^2", (11, 11, 11, 11)),
-                        "(1+Y^2)^2": ("X^2 - Y*arctan(Y)", (9, 10, 10, 10))}[fcoeff]
+    # boundary data; the V-cycles each took with the direct level and the
+    # nested start (11, 11, 11, 11 and 9, 10, 10, 10 when the hierarchy went
+    # on down to 3 nodes per axis and each solve started from zero), and no
+    # more than a zero start takes
+    before = {"1": (8, 8, 8, 7), "(1+Y^2)^2": (7, 7, 7, 6)}[fcoeff]
     for n, cycles, direct in zip((33, 65, 97, 129), before, (225, 225, 121, 225)):
-        geom = geometry_from_domain(0.5, 1.5, 0.5, 1.5, n, n)
-        _, rep = solve_dirichlet(problem_from_exprs(geom, parse(fcoeff), None, parse(boundary)))
+        prob = _lift_family_problem(fcoeff, n, n)
+        _, rep = solve_dirichlet(prob)
         assert rep.iterations <= cycles, (n, rep)
+        assert rep.iterations <= zero_start_solve(prob)[1], n
         assert rep.direct_unknowns == direct <= DIRECT_SIDE ** 2
         assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
 
