@@ -1,9 +1,9 @@
 """Batch command-line interface.
 
 Subcommands: classify, solve, lift, elasticity, khabirov.  Every run writes a
-manifest naming the inputs, seed, tolerances and SHA-256 hashes of the emitted
-artifacts; re-running a command with the same inputs reproduces bit-identical
-CSV files.  Exit codes: 0 success, 1 usage or parse error, 2 mathematical
+manifest naming the inputs, seed, tolerances, python and numpy versions and
+SHA-256 hashes of the emitted artifacts; re-running a command with the same
+inputs reproduces bit-identical CSV files.  Exit codes: 0 success, 1 usage or parse error, 2 mathematical
 rejection (not in class, not elliptic, all nodes degenerate), 3 non-convergence.
 """
 
@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
+import platform
 import sys
 from pathlib import Path
 from typing import Optional
@@ -28,7 +30,7 @@ from .expressions import ExprError, parse, to_text, variables
 from .grids import GridError, geometry_from_domain, write_grid, GridGeometry
 from .lift import (EmptyLiftError, PipelineConfig, PipelineError, pipeline,
                    write_lifted)
-from .linsolve import (NotConvergedError, NotEllipticError,
+from .linsolve import (NotConvergedError, NotEllipticError, boundary_from_expr,
                        boundary_from_edge_exprs, check_solve_limits,
                        problem_from_exprs, solve_dirichlet)
 from .transforms import TransformError
@@ -64,7 +66,9 @@ class _Outputs:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.force = force
         self.manifest = {"command": command, "inputs": inputs, "seed": seed,
-                         "tolerances": tolerances, "artifacts": {}}
+                         "tolerances": tolerances, "artifacts": {},
+                         "versions": {"python": platform.python_version(),
+                                      "numpy": np.__version__}}
 
     def _target(self, name: str) -> Path:
         path = self.dir / name
@@ -108,32 +112,76 @@ class _Outputs:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise UsageError(f"malformed JSON in {path}: {err}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    return data
 
 
-def _geometry_from_config(cfg: dict, nx: Optional[int], ny: Optional[int]) -> GridGeometry:
-    if "domain" in cfg:
-        X0, X1, Y0, Y1 = (float(v) for v in cfg["domain"])
-        gnx = int(nx or cfg.get("nx", 33))
-        gny = int(ny or cfg.get("ny", 33))
-        return geometry_from_domain(X0, X1, Y0, Y1, gnx, gny)
-    g = cfg["geometry"]
-    return GridGeometry(int(nx or g["nx"]), int(ny or g["ny"]),
-                        float(g["x0"]), float(g["y0"]),
-                        float(g["dx"]), float(g["dy"]))
+def _check_keys(obj, reads, where: str) -> None:
+    """Refuse a JSON object with a key outside `reads`, so that a misspelt or
+    misplaced key cannot run silently with the default in force."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be a JSON object")
+    for key in obj:
+        if key not in reads:
+            raise UsageError(f"{where} does not read the key {key!r}; it reads {', '.join(reads)}")
 
 
-def _boundary_from_config(cfg, geom):
-    b = cfg["boundary"]
+def _need(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise UsageError(f"{where} needs {key!r}")
+    return obj[key]
+
+
+def _real(value, name: str) -> float:
+    big = sys.float_info.max  # compared, not converted: 10**400 is refused, not an OverflowError
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -big <= value <= big:
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, name: str) -> int:
+    """A node count: a whole number, 33.0 included, but not 9.7 or "33"."""
+    if _real(value, name) != int(value):
+        raise UsageError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+_GRID_FIELDS = ("nx", "ny", "x0", "y0", "dx", "dy")
+
+
+def _grid_fields(obj, where: str) -> GridGeometry:
+    """A {nx, ny, x0, y0, dx, dy} object: solve's geometry, lift's target."""
+    _check_keys(obj, _GRID_FIELDS, where)
+    nx, ny, x0, y0, dx, dy = (_need(obj, k, where) for k in _GRID_FIELDS)
+    return GridGeometry(_count(nx, f"{where}.nx"), _count(ny, f"{where}.ny"),
+                        _real(x0, f"{where}.x0"), _real(y0, f"{where}.y0"),
+                        _real(dx, f"{where}.dx"), _real(dy, f"{where}.dy"))
+
+
+def _domain(cfg: dict, nx: Optional[int], ny: Optional[int], where: str):
+    """The `domain` [X0, X1, Y0, Y1] and its nx, ny nodes per axis, the flags
+    overriding the config's counts."""
+    dom = _need(cfg, "domain", where)
+    if not isinstance(dom, list) or len(dom) != 4:
+        raise UsageError(f"domain must be [X0, X1, Y0, Y1], got {dom!r}")
+    counts = [_count(cfg.get(k, 33), k) for k in ("nx", "ny")]
+    domain = tuple(_real(v, f"domain[{k}]") for k, v in enumerate(dom))
+    return domain, nx or counts[0], ny or counts[1]
+
+
+def _boundary_from_config(cfg, geom, where):
+    b = _need(cfg, "boundary", where)
     if isinstance(b, str):
-        from .linsolve import boundary_from_expr
         return boundary_from_expr(parse(b), geom)
-    return boundary_from_edge_exprs(parse(b["left"]), parse(b["right"]),
-                                    parse(b["bottom"]), parse(b["top"]), geom)
+    edges = ("left", "right", "bottom", "top")
+    _check_keys(b, edges, "boundary")
+    return boundary_from_edge_exprs(*(parse(str(_need(b, e, "boundary"))) for e in edges), geom)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +206,23 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_json(args.infile)
+    grid_keys = ("geometry",) if "geometry" in cfg else ("domain", "nx", "ny")
+    _check_keys(cfg, grid_keys + ("fcoeff", "source", "boundary", "tol", "max_iter"), "solve config")
     tol = args.tol if args.tol is not None else cfg.get("tol")
     max_iter = cfg.get("max_iter", 200_000)
     check_solve_limits(tol, max_iter)  # a usage error (exit 1) before any output
     max_iter = int(max_iter)
-    geom = _geometry_from_config(cfg, args.nx, args.ny)
+    if "geometry" in cfg:
+        g = _grid_fields(cfg["geometry"], "geometry")
+        geom = GridGeometry(args.nx or g.nx, args.ny or g.ny, g.x0, g.y0, g.dx, g.dy)
+    else:
+        domain, nx, ny = _domain(cfg, args.nx, args.ny, "solve config")
+        geom = geometry_from_domain(*domain, nx, ny)
     problem = problem_from_exprs(
         geom,
-        parse(str(cfg["fcoeff"])),
+        parse(str(_need(cfg, "fcoeff", "solve config"))),
         parse(str(cfg["source"])) if cfg.get("source") else None,
-        _boundary_from_config(cfg, geom),
+        _boundary_from_config(cfg, geom, "solve config"),
     )
     inputs = {args.infile: _sha256(args.infile)}
     out = _Outputs(args.out, args.force, "solve", inputs, args.seed,
@@ -195,6 +250,10 @@ def cmd_solve(args) -> int:
 
 def cmd_lift(args) -> int:
     cfg = _load_json(args.infile)
+    equation = ("id",) if "id" in cfg else ("f",)
+    target_keys = ("target",) if "target" in cfg else ("target_nx", "target_ny")
+    _check_keys(cfg, equation + ("domain", "nx", "ny", "boundary") + target_keys + ("tol",),
+                "lift config")
     if "id" in cfg:
         f_or_id = str(cfg["id"])
     elif "f" in cfg:
@@ -203,22 +262,16 @@ def cmd_lift(args) -> int:
         raise UsageError("lift config needs 'id' (catalog) or 'f' (class function in u, s)")
     tol = args.tol if args.tol is not None else cfg.get("tol")
     check_solve_limits(tol, PipelineConfig.solve_max_iter)  # before any output
-    X0, X1, Y0, Y1 = (float(v) for v in cfg["domain"])
-    nx = int(args.nx or cfg.get("nx", 33))
-    ny = int(args.ny or cfg.get("ny", 33))
-    geom = geometry_from_domain(X0, X1, Y0, Y1, nx, ny)
-    target = None
-    if "target" in cfg:
-        t = cfg["target"]
-        target = GridGeometry(int(t["nx"]), int(t["ny"]), float(t["x0"]),
-                              float(t["y0"]), float(t["dx"]), float(t["dy"]))
+    domain, nx, ny = _domain(cfg, args.nx, args.ny, "lift config")
+    geom = geometry_from_domain(*domain, nx, ny)
+    target = _grid_fields(cfg["target"], "target") if "target" in cfg else None
     pc = PipelineConfig(
-        lin_domain=(X0, X1, Y0, Y1),
-        boundary=_boundary_from_config(cfg, geom),
+        lin_domain=domain,
+        boundary=_boundary_from_config(cfg, geom, "lift config"),
         lin_nx=nx, lin_ny=ny,
         target=target,
-        target_nx=int(cfg.get("target_nx", 33)),
-        target_ny=int(cfg.get("target_ny", 33)),
+        target_nx=_count(cfg.get("target_nx", 33), "target_nx"),
+        target_ny=_count(cfg.get("target_ny", 33), "target_ny"),
         solve_tol=tol,
         seed=args.seed,
     )

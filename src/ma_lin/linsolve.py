@@ -16,13 +16,18 @@ that same restriction: the average a smooth error's restricted defect
 actually sees, where plain injection of a fast-varying f such as exp(3*Y)
 makes the cycle diverge.
 
-Each zebra half-step solves every line of one colour exactly, all at once,
-by cyclic reduction (see `_Lines`): about 2 log2 L whole-array steps for
-lines of L nodes.  One V-cycle is thus O(nodes) arithmetic in O(log^2 n)
-numpy calls, and the cycle count does not grow with n.  Below the direct
-level the coarse grids would cost about as many numpy calls per cycle as the
-fine ones while holding almost none of the nodes; one multiply-and-sum with
-the inverse replaces them.
+Each zebra half-step solves every line of one colour exactly, all at once
+(see `_Lines`): cyclic reduction halves the lines until at most PCR_SIDE
+positions are left, parallel cyclic reduction solves those in at most
+log2 PCR_SIDE steps with no back-substitution, and only the halving levels
+are substituted back.  On lines this short numpy's per-call overhead, not
+arithmetic, sets the time, and the hybrid makes fewer calls than cyclic
+reduction all the way down: one V-cycle at 65x65 took 0.70 ms against
+0.91 ms.  One V-cycle is thus O(nodes) arithmetic in O(log^2 n) numpy calls,
+and the cycle count does not grow with n.  Below the direct level the coarse
+grids would cost about as many numpy calls per cycle as the fine ones while
+holding almost none of the nodes; one multiply-and-sum with the inverse
+replaces them.
 
 A solve starts by nested iteration (full multigrid, *A Multigrid Tutorial*
 ch. 3) rather than from a zero interior: each coarse level takes its boundary
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -57,7 +63,7 @@ from .expressions import Const, Expr, Var, diff, evaluate
 from .grids import Grid2, GridGeometry, sample
 
 __all__ = [
-    "FLOOR_FACTOR", "DIRECT_SIDE", "BoundaryValues", "EllipticProblem", "SolveReport",
+    "FLOOR_FACTOR", "DIRECT_SIDE", "PCR_SIDE", "BoundaryValues", "EllipticProblem", "SolveReport",
     "NotEllipticError", "NotConvergedError", "check_solve_limits", "solve_dirichlet",
     "boundary_from_expr", "boundary_from_edge_exprs", "problem_from_exprs",
     "mms_source", "constant_f_family", "discrete_residual",
@@ -76,6 +82,14 @@ STALL_CYCLES = 3    # give up when this many V-cycles in a row fail to halve the
 # 33 MB and tripled a 257x7 solve, and the 127 rows of a 4x129 level cost
 # more to eliminate one by one than the cycles saved.
 DIRECT_SIDE = 16
+# Line solves run cyclic reduction while more than this many positions are
+# left, and parallel cyclic reduction on the rest: one colour of 65x65 lines
+# of 63 positions took 38 us instead of 50-52, of 31 positions 22 instead of
+# 34, and a 65x65 V-cycle 0.70 ms instead of 0.91.  8 and 32 took 0.74 and
+# 0.73 ms per cycle.  Pure parallel reduction would store 2 L log2 L
+# multipliers per line, and its rounding grows with L: at 64 a line solve's
+# residual passed 8 eps.
+PCR_SIDE = 16
 
 
 class NotEllipticError(Exception):
@@ -231,21 +245,30 @@ def _apply(ell, A: np.ndarray, axis: int) -> np.ndarray:
 
 class _Lines:
     """One colour of zebra lines in one direction, with its cyclic-reduction
-    multipliers.
+    and parallel-cyclic-reduction multipliers.
 
     Arrays are indexed (position along the line, line).  A line's equations
     are ``diag u - lo u_prev - hi u_next = left u_left + right u_right - g``,
     where left and right are the lines beside it; `first` is the full index
     of the first line, counted across the lines.
 
-    Cyclic reduction (Buzbee, Golub and Nielson 1970): each level eliminates
-    the odd positions of the system above it, leaving a tridiagonal system on
-    the even ones, until one position is left.  A line of L positions takes
-    about 2 log2 L whole-array steps per solve instead of the 2 L of the
-    Thomas recurrence, and the multipliers take about 4 L numbers per line:
-    per level, 1/diag and the two couplings over it at the eliminated
-    positions, and the couplings of the kept positions to them, which on the
-    first level are views of the stencil arrays."""
+    Cyclic reduction (Buzbee, Golub and Nielson 1970) runs while more than
+    PCR_SIDE positions remain: each level eliminates the odd positions of the
+    system above it, leaving a tridiagonal system on the even ones.  Its
+    multipliers take about 4 L numbers per line: per level, 1/diag and the
+    two couplings over it at the eliminated positions, and the couplings of
+    the kept positions to them, which on the first level are views of the
+    stencil arrays.  The system left, of K <= PCR_SIDE positions, is solved
+    by parallel cyclic reduction (Hockney and Jesshope 1988): the step of
+    stride s = 1, 2, 4, ... adds to every equation the multiples of the
+    equations s positions away that eliminate its neighbours, so that after
+    ceil(log2 K) steps each equation holds one unknown.  Those steps need no
+    back-substitution, two multipliers per position and step, and one
+    reciprocal diagonal at the end; only the cyclic-reduction levels are
+    substituted back.  A line of 63 positions takes 2 reduction levels and 4
+    parallel steps, against 6 reduction levels forward and back, in fewer
+    numpy calls on short arrays, where call overhead rather than arithmetic
+    sets the time (the CR-to-PCR hybrid of Zhang, Cohen and Owens 2010)."""
 
     def __init__(self, lo, hi, left, right, diag, first: int):
         sel = np.s_[:, first - 1::2]
@@ -254,7 +277,7 @@ class _Lines:
         self.lo_first, self.hi_last = lo[0].copy(), hi[-1].copy()  # couplings to the boundary
         sub, sup = lo[1:], hi[:-1]  # position m+1 to m, and m to m+1
         self.levels = []
-        while diag.shape[0] > 1:
+        while diag.shape[0] > PCR_SIDE:
             k = (diag.shape[0] + 1) // 2  # positions kept
             inv = np.ascontiguousarray(1.0 / diag[1::2])
             lo_k, hi_k = sub[1::2], sup[0::2]  # kept positions to the eliminated ones
@@ -266,11 +289,23 @@ class _Lines:
             diag[:hi_k.shape[0]] -= hi_k * p
             sub, sup = lo_k * p[:k - 1], hi_k[:k - 1] * q
             self.levels.append((lo_k, hi_k, inv, np.ascontiguousarray(p), np.ascontiguousarray(q)))
+        # parallel cyclic reduction: at stride s, sub[m] couples position
+        # m + s to m and sup[m] couples m to m + s
+        self.steps = []
+        s = 1
+        while s < diag.shape[0]:
+            m1, m2 = sub / diag[:-s], sup / diag[s:]  # rows m - s and m + s into row m
+            diag = diag.copy()
+            diag[s:] -= m1 * sup
+            diag[:-s] -= m2 * sub
+            sub, sup = m1[s:] * sub[:-s], m2[:-s] * sup[s:]
+            self.steps.append((s, m1, m2))
+            s *= 2
         self.inv_last = 1.0 / diag
 
     def solve(self, V: np.ndarray, G: np.ndarray) -> None:
         """Solve every line of this colour exactly, in place, with the lines
-        beside it held fixed (cyclic reduction, all lines at once)."""
+        beside it held fixed (all lines at once)."""
         n = V.shape[1]
         cols = np.s_[self.first:n - 1:2]
         d = self.left * V[1:-1, self.first - 1:n - 2:2] + self.right * V[1:-1, self.first + 1::2]
@@ -288,6 +323,10 @@ class _Lines:
             kept[:hi_k.shape[0]] += hi_k * gone
             stack += [gone, kept]
         u = stack.pop()
+        for s, m1, m2 in self.steps:
+            t = m1 * u[:-s]
+            u[:-s] += m2 * u[s:]
+            u[s:] += t
         u *= self.inv_last
         for lo_k, hi_k, inv, p, q in reversed(self.levels):
             gone, x = stack.pop(), stack.pop()
@@ -439,8 +478,9 @@ class _Level:
 def check_solve_limits(tol, max_iter) -> None:
     """Raise ValueError, naming the field, unless tol is None or a finite
     number >= 0 and max_iter is a whole number >= 1."""
-    def finite(v):
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    def finite(v):  # compared, not converted: an int too large for a double is refused too
+        big = sys.float_info.max
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and -big <= v <= big
     if tol is not None and not (finite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not (finite(max_iter) and max_iter == int(max_iter) and max_iter >= 1):

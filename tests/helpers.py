@@ -8,11 +8,23 @@ map, and seeded closed-form families.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from ma_lin.expressions import Expr, evaluate, parse
 from ma_lin.grids import JetArrays, jet_exprs
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env(**extra) -> dict:
+    """The environment for a subprocess that imports ma_lin from this
+    checkout's src/, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def percent_g_rows(rows) -> bytes:

@@ -1,4 +1,6 @@
 import json
+import platform
+import re
 import subprocess
 import sys
 import time
@@ -6,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import percent_g_rows
+from helpers import percent_g_rows, src_env
 from ma_lin.cli import main
 from ma_lin.grids import read_grid
 from ma_lin.linsolve import FLOOR_FACTOR
@@ -127,6 +129,7 @@ def test_solve_unmeetable_tol_exits_3_quickly(tmp_path):
     ("lift", {"tol": "abc"}, [], "tol"),
     ("lift", {"tol": -1}, [], "tol"),
     ("lift", {}, ["--tol=-1e-9"], "tol"),
+    ("solve", {"tol": 10 ** 400}, [], "tol"),  # an int no double holds
 ])
 def test_out_of_range_limits_exit_1_before_any_artifact(tmp_path, capsys, command, limits,
                                                         flags, field):
@@ -233,6 +236,135 @@ def test_lift_all_nodes_degenerate_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# config validation
+
+def _geometry_config():
+    """The solve config with `geometry` in place of `domain`, nx and ny."""
+    data = _solve_config()
+    for key in ("domain", "nx", "ny"):
+        del data[key]
+    data["geometry"] = {"nx": 9, "ny": 9, "x0": 0.0, "y0": 0.0, "dx": 0.125, "dy": 0.125}
+    return data
+
+
+def _refused_before_any_output(tmp_path, capsys, command, data):
+    """Run command on data; it must exit 1 before creating the output
+    directory, with one error line and no traceback.  Returns that line."""
+    cfg = _write(tmp_path / "p.json", data)
+    out = tmp_path / "o"
+    assert main([command, "--in", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+def _with(make, **changes):
+    """A config from make() with keys set, or removed where the value is
+    None; a key such as "target.ny" reaches into the nested object."""
+    data = make()
+    for path, value in changes.items():
+        *outer, key = path.split(".")
+        obj = data[outer[0]] if outer else data
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return data
+
+
+def _case(command, changes, message, make=None):
+    make = make or (_lift_config if command == "lift" else _solve_config)
+    words = re.sub(r"[^\w.]+", "-", message).strip("-")
+    return pytest.param(command, make, changes, message, id=f"{command}-{words}")
+
+
+@pytest.mark.parametrize("command,make,changes,message", [
+    _case("lift", {"max_iter": 0}, "lift config does not read the key 'max_iter'"),
+    _case("lift", {"tl": -1}, "lift config does not read the key 'tl'"),  # a misspelt tol
+    # not read beside an explicit target, or beside a catalog id
+    _case("lift", {"target_nx": 9}, "lift config does not read the key 'target_nx'"),
+    _case("lift", {"f": "1"}, "lift config does not read the key 'f'"),
+    _case("lift", {"geometry": {}}, "lift config does not read the key 'geometry'"),
+    _case("lift", {"target.dz": 0.1}, "target does not read the key 'dz'"),
+    _case("solve", {"max_itr": 5}, "solve config does not read the key 'max_itr'"),
+    _case("solve", {"nx": 9}, "solve config does not read the key 'nx'", _geometry_config),
+    _case("solve", {"boundary": {"left": "0", "right": "0", "bottom": "0", "up": "0"}},
+          "boundary does not read the key 'up'"),
+])
+def test_config_keys_a_command_does_not_read_exit_1(tmp_path, capsys, command, make, changes,
+                                                      message):
+    err = _refused_before_any_output(tmp_path, capsys, command, _with(make, **changes))
+    assert err.startswith(f"error: {message}; it reads ")
+
+
+@pytest.mark.parametrize("command,make,changes,message", [
+    _case("lift", {"nx": 9.7}, "nx"),
+    _case("lift", {"ny": 16.5}, "ny"),
+    _case("lift", {"target.nx": 9.5}, "target.nx"),
+    _case("lift", {"target.ny": 1e-3}, "target.ny"),
+    _case("lift", {"target": None, "boundary": "X^2-Y^2", "target_nx": 9.7}, "target_nx"),
+    _case("lift", {"target": None, "boundary": "X^2-Y^2", "target_ny": 32.5}, "target_ny"),
+    _case("solve", {"nx": 9.7}, "nx"),
+    _case("solve", {"ny": 17.25}, "ny"),
+    _case("solve", {"geometry.nx": 9.7}, "geometry.nx", _geometry_config),
+    _case("solve", {"geometry.ny": 4.5}, "geometry.ny", _geometry_config),
+])
+def test_non_integral_node_counts_exit_1(tmp_path, capsys, command, make, changes, message):
+    err = _refused_before_any_output(tmp_path, capsys, command, _with(make, **changes))
+    assert err.startswith(f"error: {message} must be a whole number")
+
+
+@pytest.mark.parametrize("command,make,changes,message", [
+    _case("lift", {"nx": "33"}, "nx must be a finite number"),
+    _case("lift", {"target.dx": "0.1"}, "target.dx must be a finite number"),
+    _case("lift", {"target.x0": 10 ** 400}, "target.x0 must be a finite number"),
+    _case("lift", {"domain": [0.5, 1.5, 0.5]}, "domain must be [X0, X1, Y0, Y1]"),
+    _case("lift", {"domain": [0.5, "a", 0.5, 1.5]}, "domain[1] must be a finite number"),
+    _case("solve", {"ny": True}, "ny must be a finite number"),
+    _case("solve", {"geometry": [9, 9]}, "geometry must be a JSON object", _geometry_config),
+])
+def test_non_numeric_grid_fields_exit_1(tmp_path, capsys, command, make, changes, message):
+    err = _refused_before_any_output(tmp_path, capsys, command, _with(make, **changes))
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command,make,changes,message", [
+    _case("lift", {"domain": None}, "lift config needs 'domain'"),
+    _case("lift", {}, "lift config needs 'boundary'"),
+    _case("lift", {"target.ny": None}, "target needs 'ny'"),
+    _case("lift", {"target.x0": None}, "target needs 'x0'"),
+    _case("solve", {"domain": None}, "solve config needs 'domain'"),
+    _case("solve", {"boundary": None}, "solve config needs 'boundary'"),
+    _case("solve", {"fcoeff": None}, "solve config needs 'fcoeff'"),
+    _case("solve", {"geometry.dx": None}, "geometry needs 'dx'", _geometry_config),
+    _case("solve", {"boundary": {"left": "0", "right": "0", "bottom": "0"}},
+          "boundary needs 'top'"),
+])
+def test_missing_fields_exit_1_naming_the_field(tmp_path, capsys, command, make, changes,
+                                                message):
+    err = _refused_before_any_output(tmp_path, capsys, command, _with(make, **changes))
+    assert err.startswith(f"error: {message}")
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    cfg = _write(tmp_path / "p.json", [1, 2])
+    assert main(["solve", "--in", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_whole_float_counts_and_geometry_stay_legal(tmp_path):
+    # 17.0 is a whole number; geometry replaces domain
+    data = _with(_solve_config, nx=17.0, ny=17.0)
+    assert main(["solve", "--in", _write(tmp_path / "a.json", data),
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["solve", "--in", _write(tmp_path / "b.json", _geometry_config()),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert [read_grid(tmp_path / side / "solution.csv").nx for side in "ab"] == [17, 9]
+
+
+# ---------------------------------------------------------------------------
 # elasticity
 
 def test_elasticity_report(tmp_path):
@@ -310,7 +442,7 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ma_lin", "classify", "--id", "plane-strain",
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert (tmp_path / "o" / "classification.json").exists()
 
@@ -368,7 +500,7 @@ def test_runtime_imports_no_scipy(tmp_path):
          "print(sorted(m for m in sys.modules "
          "if m.split('.')[0] in ('scipy', 'fractions', 'decimal') "
          "or m.split('.')[:2] == ['numpy', 'ma']))"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -379,3 +511,20 @@ def test_manifest_records_input_hash(tmp_path):
     assert main(["classify", "--in", eq, "--out", str(out)]) == 0
     man = _read_json(out / "manifest.json")
     assert len(man["inputs"][eq]) == 64  # sha256 hex digest
+
+
+def test_manifest_records_the_software_versions(tmp_path):
+    # every command's manifest; the CSV bytes are not affected by them
+    lift = {**_lift_config(), "boundary": "X^2-Y^2", "nx": 9, "ny": 9}
+    runs = [["classify", "--id", "grad-inversion"],
+            ["solve", "--in", _write(tmp_path / "p.json", _solve_config())],
+            ["lift", "--in", _write(tmp_path / "l.json", lift)],
+            ["elasticity", "--in", _write(tmp_path / "d.json", {"kind": "from-U",
+                                                                "potential": "X^2+Y^2"}),
+             "--domain=-1,1,-1,1", "--n", "5"],
+            ["khabirov", "--g", "1+s^2"]]
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"o{k}"
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        assert _read_json(out / "manifest.json")["versions"] == versions, argv

@@ -1,25 +1,21 @@
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (dense_dirichlet, dense_level_operator, dense_line_solve,
-                     measured_order, transfers_reference, zero_start_solve)
+                     measured_order, src_env, transfers_reference, zero_start_solve)
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
 from ma_lin.grids import geometry_from_domain, sample
-from ma_lin.linsolve import (DIRECT_SIDE, FLOOR_FACTOR, BoundaryValues,
+from ma_lin.linsolve import (DIRECT_SIDE, FLOOR_FACTOR, PCR_SIDE, BoundaryValues,
                              NotConvergedError, NotEllipticError,
                              boundary_from_edge_exprs, constant_f_family,
                              discrete_residual, mms_source, _coarse_nodes,
                              _Level, _transfers, problem_from_exprs, solve_dirichlet)
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _solve_expr(fcoeff, Ustar, n, tol=None, source=None):
@@ -315,11 +311,13 @@ def test_nested_start_agrees_with_a_zero_start(make, fcoeff, nx, ny):
 @pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("axis", ["y", "x"])
 def test_line_solve_matches_dense_reference(axis, uniform):
-    # every line length from 1 to 70, both colours; non-uniform positions are
-    # what coarse levels see.  x-lines run on the transposed grid, as in relax
+    # every line length from 1 to 70, and lengths that take three to five
+    # cyclic-reduction levels before the switch to parallel cyclic reduction,
+    # both colours; non-uniform positions are what coarse levels see.
+    # x-lines run on the transposed grid, as in relax
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(70 + 2 * (axis == "x") + uniform)
-    for length in range(1, 71):
+    for length in [*range(1, 71), 127, 128, 129, 255, 256, 257]:
         gaps = np.ones(length + 1, dtype=int) if uniform else rng.integers(1, 4, length + 1)
         pos, other = np.r_[0, np.cumsum(gaps)], np.arange(7)
         shape = (length + 2, 7) if axis == "y" else (7, length + 2)
@@ -362,6 +360,23 @@ def test_line_solve_matches_dense_reference(axis, uniform):
                 margin = np.min(diag[:, k] - lo[:, k] - hi[:, k])
                 bound = (r + np.max(np.abs(residual(ref)))) / margin
                 assert np.max(np.abs(u - ref)) <= bound + 4 * eps * np.max(np.abs(ref))
+
+
+def test_line_multipliers_stay_linear_in_the_line_length():
+    # cyclic reduction stores about 4 L multipliers per line and parallel
+    # cyclic reduction at most 2 K log2 K on the K <= PCR_SIDE positions it
+    # is left; parallel reduction over a whole line would store 2 L log2 L
+    length = 511
+    f = np.random.default_rng(511).uniform(0.01, 100.0, (length + 2, 7))
+    lev = _Level(f, np.arange(7), np.arange(length + 2), 0.3, 0.2)
+    for lines in lev.y_lines:
+        arrays = [a for level in lines.levels for a in level]
+        arrays += [m for _, m1, m2 in lines.steps for m in (m1, m2)] + [lines.inv_last]
+        # the first level's couplings are views of the stencil arrays
+        owned = [a for a in arrays if not any(np.may_share_memory(a, b) for b in lev.op)]
+        per_line = sum(a.size for a in owned) / lines.inv_last.shape[1]
+        assert lines.levels and lines.inv_last.shape[0] <= PCR_SIDE
+        assert per_line <= 4 * length + 2 * PCR_SIDE * math.log2(PCR_SIDE), per_line
 
 
 def _coarsened(n: int, times: int) -> np.ndarray:
@@ -452,8 +467,7 @@ def test_solution_bytes_independent_of_blas_threads():
             "print(rep.direct_unknowns, hashlib.sha256(U.values.tobytes()).hexdigest())")
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env = src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
