@@ -164,15 +164,19 @@ def _grid_fields(obj, where: str) -> GridGeometry:
                         _real(dx, f"{where}.dx"), _real(dy, f"{where}.dy"))
 
 
-def _domain(cfg: dict, nx: Optional[int], ny: Optional[int], where: str):
-    """The `domain` [X0, X1, Y0, Y1] and its nx, ny nodes per axis, the flags
-    overriding the config's counts."""
-    dom = _need(cfg, "domain", where)
+def _rectangle(dom) -> tuple[float, float, float, float]:
+    """A `domain` [X0, X1, Y0, Y1] of four finite numbers."""
     if not isinstance(dom, list) or len(dom) != 4:
         raise UsageError(f"domain must be [X0, X1, Y0, Y1], got {dom!r}")
+    return tuple(_real(v, f"domain[{k}]") for k, v in enumerate(dom))
+
+
+def _domain(cfg: dict, nx: Optional[int], ny: Optional[int], where: str):
+    """The `domain` and its nx, ny nodes per axis, the flags overriding the
+    config's counts."""
+    domain = _rectangle(_need(cfg, "domain", where))
     counts = [_count(cfg.get(k, 33), k) for k in ("nx", "ny")]
-    domain = tuple(_real(v, f"domain[{k}]") for k, v in enumerate(dom))
-    return domain, nx or counts[0], ny or counts[1]
+    return domain, counts[0] if nx is None else nx, counts[1] if ny is None else ny
 
 
 def _boundary_from_config(cfg, geom, where):
@@ -214,7 +218,8 @@ def cmd_solve(args) -> int:
     max_iter = int(max_iter)
     if "geometry" in cfg:
         g = _grid_fields(cfg["geometry"], "geometry")
-        geom = GridGeometry(args.nx or g.nx, args.ny or g.ny, g.x0, g.y0, g.dx, g.dy)
+        geom = GridGeometry(g.nx if args.nx is None else args.nx,
+                            g.ny if args.ny is None else args.ny, g.x0, g.y0, g.dx, g.dy)
     else:
         domain, nx, ny = _domain(cfg, args.nx, args.ny, "solve config")
         geom = geometry_from_domain(*domain, nx, ny)
@@ -298,16 +303,17 @@ def cmd_lift(args) -> int:
 
 def cmd_elasticity(args) -> int:
     data = _load_json(args.infile)
-    d = deformation_from_dict(data)
+    _check_keys(data, ("kind", "potential", "domain", "n"), "elasticity config")
+    d = deformation_from_dict({k: _need(data, k, "elasticity config")
+                               for k in ("kind", "potential")})
     domain = None
     if args.domain:
-        parts = [float(v) for v in args.domain.split(",")]
-        if len(parts) != 4:
-            raise UsageError("--domain wants X0,X1,Y0,Y1")
-        domain = tuple(parts)
+        domain = _rectangle([float(v) for v in args.domain.split(",")])
     elif "domain" in data:
-        domain = tuple(float(v) for v in data["domain"])
-    n = args.n or int(data.get("n", 20))
+        domain = _rectangle(data["domain"])
+    n = args.n if args.n is not None else _count(data.get("n", 20), "n")
+    if n < 1:
+        raise UsageError(f"n must be at least 1, got {n}")
     report = incompressibility_check(d, domain=domain, n=n)
     rep = report.to_dict()
     rep["seed"] = args.seed
@@ -327,7 +333,8 @@ def cmd_khabirov(args) -> int:
         inputs = {"g": args.g}
     elif args.infile:
         data = _load_json(args.infile)
-        g = parse(str(data["g"]))
+        _check_keys(data, ("g",), "khabirov config")
+        g = parse(str(_need(data, "g", "khabirov config")))
         inputs = {args.infile: _sha256(args.infile)}
     else:
         raise UsageError("khabirov needs --g EXPR or --in FILE with {\"g\": ...}")

@@ -48,7 +48,8 @@ class GridGeometry:
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
-            raise GridError(f"grid needs at least one node per axis, got {self.nx}x{self.ny}")
+            raise GridError("grid needs at least one node per axis, "
+                            f"got nx={self.nx}, ny={self.ny}")
         if not (self.dx > 0 and self.dy > 0 and math.isfinite(self.dx) and math.isfinite(self.dy)):
             raise GridError(f"spacings must be positive and finite, got dx={self.dx}, dy={self.dy}")
         if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
@@ -78,7 +79,7 @@ class GridGeometry:
 def geometry_from_domain(x0: float, x1: float, y0: float, y1: float,
                          nx: int, ny: int) -> GridGeometry:
     if nx < 2 or ny < 2:
-        raise GridError("a domain needs at least two nodes per axis")
+        raise GridError(f"a domain needs at least two nodes per axis, got nx={nx}, ny={ny}")
     return GridGeometry(nx, ny, x0, y0, (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1))
 
 

@@ -4,7 +4,7 @@ The parametric representation on the (X, Y) chart is primary: each source node
 carries its image point (x, y), the full image jet, and the map jacobian.
 Gridded u(x, y) is derived output, produced by inverting the cell images of
 the structured source mesh: every (cell, target) pair whose padded cell
-bounding box holds the target runs a damped bilinear Newton iteration, as
+bounding box holds the target solves the bilinear cell map in closed form, as
 array code over fixed-size chunks of pairs taken in row-major cell order, and
 each target keeps its first hit in that order.
 """
@@ -149,69 +149,45 @@ def verify_lift(s: LiftedSurface, eq: MAEquation) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # resampling the parametric surface onto a regular (x, y) grid
 
-_NEWTON_TOL = 1e-12
-_NEWTON_MAX = 20
 _BOX_PAD = 1e-12
 _INSIDE_PAD = 1e-9
-_PAIR_CHUNK = 4096  # (cell, target) pairs per Newton batch: bounds the working set
-
-
-def _larger(a, b):
-    """Elementwise max(a, b) as Python's max takes it: b only where b > a."""
-    return np.where(b > a, b, a)
-
-
-def _bilinear_residual(cx, cy, s, t, tx, ty):
-    return (cx[0] + cx[1] * s + cx[2] * t + cx[3] * s * t - tx,
-            cy[0] + cy[1] * s + cy[2] * t + cy[3] * s * t - ty)
+_PAIR_CHUNK = 4096  # (cell, target) pairs per batch: bounds the working set
 
 
 def _invert_bilinear(cx, cy, tx, ty):
-    """Solve bilinear cell maps for (s, t), one cell-target pair per column.
+    """Solve bilinear cell maps for (s, t) in closed form, one cell-target
+    pair per column.
 
     cx, cy have shape (4, m): the coefficients of P(s,t) = c0 + c1 s + c2 t +
-    c3 s t per coordinate.  Damped Newton from the cell center: a step that
-    does not shrink the residual is halved, up to 8 times, before the pair is
-    given up.  Returns (s, t, ok), with s and t NaN where ok is False.  Each
-    pair gets the arithmetic of the scalar iteration in the same order, so the
-    bits do not depend on which other pairs share the call.
+    c3 s t per coordinate.  With d = c0 - T, eliminating s from P(s,t) = T
+    leaves A t^2 + B t + C = 0, where A = c2 x c3, B = d x c3 + c2 x c1 and
+    C = d x c1 are 2-D cross products.  With q = -(B + sign(B) sqrt(B^2 -
+    4AC))/2 the roots are C/q and q/A, tried in that order, and s = -(d +
+    c2 t)/(c1 + c3 t) comes from the coordinate with the larger divisor.  A
+    parallelogram (A = 0) takes no branch of its own: q/A is infinite and C/q
+    is the linear root.  Returns (s, t) of the first root within _INSIDE_PAD
+    of the unit square, NaN where neither root is.
+
+    Degenerate cells: a twisted (self-crossing) cell gives its first root in
+    the square.  A cell collapsed to a point has no unique preimage and
+    misses; one collapsed to a segment has none either, and what roots it
+    gives come from rounding.  Near the collapsed corner of a triangle cell,
+    where the map's jacobian vanishes, a root loses accuracy or misses.
     """
-    m = tx.size
-    s_out, t_out = np.full(m, np.nan), np.full(m, np.nan)
-    ok = np.zeros(m, dtype=bool)
-    pair = np.arange(m)
-    s, t = np.full(m, 0.5), np.full(m, 0.5)
-    rx, ry = _bilinear_residual(cx, cy, s, t, tx, ty)
-    bound = _NEWTON_TOL * (1.0 + _larger(np.abs(tx), np.abs(ty)))
+    dx, dy = cx[0] - tx, cy[0] - ty
+    A = cx[2] * cy[3] - cy[2] * cx[3]
+    B = dx * cy[3] - dy * cx[3] + cx[2] * cy[1] - cy[2] * cx[1]
+    C = dx * cy[1] - dy * cx[1]
+    s_out, t_out = np.full(tx.size, np.nan), np.full(tx.size, np.nan)
     with np.errstate(all="ignore"):
-        for step in range(_NEWTON_MAX + 1):
-            res = _larger(np.abs(rx), np.abs(ry))
-            done = res <= bound
-            s_out[pair[done]], t_out[pair[done]], ok[pair[done]] = s[done], t[done], True
-            if step == _NEWTON_MAX:
-                break
-            a11, a12 = cx[1] + cx[3] * t, cx[2] + cx[3] * s
-            a21, a22 = cy[1] + cy[3] * t, cy[2] + cy[3] * s
-            det = a11 * a22 - a12 * a21
-            ds = (-rx * a22 + ry * a12) / det
-            dt = (-ry * a11 + rx * a21) / det
-            pending = ~done & (det != 0.0) & np.isfinite(det)
-            live = pending.copy()
-            lam = 1.0
-            for _ in range(8):
-                s2, t2 = s + lam * ds, t + lam * dt
-                rx2, ry2 = _bilinear_residual(cx, cy, s2, t2, tx, ty)
-                take = pending & (_larger(np.abs(rx2), np.abs(ry2)) < res)
-                s, t = np.where(take, s2, s), np.where(take, t2, t)
-                rx, ry = np.where(take, rx2, rx), np.where(take, ry2, ry)
-                pending &= ~take
-                if not pending.any():
-                    break
-                lam *= 0.5
-            keep = live & ~pending
-            cx, cy, tx, ty, bound = cx[:, keep], cy[:, keep], tx[keep], ty[keep], bound[keep]
-            s, t, rx, ry, pair = s[keep], t[keep], rx[keep], ry[keep], pair[keep]
-    return s_out, t_out, ok
+        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * C), B))
+        for t in (C / q, q / A):
+            ex, ey = cx[1] + cx[3] * t, cy[1] + cy[3] * t
+            s = np.where(np.abs(ex) >= np.abs(ey), -(dx + cx[2] * t) / ex, -(dy + cy[2] * t) / ey)
+            take = (np.isnan(s_out) & (-_INSIDE_PAD <= s) & (s <= 1.0 + _INSIDE_PAD)
+                    & (-_INSIDE_PAD <= t) & (t <= 1.0 + _INSIDE_PAD))
+            s_out[take], t_out[take] = s[take], t[take]
+    return s_out, t_out
 
 
 def resample(s: LiftedSurface, target: GridGeometry) -> MaskedGrid2:
@@ -219,13 +195,13 @@ def resample(s: LiftedSurface, target: GridGeometry) -> MaskedGrid2:
 
     The candidates for a target are the cells with four valid corners whose
     bounding box, padded by 1e-12, holds it.  The target takes its value from
-    the first candidate in row-major (cj, ci) cell order whose bilinear
-    inverse lands inside the cell, so each target's value is independent of
-    the other targets.  Targets outside the image, or landing only in fold
-    cells (any masked corner), are masked rather than extrapolated.  The work
-    is linear in the cells, the targets and the (cell, target) pairs; the
-    pairs run in chunks of _PAIR_CHUNK in cell order, so the memory the
-    Newton iteration takes does not grow with their number.
+    the first candidate in row-major (cj, ci) cell order whose closed-form
+    bilinear inverse lands inside the cell, so each target's value is
+    independent of the other targets.  Targets outside the image, or landing
+    only in fold cells (any masked corner), are masked rather than
+    extrapolated.  The work is linear in the cells, the targets and the
+    (cell, target) pairs; the pairs run in chunks of _PAIR_CHUNK in cell
+    order, so memory does not grow with their number.
     """
     nY, nX = s.valid.shape
     if nX < 2 or nY < 2:
@@ -267,16 +243,14 @@ def resample(s: LiftedSurface, target: GridGeometry) -> MaskedGrid2:
         y00, y10, y01, y11 = (a[hj, hi] for a in cell_corners(s.y))
         cx = np.stack((x00, x10 - x00, x01 - x00, x11 - x10 - x01 + x00))
         cy = np.stack((y00, y10 - y00, y01 - y00, y11 - y10 - y01 + y00))
-        sv, tv, ok = _invert_bilinear(cx, cy, txs[ti], tys[tj])
-        hit = (ok & (-_INSIDE_PAD <= sv) & (sv <= 1.0 + _INSIDE_PAD)
-               & (-_INSIDE_PAD <= tv) & (tv <= 1.0 + _INSIDE_PAD))
+        sv, tv = _invert_bilinear(cx, cy, txs[ti], tys[tj])
+        hit = np.isfinite(sv)
         # return_index picks each target's first hit in pair order, i.e. cell
         # order; a target hit in an earlier chunk keeps that hit
         flat, first = np.unique((tj * target.nx + ti)[hit], return_index=True)
         new = ~mask[flat]
         flat, take = flat[new], np.flatnonzero(hit)[first[new]]
-        # min(max(v, 0.0), 1.0) as Python takes it
-        sv, tv = (np.where(1.0 < v, 1.0, _larger(v, 0.0)) for v in (sv[take], tv[take]))
+        sv, tv = np.clip(sv[take], 0.0, 1.0), np.clip(tv[take], 0.0, 1.0)
         u00, u10, u01, u11 = (a[hj[take], hi[take]] for a in cell_corners(s.u))
         out[flat] = ((1 - sv) * (1 - tv) * u00 + sv * (1 - tv) * u10
                      + (1 - sv) * tv * u01 + sv * tv * u11)

@@ -142,7 +142,8 @@ class EllipticProblem:
 
     def __post_init__(self):
         if self.geom.nx < 3 or self.geom.ny < 3:
-            raise ValueError("need at least 3 nodes per axis")
+            raise ValueError("need at least 3 nodes per axis, "
+                             f"got nx={self.geom.nx}, ny={self.geom.ny}")
         for name, g in (("fcoeff", self.fcoeff), ("source", self.source)):
             if g.geom != self.geom:
                 raise ValueError(f"{name} grid geometry differs from the problem geometry")

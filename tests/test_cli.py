@@ -247,12 +247,12 @@ def _geometry_config():
     return data
 
 
-def _refused_before_any_output(tmp_path, capsys, command, data):
+def _refused_before_any_output(tmp_path, capsys, command, data, *flags):
     """Run command on data; it must exit 1 before creating the output
     directory, with one error line and no traceback.  Returns that line."""
     cfg = _write(tmp_path / "p.json", data)
     out = tmp_path / "o"
-    assert main([command, "--in", cfg, "--out", str(out)]) == 1
+    assert main([command, "--in", cfg, "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
@@ -347,6 +347,20 @@ def test_missing_fields_exit_1_naming_the_field(tmp_path, capsys, command, make,
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command,make,flags,message", [
+    ("solve", _solve_config, ["--nx", "0"], "nx=0"),
+    ("solve", _solve_config, ["--ny", "0"], "ny=0"),
+    ("solve", _geometry_config, ["--nx", "0"], "nx=0"),
+    ("lift", lambda: _with(_lift_config, boundary="X^2-Y^2"), ["--ny", "0"], "ny=0"),
+    ("elasticity", lambda: _deformation_config(domain=[-1, 1, -1, 1]), ["--n", "0"],
+     "n must be at least 1, got 0"),
+], ids=["solve-nx", "solve-ny", "solve-geometry-nx", "lift-ny", "elasticity-n"])
+def test_zero_node_count_flags_are_values_not_absent(tmp_path, capsys, command, make, flags,
+                                                     message):
+    err = _refused_before_any_output(tmp_path, capsys, command, make(), *flags)
+    assert message in err
+
+
 def test_config_must_be_a_json_object(tmp_path, capsys):
     cfg = _write(tmp_path / "p.json", [1, 2])
     assert main(["solve", "--in", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -366,6 +380,34 @@ def test_whole_float_counts_and_geometry_stay_legal(tmp_path):
 
 # ---------------------------------------------------------------------------
 # elasticity
+
+def _deformation_config(**changes):
+    return {"kind": "from-U", "potential": "X^2+Y^2", **changes}
+
+
+@pytest.mark.parametrize("command,data,flags,message", [
+    ("elasticity", {}, [], "elasticity config needs 'kind'"),
+    ("elasticity", {"kind": "from-U"}, [], "elasticity config needs 'potential'"),
+    ("elasticity", _deformation_config(domain=[-1, 1, -1, 1], samples=5), [],
+     "elasticity config does not read the key 'samples'; it reads kind, potential, domain, n"),
+    ("elasticity", _deformation_config(domain=[-1, 1, -1, 1], n=5.5), [],
+     "n must be a whole number"),
+    ("elasticity", _deformation_config(domain=[-1, 1, -1]), [], "domain must be [X0, X1, Y0, Y1]"),
+    ("elasticity", _deformation_config(domain=[-1, "a", -1, 1]), [],
+     "domain[1] must be a finite number"),
+    ("elasticity", _deformation_config(), ["--domain=nan,1,-1,1"],
+     "domain[0] must be a finite number"),
+    ("elasticity", _deformation_config(), ["--domain=-1,1,-1"], "domain must be [X0, X1, Y0, Y1]"),
+    ("khabirov", {}, [], "khabirov config needs 'g'"),
+    ("khabirov", {"g": "1+s^2", "h": "s"}, [],
+     "khabirov config does not read the key 'h'; it reads g"),
+], ids=["no-kind", "no-potential", "unknown-key", "fractional-n", "short-domain",
+        "text-in-domain", "nan-domain-flag", "short-domain-flag", "no-g", "khabirov-unknown-key"])
+def test_elasticity_and_khabirov_inputs_are_checked(tmp_path, capsys, command, data, flags,
+                                                    message):
+    err = _refused_before_any_output(tmp_path, capsys, command, data, *flags)
+    assert err.startswith(f"error: {message}")
+
 
 def test_elasticity_report(tmp_path):
     d = _write(tmp_path / "d.json", {"kind": "from-U", "potential": "X^2+X*Y+Y^2/2"})

@@ -133,12 +133,13 @@ def _bits(a):
 
 
 def _bilinear_cases(seed):
-    """Cells of four kinds with targets inside, on an edge, on a corner and outside."""
+    """Cells of six kinds with targets inside, on an edge, on a corner and
+    outside, as (kind, cx, cy, tx, ty) rows."""
     rng = np.random.default_rng(seed)
     unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # p00 p10 p01 p11
     cases = []
-    for kind in ("ccw", "cw", "twisted", "zero-area"):
-        for _ in range(25):
+    for kind in ("ccw", "cw", "twisted", "zero-area", "parallelogram", "collapsed-edge"):
+        for k in range(25):
             p = unit * rng.uniform(0.01, 3.0) + rng.uniform(-0.2, 0.2, (4, 2)) * 0.1
             p += rng.uniform(-5.0, 5.0, 2)
             if kind == "cw":
@@ -148,6 +149,11 @@ def _bilinear_cases(seed):
             elif kind == "zero-area":
                 q = rng.uniform(-1.0, 1.0, 4) if rng.random() < 0.5 else np.zeros(4)
                 p = p[0] + np.outer(q, rng.uniform(-1.0, 1.0, 2))
+            elif kind == "parallelogram":  # dyadic corners, so c3 = 0 exactly
+                o, a, b = (rng.integers(-64, 65, 2) / 16 for _ in range(3))
+                p = np.array([o, o + a, o + b, o + a + b])
+            elif kind == "collapsed-edge":  # a triangle: p11 = p10, or p10 = p00
+                p[(3, 1)[k % 2]] = p[(1, 0)[k % 2]]
             cx, cy = ((c[0], c[1] - c[0], c[2] - c[0], c[3] - c[1] - c[2] + c[0]) for c in p.T)
             s, t = rng.uniform(0.05, 0.95, 2)
             params = [(s, t), (s, 0.0), (1.0, t), (0.0, 0.0), (1.0, 1.0),
@@ -155,26 +161,45 @@ def _bilinear_cases(seed):
             targets = [(cx[0] + cx[1] * a + cx[2] * b + cx[3] * a * b,
                         cy[0] + cy[1] * a + cy[2] * b + cy[3] * a * b) for a, b in params]
             targets += [tuple(c) for c in p]  # the corner nodes themselves
-            cases += [(cx, cy, tx, ty) for tx, ty in targets]
+            cases += [(kind, cx, cy, tx, ty) for tx, ty in targets]
     return cases
 
 
-def test_array_newton_matches_scalar_reference_bitwise():
+def test_closed_form_inverse_matches_newton_roots_inside_the_cell():
     cases = _bilinear_cases(20261018)
-    cx = np.array([c[0] for c in cases]).T
-    cy = np.array([c[1] for c in cases]).T
-    tx = np.array([c[2] for c in cases])
-    ty = np.array([c[3] for c in cases])
-    s, t, ok = _invert_bilinear(cx, cy, tx, ty)
-    refs = [invert_bilinear(tuple(map(float, a)), tuple(map(float, b)), float(x), float(y))
-            for a, b, x, y in cases]
-    assert ok.tolist() == [r is not None for r in refs]
-    assert 0 < ok.sum() < ok.size  # both outcomes are exercised
-    ref_s = np.array([r[0] if r else np.nan for r in refs])
-    ref_t = np.array([r[1] if r else np.nan for r in refs])
-    assert np.array_equal(_bits(s[ok]), _bits(ref_s[ok]))
-    assert np.array_equal(_bits(t[ok]), _bits(ref_t[ok]))
-    assert np.isnan(s[~ok]).all() and np.isnan(t[~ok]).all()
+    kind = np.array([c[0] for c in cases])
+    cx, cy = (np.array([c[k] for c in cases]).T for k in (1, 2))
+    tx, ty = (np.array([c[k] for c in cases]) for k in (3, 4))
+    assert not (cx[3] != 0)[kind == "parallelogram"].any()
+    assert not (cy[3] != 0)[kind == "parallelogram"].any()
+    s, t = _invert_bilinear(cx, cy, tx, ty)
+    hit = np.isfinite(s)
+    assert np.array_equal(hit, np.isfinite(t))
+    assert 0 < hit.sum() < hit.size  # both outcomes are exercised
+    assert (s[hit] >= -1e-9).all() and (s[hit] <= 1.0 + 1e-9).all()
+    assert (t[hit] >= -1e-9).all() and (t[hit] <= 1.0 + 1e-9).all()
+    # the collapsed corner p10 = c0 + c1 of a triangle cell, where the map's
+    # jacobian vanishes; with p10 = p00 the root t = 0 of every target gives
+    # no s, so the hits there take the other root
+    corner = ((kind == "collapsed-edge")
+              & (np.hypot(tx - cx[0] - cx[1], ty - cy[0] - cy[1]) <= 1e-12))
+    # on regular cells, and on triangles away from that corner, the hits are
+    # exactly the Newton roots inside the square
+    newton = [invert_bilinear(tuple(map(float, a)), tuple(map(float, b)), float(x), float(y))
+              for a, b, x, y in zip(cx.T, cy.T, tx, ty)]
+    inside = np.array([r is not None and all(-1e-9 <= v <= 1.0 + 1e-9 for v in r)
+                       for r in newton])
+    regular = np.isin(kind, ("ccw", "cw", "parallelogram")) | ((kind == "collapsed-edge") & ~corner)
+    assert np.array_equal(hit[regular], inside[regular])
+    # every root maps back to its target to rounding, away from that corner
+    check = hit & ~corner
+    eps = np.finfo(np.float64).eps
+    for c, target in ((cx, tx), (cy, ty)):
+        back = c[0] + c[1] * s + c[2] * t + c[3] * s * t
+        assert (np.abs(back - target)[check] <= 4 * eps * np.abs(c).sum(axis=0)[check]).all()
+    # a cell collapsed to a point has no unique preimage
+    point = (cx[1:] == 0).all(axis=0) & (cy[1:] == 0).all(axis=0)
+    assert point.any() and not hit[point].any()
 
 
 def _resample_case(name):
@@ -189,18 +214,20 @@ def _resample_case(name):
 @pytest.mark.parametrize("name", ["plane-strain-class", "grad-inversion", "clockwise"])
 def test_resample_equals_brute_force_first_hit(name, monkeypatch):
     # on the solved saddle some targets lie on edges shared by two cells whose
-    # bilinear interpolants differ in the last bits, so cell order matters
+    # bilinear interpolants differ in the last bits, so cell order fixes the bits
     surface, target = _resample_case(name)
     got = resample(surface, target)
     values, mask = first_hit_resample(surface, target)
     assert np.array_equal(got.mask, mask)
     assert 0 < mask.sum() < mask.size
-    assert np.array_equal(_bits(got.grid.values), _bits(values))
+    # the closed form and the reference's Newton iteration round differently
+    assert np.isnan(got.grid.values[~mask]).all()
+    assert np.max(np.abs(got.grid.values - values)[mask]) <= 1e-13 * np.max(np.abs(values[mask]))
     # a target hit in an earlier chunk of pairs keeps that hit
     monkeypatch.setattr(lift, "_PAIR_CHUNK", 97)
     small = resample(surface, target)
     assert np.array_equal(small.mask, mask)
-    assert np.array_equal(_bits(small.grid.values), _bits(values))
+    assert np.array_equal(_bits(small.grid.values), _bits(got.grid.values))
     # a target's value does not depend on the other targets
     xs, ys = target.xs(), target.ys()
     for j in (0, target.ny // 2, target.ny - 1):
@@ -228,8 +255,8 @@ def test_resample_257_target_over_257_mesh_within_budget():
 
 
 def test_resample_memory_does_not_grow_with_the_pairs():
-    # 131,200 (cell, target) pairs; holding every pair's Newton state at once
-    # took about 50 MB more
+    # 131,200 (cell, target) pairs; holding every pair's inversion state at
+    # once took about 50 MB more
     s = lift_parametric(parse("X^2-Y^2"), (0.5, 1.5, 0.5, 1.5), 257)
     x, y = s.x[s.valid], s.y[s.valid]
     target = geometry_from_domain(x.min(), x.max(), y.min(), y.max(), 257, 257)
@@ -242,6 +269,19 @@ def test_resample_memory_does_not_grow_with_the_pairs():
         tracemalloc.stop()
     assert tg.n_valid > 30000
     assert peak - base < 10e6
+
+
+def test_resample_hit_mask_is_scale_invariant():
+    # scaling U by lam scales the image and its cells by lam: an absolute
+    # tolerance in the inversion would change the hits at one end
+    masks = []
+    for lam in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        s = lift_parametric(parse(f"{lam!r}*(X^2-Y*arctan(Y))"), (0.5, 1.5, 0.5, 1.5), 65, eps=0)
+        x, y = s.x[s.valid], s.y[s.valid]
+        masks.append(resample(s, geometry_from_domain(x.min(), x.max(), y.min(), y.max(),
+                                                      129, 129)).mask)
+    assert 0 < masks[0].sum() < masks[0].size
+    assert all(np.array_equal(m, masks[0]) for m in masks[1:])
 
 
 # ---------------------------------------------------------------------------
