@@ -10,6 +10,7 @@ rejection (not in class, not elliptic, all nodes degenerate), 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import numbers
@@ -358,6 +359,7 @@ def cmd_khabirov(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.lru_cache(maxsize=None)  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ma-lin",

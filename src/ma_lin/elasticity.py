@@ -278,6 +278,9 @@ def incompressibility_check(d: Deformation,
 def deformation_from_dict(data: dict) -> Deformation:
     """Build a deformation from {"kind": ..., "potential": "expr"}."""
     kind = str(data["kind"])
+    if kind not in KIND_VARIABLES:
+        raise ValueError(f"unknown deformation kind {kind!r}; "
+                         f"known kinds: {', '.join(KIND_VARIABLES)}")
     pot = parse(str(data["potential"]))
     if kind == "membrane":
         return MembraneDeformation(potential=pot)

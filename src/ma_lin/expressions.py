@@ -1,6 +1,8 @@
 """A small expression language: parsing, printing, evaluation, exact differentiation.
 
-Trees are immutable values.  Evaluation, over floats or whole arrays, is plain
+Trees are immutable values.  A tree is evaluated by a straight-line program,
+compiled on first use and kept for as long as the tree lives, that computes
+each distinct subtree once.  Evaluation, over floats or whole arrays, is plain
 IEEE double arithmetic with a fixed left-to-right child order, so the same tree
 with the same bindings always produces a bit-identical result.  There is no
 simplifier: the only rewriting ever performed is folding of all-literal
@@ -11,15 +13,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Call",
     "Bindings", "ExprError", "ParseError", "EvalError",
-    "FUNCTIONS", "as_expr", "parse", "evaluate", "diff", "subst",
+    "FUNCTIONS", "Program", "as_expr", "parse", "compile_trees", "evaluate", "diff", "subst",
     "variables", "to_text",
 ]
 
@@ -82,6 +85,12 @@ class Expr:
 
     def __str__(self):
         return to_text(self)
+
+    @cached_property
+    def _program(self) -> "Program":
+        """This tree compiled once, for as long as the tree lives.  The program
+        holds a copy of this node, so the two form no reference cycle."""
+        return compile_trees((replace(self),))
 
 
 @dataclass(frozen=True)
@@ -333,34 +342,89 @@ def _power_per_cell(a, b: np.ndarray, node: Expr, shape: tuple) -> np.ndarray:
     return np.where(negative, 1.0 / r, r)
 
 
-def _eval(e: Expr, env: dict, shape: tuple):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.name not in env:
-            _guard(True, f"unbound variable {e.name!r}", 0.0, e, shape)
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env, shape)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, env, shape)
-        b = _eval(e.right, env, shape)
-        op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            _guard(b == 0.0, "division by zero", b, e, shape)
-            return a / b
-        if op == "^":
-            return _power(a, b, e, shape)
-        raise EvalError(f"unknown operator {op!r}", e)
-    if isinstance(e, Call):
-        return _call(e.func, _eval(e.arg, env, shape), e, shape)
-    raise TypeError(f"not an Expr node: {e!r}")
+class Program(NamedTuple):
+    """Straight-line code for a sequence of trees; call it with bindings."""
+
+    registers: list  # constants in place, None where a step writes
+    steps: list  # ((op, a, b), out, node, registers released after the step)
+    outputs: tuple  # the register of each tree
+
+    def __call__(self, bindings: Bindings) -> list:
+        """The value of each tree, as `evaluate` would give it."""
+        env = {name: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray) and v.ndim
+               else float(v) for name, v in bindings.items()}
+        shapes = [v.shape for v in env.values() if isinstance(v, np.ndarray)]
+        shape = np.broadcast_shapes(*shapes) if shapes else ()
+        regs = self.registers.copy()
+        with np.errstate(all="ignore"):
+            for (op, a, b), out, node, free in self.steps:
+                if b is None:
+                    if a is None:  # the variable named op
+                        if op not in env:
+                            _guard(True, f"unbound variable {op!r}", 0.0, node, shape)
+                        regs[out] = env[op]
+                    elif op == "-":
+                        regs[out] = -regs[a]
+                    else:
+                        regs[out] = _call(op, regs[a], node, shape)
+                elif op == "*":
+                    regs[out] = regs[a] * regs[b]
+                elif op == "+":
+                    regs[out] = regs[a] + regs[b]
+                elif op == "-":
+                    regs[out] = regs[a] - regs[b]
+                elif op == "/":
+                    y = regs[b]
+                    _guard(y == 0.0, "division by zero", y, node, shape)
+                    regs[out] = regs[a] / y
+                elif op == "^":
+                    regs[out] = _power(regs[a], regs[b], node, shape)
+                else:
+                    raise EvalError(f"unknown operator {op!r}", node)
+                for k in free:
+                    regs[k] = None
+        if not shape:
+            return [float(regs[k]) for k in self.outputs]
+        return [np.array(np.broadcast_to(regs[k], shape), dtype=np.float64)
+                for k in self.outputs]
+
+
+def compile_trees(trees) -> Program:
+    """One program for the trees, in one walk of them: each distinct subtree,
+    keyed by shape and constant bits, is one step.  Steps run children before
+    parents and left before right, so the results and the first EvalError are
+    those of evaluating the trees one by one; a register is released after
+    its last read."""
+    regs, steps, keyed, last = [], [], {}, {}  # last: register -> step of its last read
+
+    def reg(e: Expr) -> int:
+        t = type(e)
+        if t is BinOp:
+            key = (e.op, reg(e.left), reg(e.right))
+        elif t is Const:
+            key = (float(e.value).hex(),)
+        elif t is Var:
+            key = (e.name, None, None)
+        elif t is Neg:
+            key = ("-", reg(e.arg), None)
+        elif t is Call:
+            key = (e.func, reg(e.arg), None)
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        r = keyed.setdefault(key, len(regs))
+        if r == len(regs):
+            regs.append(e.value if t is Const else None)
+            if t is not Const:
+                last[key[1]] = last[key[2]] = len(steps)
+                steps.append((key, r, e, []))
+        return r
+
+    outputs = tuple(reg(t) for t in trees)
+    last.pop(None, None)
+    for k, s in last.items():
+        if k not in outputs:
+            steps[s][3].append(k)
+    return Program(regs, steps, outputs)
 
 
 def evaluate(e: Expr, bindings: Bindings):
@@ -374,15 +438,7 @@ def evaluate(e: Expr, bindings: Bindings):
     raise EvalError naming the offending subtree and, for arrays, the first
     offending cell as a flat row-major index into the broadcast shape.
     """
-    env = {name: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray) and v.ndim
-           else float(v) for name, v in bindings.items()}
-    shapes = [v.shape for v in env.values() if isinstance(v, np.ndarray)]
-    shape = np.broadcast_shapes(*shapes) if shapes else ()
-    with np.errstate(all="ignore"):
-        r = _eval(e, env, shape)
-    if not shape:
-        return float(r)
-    return np.array(np.broadcast_to(r, shape), dtype=np.float64)
+    return e._program(bindings)[0]
 
 
 def variables(e: Expr) -> frozenset[str]:
@@ -402,23 +458,26 @@ def variables(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # construction helpers that fold all-literal subtrees (and nothing else)
 
+def _folded(node: Expr, op: tuple, *values: float) -> Expr:
+    """Const of node's one operation `op` on the literals, by a one-step program."""
+    out = len(values)
+    try:
+        return Const(Program([*values, None], [(op, out, node, ())], (out,))({})[0])
+    except EvalError:
+        return node
+
+
 def _fold2(op: str, a: Expr, b: Expr) -> Expr:
     node = BinOp(op, a, b)
     if isinstance(a, Const) and isinstance(b, Const):
-        try:
-            return Const(evaluate(node, {}))
-        except EvalError:
-            return node
+        return _folded(node, (op, 0, 1), a.value, b.value)
     return node
 
 
 def _fold_call(func: str, a: Expr) -> Expr:
     node = Call(func, a)
     if isinstance(a, Const):
-        try:
-            return Const(evaluate(node, {}))
-        except EvalError:
-            return node
+        return _folded(node, (func, 0, None), a.value)
     return node
 
 

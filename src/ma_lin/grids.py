@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expressions import BinOp, Const, Expr, EvalError, Neg, Var, diff, evaluate
+from .expressions import (BinOp, Const, Expr, EvalError, Neg, Var, compile_trees, diff,
+                          evaluate)
 
 __all__ = [
     "GridError", "GridFormatError",
@@ -242,7 +243,7 @@ def interior_jets(g: Grid2) -> JetArrays:
         )
 
 
-_DERIVATIVES: dict = {}  # (tree key, names) -> (e_x, e_y, e_xx, e_xy, e_yy)
+_DERIVATIVES: dict = {}  # (tree key, names) -> ((e_x, e_y, e_xx, e_xy, e_yy), program of all six)
 _DERIVATIVES_MAX = 256
 
 
@@ -262,22 +263,27 @@ def _tree_key(e: Expr):
     return (e.func, _tree_key(e.arg))
 
 
-def jet_exprs(e: Expr, names: tuple[str, str]) -> tuple[Expr, Expr, Expr, Expr, Expr, Expr]:
-    """The six expressions (e, e_x, e_y, e_xx, e_xy, e_yy).
-
-    The five derivative trees are differentiated once per tree and pair of
-    names and then reused; the first entry is always the caller's own tree."""
+def _jet_entry(e: Expr, names: tuple[str, str]) -> tuple:
+    """The five derivative trees of e and one program for e and them,
+    made once per tree shape and pair of names and then reused."""
     n1, n2 = names
     key = (_tree_key(e), n1, n2)
-    derived = _DERIVATIVES.get(key)
-    if derived is None:
+    entry = _DERIVATIVES.get(key)
+    if entry is None:
         ex = diff(e, n1)
         ey = diff(e, n2)
         derived = (ex, ey, diff(ex, n1), diff(ex, n2), diff(ey, n2))
+        entry = derived, compile_trees((e, *derived))
         if len(_DERIVATIVES) >= _DERIVATIVES_MAX:
             del _DERIVATIVES[next(iter(_DERIVATIVES))]
-        _DERIVATIVES[key] = derived
-    return (e, *derived)
+        _DERIVATIVES[key] = entry
+    return entry
+
+
+def jet_exprs(e: Expr, names: tuple[str, str]) -> tuple[Expr, Expr, Expr, Expr, Expr, Expr]:
+    """The six expressions (e, e_x, e_y, e_xx, e_xy, e_yy); the first entry
+    is always the caller's own tree."""
+    return (e, *_jet_entry(e, names)[0])
 
 
 def symbolic_jet(e: Expr, names: tuple[str, str], x, y) -> JetArrays:
@@ -286,8 +292,7 @@ def symbolic_jet(e: Expr, names: tuple[str, str], x, y) -> JetArrays:
 
     Each array entry equals the single-point jet at that point bit for bit."""
     n1, n2 = names
-    b = {n1: x, n2: y}
-    jet = JetArrays(*(evaluate(t, b) for t in jet_exprs(e, names)), valid=True)
+    jet = JetArrays(*_jet_entry(e, names)[1]({n1: x, n2: y}), valid=True)
     return replace(jet, valid=jet.finite())
 
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the code paths under test:
 brute-force maxima, finite differences, Newton inversion of the parametric
-map, and seeded closed-form families.
+map, a recursive expression evaluator, and seeded closed-form families.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ma_lin.expressions import Expr, evaluate, parse
+from ma_lin.expressions import (BinOp, Call, Const, EvalError, Expr, Neg, Var, _call,
+                                _guard, _power, evaluate, parse)
 from ma_lin.grids import JetArrays, jet_exprs
 
 
@@ -302,6 +303,52 @@ def first_hit_resample(surface, target):
                 mask[j, i] = True
                 break
     return values, mask
+
+
+def reference_evaluate(e: Expr, bindings):
+    """`evaluate` by a recursive walk of the tree, node by node, that
+    evaluates a shared subtree again at each of its uses.  It uses the
+    package's operation helpers (`_guard`, `_call`, `_power`), so it checks
+    how compiled programs order and share steps, not the arithmetic."""
+    env = {name: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray) and v.ndim
+           else float(v) for name, v in bindings.items()}
+    shapes = [v.shape for v in env.values() if isinstance(v, np.ndarray)]
+    shape = np.broadcast_shapes(*shapes) if shapes else ()
+    with np.errstate(all="ignore"):
+        r = _walk(e, env, shape)
+    if not shape:
+        return float(r)
+    return np.array(np.broadcast_to(r, shape), dtype=np.float64)
+
+
+def _walk(e: Expr, env: dict, shape: tuple):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        if e.name not in env:
+            _guard(True, f"unbound variable {e.name!r}", 0.0, e, shape)
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -_walk(e.arg, env, shape)
+    if isinstance(e, BinOp):
+        a = _walk(e.left, env, shape)
+        b = _walk(e.right, env, shape)
+        op = e.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            _guard(b == 0.0, "division by zero", b, e, shape)
+            return a / b
+        if op == "^":
+            return _power(a, b, e, shape)
+        raise EvalError(f"unknown operator {op!r}", e)
+    if isinstance(e, Call):
+        return _call(e.func, _walk(e.arg, env, shape), e, shape)
+    raise TypeError(f"not an Expr node: {e!r}")
 
 
 def central_second(fn, x, h):

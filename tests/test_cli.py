@@ -398,11 +398,15 @@ def _deformation_config(**changes):
     ("elasticity", _deformation_config(), ["--domain=nan,1,-1,1"],
      "domain[0] must be a finite number"),
     ("elasticity", _deformation_config(), ["--domain=-1,1,-1"], "domain must be [X0, X1, Y0, Y1]"),
+    ("elasticity", _deformation_config(kind="from-Q"), [],
+     "unknown deformation kind 'from-Q'; known kinds: from-U, from-V, from-W, axisym-U, "
+     "axisym-V, membrane"),
     ("khabirov", {}, [], "khabirov config needs 'g'"),
     ("khabirov", {"g": "1+s^2", "h": "s"}, [],
      "khabirov config does not read the key 'h'; it reads g"),
 ], ids=["no-kind", "no-potential", "unknown-key", "fractional-n", "short-domain",
-        "text-in-domain", "nan-domain-flag", "short-domain-flag", "no-g", "khabirov-unknown-key"])
+        "text-in-domain", "nan-domain-flag", "short-domain-flag", "unknown-kind", "no-g",
+        "khabirov-unknown-key"])
 def test_elasticity_and_khabirov_inputs_are_checked(tmp_path, capsys, command, data, flags,
                                                     message):
     err = _refused_before_any_output(tmp_path, capsys, command, data, *flags)
@@ -478,6 +482,20 @@ def test_reruns_reproduce_bit_identical_csvs(tmp_path):
     m1, m2 = _read_json(out1 / "manifest.json"), _read_json(out2 / "manifest.json")
     assert m1["artifacts"]["lifted.csv"] == m2["artifacts"]["lifted.csv"]
     assert m1["artifacts"]["resampled.csv"] == m2["artifacts"]["resampled.csv"]
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    from ma_lin.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"o{k}"
+        codes = (main(["classify", "--id", "grad-inversion", "--out", str(out)]),
+                 main(["classify", "--id", "no-such-id", "--out", str(tmp_path / f"x{k}")]),
+                 main(["classify", "--bogus"]))
+        runs.append((codes, capsys.readouterr(), (out / "classification.json").read_bytes()))
+    assert runs[0][0] == (0, 1, 1)
+    assert runs[1] == runs[0]
 
 
 def test_module_entry_point(tmp_path):

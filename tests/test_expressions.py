@@ -1,13 +1,17 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ma_lin.expressions as expressions
+from helpers import reference_evaluate
 from ma_lin.expressions import (BinOp, Call, Const, EvalError, Neg, ParseError,
-                                Var, diff, evaluate, parse, subst, to_text,
-                                variables)
+                                Var, compile_trees, diff, evaluate, parse, subst,
+                                to_text, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +379,118 @@ def test_overflow_raises_at_the_first_cell(text, values, bad):
 def test_large_integer_power_keeps_sign_and_value():
     assert evaluate(parse("x^65"), {"x": -2.0}) == -(2.0 ** 65)
     assert evaluate(parse("x^(-66)"), {"x": -2.0}) == 2.0 ** -66
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the recursive reference walk
+
+def _outcome(fn):
+    """The values fn returns, or the message and index of the EvalError it raises."""
+    try:
+        return list(fn())
+    except EvalError as err:
+        return (str(err), err.index)
+
+
+def _same_outcome(got, want):
+    if isinstance(got, list) and isinstance(want, list):
+        return len(got) == len(want) and all(map(_same_bits, got, want))
+    return got == want
+
+
+def _check_program(trees, bindings):
+    got = _outcome(lambda: compile_trees(trees)(bindings))
+    want = _outcome(lambda: [reference_evaluate(t, bindings) for t in trees])
+    assert _same_outcome(got, want), ([to_text(t) for t in trees], got, want)
+    return isinstance(got, tuple)
+
+
+def _cells(rng):
+    special = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 40.0, -40.0, 750.0])
+    return {v: np.concatenate([rng.uniform(-3, 3, 24), rng.permutation(special)])
+            for v in _VARS}
+
+
+def test_program_matches_reference_walk_random_trees():
+    rng = np.random.default_rng(20261019)
+    raised = []
+    for _ in range(300):
+        tree = _random_tree(rng, depth=int(rng.integers(1, 6)))
+        cells = _cells(rng)
+        raised.append(_check_program((tree,), cells))
+        point = {v: float(a[int(rng.integers(len(a)))]) for v, a in cells.items()}
+        raised.append(_check_program((tree,), point))
+        got = _outcome(lambda: [evaluate(tree, cells)])
+        assert _same_outcome(got, _outcome(lambda: [reference_evaluate(tree, cells)]))
+    assert min(raised.count(True), raised.count(False)) >= 40  # both outcomes exercised
+
+
+def test_multi_tree_programs_share_subtrees_and_match_reference_walk():
+    rng = np.random.default_rng(7)
+    raised = []
+    for _ in range(150):
+        t, u = (_random_tree(rng, depth=int(rng.integers(1, 5))) for _ in range(2))
+        copy = parse(to_text(t))  # equal to t, but a separate object
+        trees = (t, BinOp("*", t, u), Call("exp", BinOp("-", copy, t)), Neg(copy), u,
+                 BinOp("/", u, BinOp("+", t, Const(1.0))))
+        raised.append(_check_program(trees, _cells(rng)))
+    assert min(raised.count(True), raised.count(False)) >= 20
+
+
+def test_program_keeps_zero_constants_of_either_sign_apart():
+    x = Var("x")
+    pos, neg = BinOp("*", x, Const(0.0)), BinOp("*", x, Const(-0.0))
+    trees = (pos, neg, BinOp("*", pos, neg), Call("arctan", Const(-0.0)), Const(0.0))
+    for bindings in ({"x": 2.0}, {"x": np.array([2.0, -3.0])}):
+        assert not _check_program(trees, bindings)
+    values = compile_trees(trees)({"x": 2.0})
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, -1.0, -1.0, 1.0]
+
+
+def test_program_raises_the_first_error_of_the_tree_sequence():
+    x = Var("x")
+    fine, later = parse("x^2+1"), parse("sqrt(x-1)")
+    cells = {"x": np.array([3.0, 2.0, 0.5, -1.0])}
+    assert _check_program((fine, later), cells)
+    with pytest.raises(EvalError) as exc:
+        compile_trees((fine, later))(cells)
+    assert exc.value.index == 2 and "sqrt" in str(exc.value)
+    # an earlier tree's failure wins over a later tree's, even at a later cell
+    earlier = BinOp("/", Const(1.0), BinOp("-", x, Const(-1.0)))
+    assert _check_program((earlier, later), cells)
+    with pytest.raises(EvalError) as exc:
+        compile_trees((earlier, later))(cells)
+    assert exc.value.index == 3 and "division by zero" in str(exc.value)
+    assert _check_program((later, Var("y")), {"x": 2.0})
+    assert _check_program((later, Var("y")), {"x": 0.0})
+
+
+def test_evaluate_compiles_each_tree_once(monkeypatch):
+    calls = []
+
+    def counting(trees):
+        calls.append(trees)
+        return compile_trees(trees)
+
+    monkeypatch.setattr(expressions, "compile_trees", counting)
+    tree = parse("sin(x)*x + x^3/(1+y^2)")
+    for v in (0.5, 1.5, np.linspace(0.0, 1.0, 5)):
+        evaluate(tree, {"x": v, "y": 2.0})
+    assert len(calls) == 1 and calls[0] == (tree,)
+    folded = subst(tree, {"y": 3.0})  # folding literals compiles nothing
+    assert len(calls) == 1 and to_text(folded) == "sin(x)*x+x^3/10"
+
+
+def test_a_compiled_tree_is_freed_with_its_last_reference():
+    tree = parse("sin(x)*x + x^3/(1+y^2)")
+    evaluate(tree, {"x": 0.5, "y": 2.0})
+    alive = weakref.ref(tree)
+    gc.disable()  # freed by reference counting, not left for the cycle collector
+    try:
+        del tree
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

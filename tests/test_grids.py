@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import measured_order, percent_g_rows, stencil_jet
-from ma_lin.expressions import Const, Var, diff, evaluate, parse
+import ma_lin.grids as grids
+from ma_lin.expressions import Const, Var, compile_trees, diff, evaluate, parse
 from ma_lin.grids import (Grid2, GridError, GridFormatError, GridGeometry,
                           MaskedGrid2, _format_rows, geometry_from_domain,
                           interior_jets, jet_exprs, read_grid, sample,
@@ -144,6 +146,44 @@ def test_jet_exprs_returns_the_callers_tree():
     jb = jet_exprs(b, ("X", "Y"))
     assert jb[0] is b
     assert jb[1:] == jet_exprs(a, ("X", "Y"))[1:]
+
+
+def test_symbolic_jet_compiles_once_per_tree_shape_and_names(monkeypatch):
+    calls = []
+
+    def counting(trees):
+        calls.append(trees)
+        return compile_trees(trees)
+
+    monkeypatch.setattr(grids, "compile_trees", counting)
+    monkeypatch.setattr(grids, "_DERIVATIVES", {})
+    text = "1.1*(X^2-Y*arctan(Y))"
+    first = symbolic_jet(parse(text), ("X", "Y"), 1.1, 0.7)
+    for x in (1.2, np.linspace(0.5, 1.5, 4)):
+        symbolic_jet(parse(text), ("X", "Y"), x, 0.7)
+    assert len(calls) == 1 and len(calls[0]) == 6
+    assert symbolic_jet(parse(text), ("X", "Y"), 1.1, 0.7) == first
+    symbolic_jet(parse(text), ("Y", "X"), 0.7, 1.1)
+    symbolic_jet(parse("1.1*(X^2-Y*arctan(-Y))"), ("X", "Y"), 1.1, 0.7)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("text,arrays", [("0.9*(X^2-Y^2)", 10), ("1.1*(X^2-Y*arctan(Y))", 13)])
+def test_symbolic_jet_holds_few_mesh_sized_arrays(text, arrays):
+    # `arrays` is the peak of the recursive tree walk, which held at most the
+    # intermediates of one tree at a time; shared subtrees that live across
+    # the six trees may cost a quarter more, not one array per step
+    X, Y = np.meshgrid(np.linspace(0.5, 1.5, 257), np.linspace(0.5, 1.5, 257))
+    e = parse(text)
+    symbolic_jet(e, ("X", "Y"), X, Y)  # differentiate and compile outside the window
+    tracemalloc.start()
+    try:
+        jet = symbolic_jet(e, ("X", "Y"), X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jet.valid.all()
+    assert peak <= 1.25 * arrays * X.nbytes
 
 
 def test_fd_jet_truncation_sin():
