@@ -197,12 +197,17 @@ class JetArrays:
     uyy: np.ndarray
     valid: np.ndarray  # False where the jet is masked
 
+    def __init__(self, u, ux, uy, uxx, uxy, uyy, valid):
+        # one dict update in place of the frozen dataclass's seven
+        # object.__setattr__ calls: the four-step chain builds five jets a point
+        vars(self).update(u=u, ux=ux, uy=uy, uxx=uxx, uxy=uxy, uyy=uyy, valid=valid)
+
     def entries(self) -> tuple:
         return self.u, self.ux, self.uy, self.uxx, self.uxy, self.uyy
 
     def finite(self) -> np.ndarray:
         """True where all six entries are finite."""
-        return functools.reduce(np.logical_and, map(np.isfinite, self.entries()))
+        return _finite(self.entries())
 
     def hessian_det(self) -> np.ndarray:
         return self.uxx * self.uyy - self.uxy * self.uxy
@@ -212,6 +217,14 @@ class JetArrays:
         v = self.valid
         return JetArrays(self.u[v], self.ux[v], self.uy[v], self.uxx[v],
                          self.uxy[v], self.uyy[v], valid=v[v])
+
+
+def _finite(values) -> np.ndarray:
+    """True where every value is finite; a numpy bool when no value is an
+    array, found by math.isfinite without numpy's per-call cost."""
+    if any(isinstance(a, np.ndarray) for a in values):
+        return functools.reduce(np.logical_and, map(np.isfinite, values))
+    return np.bool_(all(map(math.isfinite, values)))
 
 
 def interior_jets(g: Grid2) -> JetArrays:
@@ -264,19 +277,27 @@ def _tree_key(e: Expr):
 
 
 def _jet_entry(e: Expr, names: tuple[str, str]) -> tuple:
-    """The five derivative trees of e and one program for e and them,
-    made once per tree shape and pair of names and then reused."""
+    """The five derivative trees of e and one program for e and them, made
+    once per tree shape and pair of names.  The entry is then kept on the
+    tree for its pair of names, as the tree's own program is, so only a
+    tree's first call builds its shape key.  The program holds a copy of
+    e's root, so the tree and its entry form no reference cycle."""
     n1, n2 = names
+    try:
+        return vars(e)["_jet_entries"][n1, n2]
+    except KeyError:
+        pass
     key = (_tree_key(e), n1, n2)
     entry = _DERIVATIVES.get(key)
     if entry is None:
         ex = diff(e, n1)
         ey = diff(e, n2)
         derived = (ex, ey, diff(ex, n1), diff(ex, n2), diff(ey, n2))
-        entry = derived, compile_trees((e, *derived))
+        entry = derived, compile_trees((replace(e), *derived))
         if len(_DERIVATIVES) >= _DERIVATIVES_MAX:
             del _DERIVATIVES[next(iter(_DERIVATIVES))]
         _DERIVATIVES[key] = entry
+    vars(e).setdefault("_jet_entries", {})[n1, n2] = entry
     return entry
 
 
@@ -290,10 +311,11 @@ def symbolic_jet(e: Expr, names: tuple[str, str], x, y) -> JetArrays:
     """Exact jet of an expression at a point, or at arrays of points that
     broadcast together, by symbolic differentiation; valid where finite.
 
-    Each array entry equals the single-point jet at that point bit for bit."""
+    Each array entry equals the single-point jet at that point bit for bit;
+    a point's entries are Python floats and its `valid` a numpy bool."""
     n1, n2 = names
-    jet = JetArrays(*_jet_entry(e, names)[1]({n1: x, n2: y}), valid=True)
-    return replace(jet, valid=jet.finite())
+    values = _jet_entry(e, names)[1]({n1: x, n2: y})
+    return JetArrays(*values, valid=_finite(values))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +430,7 @@ def _digit_rows(D: np.ndarray) -> np.ndarray:
     return digits
 
 
-_BLOCK_VALUES = 8192  # values per formatted block: bounds the working set
+_BLOCK_VALUES = 8192  # values per block of a blocked pass: bounds the working set
 # rows of the field matrix, one column per value: the sign, "0.000" before
 # the digits of 1e-4 <= |v| < 1, 17 digits with a point after the integer
 # part, "e+XXX", the separator

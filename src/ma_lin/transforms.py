@@ -1,26 +1,34 @@
 """Contact, Ampere, point, Legendre and rotation transformations.
 
 Jets are `JetArrays`: float fields for one point or arrays for many, with the
-same bits for a point either way. `push_jet_arrays` sends jets of U(X, Y) to
-jets of u(x, y) with x = U_Y, y = U - Y*U_Y, u = X, masking where it folds;
-`contact_map` raises there instead. `compose_chain` rebuilds the same image by
-running the four elementary steps one after another, each with its own small
-jet push-forward; it exists so the equivalence of the two routes is testable.
+same bits for a point either way.  The rule is the evaluator's: arrays stay
+arrays, and a point's inputs become Python floats once, at entry, so a point
+runs plain float arithmetic through one set of jet formulas.  Only masking
+differs by kind (np.where for arrays, the fields or NaNs for a point), and a
+point's zero divisor gives numpy's ±inf or NaN, never ZeroDivisionError.
+
+`push_jet_arrays` sends jets of U(X, Y) to jets of u(x, y) with x = U_Y,
+y = U - Y*U_Y, u = X, masking where it folds; `contact_map` raises there
+instead. `compose_chain` rebuilds the same image by running the four
+elementary steps one after another, each with its own small jet
+push-forward; it exists so the equivalence of the two routes is testable.
 
 Discrete counterparts: the convex conjugate of sampled 1-D/2-D data, taken as
-the maximum over all (slope, node) pairs, and a column-wise discrete Ampere
-transform producing scattered (x, y, u) samples.
+the maximum over all (slope, node) pairs in blocks of bounded size, and a
+column-wise discrete Ampere transform producing scattered (x, y, u) samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .expressions import Expr
-from .grids import Grid2, GridGeometry, JetArrays, _write_rows, symbolic_jet
+from .expressions import Expr, _plain
+from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, _finite, _write_rows,
+                    symbolic_jet)
 
 __all__ = [
     "DEGENERACY_EPS", "TransformError", "DegenerateJetError", "FoldError",
@@ -57,18 +65,44 @@ class FoldError(TransformError):
     pass
 
 
+def _plain_all(*values) -> list:
+    """The evaluator's rule at entry: arrays stay (float64) arrays, and
+    anything else becomes a Python float once, so a point runs plain float
+    arithmetic."""
+    return [float(v) if isinstance(v, float) else _plain(np.asarray(v, dtype=np.float64))
+            for v in values]
+
+
+def _all_true(flags) -> bool:
+    """flags.all(), without numpy's reduction for a point's numpy bool."""
+    return bool(flags) if isinstance(flags, np.bool_) else flags.all()
+
+
+def _div(a, b):
+    """a / b as numpy divides: a point's zero divisor gives numpy's ±inf or
+    NaN, where Python float division would raise ZeroDivisionError."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(a) / b)
+
+
 def _raise_first(quantity: str, value, eps: float, bad=None) -> None:
     """Raise DegenerateJetError at the first flat index where `bad` holds,
     by default where |value| <= eps."""
     bad = abs(value) <= eps if bad is None else bad
-    if np.count_nonzero(bad):
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise DegenerateJetError(quantity, float(value), eps, 0)
+    elif bad.any():
         k = int(np.argmax(bad))
         raise DegenerateJetError(quantity, float(np.ravel(value)[k]), eps, k)
 
 
 def _require_finite(jet: JetArrays, eps: float) -> None:
     """Raise for the first non-finite entry, u first and u_yy last."""
-    if not jet.finite().all():
+    if not _all_true(jet.finite()):
         for a in jet.entries():
             _raise_first("non-finite", a, eps, ~np.isfinite(a))
 
@@ -90,7 +124,7 @@ def contact_map(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactI
     the fold lines of the map.
     """
     im = push_jet_arrays(jet_U, X, Y, eps=eps)
-    if not im.jet.valid.all():
+    if not _all_true(im.jet.valid):
         _require_finite(jet_U, eps)
         for base in (X, Y):
             base = np.broadcast_to(np.asarray(base, dtype=np.float64), np.shape(im.x))
@@ -101,33 +135,39 @@ def contact_map(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactI
     return im
 
 
+def _pushed(U, UX, UY, UXX, UXY, UYY, X, Y) -> tuple:
+    """The contact map's image fields x, y, u, u_x, u_y, u_xx, u_xy, u_yy."""
+    c = _div(1.0, UX * UX * UX * UYY)
+    return (UY + 0.0 * U, U - Y * UY, X + 0.0 * U, _div(Y, UX), _div(1.0, UX),
+            (Y * Y * UXY * UXY - Y * Y * UXX * UYY - 2 * Y * UX * UXY + UX * UX) * c,
+            (Y * UXY * UXY - Y * UXX * UYY - UX * UXY) * c,
+            (UXY * UXY - UXX * UYY) * c)
+
+
 def push_jet_arrays(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     """Push jets of U at (X, Y) through the contact map, point by point.
 
     The image jet is valid where the source entries and the base point are
     finite and |U_X|, |U_YY| and the jacobian exceed eps; elsewhere every image
     field is NaN.  Every field takes the shape the jet and the points
-    broadcast to.
+    broadcast to.  A point (no input an array of one or more dimensions)
+    gives Python floats with the same bits, and a numpy bool `valid`.
     """
-    U, UX, UY, UXX, UXY, UYY, X, Y = (np.asarray(a, dtype=np.float64)
-                                      for a in (*jet_U.entries(), X, Y))
+    entries = _plain_all(*jet_U.entries(), X, Y)
+    U, UX, UY, UXX, UXY, UYY, X, Y = entries
     jac = -UX * UYY
     # valid draws on all eight inputs, so it has their broadcast shape, and
     # np.where gives every field that shape
-    valid = (jet_U.finite() & np.isfinite(X) & np.isfinite(Y)
-             & (np.abs(UX) > eps) & (np.abs(UYY) > eps) & (np.abs(jac) > eps))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = 1.0 / (UX * UX * UX * UYY)
-        x = UY + 0.0 * U
-        y = U - Y * UY
-        u = X + 0.0 * U
-        ux = Y / UX
-        uy = 1.0 / UX
-        uxx = (Y * Y * UXY * UXY - Y * Y * UXX * UYY - 2 * Y * UX * UXY + UX * UX) * c
-        uxy = (Y * UXY * UXY - Y * UXX * UYY - UX * UXY) * c
-        uyy = (UXY * UXY - UXX * UYY) * c
-    x, y, u, ux, uy, uxx, uxy, uyy, jac = (
-        np.where(valid, a, np.nan)[()] for a in (x, y, u, ux, uy, uxx, uxy, uyy, jac))
+    valid = (_finite(entries) & (abs(UX) > eps) & (abs(UYY) > eps) & (abs(jac) > eps))
+    if isinstance(valid, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fields = _pushed(*entries)
+        fields = [np.where(valid, a, np.nan) for a in (*fields, jac)]
+    elif valid:
+        fields = (*_pushed(*entries), jac)
+    else:
+        fields = (math.nan,) * 9
+    x, y, u, ux, uy, uxx, uxy, uyy, jac = fields
     return ContactImage(x=x, y=y, jet=JetArrays(u, ux, uy, uxx, uxy, uyy, valid=valid),
                         jacobian=jac)
 
@@ -137,6 +177,7 @@ def ampere_step(V: Union[JetArrays, Expr], alpha, beta, eps: float = DEGENERACY_
 
     Returns (x, y, u); V_beta_beta at or below eps makes the step a fold.
     """
+    alpha, beta = _plain_all(alpha, beta)
     if isinstance(V, Expr):
         V = symbolic_jet(V, ("alpha", "beta"), alpha, beta)
     _raise_first("V_beta_beta", V.uyy, eps)
@@ -161,18 +202,19 @@ def legendre_point_map(jet: JetArrays, X, Y, eps: float = DEGENERACY_EPS):
     Hessian, so applying the map twice is the identity.
     """
     _require_finite(jet, eps)
-    det = jet.hessian_det()
+    u, ux, uy, uxx, uxy, uyy, X, Y = _plain_all(*jet.entries(), X, Y)
+    det = uxx * uyy - uxy * uxy
     _raise_first("U_XX*U_YY - U_XY^2", det, eps)
     image = JetArrays(
-        u=X * jet.ux + Y * jet.uy - jet.u,
+        u=X * ux + Y * uy - u,
         ux=X,
         uy=Y,
-        uxx=jet.uyy / det,
-        uxy=-jet.uxy / det,
-        uyy=jet.uxx / det,
+        uxx=_div(uyy, det),
+        uxy=_div(-uxy, det),
+        uyy=_div(uxx, det),
         valid=jet.valid,
     )
-    return jet.ux, jet.uy, image
+    return ux, uy, image
 
 
 def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
@@ -183,6 +225,7 @@ def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     agreement between the two is a real consistency check.  Every intermediate
     nondegeneracy condition must hold at every point.
     """
+    X, Y = _plain_all(X, Y)
     jU = symbolic_jet(U, ("X", "Y"), X, Y)
 
     # rotation/scaling, inverted: tau=-Y, sigma=X, Z=-U
@@ -196,7 +239,7 @@ def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
 
     # point step, inverted: alpha=xi, beta=1/eta, V=beta*W
     _raise_first("eta", eta, eps)
-    alpha, beta = xi, 1.0 / eta
+    alpha, beta = xi, _div(1.0, eta)
     vjet = JetArrays(
         u=beta * wjet.u,
         ux=beta * wjet.ux,
@@ -213,12 +256,12 @@ def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
         u=u,
         ux=vjet.ux,
         uy=-beta,
-        uxx=vjet.uxx - vjet.uxy * vjet.uxy / vjet.uyy,
-        uxy=vjet.uxy / vjet.uyy,
-        uyy=-1.0 / vjet.uyy,
+        uxx=vjet.uxx - _div(vjet.uxy * vjet.uxy, vjet.uyy),
+        uxy=_div(vjet.uxy, vjet.uyy),
+        uyy=_div(-1.0, vjet.uyy),
         valid=vjet.valid,
     )
-    jac = vjet.uyy * (-1.0 / (eta * eta)) * det_z
+    jac = vjet.uyy * _div(-1.0, eta * eta) * det_z
     return ContactImage(x=x, y=y, jet=ujet, jacobian=jac)
 
 
@@ -240,6 +283,31 @@ def _check_increasing(a: np.ndarray, what: str) -> None:
         raise TransformError(f"{what} must be strictly increasing")
 
 
+def _check_conjugate(xs: np.ndarray, vs: np.ndarray, slopes: np.ndarray) -> None:
+    """The conjugate's input checks; vs holds data on the nodes xs, one row
+    per conjugate taken."""
+    if vs.shape[-xs.ndim:] != xs.shape or xs.size < 2:
+        raise TransformError("xs and vs must have equal length >= 2")
+    _check_increasing(xs, "xs")
+    _check_increasing(slopes, "slopes")
+    if not np.isfinite(vs).all():
+        raise TransformError("vs must be finite")
+
+
+def _max_affine(slopes: np.ndarray, xs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """out[r, k] = max_i (slopes[k]*xs[i] + offsets[r, i]), evaluated as written
+    over every (row, slope, node) triple; with offsets = -v this is the
+    maximum of slopes[k]*xs[i] - v[r, i], since a - b and a + (-b) are the
+    same IEEE operation.  Rows go in blocks whose temporary holds at most
+    _BLOCK_VALUES doubles, or one row's worth if that is more."""
+    products = slopes[:, None] * xs[None, :]
+    out = np.empty((offsets.shape[0], slopes.size))
+    step = max(1, _BLOCK_VALUES // products.size)
+    for r in range(0, offsets.shape[0], step):
+        np.max(products + offsets[r:r + step, None, :], axis=2, out=out[r:r + step])
+    return out
+
+
 def discrete_legendre_1d(xs, vs, slopes) -> DualGrid1:
     """Conjugate of sampled data: values[k] = max_i (slopes[k]*xs[i] - vs[i]).
 
@@ -250,36 +318,28 @@ def discrete_legendre_1d(xs, vs, slopes) -> DualGrid1:
     xs = np.asarray(xs, dtype=np.float64)
     vs = np.asarray(vs, dtype=np.float64)
     slopes = np.asarray(slopes, dtype=np.float64)
-    if xs.shape != vs.shape or xs.size < 2:
-        raise TransformError("xs and vs must have equal length >= 2")
-    _check_increasing(xs, "xs")
-    _check_increasing(slopes, "slopes")
-    if not np.isfinite(vs).all():
-        raise TransformError("vs must be finite")
-
-    values = (slopes[:, None] * xs[None, :] - vs[None, :]).max(axis=1)
-    return DualGrid1(slopes=slopes.copy(), values=values)
+    _check_conjugate(xs, vs, slopes)
+    return DualGrid1(slopes=slopes.copy(), values=_max_affine(slopes, xs, -vs[None, :])[0])
 
 
 def discrete_legendre_2d(g: Grid2, slope_geom: GridGeometry) -> Grid2:
     """Two-dimensional conjugate W(xi, eta) = max_{x,y} (xi*x + eta*y - Z(x, y)).
 
-    Computed as two sequential 1-D conjugations (along x per row, then along y
-    per column of the intermediate), which equals the joint maximum.  One
-    call per row and per slope column keeps each temporary two-dimensional;
-    a single broadcast over all of them would need cubic memory.
+    Computed as two sequential 1-D conjugations, which equals the joint
+    maximum: inner(y, xi) = max_x (xi*x - Z) along every row, then
+    W = max_y (eta*y + inner) along every slope column, each with the 1-D
+    conjugate's checks and arithmetic.  Each pass broadcasts over blocks of
+    rows, so no temporary grows with the cube of the grid size.
     """
     if not np.isfinite(g.values).all():
         raise TransformError("2-D conjugate requires a fully unmasked grid")
     xs, ys = g.xs(), g.ys()
     xi, eta = slope_geom.xs(), slope_geom.ys()
-    inner = np.empty((g.ny, slope_geom.nx))
-    for j in range(g.ny):
-        inner[j, :] = discrete_legendre_1d(xs, g.values[j, :], xi).values
-    out = np.empty((slope_geom.ny, slope_geom.nx))
-    for k in range(slope_geom.nx):
-        out[:, k] = discrete_legendre_1d(ys, -inner[:, k], eta).values
-    return Grid2(slope_geom, out)
+    _check_conjugate(xs, g.values, xi)
+    inner = _max_affine(xi, xs, -g.values)
+    _check_conjugate(ys, inner.T, eta)
+    out = _max_affine(eta, ys, np.ascontiguousarray(inner.T))
+    return Grid2(slope_geom, np.ascontiguousarray(out.T))
 
 
 # ---------------------------------------------------------------------------
@@ -303,39 +363,35 @@ def ampere_discrete(V: Grid2) -> ScatteredSamples:
 
     For each alpha-column the image ordinates are the centered differences
     y = V_beta at interior nodes and u = V - beta*V_beta, evaluated as
-    written.  Each column must have a strictly monotone discrete slope
-    (V_beta_beta of one sign); otherwise the column contains a fold.  The
-    column is labelled "convex" or "concave" by that sign.
+    written over the whole grid at once; the samples come column by column.
+    Each column must have a strictly monotone discrete slope (V_beta_beta of
+    one sign); otherwise the column contains a fold, and the first such
+    column is named.  The column is labelled "convex" or "concave" by that
+    sign.
     """
     if not np.isfinite(V.values).all():
         raise TransformError("discrete Ampere transform requires an unmasked grid")
     if V.ny < 3:
         raise TransformError("need at least 3 beta-nodes for centered differences")
     alphas, betas = V.xs(), V.ys()
-    xs_out, ys_out, us_out, branches = [], [], [], []
-    for i in range(V.nx):
-        col = V.values[:, i]
-        slope = (col[2:] - col[:-2]) / (2 * V.dy)
-        # one-signed second difference = strictly monotone edge slopes, so
-        # beta -> V_beta is one-to-one; monotone centered slopes alone can
-        # still hide a wiggle
-        d2 = col[2:] - 2 * col[1:-1] + col[:-2]
-        if np.all(d2 > 0):
-            branch = "convex"
-        elif np.all(d2 < 0):
-            branch = "concave"
-        else:
-            raise FoldError(
-                f"column alpha={alphas[i]:.6g} has a non-monotone discrete slope (fold)")
-        branches.append(branch)
-        xs_out.append(np.full(slope.size, alphas[i]))
-        ys_out.append(slope)
-        us_out.append(col[1:-1] - betas[1:-1] * slope)
+    v = V.values
+    slope = (v[2:] - v[:-2]) / (2 * V.dy)
+    # one-signed second difference = strictly monotone edge slopes, so
+    # beta -> V_beta is one-to-one; monotone centered slopes alone can
+    # still hide a wiggle
+    d2 = v[2:] - 2 * v[1:-1] + v[:-2]
+    convex, concave = np.all(d2 > 0, axis=0), np.all(d2 < 0, axis=0)
+    folded = ~(convex | concave)
+    if folded.any():
+        i = int(np.argmax(folded))
+        raise FoldError(
+            f"column alpha={alphas[i]:.6g} has a non-monotone discrete slope (fold)")
+    u = v[1:-1] - betas[1:-1, None] * slope
     return ScatteredSamples(
-        x=np.concatenate(xs_out),
-        y=np.concatenate(ys_out),
-        u=np.concatenate(us_out),
-        column_branch=tuple(branches),
+        x=np.repeat(alphas, slope.shape[0]),
+        y=slope.T.ravel(),
+        u=u.T.ravel(),
+        column_branch=tuple("convex" if c else "concave" for c in convex.tolist()),
     )
 
 

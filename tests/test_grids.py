@@ -168,6 +168,42 @@ def test_symbolic_jet_compiles_once_per_tree_shape_and_names(monkeypatch):
     assert len(calls) == 3
 
 
+def test_repeated_symbolic_jet_on_one_tree_builds_no_tree_key(monkeypatch):
+    built = []
+    tree_key = grids._tree_key
+
+    def counting(e):
+        built.append(e)
+        return tree_key(e)
+
+    monkeypatch.setattr(grids, "_tree_key", counting)
+    e = parse("1.1*(X^2-Y*arctan(Y))")
+    first = symbolic_jet(e, ("X", "Y"), 1.1, 0.7)
+    assert built
+    built.clear()
+    for x in (1.1, 1.2, np.linspace(0.5, 1.5, 4)):
+        symbolic_jet(e, ("X", "Y"), x, 0.7)
+    assert jet_exprs(e, ("X", "Y"))[0] is e
+    assert built == []
+    assert symbolic_jet(e, ("X", "Y"), 1.1, 0.7) == first
+    # another pair of names is another entry, looked up by shape once
+    symbolic_jet(e, ("Y", "X"), 0.7, 1.1)
+    assert built
+    built.clear()
+    symbolic_jet(e, ("Y", "X"), 0.7, 1.1)
+    assert built == []
+
+
+def test_symbolic_jet_of_a_point_gives_floats_and_a_numpy_bool():
+    e = parse("X^2*Y + ln(Y)")
+    for x, y in ((1.5, 2.0), (np.float64(1.5), np.float64(2.0)), (np.array(1.5), 2.0)):
+        jet = symbolic_jet(e, ("X", "Y"), x, y)
+        assert {type(a) for a in jet.entries()} == {float}
+        assert type(jet.valid) is np.bool_ and jet.valid
+    jet = symbolic_jet(parse("exp(X)"), ("X", "Y"), math.nan, 1.0)
+    assert type(jet.valid) is np.bool_ and not jet.valid
+
+
 @pytest.mark.parametrize("text,arrays", [("0.9*(X^2-Y^2)", 10), ("1.1*(X^2-Y*arctan(Y))", 13)])
 def test_symbolic_jet_holds_few_mesh_sized_arrays(text, arrays):
     # `arrays` is the peak of the recursive tree walk, which held at most the

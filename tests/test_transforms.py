@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,108 @@ def test_benchmark_point_calls_match_the_array_push():
         assert np.all(np.abs(chained - pushed) <= 1e-9 * (1 + np.abs(pushed))), text
 
 
+# a point given as a Python float, a numpy float64 or a 0-d array
+_POINT_KINDS = (float, np.float64, np.array)
+
+# (U, U_X, U_Y, U_XX, U_XY, U_YY, X, Y): regular jets, then non-finite
+# entries and base points, then points on each fold (eps = DEGENERACY_EPS)
+_PUSH_ROWS = (
+    (1.0, 1.3, 0.2, 0.7, -0.4, 1.1, 0.6, 0.9),
+    (-0.3, -2.0, 1.5, -0.25, 0.5, 0.75, 1.2, -0.4),
+    (math.nan, 1.3, 0.2, 0.7, -0.4, 1.1, 0.6, 0.9),
+    (1.0, 1.3, 0.2, 0.7, -0.4, math.inf, 0.6, 0.9),
+    (1.0, 1.3, 0.2, 0.7, -0.4, 1.1, -math.inf, 0.9),
+    (1.0, 1.3, 0.2, 0.7, -0.4, 1.1, 0.6, math.nan),
+    (1.0, 0.0, 0.2, 0.7, -0.4, 1.1, 0.6, 0.9),
+    (1.0, -1e-9, 0.2, 0.7, -0.4, 1.1, 0.6, 0.9),
+    (1.0, 1.3, 0.2, 0.7, -0.4, 1e-8, 0.6, 0.9),
+    (1.0, 1e-4, 0.2, 0.7, -0.4, -1e-4, 0.6, 0.9),
+)
+
+
+def _contact_error(jet, X, Y, eps=DEGENERACY_EPS):
+    with pytest.raises(DegenerateJetError) as exc:
+        contact_map(jet, X, Y, eps=eps)
+    return exc.value.quantity, float(exc.value.value).hex(), exc.value.index
+
+
+@pytest.mark.parametrize("kind", _POINT_KINDS)
+def test_point_push_gives_the_array_push_bits(kind):
+    cols = np.array(_PUSH_ROWS).T
+    pushed = push_jet_arrays(JetArrays(*cols[:6], valid=None), cols[6], cols[7])
+    assert pushed.jet.valid.tolist() == [True, True] + [False] * 8
+    for k, row in enumerate(_PUSH_ROWS):
+        point = [kind(v) for v in row]
+        jet = point_jet(*point[:6])
+        im = push_jet_arrays(jet, *point[6:])
+        assert type(im.jet.valid) is np.bool_ and im.jet.valid == pushed.jet.valid[k]
+        assert all(type(a) is float for a in _image_fields(im)), k
+        assert all(same_bits(a, b[k]) for a, b in zip(_image_fields(im), _image_fields(pushed))), k
+        if im.jet.valid:
+            assert all(same_bits(a, b) for a, b in zip(
+                _image_fields(contact_map(jet, *point[6:])), _image_fields(im))), k
+        else:
+            single = JetArrays(*cols[:6, k:k + 1], valid=None)
+            assert _contact_error(jet, *point[6:]) == _contact_error(
+                single, cols[6, k:k + 1], cols[7, k:k + 1]), k
+
+
+@pytest.mark.parametrize("kind", _POINT_KINDS)
+def test_point_push_divides_as_numpy_where_a_divisor_underflows(kind):
+    # with eps = 0 a jet with |U_X| = |U_YY| = 1e-100 is valid, but U_X^3 U_YY
+    # underflows to zero, so the array push gives infinities; with eps < 0
+    # U_X = 0 passes too, and Y / U_X is infinite
+    for eps, ux, uyy in ((0.0, 1e-100, 1e-100), (0.0, -1e-100, 1e-100), (-1.0, 0.0, 1.0),
+                         (-1.0, -0.0, 1.0)):
+        row = (1.0, ux, 0.2, 0.7, 0.0, uyy, 0.6, 0.9)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pushed = push_jet_arrays(point_jet(*(np.array([v]) for v in row[:6])),
+                                     np.array([row[6]]), np.array([row[7]]), eps=eps)
+        assert pushed.jet.valid.all() and not np.isfinite(pushed.jet.uxx).all()
+        point = [kind(v) for v in row]
+        im = contact_map(point_jet(*point[:6]), *point[6:], eps=eps)
+        assert all(same_bits(a, b[0]) for a, b in zip(_image_fields(im), _image_fields(pushed)))
+
+
+@pytest.mark.parametrize("kind", _POINT_KINDS)
+def test_point_chain_gives_the_array_chain_bits(kind):
+    X, Y = np.array([0.6, 1.3, 0.9]), np.array([0.7, 1.1, 1.45])
+    for text in (*_LIFT_FAMILIES, "exp(0.3*X)+cosh(Y)"):
+        U = parse(text)
+        chained = compose_chain(U, X, Y)
+        for k in range(X.size):
+            im = compose_chain(U, kind(X[k]), kind(Y[k]))
+            assert type(im.jet.valid) is np.bool_ and im.jet.valid
+            assert all(same_bits(a, b[k]) for a, b in
+                       zip(_image_fields(im), _image_fields(chained))), (text, k)
+    for X0, Y0 in ((1.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(DegenerateJetError) as point:
+            compose_chain(parse("X*Y"), kind(X0), kind(Y0))
+        with pytest.raises(DegenerateJetError) as array:
+            compose_chain(parse("X*Y"), np.array([X0]), np.array([Y0]))
+        assert str(point.value) == str(array.value)
+
+
+@pytest.mark.parametrize("kind", _POINT_KINDS)
+def test_point_chain_where_eta_squared_underflows(kind):
+    # U = X^2 - Y^2 at X = 5e-201: the Legendre image ordinate is
+    # eta = -U_X = -1e-200, so eta*eta, and with it eta^3 V_bb, underflow to 0.
+    # With eps = 0 the Ampere step is a fold; with eps < 0 every check
+    # passes and the chain divides by zero, giving the array path's bits
+    U, X0, Y0 = parse("X^2-Y^2"), 5e-201, 1.0
+    with pytest.raises(DegenerateJetError) as point:
+        compose_chain(U, kind(X0), kind(Y0), eps=0.0)
+    with pytest.raises(DegenerateJetError) as array:
+        compose_chain(U, np.array([X0]), np.array([Y0]), eps=0.0)
+    assert point.value.quantity == array.value.quantity == "V_beta_beta"
+    assert str(point.value) == str(array.value)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chained = compose_chain(U, np.array([X0]), np.array([Y0]), eps=-1.0)
+    assert np.isinf(chained.jet.uyy[0]) and np.isnan(chained.jacobian[0])
+    im = compose_chain(U, kind(X0), kind(Y0), eps=-1.0)
+    assert all(same_bits(a, b[0]) for a, b in zip(_image_fields(im), _image_fields(chained)))
+
+
 def test_compose_chain_degenerate_from_chain():
     with pytest.raises(DegenerateJetError):
         compose_chain(parse("X*Y"), 1.0, 1.0)
@@ -501,6 +604,37 @@ def test_conjugate_2d_zeros_single_slope():
     assert W.values[0, 0] == 0.0
 
 
+def test_conjugate_2d_equals_row_then_column_conjugates_bit_for_bit():
+    # the definition as 1-D conjugates, one per row and then one per slope
+    # column, on grids that take many blocks; quarter-integer data makes
+    # maxima tie between nodes
+    rng = np.random.default_rng(8)
+    for n, m, Z in ((65, 33, rng.standard_normal((65, 65))),
+                    (65, 33, np.round(rng.uniform(-8, 8, (65, 65))) / 4),
+                    (40, 7, rng.standard_normal((23, 40)))):
+        g = Grid2(geometry_from_domain(-1.0, 1.0, -0.5, 0.5, n, Z.shape[0]), Z)
+        sgeom = geometry_from_domain(-2.0, 2.0, -3.0, 3.0, m, m + 2)
+        inner = np.array([discrete_legendre_1d(g.xs(), row, sgeom.xs()).values
+                          for row in g.values])
+        want = np.array([discrete_legendre_1d(g.ys(), -col, sgeom.ys()).values
+                         for col in inner.T]).T
+        assert same_bits(discrete_legendre_2d(g, sgeom).values, want)
+
+
+def test_conjugate_2d_temporaries_do_not_grow_with_the_cube():
+    # one broadcast over a whole pass would hold 129 * 65 * 129 doubles (8.7 MB,
+    # 65 grids' worth); the passes hold a few arrays of grid size or less
+    g = sample(parse("X^2+Y^2"), ("X", "Y"), geometry_from_domain(-1, 1, -1, 1, 129, 129))
+    sgeom = geometry_from_domain(-2, 2, -2, 2, 65, 65)
+    tracemalloc.start()
+    try:
+        discrete_legendre_2d(g, sgeom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * g.values.nbytes
+
+
 # ---------------------------------------------------------------------------
 # discrete Ampere transform
 
@@ -557,6 +691,18 @@ def test_ampere_discrete_fold_on_nonconvex_with_monotone_centered_slopes():
     V = Grid2(geom, np.tile(col[:, None], (1, 3)))
     with pytest.raises(FoldError):
         ampere_discrete(V)
+
+
+def test_ampere_discrete_names_the_first_folded_column():
+    # alpha = 0, 1, 2, 3, 4: columns 1 and 3 are constant, so both fold
+    geom = geometry_from_domain(0, 4, 0, 1, 5, 5)
+    values = np.tile((geom.ys() ** 2)[:, None], (1, 5))
+    values[:, 1] = values[:, 3] = 1.0
+    with pytest.raises(FoldError, match=r"^column alpha=1 "):
+        ampere_discrete(Grid2(geom, values))
+    values[:, 1] = -geom.ys() ** 2  # concave, not a fold
+    with pytest.raises(FoldError, match=r"^column alpha=3 "):
+        ampere_discrete(Grid2(geom, values))
 
 
 def test_scattered_round_trip(tmp_path):
