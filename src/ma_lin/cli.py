@@ -267,7 +267,8 @@ def cmd_lift(args) -> int:
     else:
         raise UsageError("lift config needs 'id' (catalog) or 'f' (class function in u, s)")
     tol = args.tol if args.tol is not None else cfg.get("tol")
-    check_solve_limits(tol, PipelineConfig.solve_max_iter)  # before any output
+    # tol alone, before any output: the solve keeps solve_dirichlet's default cap
+    check_solve_limits(tol, 1)
     domain, nx, ny = _domain(cfg, args.nx, args.ny, "lift config")
     geom = geometry_from_domain(*domain, nx, ny)
     target = _grid_fields(cfg["target"], "target") if "target" in cfg else None
@@ -407,16 +408,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(err: Exception) -> int:
-    """The exit code of a run that a subcommand ended with err."""
-    if isinstance(err, PipelineError):
-        if isinstance(err.cause, (NotEllipticError, NotInClassError, EmptyLiftError)):
-            return EXIT_REJECTED
-        if isinstance(err.cause, NotConvergedError):
-            return EXIT_NOT_CONVERGED
-        return EXIT_USAGE
-    if isinstance(err, (NotEllipticError, TransformError, ElasticityError, KhabirovError)):
+    """The exit code of a run that a subcommand ended with err, the same
+    for a library error whether or not a pipeline stage wrapped it."""
+    cause = err.cause if isinstance(err, PipelineError) else err
+    if isinstance(cause, (NotEllipticError, NotInClassError, EmptyLiftError, TransformError,
+                          ElasticityError, KhabirovError)):
         return EXIT_REJECTED
-    if isinstance(err, NotConvergedError):
+    if isinstance(cause, NotConvergedError):
         return EXIT_NOT_CONVERGED
     return EXIT_USAGE
 
@@ -439,6 +437,9 @@ def main(argv=None) -> int:
         code = _exit_code(err)
         print(f"{_EXIT_LABELS[code]}: {err}", file=sys.stderr)
         return code
+    except RecursionError:
+        print("error: the expression is nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

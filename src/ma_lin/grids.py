@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expressions import (BinOp, Const, Expr, EvalError, Neg, Var, compile_trees, diff,
-                          evaluate)
+from .expressions import Expr, EvalError, compile_trees, diff, evaluate
 
 __all__ = [
     "GridError", "GridFormatError",
@@ -256,48 +255,19 @@ def interior_jets(g: Grid2) -> JetArrays:
         )
 
 
-_DERIVATIVES: dict = {}  # (tree key, names) -> ((e_x, e_y, e_xx, e_xy, e_yy), program of all six)
-_DERIVATIVES_MAX = 256
-
-
-def _tree_key(e: Expr):
-    """A hashable key equal only for trees with the same shape and constant bits.
-
-    Dataclass equality would let Const(0.0) and Const(-0.0) alias, and their
-    derivatives can differ in sign."""
-    if isinstance(e, Const):
-        return (float(e.value).hex(),)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return ("-", _tree_key(e.arg))
-    if isinstance(e, BinOp):
-        return (e.op, _tree_key(e.left), _tree_key(e.right))
-    return (e.func, _tree_key(e.arg))
-
-
 def _jet_entry(e: Expr, names: tuple[str, str]) -> tuple:
     """The five derivative trees of e and one program for e and them, made
-    once per tree shape and pair of names.  The entry is then kept on the
-    tree for its pair of names, as the tree's own program is, so only a
-    tree's first call builds its shape key.  The program holds a copy of
-    e's root, so the tree and its entry form no reference cycle."""
+    once per pair of names and kept on the tree, as the tree's own program
+    is.  The program holds a copy of e's root, so the tree and its entry
+    form no reference cycle."""
     n1, n2 = names
-    try:
-        return vars(e)["_jet_entries"][n1, n2]
-    except KeyError:
-        pass
-    key = (_tree_key(e), n1, n2)
-    entry = _DERIVATIVES.get(key)
+    entries = vars(e).setdefault("_jet_entries", {})
+    entry = entries.get((n1, n2))
     if entry is None:
         ex = diff(e, n1)
         ey = diff(e, n2)
         derived = (ex, ey, diff(ex, n1), diff(ex, n2), diff(ey, n2))
-        entry = derived, compile_trees((replace(e), *derived))
-        if len(_DERIVATIVES) >= _DERIVATIVES_MAX:
-            del _DERIVATIVES[next(iter(_DERIVATIVES))]
-        _DERIVATIVES[key] = entry
-    vars(e).setdefault("_jet_entries", {})[n1, n2] = entry
+        entry = entries[n1, n2] = derived, compile_trees((replace(e), *derived))
     return entry
 
 

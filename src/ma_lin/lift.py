@@ -20,7 +20,7 @@ import numpy as np
 from .equations import (LinearizableClass, MAEquation, catalog_get, classify,
                         equation_from_class_function, linear_coefficient,
                         residual)
-from .expressions import Expr, to_text, variables
+from .expressions import Expr, to_text
 from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, MaskedGrid2,
                     _format_rows, geometry_from_domain, interior_jets, symbolic_jet)
 from .linsolve import BoundaryValues, problem_from_exprs, solve_dirichlet
@@ -279,7 +279,6 @@ class PipelineConfig:
     target_nx: int = 33
     target_ny: int = 33
     solve_tol: Optional[float] = None
-    solve_max_iter: int = 200_000
     seed: int = 42
 
 
@@ -320,9 +319,6 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
         if isinstance(f_or_id, str):
             eq = catalog_get(f_or_id)
         else:
-            extra = variables(f_or_id) - {"u", "s"}
-            if extra:
-                raise LiftError(f"class function must use only (u, s), found {sorted(extra)}")
             eq = equation_from_class_function(f_or_id)
         cls = classify(eq, seed=config.seed)
 
@@ -333,8 +329,7 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
         X0, X1, Y0, Y1 = config.lin_domain
         geom = geometry_from_domain(X0, X1, Y0, Y1, config.lin_nx, config.lin_ny)
         problem = problem_from_exprs(geom, coeff, None, config.boundary)
-        solution, report = solve_dirichlet(problem, tol=config.solve_tol,
-                                           max_iter=config.solve_max_iter)
+        solution, report = solve_dirichlet(problem, tol=config.solve_tol)
 
     with _stage("lift"):
         surface = lift_parametric(solution)

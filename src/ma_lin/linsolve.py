@@ -489,7 +489,7 @@ def check_solve_limits(tol, max_iter) -> None:
 
 
 def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
-                    max_iter: int = 100_000) -> tuple[Grid2, SolveReport]:
+                    max_iter: int = 200_000) -> tuple[Grid2, SolveReport]:
     """Solve the five-point scheme to a max-norm residual below tol.
 
     Starts by nested iteration (`_Level.start`): every coarser level is solved

@@ -4,14 +4,20 @@ import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import percent_g_rows, src_env
-from ma_lin.cli import main
-from ma_lin.grids import read_grid
-from ma_lin.linsolve import FLOOR_FACTOR
+from ma_lin.cli import UsageError, _exit_code, main
+from ma_lin.elasticity import ElasticityError
+from ma_lin.equations import KhabirovError, NotInClassError
+from ma_lin.expressions import ExprError
+from ma_lin.grids import GridError, read_grid
+from ma_lin.lift import EmptyLiftError, LiftError, PipelineError
+from ma_lin.linsolve import FLOOR_FACTOR, NotConvergedError, NotEllipticError
+from ma_lin.transforms import DegenerateJetError, FoldError, TransformError
 
 
 def _write(path, data):
@@ -458,6 +464,54 @@ def test_khabirov_rejects_zero_g(tmp_path):
 
 def test_khabirov_wrong_variable_exits_1(tmp_path):
     assert main(["khabirov", "--g", "1+x^2", "--out", str(tmp_path / "o")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# deep expressions and exit codes
+
+_DEEP_SUM = "+".join(["X"] * 3000)
+
+
+@pytest.mark.parametrize("command,data,flags", [
+    ("khabirov", None, ["--g=" + "+".join(["s"] * 3000)]),
+    ("khabirov", None, ["--g=" + "(" * 600 + "s" + ")" * 600]),
+    ("solve", dict(_solve_config(), boundary=_DEEP_SUM), []),
+    ("lift", dict(_lift_config(), boundary=_DEEP_SUM), []),
+    ("elasticity", _deformation_config(potential="+".join(["X*Y"] * 3000),
+                                       domain=[0.5, 1.5, 0.5, 1.5]), []),
+], ids=["khabirov-long-sum", "khabirov-nested-parentheses", "solve-boundary", "lift-boundary",
+        "elasticity-potential"])
+def test_deep_expressions_exit_1_without_a_traceback(tmp_path, capsys, command, data, flags):
+    argv = [command, "--out", str(tmp_path / "o"), *flags]
+    if data is not None:
+        argv += ["--in", _write(tmp_path / "p.json", data)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the expression is nested too deeply\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("err,code", [
+    (NotEllipticError("f <= 0"), 2),
+    (NotInClassError("x-dependence", {}), 2),
+    (EmptyLiftError("every node is degenerate"), 2),
+    (TransformError("xs must be finite"), 2),
+    (DegenerateJetError("eta", 0.0, 1e-12, 0), 2),
+    (FoldError("fold"), 2),
+    (ElasticityError("zero potential gradient"), 2),
+    (KhabirovError("g vanishes"), 2),
+    (NotConvergedError(SimpleNamespace(iterations=1, residual=1.0, tol=0.5,
+                                       residual_floor=0.0), None), 3),
+    (UsageError("bad"), 1),
+    (ExprError("bad"), 1),
+    (GridError("bad"), 1),
+    (LiftError("bad"), 1),
+    (ValueError("bad"), 1),
+    (KeyError("bad"), 1),
+    (OSError("bad"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_a_library_error_gives_one_exit_code_wrapped_or_bare(err, code):
+    assert _exit_code(err) == _exit_code(PipelineError("stage", err)) == code
 
 
 # ---------------------------------------------------------------------------

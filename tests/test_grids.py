@@ -148,7 +148,7 @@ def test_jet_exprs_returns_the_callers_tree():
     assert jb[1:] == jet_exprs(a, ("X", "Y"))[1:]
 
 
-def test_symbolic_jet_compiles_once_per_tree_shape_and_names(monkeypatch):
+def test_symbolic_jet_compiles_once_per_tree_and_names(monkeypatch):
     calls = []
 
     def counting(trees):
@@ -156,42 +156,24 @@ def test_symbolic_jet_compiles_once_per_tree_shape_and_names(monkeypatch):
         return compile_trees(trees)
 
     monkeypatch.setattr(grids, "compile_trees", counting)
-    monkeypatch.setattr(grids, "_DERIVATIVES", {})
     text = "1.1*(X^2-Y*arctan(Y))"
-    first = symbolic_jet(parse(text), ("X", "Y"), 1.1, 0.7)
-    for x in (1.2, np.linspace(0.5, 1.5, 4)):
-        symbolic_jet(parse(text), ("X", "Y"), x, 0.7)
-    assert len(calls) == 1 and len(calls[0]) == 6
-    assert symbolic_jet(parse(text), ("X", "Y"), 1.1, 0.7) == first
-    symbolic_jet(parse(text), ("Y", "X"), 0.7, 1.1)
-    symbolic_jet(parse("1.1*(X^2-Y*arctan(-Y))"), ("X", "Y"), 1.1, 0.7)
-    assert len(calls) == 3
-
-
-def test_repeated_symbolic_jet_on_one_tree_builds_no_tree_key(monkeypatch):
-    built = []
-    tree_key = grids._tree_key
-
-    def counting(e):
-        built.append(e)
-        return tree_key(e)
-
-    monkeypatch.setattr(grids, "_tree_key", counting)
-    e = parse("1.1*(X^2-Y*arctan(Y))")
+    e = parse(text)
     first = symbolic_jet(e, ("X", "Y"), 1.1, 0.7)
-    assert built
-    built.clear()
     for x in (1.1, 1.2, np.linspace(0.5, 1.5, 4)):
         symbolic_jet(e, ("X", "Y"), x, 0.7)
-    assert jet_exprs(e, ("X", "Y"))[0] is e
-    assert built == []
+        assert jet_exprs(e, ("X", "Y"))[0] is e
+    assert len(calls) == 1 and len(calls[0]) == 6
     assert symbolic_jet(e, ("X", "Y"), 1.1, 0.7) == first
-    # another pair of names is another entry, looked up by shape once
-    symbolic_jet(e, ("Y", "X"), 0.7, 1.1)
-    assert built
-    built.clear()
-    symbolic_jet(e, ("Y", "X"), 0.7, 1.1)
-    assert built == []
+    # another pair of names compiles once more
+    for _ in range(2):
+        symbolic_jet(e, ("Y", "X"), 0.7, 1.1)
+        jet_exprs(e, ("Y", "X"))
+    assert len(calls) == 2
+    # an equal tree parsed again gets its own compile
+    again = parse(text)
+    assert again == e and again is not e
+    assert symbolic_jet(again, ("X", "Y"), 1.1, 0.7) == first
+    assert len(calls) == 3
 
 
 def test_symbolic_jet_of_a_point_gives_floats_and_a_numpy_bool():
