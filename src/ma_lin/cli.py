@@ -98,7 +98,7 @@ class _Outputs:
     def fail(self, stage: str, err: Exception) -> None:
         """Finish with why the run failed: the stage, the message and the exit code."""
         cause = err.cause if isinstance(err, PipelineError) else err
-        self.manifest["error"] = {"stage": stage, "message": str(cause),
+        self.manifest["error"] = {"stage": stage, "message": _message(cause),
                                   "exit_code": _exit_code(err)}
         self.finish()
 
@@ -423,6 +423,13 @@ _EXIT_LABELS = {EXIT_USAGE: "error", EXIT_REJECTED: "rejected",
                 EXIT_NOT_CONVERGED: "not converged"}
 
 
+def _message(err: Exception) -> str:
+    """What a run that err ended reports; a stack overflow, wrapped by a
+    pipeline stage or not, is an expression nested too deeply."""
+    cause = err.cause if isinstance(err, PipelineError) else err
+    return "the expression is nested too deeply" if isinstance(cause, RecursionError) else str(err)
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -433,13 +440,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, ExprError, GridError, KeyError, ValueError, OSError,
             NotEllipticError, NotConvergedError, PipelineError,
-            TransformError, ElasticityError, KhabirovError) as err:
+            TransformError, ElasticityError, KhabirovError, RecursionError) as err:
         code = _exit_code(err)
-        print(f"{_EXIT_LABELS[code]}: {err}", file=sys.stderr)
+        print(f"{_EXIT_LABELS[code]}: {_message(err)}", file=sys.stderr)
         return code
-    except RecursionError:
-        print("error: the expression is nested too deeply", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -2,11 +2,13 @@
 
 Trees are immutable values.  A tree is evaluated by a straight-line program,
 compiled on first use and kept for as long as the tree lives, that computes
-each distinct subtree once.  Evaluation, over floats or whole arrays, is plain
-IEEE double arithmetic with a fixed left-to-right child order, so the same tree
-with the same bindings always produces a bit-identical result.  There is no
-simplifier: the only rewriting ever performed is folding of all-literal
-subtrees when new nodes are built by `diff` or `subst`.
+each distinct subtree once; a program run often enough is turned into
+generated Python code that does the same operations.  Evaluation, over floats
+or whole arrays, is plain IEEE double arithmetic with a fixed left-to-right
+child order, so the same tree with the same bindings always produces a
+bit-identical result.  There is no simplifier: the only rewriting ever
+performed is folding of all-literal subtrees when new nodes are built by
+`diff` or `subst`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -342,12 +344,40 @@ def _power_per_cell(a, b: np.ndarray, node: Expr, shape: tuple) -> np.ndarray:
     return np.where(negative, 1.0 / r, r)
 
 
-class Program(NamedTuple):
-    """Straight-line code for a sequence of trees; call it with bindings."""
+def _variable(env: dict, name: str, node: Expr, shape: tuple):
+    if name not in env:
+        _guard(True, f"unbound variable {name!r}", 0.0, node, shape)
+    return env[name]
 
-    registers: list  # constants in place, None where a step writes
-    steps: list  # ((op, a, b), out, node, registers released after the step)
-    outputs: tuple  # the register of each tree
+
+# A program is interpreted until its _HOT_RUNS-th call, which generates it.
+# Generating takes about 10 us a line of source: 0.15-0.2 ms for a 7-step
+# tree and 0.8-1.5 ms for a jet program of 50-86 steps.  On one point a
+# generated run saves 5-20 us, so generation pays for itself after 30-85
+# more runs (Python 3.11 on a shared x86-64 VM).  Trees made for a few
+# evaluations stay below the threshold and never pay it: a `lift` request
+# runs each of its programs at most 8 times, and `khabirov_push` runs its
+# `subst` results twice.
+_HOT_RUNS = 16
+
+
+class Program:
+    """Straight-line code for a sequence of trees; call it with bindings.
+
+    Calls before the `_HOT_RUNS`-th interpret the steps; that call emits them
+    as one Python function (`_source`), which it and every later call run.
+    Both do the same operations in the same order, so they give the same
+    bits and the same first EvalError."""
+
+    __slots__ = ("registers", "steps", "outputs", "_runs", "_run", "_ufuncs")
+
+    def __init__(self, registers: list, steps: list, outputs: tuple):
+        self.registers = registers  # constants in place, None where a step writes
+        self.steps = steps  # ((op, a, b), out, node, registers released after the step)
+        self.outputs = outputs  # the register of each tree
+        self._runs = 0
+        self._run = None  # the generated function, once the program is hot
+        self._ufuncs = True  # whether a scalar run may call a ufunc
 
     def __call__(self, bindings: Bindings) -> list:
         """The value of each tree, as `evaluate` would give it."""
@@ -355,38 +385,111 @@ class Program(NamedTuple):
                else float(v) for name, v in bindings.items()}
         shapes = [v.shape for v in env.values() if isinstance(v, np.ndarray)]
         shape = np.broadcast_shapes(*shapes) if shapes else ()
-        regs = self.registers.copy()
-        with np.errstate(all="ignore"):
-            for (op, a, b), out, node, free in self.steps:
-                if b is None:
-                    if a is None:  # the variable named op
-                        if op not in env:
-                            _guard(True, f"unbound variable {op!r}", 0.0, node, shape)
-                        regs[out] = env[op]
-                    elif op == "-":
-                        regs[out] = -regs[a]
-                    else:
-                        regs[out] = _call(op, regs[a], node, shape)
-                elif op == "*":
-                    regs[out] = regs[a] * regs[b]
-                elif op == "+":
-                    regs[out] = regs[a] + regs[b]
-                elif op == "-":
-                    regs[out] = regs[a] - regs[b]
-                elif op == "/":
-                    y = regs[b]
-                    _guard(y == 0.0, "division by zero", y, node, shape)
-                    regs[out] = regs[a] / y
-                elif op == "^":
-                    regs[out] = _power(regs[a], regs[b], node, shape)
-                else:
-                    raise EvalError(f"unknown operator {op!r}", node)
-                for k in free:
-                    regs[k] = None
+        run = self._run
+        if run is None:
+            self._runs += 1
+            if self._runs < _HOT_RUNS:
+                run = self._interpret
+            else:
+                text, namespace, self._ufuncs = _source(self)
+                exec(compile(text, "<expression program>", "exec"), namespace)
+                run = self._run = namespace.pop("run")  # no function <-> namespace cycle
+        # numpy warns on overflow in * and /; Python floats warn only in ufuncs
+        if shape or self._ufuncs:
+            with np.errstate(all="ignore"):
+                values = run(env, shape)
+        else:
+            values = run(env, shape)
         if not shape:
-            return [float(regs[k]) for k in self.outputs]
-        return [np.array(np.broadcast_to(regs[k], shape), dtype=np.float64)
-                for k in self.outputs]
+            return [float(v) for v in values]
+        return [np.array(np.broadcast_to(v, shape), dtype=np.float64) for v in values]
+
+    def _interpret(self, env: dict, shape: tuple) -> list:
+        regs = self.registers.copy()
+        for (op, a, b), out, node, free in self.steps:
+            if b is None:
+                if a is None:  # the variable named op
+                    regs[out] = _variable(env, op, node, shape)
+                elif op == "-":
+                    regs[out] = -regs[a]
+                else:
+                    regs[out] = _call(op, regs[a], node, shape)
+            elif op == "*":
+                regs[out] = regs[a] * regs[b]
+            elif op == "+":
+                regs[out] = regs[a] + regs[b]
+            elif op == "-":
+                regs[out] = regs[a] - regs[b]
+            elif op == "/":
+                y = regs[b]
+                _guard(y == 0.0, "division by zero", y, node, shape)
+                regs[out] = regs[a] / y
+            elif op == "^":
+                regs[out] = _power(regs[a], regs[b], node, shape)
+            else:
+                raise EvalError(f"unknown operator {op!r}", node)
+            for k in free:
+                regs[k] = None
+        return [regs[k] for k in self.outputs]
+
+
+def _source(p: Program) -> tuple[str, dict, bool]:
+    """The source of a function `run(env, shape)` that does p's steps, one
+    statement each, the namespace it runs in, and whether a step calls a
+    ufunc.  Constants, nodes and names are bound in the namespace (`c`, `n`,
+    `v`, `f` and `m`, each with a register number), so no tree's text reaches
+    the source and every constant keeps its bits."""
+    regs = p.registers  # None where a step writes
+    ns = {"_call": _call, "_power": _power, "_guard": _guard, "_variable": _variable,
+          "EvalError": EvalError}
+    ufuncs = False
+
+    def ref(k: int) -> str:
+        if regs[k] is None:
+            return f"r{k}"
+        ns[f"c{k}"] = regs[k]
+        return f"c{k}"
+
+    lines = []
+    for (op, a, b), out, node, free in p.steps:
+        r, n = f"r{out}", f"n{out}"
+        ns[n] = node
+        if b is None:
+            if a is None:
+                ns[f"v{out}"] = op
+                lines.append(f"{r} = _variable(env, v{out}, {n}, shape)")
+            elif op == "-":
+                lines.append(f"{r} = -{ref(a)}")
+            else:
+                ns[f"f{out}"] = op
+                lines.append(f"{r} = _call(f{out}, {ref(a)}, {n}, shape)")
+                ufuncs = True
+        elif op in ("*", "+", "-"):
+            lines.append(f"{r} = {ref(a)} {op} {ref(b)}")
+        elif op == "/":
+            y = ref(b)
+            lines += [f"_guard({y} == 0.0, 'division by zero', {y}, {n}, shape)",
+                      f"{r} = {ref(a)} / {y}"]
+        elif op == "^":
+            e = regs[b]
+            if type(e) is float and e.is_integer() and abs(e) <= _MAX_PRODUCT_POWER:
+                x, k = ref(a), int(abs(e))  # `_power`'s products, one statement each
+                lines += [f"{r} = 1.0 * {x}" if k else f"{r} = 1.0"]
+                lines += [f"{r} = {r} * {x}"] * (k - 1)
+                if e < 0.0:
+                    lines += [f"_guard({r} == 0.0, 'zero base with negative exponent', "
+                              f"{r}, {n}, shape)", f"{r} = 1.0 / {r}"]
+            else:
+                lines.append(f"{r} = _power({ref(a)}, {ref(b)}, {n}, shape)")
+                ufuncs = True
+        else:
+            ns[f"m{out}"] = f"unknown operator {op!r}"
+            lines.append(f"raise EvalError(m{out}, {n})")
+        dead = [f"r{k}" for k in free if regs[k] is None]
+        if dead:
+            lines.append(f"del {', '.join(dead)}")
+    lines.append(f"return [{', '.join(map(ref, p.outputs))}]")
+    return "def run(env, shape):\n" + "".join(f"    {s}\n" for s in lines), ns, ufuncs
 
 
 def compile_trees(trees) -> Program:

@@ -477,10 +477,12 @@ _DEEP_SUM = "+".join(["X"] * 3000)
     ("khabirov", None, ["--g=" + "(" * 600 + "s" + ")" * 600]),
     ("solve", dict(_solve_config(), boundary=_DEEP_SUM), []),
     ("lift", dict(_lift_config(), boundary=_DEEP_SUM), []),
+    ("lift", {**{k: v for k, v in _lift_config().items() if k != "id"},
+              "f": "+".join(["s"] * 3000), "boundary": "X^2-Y^2"}, []),
     ("elasticity", _deformation_config(potential="+".join(["X*Y"] * 3000),
                                        domain=[0.5, 1.5, 0.5, 1.5]), []),
 ], ids=["khabirov-long-sum", "khabirov-nested-parentheses", "solve-boundary", "lift-boundary",
-        "elasticity-potential"])
+        "lift-class-function", "elasticity-potential"])
 def test_deep_expressions_exit_1_without_a_traceback(tmp_path, capsys, command, data, flags):
     argv = [command, "--out", str(tmp_path / "o"), *flags]
     if data is not None:

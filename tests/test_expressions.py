@@ -1,5 +1,8 @@
 import gc
+import json
 import math
+import struct
+import warnings
 import weakref
 
 import numpy as np
@@ -7,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ma_lin.cli as cli
 import ma_lin.expressions as expressions
 from helpers import reference_evaluate
+from ma_lin.equations import khabirov_push
 from ma_lin.expressions import (BinOp, Call, Const, EvalError, Neg, ParseError,
                                 Var, compile_trees, diff, evaluate, parse, subst,
                                 to_text, variables)
@@ -398,10 +403,18 @@ def _same_outcome(got, want):
     return got == want
 
 
+def _every_run(program, bindings):
+    """The outcome of each call of program until just past the call that
+    generates it: the interpreted runs, then two generated ones."""
+    outcomes = [_outcome(lambda: program(bindings)) for _ in range(expressions._HOT_RUNS + 1)]
+    assert program._run is not None
+    return outcomes
+
+
 def _check_program(trees, bindings):
-    got = _outcome(lambda: compile_trees(trees)(bindings))
     want = _outcome(lambda: [reference_evaluate(t, bindings) for t in trees])
-    assert _same_outcome(got, want), ([to_text(t) for t in trees], got, want)
+    for got in _every_run(compile_trees(trees), bindings):
+        assert _same_outcome(got, want), ([to_text(t) for t in trees], got, want)
     return isinstance(got, tuple)
 
 
@@ -443,8 +456,8 @@ def test_program_keeps_zero_constants_of_either_sign_apart():
     trees = (pos, neg, BinOp("*", pos, neg), Call("arctan", Const(-0.0)), Const(0.0))
     for bindings in ({"x": 2.0}, {"x": np.array([2.0, -3.0])}):
         assert not _check_program(trees, bindings)
-    values = compile_trees(trees)({"x": 2.0})
-    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, -1.0, -1.0, 1.0]
+    for values in _every_run(compile_trees(trees), {"x": 2.0}):
+        assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, -1.0, -1.0, 1.0]
 
 
 def test_program_raises_the_first_error_of_the_tree_sequence():
@@ -491,6 +504,67 @@ def test_a_compiled_tree_is_freed_with_its_last_reference():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_generated_code_is_freed_with_its_tree():
+    tree = parse("sin(x)*x + x^3/(1+y^2)")
+    for _ in range(expressions._HOT_RUNS):
+        evaluate(tree, {"x": 0.5, "y": 2.0})
+    alive = weakref.ref(tree._program._run)
+    gc.disable()  # the function and its namespace form no cycle
+    try:
+        del tree
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_generated_source_holds_no_tree_text():
+    name = 'x"); import os; ("'
+    x = Var(name)
+    payload_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_1234))[0]
+    constants = (Const(-0.0), Const(0.1), Const(payload_nan))
+    trees = (BinOp("*", x, constants[0]), BinOp("+", x, constants[1]),
+             BinOp("-", constants[2], x), Neg(x), *constants)
+    for bindings in ({"y": 1.0}, {"y": np.array([1.0, 2.0])},
+                     {name: np.array([2.0, -0.0])}, {name: 2.0}):
+        want = _outcome(lambda: [reference_evaluate(t, bindings) for t in trees])
+        for got in _every_run(compile_trees(trees), bindings):
+            assert _same_outcome(got, want)
+    assert _same_bits(got[6], payload_nan) and _same_bits(got[4], -0.0)
+    text = expressions._source(compile_trees(trees))[0]
+    for fragment in (name, "import", *(repr(c.value) for c in constants)):
+        assert fragment not in text
+
+
+@pytest.mark.parametrize("text,bindings", [
+    ("x*x", {"x": np.full(3, 1e200)}),
+    ("x/y", {"x": np.array([1.0, 1e300]), "y": np.array([2.0, 1e-300])}),
+    ("x^70", {"x": np.array([2.0, 1e10])}),
+    ("x*x/y-x^3+1/x^-2", {"x": 1e200, "y": 1e-300}),  # a point, and no ufunc step
+])
+def test_no_warning_escapes_a_generated_program(text, bindings):
+    tree = subst(parse(text), {})  # folds -2 into one literal, so x^-2 is a product
+    program = compile_trees((tree,))
+    want = _outcome(lambda: [reference_evaluate(tree, bindings)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got in _every_run(program, bindings):
+            assert _same_outcome(got, want)
+    assert program._ufuncs == (text == "x^70")
+
+
+def test_trees_made_for_a_few_runs_generate_nothing(tmp_path, monkeypatch):
+    generated = []
+    source = expressions._source
+    monkeypatch.setattr(expressions, "_source", lambda p: generated.append(p) or source(p))
+    config = tmp_path / "lift.json"
+    config.write_text(json.dumps({"f": "(1+s^2)^2", "domain": [0.5, 1.5, 0.5, 1.5],
+                                  "nx": 33, "ny": 33, "boundary": "X^2-Y*arctan(Y)"}))
+    assert cli.main(["lift", "--in", str(config), "--out", str(tmp_path / "o")]) == 0
+    khabirov_push(parse("1+s^2"), checks=50)
+    subst(parse("sin(x)*x + x^3/(1+y^2)"), {"y": 3.0})
+    assert generated == []
 
 
 # ---------------------------------------------------------------------------

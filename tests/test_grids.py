@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import measured_order, percent_g_rows, stencil_jet
+from helpers import measured_order, percent_g_rows, reference_evaluate, same_bits, stencil_jet
+import ma_lin.expressions as expressions
 import ma_lin.grids as grids
 from ma_lin.expressions import Const, Var, compile_trees, diff, evaluate, parse
 from ma_lin.grids import (Grid2, GridError, GridFormatError, GridGeometry,
@@ -193,15 +194,19 @@ def test_symbolic_jet_holds_few_mesh_sized_arrays(text, arrays):
     # the six trees may cost a quarter more, not one array per step
     X, Y = np.meshgrid(np.linspace(0.5, 1.5, 257), np.linspace(0.5, 1.5, 257))
     e = parse(text)
-    symbolic_jet(e, ("X", "Y"), X, Y)  # differentiate and compile outside the window
-    tracemalloc.start()
-    try:
-        jet = symbolic_jet(e, ("X", "Y"), X, Y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert jet.valid.all()
-    assert peak <= 1.25 * arrays * X.nbytes
+    want = [reference_evaluate(t, {"X": X, "Y": Y}) for t in jet_exprs(e, ("X", "Y"))]
+    program = grids._jet_entry(e, ("X", "Y"))[1]  # differentiate and compile outside the window
+    for _ in range(expressions._HOT_RUNS + 1):  # interpreted runs, then generated ones
+        tracemalloc.start()
+        try:
+            jet = symbolic_jet(e, ("X", "Y"), X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert jet.valid.all()
+        assert peak <= 1.25 * arrays * X.nbytes
+        assert all(map(same_bits, jet.entries(), want))
+    assert program._run is not None
 
 
 def test_fd_jet_truncation_sin():
