@@ -28,9 +28,8 @@ def main() -> None:
     target = geometry_from_domain(-2.5, -1.5, 1.9, 2.7, 81, 81)
     rows = []
     for n in (int(s) for s in args.grids.split(",")):
-        cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5),
-                             boundary=parse("X^2-Y^2"),
-                             lin_nx=n, lin_ny=n, target=target)
+        cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, n, n),
+                             boundary=parse("X^2-Y^2"), target=target)
         res = pipeline("plane-strain-class", cfg)
         tg = res.resampled
         xs, ys = np.meshgrid(tg.grid.xs(), tg.grid.ys())

@@ -1,10 +1,12 @@
 """Batch command-line interface.
 
-Subcommands: classify, solve, lift, elasticity, khabirov.  Every run writes a
-manifest naming the inputs, seed, tolerances, python and numpy versions and
-SHA-256 hashes of the emitted artifacts; re-running a command with the same
-inputs reproduces bit-identical CSV files.  Exit codes: 0 success, 1 usage or parse error, 2 mathematical
-rejection (not in class, not elliptic, all nodes degenerate), 3 non-convergence.
+Subcommands: classify, solve, lift, elasticity, khabirov.  Every run that gets
+past its input checks writes a manifest naming the inputs, seed, tolerances,
+python and numpy versions and SHA-256 hashes of the artifacts it committed,
+and why it failed if it did; re-running a command with the same inputs
+reproduces bit-identical CSV files.  Exit codes: 0 success, 1 usage or parse
+error, 2 mathematical rejection (not in class, not elliptic, all nodes
+degenerate), 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -59,55 +61,56 @@ def _sha256(path) -> str:
 
 
 class _Outputs:
-    """Atomic, overwrite-guarded artifact writing with a closing manifest."""
+    """Atomic, overwrite-guarded artifact writing for one run, as a `with` block.
 
-    def __init__(self, outdir: str, force: bool, command: str,
-                 inputs: dict, seed: int, tolerances: dict):
-        self.dir = Path(outdir)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.force = force
-        self.manifest = {"command": command, "inputs": inputs, "seed": seed,
-                         "tolerances": tolerances, "artifacts": {},
+    Leaving the block writes `manifest.json`, listing exactly the artifacts
+    this run committed; when the block raised, it also records why as
+    `error: {stage, message, exit_code}`.
+    """
+
+    def __init__(self, args, inputs: dict, tolerances: Optional[dict] = None):
+        self.dir = Path(args.out)
+        self.force = args.force
+        self.manifest = {"command": args.command, "inputs": inputs, "seed": args.seed,
+                         "tolerances": tolerances or {}, "artifacts": {},
                          "versions": {"python": platform.python_version(),
                                       "numpy": np.__version__}}
 
-    def _target(self, name: str) -> Path:
+    def __enter__(self) -> "_Outputs":
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self
+
+    def __exit__(self, kind, err, traceback) -> None:
+        if err is not None:
+            if not self.force and (self.dir / "manifest.json").exists():
+                return  # an earlier run's record, which only --force replaces
+            # only cmd_solve calls the solver outside a pipeline stage
+            stage = (err.stage if isinstance(err, PipelineError) else
+                     "solve" if isinstance(err, (NotEllipticError, NotConvergedError)) else
+                     "write")
+            self.manifest["error"] = {"stage": stage, "message": _message(_cause(err)),
+                                      "exit_code": _exit_code(err)}
+        self._replace("manifest.json", lambda p: _dump_json(p, self.manifest))
+
+    def _replace(self, name: str, writer) -> Path:
+        """Write name through a temporary file that replaces it whole."""
         path = self.dir / name
         if path.exists() and not self.force:
             raise UsageError(f"refusing to overwrite {path} (use --force)")
+        tmp = path.with_name(name + ".tmp")
+        writer(tmp)
+        os.replace(tmp, path)
         return path
 
-    def _commit(self, name: str, tmp: Path) -> None:
-        path = self.dir / name
-        os.replace(tmp, path)
-        self.manifest["artifacts"][name] = _sha256(path)
+    def write_with(self, name: str, writer) -> None:
+        self.manifest["artifacts"][name] = _sha256(self._replace(name, writer))
 
     def write_json(self, name: str, data: dict) -> None:
-        path = self._target(name)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        self._commit(name, tmp)
+        self.write_with(name, lambda p: _dump_json(p, data))
 
-    def write_with(self, name: str, writer) -> None:
-        path = self._target(name)
-        tmp = path.with_name(path.name + ".tmp")
-        writer(tmp)
-        self._commit(name, tmp)
 
-    def fail(self, stage: str, err: Exception) -> None:
-        """Finish with why the run failed: the stage, the message and the exit code."""
-        cause = err.cause if isinstance(err, PipelineError) else err
-        self.manifest["error"] = {"stage": stage, "message": _message(cause),
-                                  "exit_code": _exit_code(err)}
-        self.finish()
-
-    def finish(self) -> None:
-        path = self._target("manifest.json")
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.manifest, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, path)
+def _dump_json(path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load_json(path: str) -> dict:
@@ -193,19 +196,24 @@ def _boundary_from_config(cfg, geom, where):
 # subcommands
 
 def cmd_classify(args) -> int:
+    if args.id and args.infile:
+        raise UsageError("classify takes --id or --in, not both")
     if args.id:
         eq = catalog_get(args.id)
         inputs = {"catalog_id": args.id}
     elif args.infile:
-        eq = equation_from_dict(_load_json(args.infile))
+        data = _load_json(args.infile)
+        _check_keys(data, ("id", "F", "note"), "equation")
+        for key in ("id", "F"):
+            _need(data, key, "equation")
+        eq = equation_from_dict(data)
         inputs = {args.infile: _sha256(args.infile)}
     else:
         raise UsageError("classify needs --in FILE or --id CATALOG-ID")
     report = classification_report(eq, seed=args.seed)
     report["equation"] = equation_to_dict(eq)
-    out = _Outputs(args.out, args.force, "classify", inputs, args.seed, {})
-    out.write_json("classification.json", report)
-    out.finish()
+    with _Outputs(args, inputs) as out:
+        out.write_json("classification.json", report)
     return EXIT_OK if report["in_class"] else EXIT_REJECTED
 
 
@@ -231,26 +239,18 @@ def cmd_solve(args) -> int:
         _boundary_from_config(cfg, geom, "solve config"),
     )
     inputs = {args.infile: _sha256(args.infile)}
-    out = _Outputs(args.out, args.force, "solve", inputs, args.seed,
-                   {"tol": tol, "max_iter": max_iter})
-    try:
-        grid, report = solve_dirichlet(problem, tol=tol, max_iter=max_iter)
-    except NotConvergedError as err:
-        rep = err.report.to_dict()
-        rep["seed"] = args.seed
-        out.write_json("solve_report.json", rep)
-        out.write_with("solution.csv", lambda p: write_grid(err.grid, p))
-        out.fail("solve", err)
-        print("solver did not converge", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except NotEllipticError as err:
-        out.fail("solve", err)
-        raise
-    rep = report.to_dict()
-    rep["seed"] = args.seed
-    out.write_json("solve_report.json", rep)
-    out.write_with("solution.csv", lambda p: write_grid(grid, p))
-    out.finish()
+    with _Outputs(args, inputs, {"tol": tol, "max_iter": max_iter}) as out:
+
+        def write(report, grid):
+            out.write_json("solve_report.json", {**report.to_dict(), "seed": args.seed})
+            out.write_with("solution.csv", lambda p: write_grid(grid, p))
+
+        try:
+            grid, report = solve_dirichlet(problem, tol=tol, max_iter=max_iter)
+        except NotConvergedError as err:
+            write(err.report, err.grid)  # the report and the last iterate
+            raise
+        write(report, grid)
     return EXIT_OK
 
 
@@ -271,35 +271,18 @@ def cmd_lift(args) -> int:
     check_solve_limits(tol, 1)
     domain, nx, ny = _domain(cfg, args.nx, args.ny, "lift config")
     geom = geometry_from_domain(*domain, nx, ny)
-    target = _grid_fields(cfg["target"], "target") if "target" in cfg else None
-    pc = PipelineConfig(
-        lin_domain=domain,
-        boundary=_boundary_from_config(cfg, geom, "lift config"),
-        lin_nx=nx, lin_ny=ny,
-        target=target,
-        target_nx=_count(cfg.get("target_nx", 33), "target_nx"),
-        target_ny=_count(cfg.get("target_ny", 33), "target_ny"),
-        solve_tol=tol,
-        seed=args.seed,
-    )
+    target = (_grid_fields(cfg["target"], "target") if "target" in cfg else
+              tuple(_count(cfg.get(k, 33), k) for k in target_keys))
+    pc = PipelineConfig(geom, _boundary_from_config(cfg, geom, "lift config"), target,
+                        solve_tol=tol, seed=args.seed)
     inputs = {args.infile: _sha256(args.infile)}
-    out = _Outputs(args.out, args.force, "lift", inputs, args.seed,
-                   {"tol": pc.solve_tol})
-    try:
+    with _Outputs(args, inputs, {"tol": tol}) as out:
         result = pipeline(f_or_id, pc)
-    except PipelineError as err:
-        out.fail(err.stage, err)
-        raise
-    ver = result.verification.to_dict()
-    ver["seed"] = args.seed
-    ver["coefficient"] = to_text(result.coefficient)
-    srep = result.solve_report.to_dict()
-    srep["seed"] = args.seed
-    out.write_with("lifted.csv", lambda p: write_lifted(result.surface, p))
-    out.write_with("resampled.csv", lambda p: write_grid(result.resampled.grid, p))
-    out.write_json("verification.json", ver)
-    out.write_json("solve_report.json", srep)
-    out.finish()
+        out.write_with("lifted.csv", lambda p: write_lifted(result.surface, p))
+        out.write_with("resampled.csv", lambda p: write_grid(result.resampled.grid, p))
+        out.write_json("verification.json", {**result.verification.to_dict(), "seed": args.seed,
+                                             "coefficient": to_text(result.coefficient)})
+        out.write_json("solve_report.json", {**result.solve_report.to_dict(), "seed": args.seed})
     return EXIT_OK
 
 
@@ -316,20 +299,18 @@ def cmd_elasticity(args) -> int:
     n = args.n if args.n is not None else _count(data.get("n", 20), "n")
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
-    report = incompressibility_check(d, domain=domain, n=n)
-    rep = report.to_dict()
-    rep["seed"] = args.seed
-    inputs = {args.infile: _sha256(args.infile)}
-    out = _Outputs(args.out, args.force, "elasticity", inputs, args.seed, {})
-    out.write_json("incompressibility.json", rep)
-    if domain is not None:
-        out.write_with("deformed.csv",
-                       lambda p: write_deformed_points(d, domain, n, p))
-    out.finish()
+    rep = {**incompressibility_check(d, domain=domain, n=n).to_dict(), "seed": args.seed}
+    with _Outputs(args, {args.infile: _sha256(args.infile)}) as out:
+        out.write_json("incompressibility.json", rep)
+        if domain is not None:
+            out.write_with("deformed.csv",
+                           lambda p: write_deformed_points(d, domain, n, p))
     return EXIT_OK
 
 
 def cmd_khabirov(args) -> int:
+    if args.g and args.infile:
+        raise UsageError("khabirov takes --g or --in, not both")
     if args.g:
         g = parse(args.g)
         inputs = {"g": args.g}
@@ -351,9 +332,8 @@ def cmd_khabirov(args) -> int:
         "equation": equation_to_dict(case.equation),
         "seed": args.seed,
     }
-    out = _Outputs(args.out, args.force, "khabirov", inputs, args.seed, {})
-    out.write_json("khabirov.json", rep)
-    out.finish()
+    with _Outputs(args, inputs) as out:
+        out.write_json("khabirov.json", rep)
     return EXIT_OK
 
 
@@ -407,27 +387,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _exit_code(err: Exception) -> int:
-    """The exit code of a run that a subcommand ended with err, the same
-    for a library error whether or not a pipeline stage wrapped it."""
-    cause = err.cause if isinstance(err, PipelineError) else err
-    if isinstance(cause, (NotEllipticError, NotInClassError, EmptyLiftError, TransformError,
-                          ElasticityError, KhabirovError)):
-        return EXIT_REJECTED
-    if isinstance(cause, NotConvergedError):
-        return EXIT_NOT_CONVERGED
-    return EXIT_USAGE
-
-
+# The exit code of each exception a run may end with: the first row whose
+# types match decides, and what matches nothing is a usage error.  A
+# PipelineError counts as its cause, so a library error gives the same code
+# whether or not a pipeline stage wrapped it.
+_EXIT_CODES = (
+    ((NotEllipticError, NotInClassError, EmptyLiftError, TransformError, ElasticityError,
+      KhabirovError), EXIT_REJECTED),
+    ((NotConvergedError,), EXIT_NOT_CONVERGED),
+    ((UsageError, ExprError, GridError, KeyError, ValueError, OSError, RecursionError,
+      PipelineError), EXIT_USAGE),
+)
+_HANDLED = tuple(t for types, _ in _EXIT_CODES for t in types)
 _EXIT_LABELS = {EXIT_USAGE: "error", EXIT_REJECTED: "rejected",
                 EXIT_NOT_CONVERGED: "not converged"}
+
+
+def _cause(err: Exception) -> Exception:
+    return err.cause if isinstance(err, PipelineError) else err
+
+
+def _exit_code(err: Exception) -> int:
+    cause = _cause(err)
+    return next((code for types, code in _EXIT_CODES if isinstance(cause, types)), EXIT_USAGE)
 
 
 def _message(err: Exception) -> str:
     """What a run that err ended reports; a stack overflow, wrapped by a
     pipeline stage or not, is an expression nested too deeply."""
-    cause = err.cause if isinstance(err, PipelineError) else err
-    return "the expression is nested too deeply" if isinstance(cause, RecursionError) else str(err)
+    return ("the expression is nested too deeply" if isinstance(_cause(err), RecursionError)
+            else str(err))
 
 
 def main(argv=None) -> int:
@@ -438,9 +427,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ExprError, GridError, KeyError, ValueError, OSError,
-            NotEllipticError, NotConvergedError, PipelineError,
-            TransformError, ElasticityError, KhabirovError, RecursionError) as err:
+    except _HANDLED as err:
         code = _exit_code(err)
         print(f"{_EXIT_LABELS[code]}: {_message(err)}", file=sys.stderr)
         return code

@@ -34,6 +34,9 @@ _U_BOX = (-2.0, 2.0)
 _P_BOX = (-2.0, 2.0)
 _Q_BOX = (0.2, 2.0)
 _XY_BOX = (0.5, 2.0)
+_SAMPLES = 64  # seeded samples per classification test
+_CLASS_TOL = 1e-9  # relative tolerance of the classification tests
+_KHABIROV_TOL = 1e-10  # how far (det Hessian)*F may stray from 1 on khabirov_push's jets
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ def _first_failure(bad: list[np.ndarray]):
     return int(np.argmax(bad[:, k])), k
 
 
-def classify(eq: MAEquation, seed: int = 42, samples: int = 64,
-             tol: float = 1e-9) -> LinearizableClass:
+def classify(eq: MAEquation, seed: int = 42) -> LinearizableClass:
     """Decide membership in the class F = q^4 * f(u, p/q) by seeded sampling.
 
     Tests, in order: independence of x and y, then positive homogeneity of
@@ -98,18 +100,18 @@ def classify(eq: MAEquation, seed: int = 42, samples: int = 64,
     """
     rng = np.random.default_rng(seed)
     F = eq.F
-    us = rng.uniform(*_U_BOX, samples)
-    ps = rng.uniform(*_P_BOX, samples)
-    qs = rng.uniform(*_Q_BOX, samples)
-    xs1 = rng.uniform(*_XY_BOX, samples)
-    ys1 = rng.uniform(*_XY_BOX, samples)
-    xs2 = rng.uniform(*_XY_BOX, samples)
-    ys2 = rng.uniform(*_XY_BOX, samples)
+    us = rng.uniform(*_U_BOX, _SAMPLES)
+    ps = rng.uniform(*_P_BOX, _SAMPLES)
+    qs = rng.uniform(*_Q_BOX, _SAMPLES)
+    xs1 = rng.uniform(*_XY_BOX, _SAMPLES)
+    ys1 = rng.uniform(*_XY_BOX, _SAMPLES)
+    xs2 = rng.uniform(*_XY_BOX, _SAMPLES)
+    ys2 = rng.uniform(*_XY_BOX, _SAMPLES)
     base = _eval_F(F, xs1, ys1, us, ps, qs)
 
     moved = (("x", xs2, _eval_F(F, xs2, ys1, us, ps, qs)),
              ("y", ys2, _eval_F(F, xs1, ys2, us, ps, qs)))
-    first = _first_failure([_differs(other, base, tol) for _, _, other in moved])
+    first = _first_failure([_differs(other, base, _CLASS_TOL) for _, _, other in moved])
     if first is not None:
         (name, v2, other), k = moved[first[0]], first[1]
         raise NotInClassError(
@@ -122,7 +124,7 @@ def classify(eq: MAEquation, seed: int = 42, samples: int = 64,
     lams = (0.5, 2.0, 3.0)
     scaled = [_eval_F(F, xs1, ys1, us, lam * ps, lam * qs) for lam in lams]
     wants = [lam ** 4 * base for lam in lams]
-    first = _first_failure([_differs(sc, want, tol) for sc, want in zip(scaled, wants)])
+    first = _first_failure([_differs(sc, want, _CLASS_TOL) for sc, want in zip(scaled, wants)])
     if first is not None:
         m, k = first
         raise NotInClassError(
@@ -132,7 +134,7 @@ def classify(eq: MAEquation, seed: int = 42, samples: int = 64,
              "values": [float(scaled[m][k]), float(wants[m][k])]})
 
     flipped = _eval_F(F, xs1, ys1, us, -ps, -qs)
-    even = not _differs(flipped, base, tol).any()
+    even = not _differs(flipped, base, _CLASS_TOL).any()
 
     f = subst(F, {"p": Var("s"), "q": 1.0, "x": 1.0, "y": 1.0})
     return LinearizableClass(f=f, even=even, seed=seed)
@@ -178,8 +180,7 @@ class KhabirovCase:
     equation: MAEquation  # transformed RHS q^4 * Gstar(q/p) in jet variables
 
 
-def khabirov_push(g: Expr, seed: int = 42, checks: int = 50,
-                  tol: float = 1e-10) -> KhabirovCase:
+def khabirov_push(g: Expr, seed: int = 42, checks: int = 50) -> KhabirovCase:
     """Push the equation with RHS x^-4 * g(y/x) through the full Legendre map.
 
     Builds g*(s) = s^4 g(s) and G* = 1/g*, returns the transformed equation
@@ -216,7 +217,7 @@ def khabirov_push(g: Expr, seed: int = 42, checks: int = 50,
     F0 = gval / (UX * UX * UX * UX)
     UYY = (UXY * UXY + 1.0 / F0) / UXX
     det = UXX * UYY - UXY * UXY
-    if np.any(np.abs(det * F0 - 1.0) > tol):
+    if np.any(np.abs(det * F0 - 1.0) > _KHABIROV_TOL):
         raise KhabirovError("constructed jet fails (det Hessian)*F = 1")
     # identity between the two ways of writing the original RHS
     lhs = evaluate(original.F, {"x": UX, "y": UY, "u": 0.0, "p": 0.0, "q": 0.0})

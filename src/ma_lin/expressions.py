@@ -196,12 +196,17 @@ class _Parser:
                 return e
 
     # factor := '-' factor | base ('^' factor)?
-    # Unary minus binds looser than '^', so -x^2 parses as -(x^2).
+    # Unary minus binds looser than '^', so -x^2 parses as -(x^2).  Minus a
+    # bare number is a negative constant, so x^-2 has a literal exponent; a
+    # second minus stays a Neg, so --2 still prints as it reads.
     def factor(self) -> Expr:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.factor())
+            arg = self.factor()
+            if type(arg) is Const and math.copysign(1.0, arg.value) > 0:
+                return Const(-arg.value)
+            return Neg(arg)
         b = self.base()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":

@@ -166,11 +166,6 @@ class MaskedGrid2:
             return 0.0
         return float(np.max(np.abs(self.grid.values[self.mask])))
 
-    def mean_abs(self) -> float:
-        if self.n_valid == 0:
-            return 0.0
-        return float(np.mean(np.abs(self.grid.values[self.mask])))
-
 
 def sample(e: Expr, names: tuple[str, str], geom: GridGeometry) -> Grid2:
     """Evaluate an expression at every node: values[j, i] = e(x0+i*dx, y0+j*dy)."""

@@ -271,13 +271,10 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    lin_domain: tuple[float, float, float, float]  # (X0, X1, Y0, Y1)
+    geom: GridGeometry  # the linear grid
     boundary: Union[Expr, BoundaryValues]
-    lin_nx: int = 33
-    lin_ny: int = 33
-    target: Optional[GridGeometry] = None
-    target_nx: int = 33
-    target_ny: int = 33
+    # the resampling grid, or the (nx, ny) node counts of one inferred from the image
+    target: Union[GridGeometry, tuple[int, int]] = (33, 33)
     solve_tol: Optional[float] = None
     seed: int = 42
 
@@ -326,16 +323,15 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
         coeff = linear_coefficient(cls)
 
     with _stage("solve"):
-        X0, X1, Y0, Y1 = config.lin_domain
-        geom = geometry_from_domain(X0, X1, Y0, Y1, config.lin_nx, config.lin_ny)
-        problem = problem_from_exprs(geom, coeff, None, config.boundary)
+        problem = problem_from_exprs(config.geom, coeff, None, config.boundary)
         solution, report = solve_dirichlet(problem, tol=config.solve_tol)
 
     with _stage("lift"):
         surface = lift_parametric(solution)
 
     with _stage("resample"):
-        target = config.target or _infer_target(surface, config.target_nx, config.target_ny)
+        target = (config.target if isinstance(config.target, GridGeometry)
+                  else _infer_target(surface, *config.target))
         grid = resample(surface, target)
 
     with _stage("verify"):

@@ -550,16 +550,14 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
 # ---------------------------------------------------------------------------
 # problem construction
 
-def boundary_from_expr(e: Expr, geom: GridGeometry,
-                       names: tuple[str, str] = ("X", "Y")) -> BoundaryValues:
-    """Trace of a closed form on all four edges."""
-    n1, n2 = names
+def boundary_from_expr(e: Expr, geom: GridGeometry) -> BoundaryValues:
+    """Trace of a closed form in (X, Y) on all four edges."""
     xs, ys = geom.xs(), geom.ys()
     return BoundaryValues(
-        left=evaluate(e, {n1: xs[0], n2: ys}),
-        right=evaluate(e, {n1: xs[-1], n2: ys}),
-        bottom=evaluate(e, {n1: xs, n2: ys[0]}),
-        top=evaluate(e, {n1: xs, n2: ys[-1]}),
+        left=evaluate(e, {"X": xs[0], "Y": ys}),
+        right=evaluate(e, {"X": xs[-1], "Y": ys}),
+        bottom=evaluate(e, {"X": xs, "Y": ys[0]}),
+        top=evaluate(e, {"X": xs, "Y": ys[-1]}),
     )
 
 

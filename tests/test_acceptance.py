@@ -73,9 +73,8 @@ def test_criterion_2_closed_form_pipeline_unit_class():
     errs = []
     masks = []
     for n in (33, 65):
-        cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5),
-                             boundary=parse("X^2-Y^2"),
-                             lin_nx=n, lin_ny=n, target=target)
+        cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, n, n),
+                             boundary=parse("X^2-Y^2"), target=target)
         res = pipeline("plane-strain-class", cfg)
         tg = res.resampled
         xs, ys = np.meshgrid(tg.grid.xs(), tg.grid.ys())
@@ -231,9 +230,8 @@ def test_criterion_9_elasticity_incompressibility():
     # solver floor, accepted by the floor-aware order check
     devs = []
     for n in (33, 65):
-        cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5),
-                             boundary=parse("X^2 - Y*arctan(Y)"),
-                             lin_nx=n, lin_ny=n, target_nx=5, target_ny=5)
+        cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, n, n),
+                             boundary=parse("X^2 - Y*arctan(Y)"), target=(5, 5))
         res = pipeline("grad-inversion", cfg)
         rep = incompressibility_check(PlaneDeformation("from-W", res.surface))
         devs.append(rep.max_jac_dev)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import platform
 import re
@@ -110,6 +111,15 @@ def test_solve_not_converged_exits_3_with_report(tmp_path):
     man = _read_json(out / "manifest.json")
     assert sorted(man["artifacts"]) == ["solution.csv", "solve_report.json"]
     assert (man["error"]["stage"], man["error"]["exit_code"]) == ("solve", 3)
+
+
+def test_solve_not_converged_says_so_on_stderr(tmp_path, capsys):
+    # the same line a lift whose solve fails to converge prints
+    cfg = _write(tmp_path / "p.json", {**_solve_config(), "max_iter": 1})
+    assert main(["solve", "--in", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("not converged: no convergence after 1 V-cycles")
+    assert err.count("\n") == 1
 
 
 def test_solve_unmeetable_tol_exits_3_quickly(tmp_path):
@@ -410,9 +420,16 @@ def _deformation_config(**changes):
     ("khabirov", {}, [], "khabirov config needs 'g'"),
     ("khabirov", {"g": "1+s^2", "h": "s"}, [],
      "khabirov config does not read the key 'h'; it reads g"),
+    ("khabirov", {"g": "1+s^2"}, ["--g", "1+s^2"], "khabirov takes --g or --in, not both"),
+    ("classify", {"id": "e", "F": "q^4", "Fx": "oops"}, [],
+     "equation does not read the key 'Fx'; it reads id, F, note"),
+    ("classify", {"id": "e", "note": ""}, [], "equation needs 'F'"),
+    ("classify", {"id": "e", "F": "q^4", "note": ""}, ["--id", "grad-inversion"],
+     "classify takes --id or --in, not both"),
 ], ids=["no-kind", "no-potential", "unknown-key", "fractional-n", "short-domain",
         "text-in-domain", "nan-domain-flag", "short-domain-flag", "unknown-kind", "no-g",
-        "khabirov-unknown-key"])
+        "khabirov-unknown-key", "khabirov-g-and-in", "classify-unknown-key", "classify-no-F",
+        "classify-id-and-in"])
 def test_elasticity_and_khabirov_inputs_are_checked(tmp_path, capsys, command, data, flags,
                                                     message):
     err = _refused_before_any_output(tmp_path, capsys, command, data, *flags)
@@ -524,6 +541,46 @@ def test_no_overwrite_without_force(tmp_path):
     assert main(["classify", "--id", "grad-inversion", "--out", str(out)]) == 0
     assert main(["classify", "--id", "grad-inversion", "--out", str(out)]) == 1
     assert main(["classify", "--id", "grad-inversion", "--out", str(out), "--force"]) == 0
+
+
+def _listed_hashes_match(out, manifest):
+    return all(hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+               for name, digest in manifest["artifacts"].items())
+
+
+def test_a_failed_rerun_leaves_its_own_manifest(tmp_path):
+    # a --force rerun that fails while writing replaces the first run's
+    # manifest, which names the first input and hashes a file since rewritten
+    out = tmp_path / "o"
+    first = _write(tmp_path / "a.json", {**_lift_config(), "boundary": "X^2-Y^2"})
+    assert main(["lift", "--in", first, "--out", str(out)]) == 0
+    first_hash = _read_json(out / "manifest.json")["artifacts"]["lifted.csv"]
+    (out / "resampled.csv.tmp").mkdir()
+    second = _write(tmp_path / "b.json", {**_lift_config(), "boundary": "X^2-Y^2+X"})
+    assert main(["lift", "--in", second, "--out", str(out), "--force"]) == 1
+    man = _read_json(out / "manifest.json")
+    assert list(man["inputs"]) == [second]
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == ("write", 1)
+    assert list(man["artifacts"]) == ["lifted.csv"] and man["artifacts"]["lifted.csv"] != first_hash
+    assert _listed_hashes_match(out, man)
+
+
+@pytest.mark.parametrize("command,blocked,committed", [
+    ("classify", "classification.json", []),
+    ("elasticity", "deformed.csv", ["incompressibility.json"]),
+])
+def test_a_failed_write_is_recorded_in_the_manifest(tmp_path, capsys, command, blocked,
+                                                    committed):
+    out = tmp_path / "o"
+    (out / (blocked + ".tmp")).mkdir(parents=True)
+    argv = (["classify", "--id", "grad-inversion"] if command == "classify" else
+            ["elasticity", "--in", _write(tmp_path / "d.json", _deformation_config()),
+             "--domain=-1,1,-1,1", "--n", "5"])
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    man = _read_json(out / "manifest.json")
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == ("write", 1)
+    assert sorted(man["artifacts"]) == committed and _listed_hashes_match(out, man)
 
 
 def test_reruns_reproduce_bit_identical_csvs(tmp_path):

@@ -10,7 +10,7 @@ from ma_lin.elasticity import (AxisymDeformation, ElasticityError,
                                ma_residual_from_jet)
 from helpers import jacobian_reference, ma_residual_reference, point_jet, same_bits
 from ma_lin.expressions import parse
-from ma_lin.grids import JetArrays, symbolic_jet
+from ma_lin.grids import JetArrays, geometry_from_domain, symbolic_jet
 from ma_lin.lift import PipelineConfig, pipeline
 
 
@@ -214,9 +214,8 @@ def test_incompressibility_negative_control():
 
 
 def test_incompressibility_lifted_surface_potential():
-    cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5),
-                         boundary=parse("X^2 - Y*arctan(Y)"),
-                         lin_nx=17, lin_ny=17, target_nx=5, target_ny=5)
+    cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, 17, 17),
+                         boundary=parse("X^2 - Y*arctan(Y)"), target=(5, 5))
     res = pipeline("grad-inversion", cfg)
     d = PlaneDeformation("from-W", res.surface)
     rep = incompressibility_check(d)

@@ -44,6 +44,28 @@ def test_unary_minus_binds_looser_than_power():
     assert evaluate(parse("-x^2"), {"x": 3.0}) == -9.0
 
 
+def test_minus_a_number_parses_as_a_negative_constant():
+    assert parse("x^-2") == BinOp("^", Var("x"), Const(-2.0))
+    assert parse("-2^2") == Neg(BinOp("^", Const(2.0), Const(2.0)))  # -(2^2), as for -x^2
+    assert math.copysign(1.0, parse("-0").value) < 0
+    for text in ("x^-2", "2^-3", "(-2)^2", "-0", "--2"):
+        assert to_text(parse(text)) == text
+        assert parse(to_text(parse(text))) == parse(text)
+
+
+def test_negative_literal_exponent_keeps_the_bits_of_the_negated_one():
+    # the tree that parse made before, with the exponent as -(2), is the reference
+    tree = parse("(x^2+y^2)^(-2)")
+    negated = BinOp("^", tree.left, Neg(Const(2.0)))
+    for bindings in ({"x": 0.3, "y": 1.7}, {"x": 0.0, "y": 0.0},
+                     {"x": np.linspace(-2.0, 2.0, 9), "y": np.linspace(0.1, 3.0, 9)}):
+        want = _outcome(lambda: [reference_evaluate(negated, bindings)])
+        for got in _every_run(compile_trees((tree,)), bindings):
+            assert _same_outcome(got, want), (bindings, got, want)
+    # the literal exponent takes the product path, with no negation step or pow call
+    assert "_power" not in expressions._source(compile_trees((tree,)))[0]
+
+
 def test_power_right_associative():
     assert parse("x^y^z") == BinOp("^", Var("x"), BinOp("^", Var("y"), Var("z")))
 
@@ -544,7 +566,7 @@ def test_generated_source_holds_no_tree_text():
     ("x*x/y-x^3+1/x^-2", {"x": 1e200, "y": 1e-300}),  # a point, and no ufunc step
 ])
 def test_no_warning_escapes_a_generated_program(text, bindings):
-    tree = subst(parse(text), {})  # folds -2 into one literal, so x^-2 is a product
+    tree = parse(text)  # -2 parses as one literal, so x^-2 is a product
     program = compile_trees((tree,))
     want = _outcome(lambda: [reference_evaluate(tree, bindings)])
     with warnings.catch_warnings():

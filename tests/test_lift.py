@@ -206,7 +206,7 @@ def _resample_case(name):
     if name == "clockwise":
         return (lift_parametric(parse("X^2+Y^2"), (0.5, 1.5, 0.5, 1.5), 33),
                 geometry_from_domain(1.3, 2.7, -0.9, 0.9, 21, 21))
-    res = pipeline(name, PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5),
+    res = pipeline(name, PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, 33, 33),
                                         boundary=parse("X^2-Y^2")))
     return res.surface, res.resampled.grid.geom
 
@@ -288,8 +288,8 @@ def test_resample_hit_mask_is_scale_invariant():
 # pipeline
 
 def test_pipeline_unit_class_closed_form_oracle():
-    cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5), boundary=parse("X^2-Y^2"),
-                         lin_nx=33, lin_ny=33,
+    cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, 33, 33),
+                         boundary=parse("X^2-Y^2"),
                          target=geometry_from_domain(-2.5, -1.5, 1.9, 2.7, 21, 21))
     res = pipeline("plane-strain-class", cfg)
     assert res.equation.id == "plane-strain-class"
@@ -302,9 +302,8 @@ def test_pipeline_unit_class_closed_form_oracle():
 
 
 def test_pipeline_gradient_quartic_mms_boundary():
-    cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5),
-                         boundary=parse("X^2 - Y*arctan(Y)"),
-                         lin_nx=33, lin_ny=33, target_nx=9, target_ny=9)
+    cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, 33, 33),
+                         boundary=parse("X^2 - Y*arctan(Y)"), target=(9, 9))
     res = pipeline(parse("(1+s^2)^2"), cfg)
     geom = res.solution.geom
     exact = sample(parse("X^2 - Y*arctan(Y)"), ("X", "Y"), geom)
@@ -313,9 +312,8 @@ def test_pipeline_gradient_quartic_mms_boundary():
 
 
 def test_pipeline_u_weighted_class_runs_and_verifies():
-    cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5),
-                         boundary=parse("X^2 - Y*arctan(Y)"),
-                         lin_nx=33, lin_ny=33, target_nx=9, target_ny=9)
+    cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, 33, 33),
+                         boundary=parse("X^2 - Y*arctan(Y)"), target=(9, 9))
     res = pipeline("general-Au", cfg)
     assert evaluate(res.coefficient, {"X": 2.0, "Y": 1.0}) == 8.0  # X*(1+Y^2)^2
     assert res.verification.max_abs_residual <= 1e-9
@@ -323,8 +321,8 @@ def test_pipeline_u_weighted_class_runs_and_verifies():
 
 
 def test_pipeline_stage_labels():
-    cfg = PipelineConfig(lin_domain=(-1.5, 1.5, 0.5, 1.5),
-                         boundary=parse("X^2-Y^2"), lin_nx=9, lin_ny=9)
+    cfg = PipelineConfig(geom=geometry_from_domain(-1.5, 1.5, 0.5, 1.5, 9, 9),
+                         boundary=parse("X^2-Y^2"))
     with pytest.raises(PipelineError) as exc:
         pipeline("general-Au", cfg)  # coefficient X(1+Y^2)^2 <= 0 on X <= 0
     assert exc.value.stage == "solve"
@@ -334,7 +332,8 @@ def test_pipeline_stage_labels():
 
 
 def test_pipeline_rejects_class_function_with_wrong_variables():
-    cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5), boundary=parse("X^2-Y^2"))
+    cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, 33, 33),
+                         boundary=parse("X^2-Y^2"))
     with pytest.raises(PipelineError):
         pipeline(parse("1+x^2"), cfg)
 
@@ -358,8 +357,8 @@ def test_resample_negative_orientation_surface():
 
 def test_pipeline_non_square_grids():
     # rectangular source mesh and target grid guard against axis transposition
-    cfg = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5), boundary=parse("X^2-Y^2"),
-                         lin_nx=25, lin_ny=41,
+    cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, 25, 41),
+                         boundary=parse("X^2-Y^2"),
                          target=geometry_from_domain(-2.4, -1.6, 2.0, 2.6, 21, 31))
     res = pipeline("plane-strain-class", cfg)
     tg = res.resampled
@@ -415,8 +414,8 @@ def test_csv_writers_match_per_value_format(tmp_path):
 @pytest.mark.parametrize("family", ["plane-strain-class", "grad-inversion"])
 @pytest.mark.parametrize("n", [33, 65, 97, 257])
 def test_lifted_values_take_the_fast_path(family, n, tmp_path):
-    config = PipelineConfig(lin_domain=(0.5, 1.5, 0.5, 1.5), boundary=parse("X^2-Y^2"),
-                            lin_nx=n, lin_ny=n)
+    config = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, n, n),
+                            boundary=parse("X^2-Y^2"))
     s = pipeline(family, config).surface
     cols = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
     rows = np.column_stack([c[s.valid] for c in cols])
