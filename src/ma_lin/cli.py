@@ -63,9 +63,10 @@ def _sha256(path) -> str:
 class _Outputs:
     """Atomic, overwrite-guarded artifact writing for one run, as a `with` block.
 
-    Leaving the block writes `manifest.json`, listing exactly the artifacts
-    this run committed; when the block raised, it also records why as
-    `error: {stage, message, exit_code}`.
+    Without `--force`, opening the block refuses a directory that already
+    holds a `manifest.json`.  Leaving the block writes `manifest.json`,
+    listing exactly the artifacts this run committed; when the block raised,
+    it also records why as `error: {stage, message, exit_code}`.
     """
 
     def __init__(self, args, inputs: dict, tolerances: Optional[dict] = None):
@@ -77,13 +78,16 @@ class _Outputs:
                                       "numpy": np.__version__}}
 
     def __enter__(self) -> "_Outputs":
+        manifest = self.dir / "manifest.json"
+        if manifest.exists() and not self.force:
+            # an earlier run's record, which only --force replaces: refused
+            # before any work, so nothing is written beside it
+            raise UsageError(f"refusing to overwrite {manifest} (use --force)")
         self.dir.mkdir(parents=True, exist_ok=True)
         return self
 
     def __exit__(self, kind, err, traceback) -> None:
         if err is not None:
-            if not self.force and (self.dir / "manifest.json").exists():
-                return  # an earlier run's record, which only --force replaces
             # only cmd_solve calls the solver outside a pipeline stage
             stage = (err.stage if isinstance(err, PipelineError) else
                      "solve" if isinstance(err, (NotEllipticError, NotConvergedError)) else

@@ -10,12 +10,11 @@ assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .expressions import Expr, diff, evaluate, subst, parse, variables
+from .expressions import Expr, _Value, diff, evaluate, subst, parse, variables
 from .grids import Grid2, JetArrays, _write_rows, interior_jets, symbolic_jet
 from .lift import LiftedSurface
 
@@ -34,30 +33,32 @@ class ElasticityError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PlaneDeformation:
+class PlaneDeformation(_Value):
     kind: str  # "from-U" | "from-V" | "from-W"
     potential: Union[Expr, Grid2, LiftedSurface]
-    note: str = ""
+    note: str
 
-    def __post_init__(self):
-        if self.kind not in ("from-U", "from-V", "from-W"):
-            raise ElasticityError(f"unknown plane kind {self.kind!r}")
+    def __init__(self, kind, potential, note=""):
+        if kind not in ("from-U", "from-V", "from-W"):
+            raise ElasticityError(f"unknown plane kind {kind!r}")
+        vars(self).update(kind=kind, potential=potential, note=note)
 
 
-@dataclass(frozen=True)
-class AxisymDeformation:
+class AxisymDeformation(_Value):
     kind: str  # "axisym-U" | "axisym-V"
     potential: Expr
 
-    def __post_init__(self):
-        if self.kind not in ("axisym-U", "axisym-V"):
-            raise ElasticityError(f"unknown axisymmetric kind {self.kind!r}")
+    def __init__(self, kind, potential):
+        if kind not in ("axisym-U", "axisym-V"):
+            raise ElasticityError(f"unknown axisymmetric kind {kind!r}")
+        vars(self).update(kind=kind, potential=potential)
 
 
-@dataclass(frozen=True)
-class MembraneDeformation:
+class MembraneDeformation(_Value):
     potential: Expr  # V(alpha, beta); only the in-plane map is exposed
+
+    def __init__(self, potential):
+        vars(self).update(potential=potential)
 
 
 Deformation = Union[PlaneDeformation, AxisymDeformation, MembraneDeformation]
@@ -214,13 +215,16 @@ def ma_residual_from_jet(kind: str, jet: JetArrays, point: tuple):
     raise ElasticityError(f"unknown kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class IncompressibilityReport:
+class IncompressibilityReport(_Value):
     kind: str
     samples: int
     max_jac_dev: float   # max |J - 1|
     mean_jac_dev: float
     max_ma_residual: float
+
+    def __init__(self, kind, samples, max_jac_dev, mean_jac_dev, max_ma_residual):
+        vars(self).update(kind=kind, samples=samples, max_jac_dev=max_jac_dev,
+                          mean_jac_dev=mean_jac_dev, max_ma_residual=max_ma_residual)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "samples": self.samples,

@@ -8,11 +8,9 @@ coefficient f(X, Y) of the linear target U_XX + f(X, Y)*U_YY = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .expressions import (Const, Expr, Var, evaluate, parse, subst, to_text,
+from .expressions import (Const, Expr, Var, _Value, evaluate, parse, subst, to_text,
                           variables)
 from .grids import JetArrays
 from .transforms import legendre_point_map
@@ -39,16 +37,16 @@ _CLASS_TOL = 1e-9  # relative tolerance of the classification tests
 _KHABIROV_TOL = 1e-10  # how far (det Hessian)*F may stray from 1 on khabirov_push's jets
 
 
-@dataclass(frozen=True)
-class MAEquation:
+class MAEquation(_Value):
     id: str
     F: Expr  # right-hand side in (x, y, u, p, q)
-    note: str = ""
+    note: str
 
-    def __post_init__(self):
-        extra = variables(self.F) - set(EQ_VARS)
+    def __init__(self, id, F, note=""):
+        extra = variables(F) - set(EQ_VARS)
         if extra:
-            raise ValueError(f"equation {self.id!r} uses unknown variables {sorted(extra)}")
+            raise ValueError(f"equation {id!r} uses unknown variables {sorted(extra)}")
+        vars(self).update(id=id, F=F, note=note)
 
 
 def residual(eq: MAEquation, jet: JetArrays, x, y):
@@ -58,11 +56,13 @@ def residual(eq: MAEquation, jet: JetArrays, x, y):
     return jet.hessian_det() - F
 
 
-@dataclass(frozen=True)
-class LinearizableClass:
+class LinearizableClass(_Value):
     f: Expr  # class function in (u, s), s = p/q
     even: bool  # whether F(u,-p,-q) = F(u,p,q) held on the samples
     seed: int
+
+    def __init__(self, f, even, seed):
+        vars(self).update(f=f, even=even, seed=seed)
 
 
 class NotInClassError(Exception):
@@ -172,12 +172,14 @@ class KhabirovError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class KhabirovCase:
+class KhabirovCase(_Value):
     g: Expr        # in s = y/x
     gstar: Expr    # s^4 * g(s)
     Gstar: Expr    # 1/gstar
     equation: MAEquation  # transformed RHS q^4 * Gstar(q/p) in jet variables
+
+    def __init__(self, g, gstar, Gstar, equation):
+        vars(self).update(g=g, gstar=gstar, Gstar=Gstar, equation=equation)
 
 
 def khabirov_push(g: Expr, seed: int = 42, checks: int = 50) -> KhabirovCase:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Union
 
@@ -49,7 +48,45 @@ class EvalError(ExprError):
         self.node = node
 
 
-class Expr:
+class _Value:
+    """An immutable value.  Its fields are the names its class and their
+    bases annotate, in order; it equals a value of the same class with equal
+    fields, hashes as their tuple and prints as `Name(field=value, ...)`.
+    Assignment and deletion raise AttributeError.  Each class stores its
+    fields in its own `__init__` with one `vars(self).update(...)`, so no
+    code is generated when a class is defined or an instance built."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)
+
+    def _key(self) -> tuple:
+        d = vars(self)
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        d = vars(self)
+        fields = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Expr(_Value):
     """Base node.  Operator overloads build trees without folding."""
 
     def __add__(self, other):
@@ -92,35 +129,49 @@ class Expr:
     def _program(self) -> "Program":
         """This tree compiled once, for as long as the tree lives.  The program
         holds a copy of this node, so the two form no reference cycle."""
-        return compile_trees((replace(self),))
+        return compile_trees((self._copy(),))
+
+    def _copy(self) -> "Expr":
+        """A new node with this node's fields and none of its programs."""
+        return type(self)(*self._key())
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     value: float
 
+    def __init__(self, value):
+        vars(self).update(value=value)
 
-@dataclass(frozen=True)
+
 class Var(Expr):
     name: str
 
+    def __init__(self, name):
+        vars(self).update(name=name)
 
-@dataclass(frozen=True)
+
 class Neg(Expr):
     arg: Expr
 
+    def __init__(self, arg):
+        vars(self).update(arg=arg)
 
-@dataclass(frozen=True)
+
 class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
+    def __init__(self, op, left, right):
+        vars(self).update(op=op, left=left, right=right)
 
-@dataclass(frozen=True)
+
 class Call(Expr):
     func: str
     arg: Expr
+
+    def __init__(self, func, arg):
+        vars(self).update(func=func, arg=arg)
 
 
 def as_expr(v: Union[Expr, int, float]) -> Expr:

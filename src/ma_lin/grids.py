@@ -11,11 +11,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expressions import Expr, EvalError, compile_trees, diff, evaluate
+from .expressions import Expr, EvalError, _Value, compile_trees, diff, evaluate
 
 __all__ = [
     "GridError", "GridFormatError",
@@ -37,8 +36,7 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-@dataclass(frozen=True)
-class GridGeometry:
+class GridGeometry(_Value):
     nx: int
     ny: int
     x0: float
@@ -46,14 +44,14 @@ class GridGeometry:
     dx: float
     dy: float
 
-    def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise GridError("grid needs at least one node per axis, "
-                            f"got nx={self.nx}, ny={self.ny}")
-        if not (self.dx > 0 and self.dy > 0 and math.isfinite(self.dx) and math.isfinite(self.dy)):
-            raise GridError(f"spacings must be positive and finite, got dx={self.dx}, dy={self.dy}")
-        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+    def __init__(self, nx, ny, x0, y0, dx, dy):
+        if nx < 1 or ny < 1:
+            raise GridError(f"grid needs at least one node per axis, got nx={nx}, ny={ny}")
+        if not (dx > 0 and dy > 0 and math.isfinite(dx) and math.isfinite(dy)):
+            raise GridError(f"spacings must be positive and finite, got dx={dx}, dy={dy}")
+        if not (math.isfinite(x0) and math.isfinite(y0)):
             raise GridError("grid origin must be finite")
+        vars(self).update(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy)
 
     def x(self, i: int) -> float:
         return self.x0 + i * self.dx
@@ -83,21 +81,19 @@ def geometry_from_domain(x0: float, x1: float, y0: float, y1: float,
     return GridGeometry(nx, ny, x0, y0, (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1))
 
 
-@dataclass(frozen=True)
-class Grid2:
+class Grid2(_Value):
     geom: GridGeometry
     values: np.ndarray  # (ny, nx), NaN = masked
 
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.shape != (self.geom.ny, self.geom.nx):
+    def __init__(self, geom, values):
+        v = np.array(values, dtype=np.float64)
+        if v.shape != (geom.ny, geom.nx):
             raise GridError(
-                f"value array shape {v.shape} does not match geometry "
-                f"({self.geom.ny}, {self.geom.nx})")
+                f"value array shape {v.shape} does not match geometry ({geom.ny}, {geom.nx})")
         if np.isinf(v).any():
             raise GridError("grid values must be finite or NaN (masked)")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        vars(self).update(geom=geom, values=v)
 
     # geometry passthroughs
     @property
@@ -132,8 +128,7 @@ class Grid2:
         return bool(np.isnan(self.values[j, i]))
 
 
-@dataclass(frozen=True)
-class MaskedGrid2:
+class MaskedGrid2(_Value):
     """A grid plus an explicit validity mask (True = valid).
 
     Invalid cells are normalized to NaN; norms and statistics skip them.
@@ -142,16 +137,15 @@ class MaskedGrid2:
     grid: Grid2
     mask: np.ndarray
 
-    def __post_init__(self):
-        m = np.array(self.mask, dtype=bool)
-        if m.shape != self.grid.values.shape:
+    def __init__(self, grid, mask):
+        m = np.array(mask, dtype=bool)
+        if m.shape != grid.values.shape:
             raise GridError("mask shape does not match grid shape")
-        v = np.array(self.grid.values)
+        v = np.array(grid.values)
         v[~m] = np.nan
         m = m & np.isfinite(v)
         m.setflags(write=False)
-        object.__setattr__(self, "mask", m)
-        object.__setattr__(self, "grid", Grid2(self.grid.geom, v))
+        vars(self).update(grid=Grid2(grid.geom, v), mask=m)
 
     @property
     def n_valid(self) -> int:
@@ -178,8 +172,7 @@ def sample(e: Expr, names: tuple[str, str], geom: GridGeometry) -> Grid2:
     return Grid2(geom, values)
 
 
-@dataclass(frozen=True)
-class JetArrays:
+class JetArrays(_Value):
     """Value and derivatives through second order of a function of two
     variables: floats for one point, or arrays of one shape for many."""
 
@@ -192,8 +185,6 @@ class JetArrays:
     valid: np.ndarray  # False where the jet is masked
 
     def __init__(self, u, ux, uy, uxx, uxy, uyy, valid):
-        # one dict update in place of the frozen dataclass's seven
-        # object.__setattr__ calls: the four-step chain builds five jets a point
         vars(self).update(u=u, ux=ux, uy=uy, uxx=uxx, uxy=uxy, uyy=uyy, valid=valid)
 
     def entries(self) -> tuple:
@@ -262,7 +253,7 @@ def _jet_entry(e: Expr, names: tuple[str, str]) -> tuple:
         ex = diff(e, n1)
         ey = diff(e, n2)
         derived = (ex, ey, diff(ex, n1), diff(ex, n2), diff(ey, n2))
-        entry = entries[n1, n2] = derived, compile_trees((replace(e), *derived))
+        entry = entries[n1, n2] = derived, compile_trees((e._copy(), *derived))
     return entry
 
 

@@ -12,7 +12,6 @@ each target keeps its first hit in that order.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .equations import (LinearizableClass, MAEquation, catalog_get, classify,
                         equation_from_class_function, linear_coefficient,
                         residual)
-from .expressions import Expr, to_text
+from .expressions import Expr, _Value, to_text
 from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, MaskedGrid2,
                     _format_rows, geometry_from_domain, interior_jets, symbolic_jet)
 from .linsolve import BoundaryValues, problem_from_exprs, solve_dirichlet
@@ -43,8 +42,7 @@ class EmptyLiftError(LiftError):
     pass
 
 
-@dataclass(frozen=True)
-class LiftedSurface:
+class LiftedSurface(_Value):
     """Image of a structured (X, Y) mesh under the contact map.
 
     Arrays have the mesh shape (nY, nX); nodes where the map degenerates are
@@ -66,6 +64,12 @@ class LiftedSurface:
     source_kind: str  # "symbolic" or "grid"
     source_desc: str
 
+    def __init__(self, X, Y, x, y, u, ux, uy, uxx, uxy, uyy, jac, valid, source_kind,
+                 source_desc):
+        vars(self).update(X=X, Y=Y, x=x, y=y, u=u, ux=ux, uy=uy, uxx=uxx, uxy=uxy, uyy=uyy,
+                          jac=jac, valid=valid, source_kind=source_kind,
+                          source_desc=source_desc)
+
     @property
     def n_valid(self) -> int:
         return int(self.valid.sum())
@@ -80,14 +84,20 @@ class LiftedSurface:
                          valid=self.valid)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     equation_id: str
     samples: int
     max_abs_residual: float
     mean_abs_residual: float
     path: str  # "symbolic" or "grid"
     mask_fraction: float
+
+    def __init__(self, equation_id, samples, max_abs_residual, mean_abs_residual, path,
+                 mask_fraction):
+        vars(self).update(equation_id=equation_id, samples=samples,
+                          max_abs_residual=max_abs_residual,
+                          mean_abs_residual=mean_abs_residual, path=path,
+                          mask_fraction=mask_fraction)
 
     def to_dict(self) -> dict:
         return {"equation_id": self.equation_id, "samples": self.samples,
@@ -269,18 +279,20 @@ class PipelineError(Exception):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_Value):
     geom: GridGeometry  # the linear grid
     boundary: Union[Expr, BoundaryValues]
     # the resampling grid, or the (nx, ny) node counts of one inferred from the image
-    target: Union[GridGeometry, tuple[int, int]] = (33, 33)
-    solve_tol: Optional[float] = None
-    seed: int = 42
+    target: Union[GridGeometry, tuple[int, int]]
+    solve_tol: Optional[float]
+    seed: int
+
+    def __init__(self, geom, boundary, target=(33, 33), solve_tol=None, seed=42):
+        vars(self).update(geom=geom, boundary=boundary, target=target, solve_tol=solve_tol,
+                          seed=seed)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(_Value):
     equation: MAEquation
     lin_class: LinearizableClass
     coefficient: Expr
@@ -289,6 +301,12 @@ class PipelineResult:
     surface: LiftedSurface
     resampled: MaskedGrid2
     verification: VerificationReport
+
+    def __init__(self, equation, lin_class, coefficient, solution, solve_report, surface,
+                 resampled, verification):
+        vars(self).update(equation=equation, lin_class=lin_class, coefficient=coefficient,
+                          solution=solution, solve_report=solve_report, surface=surface,
+                          resampled=resampled, verification=verification)
 
 
 def _infer_target(surface: LiftedSurface, nx: int, ny: int) -> GridGeometry:

@@ -54,12 +54,11 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .expressions import Const, Expr, Var, diff, evaluate
+from .expressions import Const, Expr, Var, _Value, diff, evaluate
 from .grids import Grid2, GridGeometry, sample
 
 __all__ = [
@@ -106,8 +105,7 @@ class NotConvergedError(Exception):
         self.grid = grid
 
 
-@dataclass(frozen=True)
-class BoundaryValues:
+class BoundaryValues(_Value):
     """Dirichlet data on the four edges; corners must agree across edges."""
 
     left: np.ndarray    # ny values at i = 0
@@ -115,13 +113,14 @@ class BoundaryValues:
     bottom: np.ndarray  # nx values at j = 0
     top: np.ndarray     # nx values at j = ny-1
 
-    def __post_init__(self):
-        for name in ("left", "right", "bottom", "top"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
+    def __init__(self, left, right, bottom, top):
+        edges = {"left": left, "right": right, "bottom": bottom, "top": top}
+        for name, a in edges.items():
+            a = edges[name] = np.asarray(a, dtype=np.float64)
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} boundary values must be finite")
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        vars(self).update(edges)
         corners = [
             ("bottom-left", self.bottom[0], self.left[0]),
             ("bottom-right", self.bottom[-1], self.right[0]),
@@ -133,28 +132,26 @@ class BoundaryValues:
                 raise ValueError(f"inconsistent {name} corner: {a!r} vs {b!r}")
 
 
-@dataclass(frozen=True)
-class EllipticProblem:
+class EllipticProblem(_Value):
     geom: GridGeometry
     fcoeff: Grid2
     source: Grid2
     boundary: BoundaryValues
 
-    def __post_init__(self):
-        if self.geom.nx < 3 or self.geom.ny < 3:
-            raise ValueError("need at least 3 nodes per axis, "
-                             f"got nx={self.geom.nx}, ny={self.geom.ny}")
-        for name, g in (("fcoeff", self.fcoeff), ("source", self.source)):
-            if g.geom != self.geom:
+    def __init__(self, geom, fcoeff, source, boundary):
+        if geom.nx < 3 or geom.ny < 3:
+            raise ValueError(f"need at least 3 nodes per axis, got nx={geom.nx}, ny={geom.ny}")
+        for name, g in (("fcoeff", fcoeff), ("source", source)):
+            if g.geom != geom:
                 raise ValueError(f"{name} grid geometry differs from the problem geometry")
             if not np.isfinite(g.values).all():
                 raise ValueError(f"{name} grid must be fully unmasked")
-        if self.boundary.left.shape != (self.geom.ny,) or self.boundary.bottom.shape != (self.geom.nx,):
+        if boundary.left.shape != (geom.ny,) or boundary.bottom.shape != (geom.nx,):
             raise ValueError("boundary array lengths do not match the geometry")
+        vars(self).update(geom=geom, fcoeff=fcoeff, source=source, boundary=boundary)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Value):
     iterations: int  # V-cycles run, the finest one of the nested start included
     residual: float
     converged: bool
@@ -164,6 +161,12 @@ class SolveReport:
     residuals: tuple     # max|r| at each convergence check, the first after the start
     levels: tuple        # (nx, ny) of each multigrid level, finest first
     direct_unknowns: int  # interior nodes of the level solved exactly, 0 if none
+
+    def __init__(self, iterations, residual, converged, elapsed, tol, residual_floor,
+                 residuals, levels, direct_unknowns):
+        vars(self).update(iterations=iterations, residual=residual, converged=converged,
+                          elapsed=elapsed, tol=tol, residual_floor=residual_floor,
+                          residuals=residuals, levels=levels, direct_unknowns=direct_unknowns)
 
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "residual": self.residual,

@@ -21,12 +21,11 @@ column-wise discrete Ampere transform producing scattered (x, y, u) samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .expressions import Expr, _plain
+from .expressions import Expr, _Value, _plain
 from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, _finite, _write_rows,
                     symbolic_jet)
 
@@ -107,12 +106,14 @@ def _require_finite(jet: JetArrays, eps: float) -> None:
             _raise_first("non-finite", a, eps, ~np.isfinite(a))
 
 
-@dataclass(frozen=True)
-class ContactImage:
+class ContactImage(_Value):
     x: np.ndarray
     y: np.ndarray
     jet: JetArrays  # jet of u at (x, y)
     jacobian: np.ndarray  # det of the (X,Y) -> (x,y) map, equals -U_X * U_YY
+
+    def __init__(self, x, y, jet, jacobian):
+        vars(self).update(x=x, y=y, jet=jet, jacobian=jacobian)
 
 
 def contact_map(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
@@ -268,10 +269,12 @@ def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
 # ---------------------------------------------------------------------------
 # discrete convex conjugate
 
-@dataclass(frozen=True)
-class DualGrid1:
+class DualGrid1(_Value):
     slopes: np.ndarray
     values: np.ndarray
+
+    def __init__(self, slopes, values):
+        vars(self).update(slopes=slopes, values=values)
 
 
 def _check_increasing(a: np.ndarray, what: str) -> None:
@@ -345,14 +348,16 @@ def discrete_legendre_2d(g: Grid2, slope_geom: GridGeometry) -> Grid2:
 # ---------------------------------------------------------------------------
 # discrete Ampere transform
 
-@dataclass(frozen=True)
-class ScatteredSamples:
+class ScatteredSamples(_Value):
     """Scattered (x, y, u) triples with one branch label per source column."""
 
     x: np.ndarray
     y: np.ndarray
     u: np.ndarray
     column_branch: tuple[str, ...]  # "convex" or "concave" per alpha-column
+
+    def __init__(self, x, y, u, column_branch):
+        vars(self).update(x=x, y=y, u=u, column_branch=column_branch)
 
     def __len__(self):
         return self.x.size

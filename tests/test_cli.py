@@ -543,6 +543,16 @@ def test_no_overwrite_without_force(tmp_path):
     assert main(["classify", "--id", "grad-inversion", "--out", str(out), "--force"]) == 0
 
 
+def test_a_run_into_another_runs_directory_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["classify", "--id", "grad-inversion", "--out", str(out)]) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    assert main(["khabirov", "--g", "1+s^2", "--out", str(out)]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert not (out / "khabirov.json").exists()
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
 def _listed_hashes_match(out, manifest):
     return all(hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
                for name, digest in manifest["artifacts"].items())
@@ -676,6 +686,16 @@ def test_runtime_imports_no_scipy(tmp_path):
         capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # nodes and results are value classes that generate no code when defined;
+    # numpy and the standard modules the CLI imports do not load dataclasses
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ma_lin.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_manifest_records_input_hash(tmp_path):

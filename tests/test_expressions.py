@@ -17,6 +17,10 @@ from ma_lin.equations import khabirov_push
 from ma_lin.expressions import (BinOp, Call, Const, EvalError, Neg, ParseError,
                                 Var, compile_trees, diff, evaluate, parse, subst,
                                 to_text, variables)
+from ma_lin.grids import GridGeometry, JetArrays
+from ma_lin.lift import PipelineConfig
+from ma_lin.linsolve import SolveReport
+from ma_lin.transforms import ContactImage
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,42 @@ def test_trees_are_immutable():
     e = parse("x+1")
     with pytest.raises(Exception):
         e.op = "*"
+
+
+_GEOM_TEXT = "GridGeometry(nx=3, ny=2, x0=0.0, y0=0.5, dx=0.25, dy=0.5)"
+_GEOM_ARGS = (3, 2, 0.0, 0.5, 0.25, 0.5)
+_CONFIG_TEXT = (f"PipelineConfig(geom={_GEOM_TEXT}, boundary=Var(name='X'), target=(33, 33), "
+                "solve_tol=None, seed=42)")
+
+
+@pytest.mark.parametrize("cls,args,kwargs,text", [
+    (BinOp, ("+", Const(1.0), Var("x")), {},
+     "BinOp(op='+', left=Const(value=1.0), right=Var(name='x'))"),
+    (GridGeometry, _GEOM_ARGS, {}, _GEOM_TEXT),
+    (PipelineConfig, (GridGeometry(*_GEOM_ARGS), Var("X")), {}, _CONFIG_TEXT),
+    (PipelineConfig, (), dict(geom=GridGeometry(*_GEOM_ARGS), boundary=Var("X"),
+                              target=(33, 33), solve_tol=None, seed=42), _CONFIG_TEXT),
+    (SolveReport, (3, 1e-12, True, 0.5, 4e-12, 1e-12, (1e-3, 1e-12), ((5, 5), (3, 3)), 1), {},
+     "SolveReport(iterations=3, residual=1e-12, converged=True, elapsed=0.5, tol=4e-12, "
+     "residual_floor=1e-12, residuals=(0.001, 1e-12), levels=((5, 5), (3, 3)), "
+     "direct_unknowns=1)"),
+    (ContactImage, (1.0, 2.0, JetArrays(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, True), -4.0), {},
+     "ContactImage(x=1.0, y=2.0, jet=JetArrays(u=1.0, ux=2.0, uy=3.0, uxx=4.0, uxy=5.0, "
+     "uyy=6.0, valid=True), jacobian=-4.0)"),
+], ids=["BinOp", "GridGeometry", "PipelineConfig-defaults", "PipelineConfig-keywords",
+        "SolveReport", "ContactImage"])
+def test_nodes_and_results_are_immutable_values(cls, args, kwargs, text):
+    a, b = cls(*args, **kwargs), cls(*args, **kwargs)
+    assert a == b and not a != b and hash(a) == hash(b)
+    twin = type("Twin", (cls,), {})  # the same fields in another class
+    assert a != twin(*args, **kwargs) and twin(*args, **kwargs) != a
+    assert twin(*args, **kwargs) == twin(*args, **kwargs)
+    for name in list(vars(a)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and repr(a) == text
 
 
 # ---------------------------------------------------------------------------

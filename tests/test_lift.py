@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -12,7 +11,7 @@ from ma_lin.equations import catalog_get
 from ma_lin.expressions import parse, evaluate
 from ma_lin.grids import (Grid2, GridGeometry, _format_rows, geometry_from_domain,
                           sample, write_grid)
-from ma_lin.lift import (EmptyLiftError, LiftError, PipelineConfig,
+from ma_lin.lift import (EmptyLiftError, LiftError, LiftedSurface, PipelineConfig,
                          PipelineError, _invert_bilinear, lift_parametric,
                          pipeline, read_lifted, resample, verify_lift,
                          write_lifted)
@@ -396,7 +395,8 @@ def test_csv_writers_match_per_value_format(tmp_path):
     u[2, 0] = 0.0
     valid = s.valid.copy()
     valid[2, 2] = False
-    s = dataclasses.replace(s, X=X, u=u, valid=valid)
+    s = LiftedSurface(X, s.Y, s.x, s.y, u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac, valid,
+                      s.source_kind, s.source_desc)
     cols = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
     expect = "# lifted\n" + "".join(
         ",".join(f"{c[j, i]:.17g}" for c in cols) + "\n" for j, i in zip(*np.nonzero(valid)))
