@@ -66,7 +66,9 @@ class _Outputs:
     Without `--force`, opening the block refuses a directory that already
     holds a `manifest.json`.  Leaving the block writes `manifest.json`,
     listing exactly the artifacts this run committed; when the block raised,
-    it also records why as `error: {stage, message, exit_code}`.
+    it also records why as `error: {stage, message, exit_code}`.  The stage
+    is a pipeline stage's own name, else `write` while an artifact was being
+    written, else the command's name.
     """
 
     def __init__(self, args, inputs: dict, tolerances: Optional[dict] = None):
@@ -76,6 +78,7 @@ class _Outputs:
                          "tolerances": tolerances or {}, "artifacts": {},
                          "versions": {"python": platform.python_version(),
                                       "numpy": np.__version__}}
+        self.writing = False
 
     def __enter__(self) -> "_Outputs":
         manifest = self.dir / "manifest.json"
@@ -88,10 +91,8 @@ class _Outputs:
 
     def __exit__(self, kind, err, traceback) -> None:
         if err is not None:
-            # only cmd_solve calls the solver outside a pipeline stage
             stage = (err.stage if isinstance(err, PipelineError) else
-                     "solve" if isinstance(err, (NotEllipticError, NotConvergedError)) else
-                     "write")
+                     "write" if self.writing else self.manifest["command"])
             self.manifest["error"] = {"stage": stage, "message": _message(_cause(err)),
                                       "exit_code": _exit_code(err)}
         self._replace("manifest.json", lambda p: _dump_json(p, self.manifest))
@@ -107,7 +108,9 @@ class _Outputs:
         return path
 
     def write_with(self, name: str, writer) -> None:
+        self.writing = True
         self.manifest["artifacts"][name] = _sha256(self._replace(name, writer))
+        self.writing = False
 
     def write_json(self, name: str, data: dict) -> None:
         self.write_with(name, lambda p: _dump_json(p, data))
@@ -214,9 +217,8 @@ def cmd_classify(args) -> int:
         inputs = {args.infile: _sha256(args.infile)}
     else:
         raise UsageError("classify needs --in FILE or --id CATALOG-ID")
-    report = classification_report(eq, seed=args.seed)
-    report["equation"] = equation_to_dict(eq)
     with _Outputs(args, inputs) as out:
+        report = {**classification_report(eq, seed=args.seed), "equation": equation_to_dict(eq)}
         out.write_json("classification.json", report)
     return EXIT_OK if report["in_class"] else EXIT_REJECTED
 
@@ -303,9 +305,9 @@ def cmd_elasticity(args) -> int:
     n = args.n if args.n is not None else _count(data.get("n", 20), "n")
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
-    rep = {**incompressibility_check(d, domain=domain, n=n).to_dict(), "seed": args.seed}
     with _Outputs(args, {args.infile: _sha256(args.infile)}) as out:
-        out.write_json("incompressibility.json", rep)
+        out.write_json("incompressibility.json", {
+            **incompressibility_check(d, domain=domain, n=n).to_dict(), "seed": args.seed})
         if domain is not None:
             out.write_with("deformed.csv",
                            lambda p: write_deformed_points(d, domain, n, p))
@@ -328,16 +330,15 @@ def cmd_khabirov(args) -> int:
     extra = variables(g) - {"s"}
     if extra:
         raise UsageError(f"g must be a function of s only, found {sorted(extra)}")
-    case = khabirov_push(g, seed=args.seed)
-    rep = {
-        "g": to_text(case.g),
-        "gstar": to_text(case.gstar),
-        "Gstar": to_text(case.Gstar),
-        "equation": equation_to_dict(case.equation),
-        "seed": args.seed,
-    }
     with _Outputs(args, inputs) as out:
-        out.write_json("khabirov.json", rep)
+        case = khabirov_push(g, seed=args.seed)
+        out.write_json("khabirov.json", {
+            "g": to_text(case.g),
+            "gstar": to_text(case.gstar),
+            "Gstar": to_text(case.Gstar),
+            "equation": equation_to_dict(case.equation),
+            "seed": args.seed,
+        })
     return EXIT_OK
 
 

@@ -226,11 +226,6 @@ class IncompressibilityReport(_Value):
         vars(self).update(kind=kind, samples=samples, max_jac_dev=max_jac_dev,
                           mean_jac_dev=mean_jac_dev, max_ma_residual=max_ma_residual)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "samples": self.samples,
-                "max_jac_dev": self.max_jac_dev, "mean_jac_dev": self.mean_jac_dev,
-                "max_ma_residual": self.max_ma_residual}
-
 
 def _material_mesh(domain: tuple[float, float, float, float], n: int):
     """The n-by-n material points of a domain, flattened X-major."""

@@ -51,7 +51,8 @@ class EvalError(ExprError):
 class _Value:
     """An immutable value.  Its fields are the names its class and their
     bases annotate, in order; it equals a value of the same class with equal
-    fields, hashes as their tuple and prints as `Name(field=value, ...)`.
+    fields, hashes as their tuple, prints as `Name(field=value, ...)` and
+    gives them by name from `to_dict`.
     Assignment and deletion raise AttributeError.  Each class stores its
     fields in its own `__init__` with one `vars(self).update(...)`, so no
     code is generated when a class is defined or an instance built."""
@@ -73,6 +74,10 @@ class _Value:
 
     def __hash__(self):
         return hash(self._key())
+
+    def to_dict(self) -> dict:
+        """The fields by name; json writes a tuple field as a list."""
+        return dict(zip(self._fields, self._key()))
 
     def __repr__(self):
         d = vars(self)

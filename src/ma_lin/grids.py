@@ -53,25 +53,11 @@ class GridGeometry(_Value):
             raise GridError("grid origin must be finite")
         vars(self).update(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy)
 
-    def x(self, i: int) -> float:
-        return self.x0 + i * self.dx
-
-    def y(self, j: int) -> float:
-        return self.y0 + j * self.dy
-
     def xs(self) -> np.ndarray:
         return self.x0 + np.arange(self.nx) * self.dx
 
     def ys(self) -> np.ndarray:
         return self.y0 + np.arange(self.ny) * self.dy
-
-    @property
-    def x1(self) -> float:
-        return self.x(self.nx - 1)
-
-    @property
-    def y1(self) -> float:
-        return self.y(self.ny - 1)
 
 
 def geometry_from_domain(x0: float, x1: float, y0: float, y1: float,
@@ -121,9 +107,6 @@ class Grid2(_Value):
     def value(self, i: int, j: int) -> float:
         return float(self.values[j, i])
 
-    def point(self, i: int, j: int) -> tuple[float, float]:
-        return self.geom.x(i), self.geom.y(j)
-
     def is_masked(self, i: int, j: int) -> bool:
         return bool(np.isnan(self.values[j, i]))
 
@@ -150,10 +133,6 @@ class MaskedGrid2(_Value):
     @property
     def n_valid(self) -> int:
         return int(self.mask.sum())
-
-    @property
-    def mask_fraction(self) -> float:
-        return 1.0 - self.n_valid / self.mask.size
 
     def max_abs(self) -> float:
         if self.n_valid == 0:

@@ -99,12 +99,6 @@ class VerificationReport(_Value):
                           mean_abs_residual=mean_abs_residual, path=path,
                           mask_fraction=mask_fraction)
 
-    def to_dict(self) -> dict:
-        return {"equation_id": self.equation_id, "samples": self.samples,
-                "max_abs_residual": self.max_abs_residual,
-                "mean_abs_residual": self.mean_abs_residual,
-                "path": self.path, "mask_fraction": self.mask_fraction}
-
 
 def lift_parametric(U: Union[Expr, Grid2],
                     domain: Optional[tuple[float, float, float, float]] = None,

@@ -116,7 +116,7 @@ class BoundaryValues(_Value):
     def __init__(self, left, right, bottom, top):
         edges = {"left": left, "right": right, "bottom": bottom, "top": top}
         for name, a in edges.items():
-            a = edges[name] = np.asarray(a, dtype=np.float64)
+            a = edges[name] = np.array(a, dtype=np.float64)  # a copy, not the caller's
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} boundary values must be finite")
             a.setflags(write=False)
@@ -167,13 +167,6 @@ class SolveReport(_Value):
         vars(self).update(iterations=iterations, residual=residual, converged=converged,
                           elapsed=elapsed, tol=tol, residual_floor=residual_floor,
                           residuals=residuals, levels=levels, direct_unknowns=direct_unknowns)
-
-    def to_dict(self) -> dict:
-        return {"iterations": self.iterations, "residual": self.residual,
-                "converged": self.converged, "elapsed": self.elapsed, "tol": self.tol,
-                "residual_floor": self.residual_floor, "residuals": list(self.residuals),
-                "levels": [list(shape) for shape in self.levels],
-                "direct_unknowns": self.direct_unknowns}
 
 
 def discrete_residual(U: np.ndarray, f_int: np.ndarray, g_int: np.ndarray,

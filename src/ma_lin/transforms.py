@@ -9,9 +9,11 @@ point's zero divisor gives numpy's ±inf or NaN, never ZeroDivisionError.
 
 `push_jet_arrays` sends jets of U(X, Y) to jets of u(x, y) with x = U_Y,
 y = U - Y*U_Y, u = X, masking where it folds; `contact_map` raises there
-instead. `compose_chain` rebuilds the same image by running the four
-elementary steps one after another, each with its own small jet
-push-forward; it exists so the equivalence of the two routes is testable.
+instead.  The paper's four elementary steps, `rotation_step`,
+`legendre_point_map`, `point_step` and `ampere_step`, each push a jet at a
+point to its image jet at the image point, in the order the linearization
+runs them; `compose_chain` is their composition, so the equivalence of the
+two routes is testable.
 
 Discrete counterparts: the convex conjugate of sampled 1-D/2-D data, taken as
 the maximum over all (slope, node) pairs in blocks of bounded size, and a
@@ -32,8 +34,8 @@ from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, _finite, _wri
 __all__ = [
     "DEGENERACY_EPS", "TransformError", "DegenerateJetError", "FoldError",
     "ContactImage", "contact_map", "push_jet_arrays",
-    "ampere_step", "point_step", "rotation_step",
-    "legendre_point_map", "compose_chain",
+    "rotation_step", "legendre_point_map", "point_step", "ampere_step",
+    "compose_chain",
     "DualGrid1", "discrete_legendre_1d", "discrete_legendre_2d",
     "ScatteredSamples", "ampere_discrete", "write_scattered", "read_scattered",
 ]
@@ -173,27 +175,10 @@ def push_jet_arrays(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> Cont
                         jacobian=jac)
 
 
-def ampere_step(V: Union[JetArrays, Expr], alpha, beta, eps: float = DEGENERACY_EPS):
-    """The one-variable Legendre-type step x=alpha, y=V_beta, u=V-beta*V_beta.
-
-    Returns (x, y, u); V_beta_beta at or below eps makes the step a fold.
-    """
-    alpha, beta = _plain_all(alpha, beta)
-    if isinstance(V, Expr):
-        V = symbolic_jet(V, ("alpha", "beta"), alpha, beta)
-    _raise_first("V_beta_beta", V.uyy, eps)
-    return alpha, V.uy, V.u - beta * V.uy
-
-
-def point_step(xi, eta, W, eps: float = DEGENERACY_EPS):
-    """alpha = xi, beta = 1/eta, V = W/eta."""
-    _raise_first("eta", eta, eps)
-    return xi, 1.0 / eta, W / eta
-
-
-def rotation_step(tau, sigma, Z):
-    """Invert tau = -Y, sigma = X, Z = -U: returns (X, Y, U)."""
-    return sigma, -tau, -Z
+def rotation_step(jet: JetArrays, X, Y):
+    """The rotation tau = -Y, sigma = X, Z = -U: returns (tau, sigma, jet of Z)."""
+    return -Y, X, JetArrays(u=-jet.u, ux=jet.uy, uy=-jet.ux,
+                            uxx=-jet.uyy, uxy=jet.uxy, uyy=-jet.uxx, valid=jet.valid)
 
 
 def legendre_point_map(jet: JetArrays, X, Y, eps: float = DEGENERACY_EPS):
@@ -218,6 +203,43 @@ def legendre_point_map(jet: JetArrays, X, Y, eps: float = DEGENERACY_EPS):
     return ux, uy, image
 
 
+def point_step(jet: JetArrays, xi, eta, eps: float = DEGENERACY_EPS):
+    """The point step alpha = xi, beta = 1/eta, V = beta*W: returns (alpha,
+    beta, jet of V).  |eta| at or below eps has no image."""
+    _raise_first("eta", eta, eps)
+    beta = _div(1.0, eta)
+    return xi, beta, JetArrays(
+        u=beta * jet.u,
+        ux=beta * jet.ux,
+        uy=jet.u - eta * jet.uy,
+        uxx=beta * jet.uxx,
+        uxy=jet.ux - eta * jet.uxy,
+        uyy=eta * eta * eta * jet.uyy,
+        valid=jet.valid,
+    )
+
+
+def ampere_step(V: Union[JetArrays, Expr], alpha, beta, eps: float = DEGENERACY_EPS):
+    """The one-variable Legendre-type step x=alpha, y=V_beta, u=V-beta*V_beta.
+
+    Returns (x, y, jet of u); V is a jet at (alpha, beta) or an expression in
+    alpha and beta.  V_beta_beta at or below eps makes the step a fold.
+    """
+    if isinstance(V, Expr):
+        alpha, beta = _plain_all(alpha, beta)
+        V = symbolic_jet(V, ("alpha", "beta"), alpha, beta)
+    _raise_first("V_beta_beta", V.uyy, eps)
+    return alpha, V.uy, JetArrays(
+        u=V.u - beta * V.uy,
+        ux=V.ux,
+        uy=-beta,
+        uxx=V.uxx - _div(V.uxy * V.uxy, V.uyy),
+        uxy=_div(V.uxy, V.uyy),
+        uyy=_div(-1.0, V.uyy),
+        valid=V.valid,
+    )
+
+
 def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     """Run the four elementary steps in sequence starting from U(X, Y).
 
@@ -227,42 +249,11 @@ def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     nondegeneracy condition must hold at every point.
     """
     X, Y = _plain_all(X, Y)
-    jU = symbolic_jet(U, ("X", "Y"), X, Y)
-
-    # rotation/scaling, inverted: tau=-Y, sigma=X, Z=-U
-    tau, sigma = -Y, X
-    zjet = JetArrays(u=-jU.u, ux=jU.uy, uy=-jU.ux,
-                     uxx=-jU.uyy, uxy=jU.uxy, uyy=-jU.uxx, valid=jU.valid)
-    det_z = zjet.hessian_det()
-
-    # Legendre: (tau, sigma, Z) -> (xi, eta, W)
+    tau, sigma, zjet = rotation_step(symbolic_jet(U, ("X", "Y"), X, Y), X, Y)
     xi, eta, wjet = legendre_point_map(zjet, tau, sigma, eps=eps)
-
-    # point step, inverted: alpha=xi, beta=1/eta, V=beta*W
-    _raise_first("eta", eta, eps)
-    alpha, beta = xi, _div(1.0, eta)
-    vjet = JetArrays(
-        u=beta * wjet.u,
-        ux=beta * wjet.ux,
-        uy=wjet.u - eta * wjet.uy,
-        uxx=beta * wjet.uxx,
-        uxy=wjet.ux - eta * wjet.uxy,
-        uyy=eta * eta * eta * wjet.uyy,
-        valid=wjet.valid,
-    )
-
-    # Ampere step: x=alpha, y=V_beta, u=V-beta*V_beta
-    x, y, u = ampere_step(vjet, alpha, beta, eps=eps)
-    ujet = JetArrays(
-        u=u,
-        ux=vjet.ux,
-        uy=-beta,
-        uxx=vjet.uxx - _div(vjet.uxy * vjet.uxy, vjet.uyy),
-        uxy=_div(vjet.uxy, vjet.uyy),
-        uyy=_div(-1.0, vjet.uyy),
-        valid=vjet.valid,
-    )
-    jac = vjet.uyy * _div(-1.0, eta * eta) * det_z
+    alpha, beta, vjet = point_step(wjet, xi, eta, eps=eps)
+    x, y, ujet = ampere_step(vjet, alpha, beta, eps=eps)
+    jac = vjet.uyy * _div(-1.0, eta * eta) * zjet.hessian_det()
     return ContactImage(x=x, y=y, jet=ujet, jacobian=jac)
 
 

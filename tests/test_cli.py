@@ -13,7 +13,7 @@ import pytest
 from helpers import percent_g_rows, src_env
 from ma_lin.cli import UsageError, _exit_code, main
 from ma_lin.elasticity import ElasticityError
-from ma_lin.equations import KhabirovError, NotInClassError
+from ma_lin.equations import KhabirovError, NotInClassError, khabirov_push
 from ma_lin.expressions import ExprError
 from ma_lin.grids import GridError, read_grid
 from ma_lin.lift import EmptyLiftError, LiftError, PipelineError
@@ -551,6 +551,35 @@ def test_a_run_into_another_runs_directory_writes_nothing(tmp_path, capsys):
     assert "refusing to overwrite" in capsys.readouterr().err
     assert not (out / "khabirov.json").exists()
     assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_a_refused_run_does_no_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("ma_lin.cli.khabirov_push",
+                        lambda *a, **k: calls.append(a) or khabirov_push(*a, **k))
+    out = tmp_path / "o"
+    assert main(["classify", "--id", "grad-inversion", "--out", str(out)]) == 0
+    assert main(["khabirov", "--g", "1+s^2", "--out", str(out)]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert calls == []
+    assert main(["khabirov", "--g", "1+s^2", "--out", str(tmp_path / "k")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv,code,stage", [
+    (["khabirov", "--g", "0"], 2, "khabirov"),
+    (["classify", "--in", {"id": "t", "F": "sqrt(-1-p^2)"}], 1, "classify"),
+    (["elasticity", "--in", {"kind": "from-U", "potential": "sqrt(-X^2-1)",
+                             "domain": [-1, 1, -1, 1], "n": 3}], 1, "elasticity"),
+])
+def test_a_failed_computation_leaves_a_manifest(tmp_path, capsys, argv, code, stage):
+    argv = [_write(tmp_path / "in.json", a) if isinstance(a, dict) else a for a in argv]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    man = _read_json(out / "manifest.json")
+    assert man["artifacts"] == {}
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == (stage, code)
 
 
 def _listed_hashes_match(out, manifest):

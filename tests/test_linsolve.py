@@ -494,6 +494,15 @@ def test_boundary_corner_consistency_enforced():
                        bottom=np.array([1.0, 0, 0]), top=np.zeros(3))
 
 
+def test_boundary_values_copy_the_callers_arrays():
+    l, r, b, t = (np.zeros(3) for _ in range(4))
+    bv = BoundaryValues(l, r, b, t)
+    l[0] = 1.0  # the caller's array stays writable
+    assert bv.left[0] == 0.0
+    for edge in (bv.left, bv.right, bv.bottom, bv.top):
+        assert not edge.flags.writeable
+
+
 def test_boundary_from_edge_exprs_running_coordinate():
     geom = geometry_from_domain(0, 1, 0, 2, 3, 3)
     b = boundary_from_edge_exprs(parse("Y^2"), parse("1+Y^2"), parse("X^2"),

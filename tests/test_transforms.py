@@ -151,13 +151,19 @@ def test_contact_map_raises_exactly_where_push_jet_arrays_masks():
 # ---------------------------------------------------------------------------
 # elementary steps
 
+def _same_jet(a: JetArrays, b: JetArrays) -> bool:
+    return all(same_bits(p, q) for p, q in zip(a.entries(), b.entries()))
+
+
 def test_ampere_step_quadratic():
     # V = a^2 - b^2 at (1, 1): V_b = -2, u = V - b V_b = 0 + 2 = 2
-    assert ampere_step(parse("alpha^2-beta^2"), 1.0, 1.0) == (1.0, -2.0, 2.0)
+    x, y, jet = ampere_step(parse("alpha^2-beta^2"), 1.0, 1.0)
+    assert (x, y, jet.u) == (1.0, -2.0, 2.0)
 
 
 def test_ampere_step_half_square():
-    assert ampere_step(parse("beta^2/2"), 0.0, 1.0) == (0.0, 1.0, -0.5)
+    x, y, jet = ampere_step(parse("beta^2/2"), 0.0, 1.0)
+    assert (x, y, jet.u) == (0.0, 1.0, -0.5)
 
 
 def test_ampere_step_degenerate():
@@ -165,22 +171,55 @@ def test_ampere_step_degenerate():
         ampere_step(parse("alpha*beta"), 1.0, 1.0)
 
 
+def test_ampere_step_twice_reflects_beta():
+    # on dyadic jets with V_bb a power of two every operation is exact: the
+    # image of the image is V at (alpha, -beta), the reflection of beta
+    for alpha, beta, V in ((1.0, 0.5, (1.5, -0.25, 3.0, 0.75, 1.25, 2.0)),
+                           (-0.75, -2.0, (-3.0, 1.0, -0.5, -1.5, 0.5, -0.25))):
+        jet = point_jet(*V)
+        x, y, ujet = ampere_step(jet, alpha, beta)
+        x2, y2, v = ampere_step(ujet, x, y)
+        u, ux, uy, uxx, uxy, uyy = jet.entries()
+        assert (x2, y2) == (alpha, -beta)
+        assert _same_jet(v, point_jet(u, ux, -uy, uxx, -uxy, uyy))
+
+
 def test_point_step():
-    assert point_step(1.0, 2.0, 6.0) == (1.0, 0.5, 3.0)
-    with pytest.raises(DegenerateJetError):
-        point_step(1.0, 0.0, 6.0)
+    jet = point_jet(6.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    alpha, beta, V = point_step(jet, 1.0, 2.0)
+    assert (alpha, beta, V.u) == (1.0, 0.5, 3.0)
+    with pytest.raises(DegenerateJetError) as exc:
+        point_step(jet, 1.0, 0.0)
+    assert exc.value.quantity == "eta"
 
 
 def test_point_step_is_an_involution():
-    for xi, eta, W in ((1.0, 2.0, 6.0), (-0.5, 0.25, 3.0)):
-        assert point_step(*point_step(xi, eta, W)) == (xi, eta, W)
+    # exact on dyadic inputs with eta a power of two, for a point and for arrays
+    for xi, eta, W in ((1.0, 2.0, (6.0, 0.5, -1.25, 0.75, 3.0, -2.0)),
+                       (-0.5, 0.25, (3.0, -1.5, 0.125, 2.0, -0.75, 0.5)),
+                       (np.array([0.5, -1.0]), np.array([-4.0, 0.5]),
+                        np.array([(1.0, 2.5), (-0.5, 0.25), (2.0, -3.0),
+                                  (0.75, 1.0), (-2.0, 0.5), (1.5, -0.125)]))):
+        jet = JetArrays(*W, valid=True)
+        alpha, beta, V = point_step(jet, xi, eta)
+        xi2, eta2, W2 = point_step(V, alpha, beta)
+        assert same_bits(xi2, xi) and same_bits(eta2, eta) and _same_jet(W2, jet)
 
 
 def test_rotation_step():
-    assert rotation_step(-1.0, 2.0, -5.0) == (2.0, 1.0, 5.0)
-    # involutive up to the relabeling: feeding the image back recovers inputs
-    X, Y, U = rotation_step(-0.3, 0.7, 2.5)
-    assert (-Y, X, -U) == (-0.3, 0.7, 2.5)
+    tau, sigma, Z = rotation_step(point_jet(5.0, 1.0, 2.0, 3.0, 4.0, 6.0), 2.0, 1.0)
+    assert (tau, sigma) == (-1.0, 2.0)
+    assert Z.entries() == (-5.0, 2.0, -1.0, -6.0, 4.0, -3.0)
+    # four quarter turns give back the point and the jet bit for bit
+    rng = np.random.default_rng(5)
+    for X, Y, jet in ((-0.3, 0.7, point_jet(2.5, -0.0, 1e-300, 0.1, -1.7, math.inf)),
+                      (*rng.normal(size=(2, 4)), JetArrays(*rng.normal(size=(6, 4)),
+                                                            valid=np.ones(4, bool)))):
+        point = (X, Y, jet)
+        for _ in range(4):
+            point = rotation_step(point[2], point[0], point[1])
+        assert same_bits(point[0], X) and same_bits(point[1], Y) and _same_jet(point[2], jet)
+        assert point[2].valid is jet.valid
 
 
 # ---------------------------------------------------------------------------
