@@ -302,15 +302,16 @@ def cmd_elasticity(args) -> int:
         domain = _rectangle([float(v) for v in args.domain.split(",")])
     elif "domain" in data:
         domain = _rectangle(data["domain"])
+    else:  # every potential read from JSON is an expression, sampled over the domain
+        raise UsageError("elasticity needs a material domain: --domain X0,X1,Y0,Y1 "
+                         "or \"domain\" in the config")
     n = args.n if args.n is not None else _count(data.get("n", 20), "n")
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
     with _Outputs(args, {args.infile: _sha256(args.infile)}) as out:
         out.write_json("incompressibility.json", {
             **incompressibility_check(d, domain=domain, n=n).to_dict(), "seed": args.seed})
-        if domain is not None:
-            out.write_with("deformed.csv",
-                           lambda p: write_deformed_points(d, domain, n, p))
+        out.write_with("deformed.csv", lambda p: write_deformed_points(d, domain, n, p))
     return EXIT_OK
 
 

@@ -61,7 +61,11 @@ class MembraneDeformation(_Value):
         vars(self).update(potential=potential)
 
 
-Deformation = Union[PlaneDeformation, AxisymDeformation, MembraneDeformation]
+# The deformation classes, which annotations name as `Deformation`.  A
+# tuple, not a typing.Union: typing caches every Union it builds for the
+# life of the process, and through these classes that cache kept each
+# earlier import of the package alive after a re-import.
+Deformation = (PlaneDeformation, AxisymDeformation, MembraneDeformation)
 
 # potential variables per kind
 KIND_VARIABLES = {

@@ -215,7 +215,7 @@ def khabirov_push(g: Expr, seed: int = 42, checks: int = 50) -> KhabirovCase:
     gval = evaluate(g, {"s": s_val})
     if np.any(gval == 0.0):
         k = int(np.argmax(gval == 0.0))
-        raise KhabirovError(f"g vanishes at verification sample s={s_val[k]!r}")
+        raise KhabirovError(f"g vanishes at verification sample s={float(s_val[k])!r}")
     F0 = gval / (UX * UX * UX * UX)
     UYY = (UXY * UXY + 1.0 / F0) / UXX
     det = UXX * UYY - UXY * UXY

@@ -39,7 +39,8 @@ the discretization error, not of the size of the boundary data, and spares
 the 2-4 cycles a zero start spends getting there.
 
 Every operation in a cycle, and in building the inverse, is elementwise
-numpy arithmetic or a sum in a fixed order, with no BLAS or LAPACK call, so
+numpy arithmetic or a sum in a fixed order (the inverse's block products run
+in numpy's own einsum loop), with no BLAS or LAPACK call, so
 a given problem always produces a bit-identical solution whatever the thread
 count.  Convergence is declared on the max-norm of the discrete residual,
 matching the scheme the solution is supposed to satisfy, against a
@@ -75,11 +76,13 @@ FLOOR_FACTOR = 4.0
 STALL_CYCLES = 3    # give up when this many V-cycles in a row fail to halve the residual
 # A coarse level with at most this many interior nodes on each axis, so at
 # most 256 unknowns, is solved by a dense inverse: at 65x65 the 17x17 level
-# and those below it took 45% of each V-cycle.  The inverse and the products
-# that build it hold at most 16^4 doubles, 0.5 MB.  Bounding the unknowns
-# alone lets a thin level through: the 127-node rows of a 129x4 level took
-# 33 MB and tripled a 257x7 solve, and the 127 rows of a 4x129 level cost
-# more to eliminate one by one than the cycles saved.
+# and those below it took 45% of each V-cycle.  The inverse holds at most
+# 16^4 doubles, 0.5 MB.  It is applied as one multiply and a sum along rows,
+# whose order of additions the cycle counts rest on: an einsum apply, which
+# adds in another order, took Laplace at 129x129 from 7 V-cycles to 8.
+# Bounding the unknowns alone lets a thin level through: the 127-node rows
+# of a 129x4 level took 33 MB and tripled a 257x7 solve, and the 127 rows of
+# a 4x129 level cost more to eliminate one by one than the cycles saved.
 DIRECT_SIDE = 16
 # Line solves run cyclic reduction while more than this many positions are
 # left, and parallel cyclic reduction on the rest: one colour of 65x65 lines
@@ -156,17 +159,19 @@ class SolveReport(_Value):
     residual: float
     converged: bool
     elapsed: float
+    setup_seconds: float  # of elapsed, building the hierarchy (its transfers, lines and inverse)
     tol: float
     residual_floor: float
     residuals: tuple     # max|r| at each convergence check, the first after the start
     levels: tuple        # (nx, ny) of each multigrid level, finest first
     direct_unknowns: int  # interior nodes of the level solved exactly, 0 if none
 
-    def __init__(self, iterations, residual, converged, elapsed, tol, residual_floor,
-                 residuals, levels, direct_unknowns):
+    def __init__(self, iterations, residual, converged, elapsed, setup_seconds, tol,
+                 residual_floor, residuals, levels, direct_unknowns):
         vars(self).update(iterations=iterations, residual=residual, converged=converged,
-                          elapsed=elapsed, tol=tol, residual_floor=residual_floor,
-                          residuals=residuals, levels=levels, direct_unknowns=direct_unknowns)
+                          elapsed=elapsed, setup_seconds=setup_seconds, tol=tol,
+                          residual_floor=residual_floor, residuals=residuals, levels=levels,
+                          direct_unknowns=direct_unknowns)
 
 
 def discrete_residual(U: np.ndarray, f_int: np.ndarray, g_int: np.ndarray,
@@ -230,13 +235,21 @@ def _transfers(pos: np.ndarray, keep: np.ndarray):
     return prolong, (idx, w)
 
 
-def _apply(ell, A: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a 1-D transfer along one axis of A, term by term in a fixed order."""
+def _terms(ell, axis: int) -> list:
+    """A 1-D transfer's (index column, weight column) terms, each weight
+    shaped to broadcast along `axis`, split once when the level is built."""
     idx, w = ell
     shape = (-1, 1) if axis == 0 else (1, -1)
-    out = w[:, 0].reshape(shape) * np.take(A, idx[:, 0], axis=axis)
-    for m in range(1, idx.shape[1]):
-        out += w[:, m].reshape(shape) * np.take(A, idx[:, m], axis=axis)
+    return [(np.ascontiguousarray(idx[:, m]), w[:, m].reshape(shape))
+            for m in range(idx.shape[1])]
+
+
+def _apply(terms: list, A: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a 1-D transfer along one axis of A, term by term in a fixed order."""
+    (i, w), *rest = terms
+    out = w * np.take(A, i, axis=axis)
+    for i, w in rest:
+        out += w * np.take(A, i, axis=axis)
     return out
 
 
@@ -346,8 +359,12 @@ def _gauss_jordan(T: np.ndarray) -> np.ndarray:
 
 
 def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product as one multiply and a sum over the leading axis."""
-    return (A.T[:, :, None] * B[:, None, :]).sum(axis=0)
+    """Matrix product by numpy's own einsum loop (the default optimize=False),
+    which calls no BLAS and adds the terms of each entry in order of the
+    summed index, as a multiply over a broadcast (n, n, m) array and a sum
+    over its leading axis would, without that array: a 15 x 15 by
+    15 x 225 block took 27 us against that form's 99-106 us."""
+    return np.einsum("ij,jk->ik", A, B)
 
 
 def _dense_inverse(W, E, S, N, C) -> np.ndarray:
@@ -408,8 +425,8 @@ class _Level:
                         if k < f.shape[0] - 1]
         if min(f.shape) > 3:
             kx, ky = _coarse_nodes(len(px)), _coarse_nodes(len(py))
-            self.prolong_x, self.restrict_x = _transfers(px, kx)
-            self.prolong_y, self.restrict_y = _transfers(py, ky)
+            self.prolong_x, self.restrict_x = (_terms(t, 1) for t in _transfers(px, kx))
+            self.prolong_y, self.restrict_y = (_terms(t, 0) for t in _transfers(py, ky))
             self.keep = np.ix_(ky, kx)
             # a level with 3 nodes on an axis is already solved exactly by
             # one line solve, with nothing to build
@@ -516,7 +533,9 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
     U[0, :] = problem.boundary.bottom
     U[-1, :] = problem.boundary.top
 
+    t0 = time.perf_counter()
     top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
+    setup = time.perf_counter() - t0
     top.start(U, g)
     cycles, mark, since, residuals = 1, math.inf, 0, []
     while True:
@@ -534,7 +553,7 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
         cycles += 1
     levels = top.levels()
     report = SolveReport(iterations=cycles, residual=res, converged=res <= bound,
-                         elapsed=time.perf_counter() - start, tol=bound,
+                         elapsed=time.perf_counter() - start, setup_seconds=setup, tol=bound,
                          residual_floor=floor, residuals=tuple(residuals),
                          levels=tuple(lev.shape[::-1] for lev in levels),
                          direct_unknowns=0 if levels[-1].inverse is None else len(levels[-1].inverse))

@@ -203,6 +203,25 @@ def transfers_reference(pos, keep):
     return ell(prolong), ell(restrict)
 
 
+def product_reference(A, B) -> np.ndarray:
+    """Reference for ma_lin.linsolve._product: the matrix product as one
+    multiply over a broadcast (n, n, m) array and a sum over its leading
+    axis, which adds the terms of each entry in order."""
+    return (A.T[:, :, None] * B[:, None, :]).sum(axis=0)
+
+
+def apply_reference(ell, A, axis: int) -> np.ndarray:
+    """Reference for ma_lin.linsolve._apply: a zero-padded (index, weight)
+    transfer applied along one axis of A, slicing each term's columns as it
+    goes, term by term in a fixed order."""
+    idx, w = ell
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    out = w[:, 0].reshape(shape) * np.take(A, idx[:, 0], axis=axis)
+    for m in range(1, idx.shape[1]):
+        out += w[:, m].reshape(shape) * np.take(A, idx[:, m], axis=axis)
+    return out
+
+
 def zero_start_solve(problem, max_iter: int = 100_000):
     """Reference for ma_lin.linsolve.solve_dirichlet without its nested start:
     V-cycles of `_Level.cycle` from a zero interior under the same default

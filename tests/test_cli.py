@@ -426,10 +426,11 @@ def _deformation_config(**changes):
     ("classify", {"id": "e", "note": ""}, [], "equation needs 'F'"),
     ("classify", {"id": "e", "F": "q^4", "note": ""}, ["--id", "grad-inversion"],
      "classify takes --id or --in, not both"),
+    ("elasticity", _deformation_config(), [], "elasticity needs a material domain"),
 ], ids=["no-kind", "no-potential", "unknown-key", "fractional-n", "short-domain",
         "text-in-domain", "nan-domain-flag", "short-domain-flag", "unknown-kind", "no-g",
         "khabirov-unknown-key", "khabirov-g-and-in", "classify-unknown-key", "classify-no-F",
-        "classify-id-and-in"])
+        "classify-id-and-in", "no-domain"])
 def test_elasticity_and_khabirov_inputs_are_checked(tmp_path, capsys, command, data, flags,
                                                     message):
     err = _refused_before_any_output(tmp_path, capsys, command, data, *flags)
@@ -477,6 +478,17 @@ def test_khabirov_subcommand(tmp_path):
 
 def test_khabirov_rejects_zero_g(tmp_path):
     assert main(["khabirov", "--g", "0", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_khabirov_quotes_the_failing_sample_as_a_plain_float(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["khabirov", "--g", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    message = _read_json(out / "manifest.json")["error"]["message"]
+    for text in (err, message):
+        assert "np.float64" not in text
+        sample = text.split("verification sample s=")[1].split()[0]
+        assert repr(float(sample)) == sample
 
 
 def test_khabirov_wrong_variable_exits_1(tmp_path):
@@ -684,6 +696,17 @@ def test_lift_solve_report_records_the_multigrid_levels(tmp_path):
     assert rep["direct_unknowns"] == 225
 
 
+def test_solve_reports_record_the_hierarchy_build_time(tmp_path):
+    cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+                                        "nx": 33, "ny": 33, "boundary": "X^2-Y^2",
+                                        "target_nx": 9, "target_ny": 9})
+    runs = [["lift", "--in", cfg], ["solve", "--in", _write(tmp_path / "p.json", _solve_config())]]
+    for k, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / f"o{k}")]) == 0
+        rep = _read_json(tmp_path / f"o{k}" / "solve_report.json")
+        assert 0.0 < rep["setup_seconds"] < rep["elapsed"], argv
+
+
 def test_lift_solve_report_records_the_residual_history(tmp_path):
     cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
                                         "nx": 65, "ny": 65, "boundary": "X^2-Y^2",
@@ -725,6 +748,21 @@ def test_importing_the_cli_loads_no_dataclasses():
         capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_fresh_import_frees_the_previous_one():
+    # nothing outside the package, such as typing's cache of Union types,
+    # may keep an earlier import's modules alive once they leave sys.modules
+    code = ("import gc, sys, weakref, ma_lin; "
+            "ref = weakref.ref(ma_lin.expressions.parse); "
+            "[sys.modules.pop(m) for m in list(sys.modules) "
+            "if m == 'ma_lin' or m.startswith('ma_lin.')]; "
+            "del ma_lin; import ma_lin; gc.collect(); "
+            "print(ref() is None, ma_lin.expressions.parse is not None)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_manifest_records_input_hash(tmp_path):

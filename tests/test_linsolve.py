@@ -6,16 +6,19 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (dense_dirichlet, dense_level_operator, dense_line_solve,
-                     measured_order, src_env, transfers_reference, zero_start_solve)
+from helpers import (apply_reference, dense_dirichlet, dense_level_operator, dense_line_solve,
+                     measured_order, product_reference, src_env, transfers_reference,
+                     zero_start_solve)
+from ma_lin import linsolve
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
 from ma_lin.grids import geometry_from_domain, sample
 from ma_lin.linsolve import (DIRECT_SIDE, FLOOR_FACTOR, PCR_SIDE, BoundaryValues,
                              NotConvergedError, NotEllipticError,
                              boundary_from_edge_exprs, constant_f_family,
-                             discrete_residual, mms_source, _coarse_nodes,
-                             _Level, _transfers, problem_from_exprs, solve_dirichlet)
+                             discrete_residual, mms_source, _apply, _coarse_nodes,
+                             _dense_inverse, _Level, _product, _terms, _transfers,
+                             problem_from_exprs, solve_dirichlet)
 
 
 def _solve_expr(fcoeff, Ustar, n, tol=None, source=None):
@@ -398,6 +401,48 @@ def test_transfers_match_the_node_by_node_reference():
         for got, want in zip(_transfers(pos, keep), transfers_reference(pos, keep)):
             assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0]), pos
             assert got[1].tobytes() == want[1].tobytes(), pos
+
+
+def test_transfer_terms_apply_as_the_term_by_term_reference():
+    # the (index, weight) columns split once at build give the bytes of
+    # slicing them on every call
+    rng = np.random.default_rng(7)
+    for pos in [np.arange(n) for n in (4, 5, 17, 33, 65)] + [_coarsened(130, 1)]:
+        for ell in _transfers(pos, _coarse_nodes(len(pos))):
+            rows = ell[0].shape[0]
+            for axis, shape in ((0, (len(pos), rows + 3)), (1, (rows + 2, len(pos)))):
+                A = rng.standard_normal(shape)
+                got = _apply(_terms(ell, axis), A, axis)
+                assert got.tobytes() == apply_reference(ell, A, axis).tobytes(), (pos, axis)
+
+
+def test_block_product_matches_the_broadcast_sum_bit_for_bit():
+    # square blocks times row blocks, contiguous and as the strided views of
+    # the inverse's block rows that _dense_inverse passes
+    rng = np.random.default_rng(2024)
+    for n in range(1, 17):
+        for blocks in (1, 2, 7, 16):
+            A = rng.uniform(-2.0, 2.0, (n, n)) * 10.0 ** rng.integers(-8, 8, (n, n))
+            B = rng.standard_normal((n, blocks * n))
+            Z = rng.standard_normal((3, n, 2 * blocks * n))
+            for right in (B, Z[1, :, :blocks * n], Z[2, :, blocks * n:]):
+                got = _product(A, right)
+                assert got.tobytes() == product_reference(A, right).tobytes(), (n, blocks)
+
+
+@pytest.mark.parametrize("fcoeff,nx,ny,interior", [
+    ("1", 33, 33, (15, 15)), ("1", 65, 65, (15, 15)), ("1", 97, 97, (11, 11)),
+    ("(1+Y^2)^2", 33, 33, (15, 15)), ("(1+Y^2)^2", 65, 65, (15, 15)),
+    ("(1+Y^2)^2", 97, 97, (11, 11)),
+    ("1+100*X^2", 65, 50, (11, 15)),  # the 17x13 level of the thread test
+])
+def test_direct_inverse_matches_the_broadcast_sum_build(monkeypatch, fcoeff, nx, ny, interior):
+    geom = geometry_from_domain(0.5, 1.5, 0.5, 1.5, nx, ny)
+    f = sample(parse(fcoeff), ("X", "Y"), geom).values
+    lev = _Level(f, np.arange(nx), np.arange(ny), geom.dx, geom.dy).levels()[-1]
+    assert lev.inverse is not None and lev.op[4].shape == interior
+    monkeypatch.setattr(linsolve, "_product", product_reference)
+    assert lev.inverse.tobytes() == _dense_inverse(*lev.op).tobytes()
 
 
 @pytest.mark.parametrize("px,py", [
