@@ -12,6 +12,7 @@ degenerate), 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -103,8 +104,13 @@ class _Outputs:
         if path.exists() and not self.force:
             raise UsageError(f"refusing to overwrite {path} (use --force)")
         tmp = path.with_name(name + ".tmp")
-        writer(tmp)
-        os.replace(tmp, path)
+        try:
+            writer(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):  # a directory in the way stays
+                tmp.unlink()
+            raise
         return path
 
     def write_with(self, name: str, writer) -> None:

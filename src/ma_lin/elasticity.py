@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .expressions import Expr, _Value, diff, evaluate, subst, parse, variables
-from .grids import Grid2, JetArrays, _write_rows, interior_jets, symbolic_jet
+from .grids import Grid2, JetArrays, interior_jets, symbolic_jet, write_table
 from .lift import LiftedSurface
 
 __all__ = [
@@ -297,6 +297,4 @@ def write_deformed_points(d: Deformation, domain: tuple[float, float, float, flo
     """Material/spatial pairs over an n-by-n mesh, as CSV rows X,Y,x,y."""
     Xm, Ym = _material_mesh(domain, n)
     x, y = deform(d, (Xm, Ym))
-    with open(path, "wb") as fh:
-        fh.write(b"# deformed\n")
-        _write_rows(fh, np.column_stack((Xm, Ym, x, y)))
+    write_table(path, "# deformed", [np.column_stack((Xm, Ym, x, y))])

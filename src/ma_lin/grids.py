@@ -1,4 +1,4 @@
-"""Uniform grids, second-order jets, central finite differences, grid CSV I/O.
+"""Uniform grids, second-order jets, central finite differences, the CSV table codec.
 
 Layout convention used everywhere: values are stored row-major with x fastest,
 i.e. as an array of shape (ny, nx) indexed [j, i] for the node
@@ -20,7 +20,8 @@ __all__ = [
     "GridError", "GridFormatError",
     "GridGeometry", "geometry_from_domain", "Grid2", "MaskedGrid2",
     "JetArrays", "sample", "interior_jets",
-    "jet_exprs", "symbolic_jet", "write_grid", "read_grid",
+    "jet_exprs", "symbolic_jet", "write_table", "read_table",
+    "write_grid", "read_grid",
 ]
 
 
@@ -30,10 +31,6 @@ class GridError(Exception):
 
 class GridFormatError(GridError):
     pass
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 class GridGeometry(_Value):
@@ -104,12 +101,6 @@ class Grid2(_Value):
     def ys(self):
         return self.geom.ys()
 
-    def value(self, i: int, j: int) -> float:
-        return float(self.values[j, i])
-
-    def is_masked(self, i: int, j: int) -> bool:
-        return bool(np.isnan(self.values[j, i]))
-
 
 class MaskedGrid2(_Value):
     """A grid plus an explicit validity mask (True = valid).
@@ -133,11 +124,6 @@ class MaskedGrid2(_Value):
     @property
     def n_valid(self) -> int:
         return int(self.mask.sum())
-
-    def max_abs(self) -> float:
-        if self.n_valid == 0:
-            return 0.0
-        return float(np.max(np.abs(self.grid.values[self.mask])))
 
 
 def sample(e: Expr, names: tuple[str, str], geom: GridGeometry) -> Grid2:
@@ -256,10 +242,11 @@ def symbolic_jet(e: Expr, names: tuple[str, str], x, y) -> JetArrays:
 # ---------------------------------------------------------------------------
 # CSV I/O
 #
-# First line:  # nx=<int>,ny=<int>,x0=<real>,y0=<real>,dx=<real>,dy=<real>
-# then ny lines of nx comma-separated reals (row j fixed, i varying).
-# Reals carry 17 significant digits so doubles round-trip losslessly; masked
-# cells are written as the literal token "nan".
+# A table is a header line, then rows of comma-separated reals of one width;
+# blank lines are skipped.  Reals carry 17 significant digits so doubles
+# round-trip losslessly; masked cells are written as the literal token "nan".
+# A grid's header: # nx=<int>,ny=<int>,x0=<real>,y0=<real>,dx=<real>,dy=<real>
+# then ny rows of nx values (row j fixed, i varying).
 
 _HEADER = re.compile(
     r"^#\s*nx=([^,]+),ny=([^,]+),x0=([^,]+),y0=([^,]+),dx=([^,]+),dy=([^,]+)\s*$"
@@ -435,56 +422,76 @@ def _format_rows(rows: np.ndarray) -> tuple[bytes, int]:
     return m.T.tobytes().translate(None, b"\0"), slow.size
 
 
-def _write_rows(fh, rows: np.ndarray) -> None:
-    """Write a 2-D float block as CSV lines, _BLOCK_VALUES values at a time."""
-    step = max(1, _BLOCK_VALUES // rows.shape[1])
-    for first in range(0, len(rows), step):
-        fh.write(_format_rows(rows[first:first + step])[0])
-
-
-def write_grid(g: Grid2, path) -> None:
+def write_table(path, header: str, blocks) -> None:
+    """Write a CSV table: the header line, then the rows of each 2-D float
+    block in `blocks`, formatted _BLOCK_VALUES values (or one row) at a time."""
     with open(path, "wb") as fh:
-        fh.write(f"# nx={g.nx},ny={g.ny},x0={_fmt(g.geom.x0)},y0={_fmt(g.geom.y0)},"
-                 f"dx={_fmt(g.dx)},dy={_fmt(g.dy)}\n".encode())
-        _write_rows(fh, g.values)
+        fh.write(header.encode() + b"\n")
+        for rows in blocks:
+            step = max(1, _BLOCK_VALUES // rows.shape[1])
+            for first in range(0, len(rows), step):
+                fh.write(_format_rows(rows[first:first + step])[0])
 
 
-def _parse_real(token: str, line_no: int, col: int) -> float:
+def _parse_real(token: str, line_no: int, col: int, finite: bool) -> float:
     try:
         v = float(token)
     except ValueError:
         raise GridFormatError(
             f"line {line_no}: value {col} is not a number: {token.strip()!r}") from None
-    if math.isinf(v):
-        raise GridFormatError(f"line {line_no}: value {col} is not finite")
+    if finite and math.isinf(v):
+        raise GridFormatError(f"line {line_no}: value {col} is not finite: {token.strip()!r}")
     return v
 
 
-def read_grid(path) -> Grid2:
+def read_table(path, width, finite: bool = False) -> tuple[str, np.ndarray]:
+    """The first line of a CSV table and its other non-blank lines as an
+    (n, w) float array, where w = width(first line), None refusing it.
+
+    A row of another width, a token that is not a real, or an infinity when
+    `finite` is set, raises GridFormatError naming the file's line and the value."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise GridFormatError("line 1: empty file")
-    m = _HEADER.match(lines[0])
+    w = width(lines[0])
+    if w is None:
+        raise GridFormatError(f"line 1: unexpected header: {lines[0]!r}")
+    rows = []
+    for line_no, line in enumerate(lines[1:], 2):
+        if line.strip():
+            tokens = line.split(",")
+            if len(tokens) != w:
+                raise GridFormatError(
+                    f"line {line_no}: expected {w} values, found {len(tokens)}")
+            rows.append([_parse_real(t, line_no, col, finite)
+                         for col, t in enumerate(tokens, 1)])
+    return lines[0], np.array(rows, dtype=np.float64).reshape(-1, w)
+
+
+def write_grid(g: Grid2, path) -> None:
+    write_table(path, f"# nx={g.nx},ny={g.ny},x0={g.geom.x0:.17g},y0={g.geom.y0:.17g},"
+                      f"dx={g.dx:.17g},dy={g.dy:.17g}", [g.values])
+
+
+def _grid_geometry(header: str) -> GridGeometry:
+    m = _HEADER.match(header)
     if m is None:
-        raise GridFormatError(f"line 1: malformed header: {lines[0]!r}")
+        raise GridFormatError(f"line 1: malformed header: {header!r}")
     try:
         nx, ny = int(m.group(1)), int(m.group(2))
         x0, y0, dx, dy = (float(m.group(k)) for k in range(3, 7))
     except ValueError as err:
         raise GridFormatError(f"line 1: malformed header field: {err}") from None
     try:
-        geom = GridGeometry(nx, ny, x0, y0, dx, dy)
+        return GridGeometry(nx, ny, x0, y0, dx, dy)
     except GridError as err:
         raise GridFormatError(f"line 1: {err}") from None
-    rows = [ln for ln in lines[1:] if ln.strip() != ""]
-    if len(rows) != ny:
-        raise GridFormatError(f"line {len(lines)}: expected {ny} data rows, found {len(rows)}")
-    values = np.empty((ny, nx))
-    for j, row in enumerate(rows):
-        tokens = row.split(",")
-        if len(tokens) != nx:
-            raise GridFormatError(f"line {j + 2}: expected {nx} values, found {len(tokens)}")
-        for i, tok in enumerate(tokens):
-            values[j, i] = _parse_real(tok, j + 2, i + 1)
+
+
+def read_grid(path) -> Grid2:
+    header, values = read_table(path, lambda first: _grid_geometry(first).nx, finite=True)
+    geom = _grid_geometry(header)
+    if len(values) != geom.ny:
+        raise GridFormatError(f"line 1: ny={geom.ny}, but the file has {len(values)} data rows")
     return Grid2(geom, values)

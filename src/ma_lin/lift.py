@@ -21,7 +21,8 @@ from .equations import (LinearizableClass, MAEquation, catalog_get, classify,
                         residual)
 from .expressions import Expr, _Value, to_text
 from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, MaskedGrid2,
-                    _format_rows, geometry_from_domain, interior_jets, symbolic_jet)
+                    geometry_from_domain, interior_jets, read_table, symbolic_jet,
+                    write_table)
 from .linsolve import BoundaryValues, problem_from_exprs, solve_dirichlet
 from .transforms import DEGENERACY_EPS, push_jet_arrays
 
@@ -362,19 +363,11 @@ def write_lifted(s: LiftedSurface, path) -> None:
     columns = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
     # a few mesh rows at a time, so the working set does not grow with the mesh
     step = max(1, _BLOCK_VALUES // (len(columns) * s.valid.shape[1]))
-    with open(path, "wb") as fh:
-        fh.write(b"# lifted\n")
-        for j in range(0, s.valid.shape[0], step):
-            keep = s.valid[j:j + step]
-            rows = np.column_stack([c[j:j + step][keep] for c in columns])
-            fh.write(_format_rows(rows)[0])
+    write_table(path, "# lifted", (
+        np.column_stack([c[j:j + step][s.valid[j:j + step]] for c in columns])
+        for j in range(0, s.valid.shape[0], step)))
 
 
 def read_lifted(path) -> np.ndarray:
     """Rows of (X, Y, x, y, u, ux, uy, uxx, uxy, uyy, jac) as an (n, 11) array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "# lifted":
-        raise LiftError("missing '# lifted' header")
-    rows = [tuple(float(t) for t in ln.split(",")) for ln in lines[1:] if ln.strip()]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 11)
+    return read_table(path, {"# lifted": 11}.get)[1]

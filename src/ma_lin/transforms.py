@@ -28,8 +28,8 @@ from typing import Union
 import numpy as np
 
 from .expressions import Expr, _Value, _plain
-from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, _finite, _write_rows,
-                    symbolic_jet)
+from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, _finite, read_table,
+                    symbolic_jet, write_table)
 
 __all__ = [
     "DEGENERACY_EPS", "TransformError", "DegenerateJetError", "FoldError",
@@ -392,16 +392,9 @@ def ampere_discrete(V: Grid2) -> ScatteredSamples:
 
 
 def write_scattered(s: ScatteredSamples, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"# scattered\n")
-        _write_rows(fh, np.column_stack((s.x, s.y, s.u)))
+    write_table(path, "# scattered", [np.column_stack((s.x, s.y, s.u))])
 
 
 def read_scattered(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "# scattered":
-        raise TransformError("missing '# scattered' header")
-    rows = [tuple(float(t) for t in ln.split(",")) for ln in lines[1:] if ln.strip()]
-    arr = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
+    rows = read_table(path, {"# scattered": 3}.get)[1]
+    return rows[:, 0], rows[:, 1], rows[:, 2]

@@ -616,6 +616,20 @@ def test_a_failed_rerun_leaves_its_own_manifest(tmp_path):
     assert _listed_hashes_match(out, man)
 
 
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def full_disk(grid, path):
+        with open(path, "wb") as fh:
+            fh.write(b"# nx=")
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr("ma_lin.cli.write_grid", full_disk)
+    out = tmp_path / "o"
+    cfg = _write(tmp_path / "l.json", {**_lift_config(), "boundary": "X^2-Y^2"})
+    assert main(["lift", "--in", cfg, "--out", str(out)]) == 1
+    man = _read_json(out / "manifest.json")
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == ("write", 1)
+    assert list(out.glob("*.tmp")) == [] and not (out / "resampled.csv").exists()
+
+
 @pytest.mark.parametrize("command,blocked,committed", [
     ("classify", "classification.json", []),
     ("elasticity", "deformed.csv", ["incompressibility.json"]),

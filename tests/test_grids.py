@@ -39,7 +39,7 @@ def test_masked_grid_excludes_masked_cells():
     mask = np.ones((3, 3), dtype=bool)
     mask[2, 2] = False  # drops the value 8
     mg = MaskedGrid2(Grid2(_unit_geom(), vals), mask)
-    assert mg.max_abs() == 7.0
+    assert np.max(np.abs(mg.grid.values[mg.mask])) == 7.0
     assert np.isnan(mg.grid.values[2, 2])
     assert mg.n_valid == 8
 
@@ -54,9 +54,9 @@ def test_sample_bilinear_rows():
 
 def test_sample_point_values():
     g = sample(parse("X^2-Y^2"), ("X", "Y"), _unit_geom())
-    assert g.value(1, 1) == 0.0
+    assert g.values[1, 1] == 0.0
     g2 = sample(parse("X^2 - Y*arctan(Y)"), ("X", "Y"), _unit_geom())
-    assert abs(g2.value(1, 1) - (1.0 - math.pi / 4)) <= 1e-15
+    assert abs(g2.values[1, 1] - (1.0 - math.pi / 4)) <= 1e-15
 
 
 def test_sample_domain_error_carries_indices():
@@ -280,8 +280,8 @@ def test_read_header_example(tmp_path):
     path.write_text("# nx=3,ny=2,x0=0,y0=0,dx=1,dy=1\n1,2,3\n4,5,nan\n")
     g = read_grid(path)
     assert (g.nx, g.ny) == (3, 2)
-    assert g.value(2, 0) == 3.0
-    assert g.is_masked(2, 1)
+    assert g.values[0, 2] == 3.0
+    assert np.isnan(g.values[1, 2])
 
 
 def test_read_row_length_mismatch_names_line(tmp_path):
@@ -306,6 +306,19 @@ def test_read_non_numeric_token(tmp_path):
     with pytest.raises(GridFormatError) as exc:
         read_grid(path)
     assert "zap" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, line, value", [
+    ("# nx=3,ny=2,x0=0,y0=0,dx=1,dy=1\n\n1,2,3\n\n4,5\n", 5, "found 2"),
+    ("# nx=2,ny=2,x0=0,y0=0,dx=1,dy=1\n1,2\n\n3,zap\n", 4, "'zap'"),
+    ("# nx=2,ny=1,x0=0,y0=0,dx=1,dy=1\n1,inf\n", 2, "'inf'"),
+    ("# nx=2,ny=2,x0=0,y0=0,dx=1,dy=1\n1,2\n", 1, "1 data rows"),
+], ids=["ragged", "token", "inf", "rows"])
+def test_read_grid_names_the_true_line_and_the_value(tmp_path, text, line, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(GridFormatError, match=rf"^line {line}: .*{value}"):
+        read_grid(path)
 
 
 @settings(max_examples=60, deadline=None)

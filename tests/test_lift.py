@@ -9,8 +9,8 @@ from helpers import first_hit_resample, invert_bilinear, measured_order, percent
 from ma_lin import lift
 from ma_lin.equations import catalog_get
 from ma_lin.expressions import parse, evaluate
-from ma_lin.grids import (Grid2, GridGeometry, _format_rows, geometry_from_domain,
-                          sample, write_grid)
+from ma_lin.grids import (Grid2, GridFormatError, GridGeometry, _format_rows,
+                          geometry_from_domain, sample, write_grid)
 from ma_lin.lift import (EmptyLiftError, LiftError, LiftedSurface, PipelineConfig,
                          PipelineError, _invert_bilinear, lift_parametric,
                          pipeline, read_lifted, resample, verify_lift,
@@ -382,6 +382,29 @@ def test_lifted_csv_round_trip(tmp_path):
     assert (x, y, u) == (-2.0, 2.0, 1.0)
     assert (ux, uy, uxx, uxy, uyy) == (0.5, 0.5, -0.5, -0.25, -0.25)
     assert jac == 4.0
+
+
+@pytest.mark.parametrize("body, line, value", [
+    ("\n".join([",".join(["1"] * 10)] * 11), 2, "expected 11 values, found 10"),
+    ("1,2,3,4,5,6,7,8,9,10,11\n\n1,2,3\n", 4, "found 3"),
+    ("1,2,3,4,5,6,7,8,9,10,x\n", 2, "value 11 .*'x'"),
+    ("", 1, "unexpected header: '# nx=1'"),
+], ids=["narrow", "ragged", "token", "header"])
+def test_read_lifted_refuses_a_wrong_table(tmp_path, body, line, value):
+    path = tmp_path / "l.csv"
+    path.write_text(("# nx=1\n" if line == 1 else "# lifted\n") + body)
+    with pytest.raises(GridFormatError, match=rf"^line {line}: .*{value}"):
+        read_lifted(path)
+
+
+def test_read_lifted_takes_what_the_writer_emits(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text("# lifted\n")
+    assert read_lifted(path).shape == (0, 11)
+    path.write_text("# lifted\n\n" + ",".join(["nan", "inf", "-inf", "-0"] + ["1"] * 7) + "\n")
+    row = read_lifted(path)[0]
+    assert np.isnan(row[0]) and row[1] == np.inf and row[2] == -np.inf
+    assert math.copysign(1.0, row[3]) == -1.0
 
 
 def test_csv_writers_match_per_value_format(tmp_path):

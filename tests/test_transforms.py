@@ -10,8 +10,8 @@ from helpers import (brute_conjugate, brute_conjugate_2d, invert_contact_point,
                      measured_order, point_jet, same_bits, seeded_closed_forms,
                      percent_g_rows)
 from ma_lin.expressions import parse
-from ma_lin.grids import (Grid2, GridGeometry, JetArrays, geometry_from_domain,
-                          interior_jets, sample, symbolic_jet)
+from ma_lin.grids import (Grid2, GridFormatError, GridGeometry, JetArrays,
+                          geometry_from_domain, interior_jets, sample, symbolic_jet)
 from ma_lin.transforms import (DEGENERACY_EPS, DegenerateJetError, FoldError,
                                TransformError, ampere_discrete, ampere_step,
                                compose_chain, contact_map,
@@ -753,3 +753,25 @@ def test_scattered_round_trip(tmp_path):
     x, y, u = read_scattered(path)
     assert np.array_equal(x, sc.x) and np.array_equal(y, sc.y) and np.array_equal(u, sc.u)
     assert path.read_bytes() == b"# scattered\n" + percent_g_rows(np.column_stack((x, y, u)))
+
+
+@pytest.mark.parametrize("text, line, value", [
+    ("# scattered\n1,2\n3,4\n5,6\n", 2, "expected 3 values, found 2"),
+    ("# scattered\n1,2,3\n\n4,5\n", 4, "found 2"),
+    ("# scattered\n1,2,3\n4,x,6\n", 3, "value 2 .*'x'"),
+    ("# lifted\n1,2,3\n", 1, "unexpected header: '# lifted'"),
+], ids=["narrow", "ragged", "token", "header"])
+def test_read_scattered_refuses_a_wrong_table(tmp_path, text, line, value):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(GridFormatError, match=rf"^line {line}: .*{value}"):
+        read_scattered(path)
+
+
+def test_read_scattered_header_only_and_non_finite(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("# scattered\n")
+    assert [a.shape for a in read_scattered(path)] == [(0,), (0,), (0,)]
+    path.write_text("# scattered\nnan,inf,-inf\n")
+    x, y, u = read_scattered(path)
+    assert np.isnan(x[0]) and y[0] == np.inf and u[0] == -np.inf
