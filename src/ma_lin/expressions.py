@@ -2,8 +2,8 @@
 
 Trees are immutable values.  A tree is evaluated by a straight-line program,
 compiled on first use and kept for as long as the tree lives, that computes
-each distinct subtree once; a program run often enough is turned into
-generated Python code that does the same operations.  Evaluation, over floats
+each distinct subtree once by generated Python code, compiled once per
+program layout and shared by the programs of that layout.  Evaluation, over floats
 or whole arrays, is plain IEEE double arithmetic with a fixed left-to-right
 child order, so the same tree with the same bindings always produces a
 bit-identical result.  There is no simplifier: the only rewriting ever
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -275,7 +275,10 @@ class _Parser:
         kind, val, off = self.peek()
         if kind == "num":
             self.advance()
-            return Const(float(val))
+            v = float(val)
+            if math.isinf(v):
+                raise ParseError(off, f"number {val} overflows a double")
+            return Const(v)
         if kind == "name":
             self.advance()
             k2, v2, _ = self.peek()
@@ -411,34 +414,25 @@ def _variable(env: dict, name: str, node: Expr, shape: tuple):
     return env[name]
 
 
-# A program is interpreted until its _HOT_RUNS-th call, which generates it.
-# Generating takes about 10 us a line of source: 0.15-0.2 ms for a 7-step
-# tree and 0.8-1.5 ms for a jet program of 50-86 steps.  On one point a
-# generated run saves 5-20 us, so generation pays for itself after 30-85
-# more runs (Python 3.11 on a shared x86-64 VM).  Trees made for a few
-# evaluations stay below the threshold and never pay it: a `lift` request
-# runs each of its programs at most 8 times, and `khabirov_push` runs its
-# `subst` results twice.
-_HOT_RUNS = 16
-
-
 class Program:
     """Straight-line code for a sequence of trees; call it with bindings.
 
-    Calls before the `_HOT_RUNS`-th interpret the steps; that call emits them
-    as one Python function (`_source`), which it and every later call run.
-    Both do the same operations in the same order, so they give the same
-    bits and the same first EvalError."""
+    A program runs as one generated Python function that does its steps, one
+    statement each, in their order.  That code is compiled once per `layout`,
+    all that it depends on, and shared by every program of the layout; each
+    program binds its own constants, nodes and names to it.  The layout is
+    the register of each tree, then for each register in order None where it
+    holds a constant, or the key of the step that writes it: its operation and
+    operand registers and, for a power, the literal exponent that `_power`
+    takes by products (else None)."""
 
-    __slots__ = ("registers", "steps", "outputs", "_runs", "_run", "_ufuncs")
+    __slots__ = ("layout", "_run", "_ufuncs")
 
-    def __init__(self, registers: list, steps: list, outputs: tuple):
-        self.registers = registers  # constants in place, None where a step writes
-        self.steps = steps  # ((op, a, b), out, node, registers released after the step)
-        self.outputs = outputs  # the register of each tree
-        self._runs = 0
-        self._run = None  # the generated function, once the program is hot
-        self._ufuncs = True  # whether a scalar run may call a ufunc
+    def __init__(self, nodes: list, layout: tuple):
+        """A program of `layout` whose registers hold `nodes`, one node each."""
+        self.layout = layout
+        make, self._ufuncs = _maker(layout)  # _ufuncs: whether a scalar run may call a ufunc
+        self._run = make(nodes)
 
     def __call__(self, bindings: Bindings) -> list:
         """The value of each tree, as `evaluate` would give it."""
@@ -446,125 +440,120 @@ class Program:
                else float(v) for name, v in bindings.items()}
         shapes = [v.shape for v in env.values() if isinstance(v, np.ndarray)]
         shape = np.broadcast_shapes(*shapes) if shapes else ()
-        run = self._run
-        if run is None:
-            self._runs += 1
-            if self._runs < _HOT_RUNS:
-                run = self._interpret
-            else:
-                text, namespace, self._ufuncs = _source(self)
-                exec(compile(text, "<expression program>", "exec"), namespace)
-                run = self._run = namespace.pop("run")  # no function <-> namespace cycle
         # numpy warns on overflow in * and /; Python floats warn only in ufuncs
         if shape or self._ufuncs:
             with np.errstate(all="ignore"):
-                values = run(env, shape)
+                values = self._run(env, shape)
         else:
-            values = run(env, shape)
+            values = self._run(env, shape)
         if not shape:
             return [float(v) for v in values]
         return [np.array(np.broadcast_to(v, shape), dtype=np.float64) for v in values]
 
-    def _interpret(self, env: dict, shape: tuple) -> list:
-        regs = self.registers.copy()
-        for (op, a, b), out, node, free in self.steps:
-            if b is None:
-                if a is None:  # the variable named op
-                    regs[out] = _variable(env, op, node, shape)
-                elif op == "-":
-                    regs[out] = -regs[a]
-                else:
-                    regs[out] = _call(op, regs[a], node, shape)
-            elif op == "*":
-                regs[out] = regs[a] * regs[b]
-            elif op == "+":
-                regs[out] = regs[a] + regs[b]
-            elif op == "-":
-                regs[out] = regs[a] - regs[b]
-            elif op == "/":
-                y = regs[b]
-                _guard(y == 0.0, "division by zero", y, node, shape)
-                regs[out] = regs[a] / y
-            elif op == "^":
-                regs[out] = _power(regs[a], regs[b], node, shape)
-            else:
-                raise EvalError(f"unknown operator {op!r}", node)
-            for k in free:
-                regs[k] = None
-        return [regs[k] for k in self.outputs]
+
+def _product_exponent(e: Expr):
+    """The value of e where `_power` raises to it by repeated multiplication, else None."""
+    v = e.value if type(e) is Const else None
+    return v if type(v) is float and v.is_integer() and abs(v) <= _MAX_PRODUCT_POWER else None
 
 
-def _source(p: Program) -> tuple[str, dict, bool]:
-    """The source of a function `run(env, shape)` that does p's steps, one
-    statement each, the namespace it runs in, and whether a step calls a
-    ufunc.  Constants, nodes and names are bound in the namespace (`c`, `n`,
-    `v`, `f` and `m`, each with a register number), so no tree's text reaches
-    the source and every constant keeps its bits."""
-    regs = p.registers  # None where a step writes
-    ns = {"_call": _call, "_power": _power, "_guard": _guard, "_variable": _variable,
-          "EvalError": EvalError}
-    ufuncs = False
+@lru_cache(maxsize=256)
+def _maker(layout: tuple) -> tuple[Callable, bool]:
+    """`make(nodes) -> run` for the programs of one layout, compiled once, and
+    whether a step calls a ufunc."""
+    text, ufuncs = _source(layout)
+    namespace = {"_call": _call, "_power": _power, "_guard": _guard, "_variable": _variable,
+                 "EvalError": EvalError}
+    exec(compile(text, "<expression program>", "exec"), namespace)
+    return namespace.pop("make"), ufuncs  # no function <-> namespace cycle
+
+
+def _source(layout: tuple) -> tuple[str, bool]:
+    """The source of `make(nodes)` for a layout, and whether a step calls a
+    ufunc.  `make` reads one program's nodes, constants and names into closure
+    cells (`n`, `c` and `v`, each with a register number) and returns
+    `run(env, shape)`, which does the steps, one statement each, and releases
+    each register after its last read.  No constant, node or name reaches the
+    source, so every constant keeps its bits and no tree's text is compiled."""
+    outputs, *keys = layout
+    last = {}  # register -> the step register of its last read
+    for out, key in enumerate(keys):
+        if key is not None:
+            last[key[1]] = last[key[2]] = out
+    dead = {}
+    for k, out in last.items():
+        if k is not None and keys[k] is not None and k not in outputs:
+            dead.setdefault(out, []).append(f"r{k}")
+    head, lines, cells, ufuncs = [], [], set(), False  # cells: the names make binds
 
     def ref(k: int) -> str:
-        if regs[k] is None:
+        if keys[k] is not None:
             return f"r{k}"
-        ns[f"c{k}"] = regs[k]
+        if f"c{k}" not in cells:
+            cells.update((f"c{k}", f"n{k}"))
+            head.append(f"c{k} = n{k}.value")
         return f"c{k}"
 
-    lines = []
-    for (op, a, b), out, node, free in p.steps:
-        r, n = f"r{out}", f"n{out}"
-        ns[n] = node
+    for out, key in enumerate(keys):
+        if key is None:
+            continue
+        (op, a, b), r, n, v = key[:3], f"r{out}", f"n{out}", f"v{out}"
         if b is None:
-            if a is None:
-                ns[f"v{out}"] = op
-                lines.append(f"{r} = _variable(env, v{out}, {n}, shape)")
+            if a is None:  # the variable named op
+                cells.update((n, v))
+                head.append(f"{v} = {n}.name")
+                lines.append(f"{r} = _variable(env, {v}, {n}, shape)")
             elif op == "-":
                 lines.append(f"{r} = -{ref(a)}")
             else:
-                ns[f"f{out}"] = op
-                lines.append(f"{r} = _call(f{out}, {ref(a)}, {n}, shape)")
+                cells.update((n, v))
+                head.append(f"{v} = {n}.func")
+                lines.append(f"{r} = _call({v}, {ref(a)}, {n}, shape)")
                 ufuncs = True
         elif op in ("*", "+", "-"):
             lines.append(f"{r} = {ref(a)} {op} {ref(b)}")
         elif op == "/":
+            cells.add(n)
             y = ref(b)
             lines += [f"_guard({y} == 0.0, 'division by zero', {y}, {n}, shape)",
                       f"{r} = {ref(a)} / {y}"]
+        elif op == "^" and key[3] is not None:
+            x, k = ref(a), int(abs(key[3]))  # `_power`'s products, one statement each
+            lines += [f"{r} = 1.0 * {x}" if k else f"{r} = 1.0"]
+            lines += [f"{r} = {r} * {x}"] * (k - 1)
+            if key[3] < 0.0:
+                cells.add(n)
+                lines += [f"_guard({r} == 0.0, 'zero base with negative exponent', "
+                          f"{r}, {n}, shape)", f"{r} = 1.0 / {r}"]
         elif op == "^":
-            e = regs[b]
-            if type(e) is float and e.is_integer() and abs(e) <= _MAX_PRODUCT_POWER:
-                x, k = ref(a), int(abs(e))  # `_power`'s products, one statement each
-                lines += [f"{r} = 1.0 * {x}" if k else f"{r} = 1.0"]
-                lines += [f"{r} = {r} * {x}"] * (k - 1)
-                if e < 0.0:
-                    lines += [f"_guard({r} == 0.0, 'zero base with negative exponent', "
-                              f"{r}, {n}, shape)", f"{r} = 1.0 / {r}"]
-            else:
-                lines.append(f"{r} = _power({ref(a)}, {ref(b)}, {n}, shape)")
-                ufuncs = True
+            cells.add(n)
+            lines.append(f"{r} = _power({ref(a)}, {ref(b)}, {n}, shape)")
+            ufuncs = True
         else:
-            ns[f"m{out}"] = f"unknown operator {op!r}"
-            lines.append(f"raise EvalError(m{out}, {n})")
-        dead = [f"r{k}" for k in free if regs[k] is None]
-        if dead:
-            lines.append(f"del {', '.join(dead)}")
-    lines.append(f"return [{', '.join(map(ref, p.outputs))}]")
-    return "def run(env, shape):\n" + "".join(f"    {s}\n" for s in lines), ns, ufuncs
+            cells.add(n)
+            lines.append(f"raise EvalError(f'unknown operator {{{n}.op!r}}', {n})")
+        if out in dead:
+            lines.append(f"del {', '.join(dead[out])}")
+    lines.append(f"return [{', '.join(map(ref, outputs))}]")
+    unpack = ", ".join(f"n{k}" if f"n{k}" in cells else "_" for k in range(len(keys)))
+    return (f"def make(nodes):\n    [{unpack}] = nodes\n" + "".join(f"    {s}\n" for s in head)
+            + "    def run(env, shape):\n" + "".join(f"        {s}\n" for s in lines)
+            + "    return run\n"), ufuncs
 
 
 def compile_trees(trees) -> Program:
     """One program for the trees, in one walk of them: each distinct subtree,
-    keyed by shape and constant bits, is one step.  Steps run children before
-    parents and left before right, so the results and the first EvalError are
-    those of evaluating the trees one by one; a register is released after
-    its last read."""
-    regs, steps, keyed, last = [], [], {}, {}  # last: register -> step of its last read
+    keyed by shape and constant bits, is one register.  Steps run children
+    before parents and left before right, so the results and the first
+    EvalError are those of evaluating the trees one by one."""
+    nodes, keyed, layout = [], {}, []
 
     def reg(e: Expr) -> int:
         t = type(e)
         if t is BinOp:
             key = (e.op, reg(e.left), reg(e.right))
+            if e.op == "^":
+                key += (_product_exponent(nodes[key[2]]),)
         elif t is Const:
             key = (float(e.value).hex(),)
         elif t is Var:
@@ -575,20 +564,14 @@ def compile_trees(trees) -> Program:
             key = (e.func, reg(e.arg), None)
         else:
             raise TypeError(f"not an Expr node: {e!r}")
-        r = keyed.setdefault(key, len(regs))
-        if r == len(regs):
-            regs.append(e.value if t is Const else None)
-            if t is not Const:
-                last[key[1]] = last[key[2]] = len(steps)
-                steps.append((key, r, e, []))
+        r = keyed.setdefault(key, len(nodes))
+        if r == len(nodes):
+            nodes.append(e)
+            layout.append(None if t is Const else key)
         return r
 
     outputs = tuple(reg(t) for t in trees)
-    last.pop(None, None)
-    for k, s in last.items():
-        if k not in outputs:
-            steps[s][3].append(k)
-    return Program(regs, steps, outputs)
+    return Program(nodes, (outputs, *layout))
 
 
 def evaluate(e: Expr, bindings: Bindings):
@@ -622,26 +605,32 @@ def variables(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # construction helpers that fold all-literal subtrees (and nothing else)
 
-def _folded(node: Expr, op: tuple, *values: float) -> Expr:
-    """Const of node's one operation `op` on the literals, by a one-step program."""
-    out = len(values)
+def _folded(node: Expr, *args: Const) -> Expr:
+    """Const of node's operation on the literals `args`, by a one-step
+    program; node itself where that fails or is not finite, as a non-finite
+    Const would print as a name."""
+    if type(node) is Call:
+        key = (node.func, 0, None)
+    else:
+        key = (node.op, 0, 1, _product_exponent(args[1])) if node.op == "^" else (node.op, 0, 1)
     try:
-        return Const(Program([*values, None], [(op, out, node, ())], (out,))({})[0])
+        v = Program([*args, node], ((len(args),), *[None] * len(args), key))({})[0]
     except EvalError:
         return node
+    return Const(v) if math.isfinite(v) else node
 
 
 def _fold2(op: str, a: Expr, b: Expr) -> Expr:
     node = BinOp(op, a, b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return _folded(node, (op, 0, 1), a.value, b.value)
+        return _folded(node, a, b)
     return node
 
 
 def _fold_call(func: str, a: Expr) -> Expr:
     node = Call(func, a)
     if isinstance(a, Const):
-        return _folded(node, (func, 0, None), a.value)
+        return _folded(node, a)
     return node
 
 

@@ -457,16 +457,23 @@ def read_table(path, width, finite: bool = False) -> tuple[str, np.ndarray]:
     w = width(lines[0])
     if w is None:
         raise GridFormatError(f"line 1: unexpected header: {lines[0]!r}")
-    rows = []
-    for line_no, line in enumerate(lines[1:], 2):
-        if line.strip():
+    rows = [(line_no, line) for line_no, line in enumerate(lines[1:], 2) if line.strip()]
+    try:  # every row, then every token at once; the slow scan below names a failure
+        if any(line.count(",") != w - 1 for _, line in rows):
+            raise ValueError
+        values = np.fromiter(map(float, ",".join(line for _, line in rows).split(",")
+                                 if rows else ()), np.float64)
+    except ValueError:
+        values = None
+    if values is None or (finite and np.isinf(values).any()):  # the first error in file order
+        for line_no, line in rows:
             tokens = line.split(",")
             if len(tokens) != w:
                 raise GridFormatError(
                     f"line {line_no}: expected {w} values, found {len(tokens)}")
-            rows.append([_parse_real(t, line_no, col, finite)
-                         for col, t in enumerate(tokens, 1)])
-    return lines[0], np.array(rows, dtype=np.float64).reshape(-1, w)
+            for col, t in enumerate(tokens, 1):
+                _parse_real(t, line_no, col, finite)
+    return lines[0], values.reshape(-1, w)
 
 
 def write_grid(g: Grid2, path) -> None:

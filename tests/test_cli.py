@@ -59,6 +59,12 @@ def test_classify_malformed_expression_exits_1(tmp_path, capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_an_overflowing_literal_exits_1(tmp_path, capsys):
+    assert main(["khabirov", "--g", "1+1e400*s", "--out", str(tmp_path / "o")]) == 1
+    assert "syntax error at offset 2: number 1e400 overflows a double" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_classify_needs_input(tmp_path):
     assert main(["classify", "--out", str(tmp_path / "o")]) == 1
 

@@ -67,7 +67,7 @@ def test_negative_literal_exponent_keeps_the_bits_of_the_negated_one():
         for got in _every_run(compile_trees((tree,)), bindings):
             assert _same_outcome(got, want), (bindings, got, want)
     # the literal exponent takes the product path, with no negation step or pow call
-    assert "_power" not in expressions._source(compile_trees((tree,)))[0]
+    assert "_power" not in expressions._source(compile_trees((tree,)).layout)[0]
 
 
 def test_power_right_associative():
@@ -467,11 +467,8 @@ def _same_outcome(got, want):
 
 
 def _every_run(program, bindings):
-    """The outcome of each call of program until just past the call that
-    generates it: the interpreted runs, then two generated ones."""
-    outcomes = [_outcome(lambda: program(bindings)) for _ in range(expressions._HOT_RUNS + 1)]
-    assert program._run is not None
-    return outcomes
+    """The outcome of each of three calls of program."""
+    return [_outcome(lambda: program(bindings)) for _ in range(3)]
 
 
 def _check_program(trees, bindings):
@@ -571,8 +568,7 @@ def test_a_compiled_tree_is_freed_with_its_last_reference():
 
 def test_generated_code_is_freed_with_its_tree():
     tree = parse("sin(x)*x + x^3/(1+y^2)")
-    for _ in range(expressions._HOT_RUNS):
-        evaluate(tree, {"x": 0.5, "y": 2.0})
+    evaluate(tree, {"x": 0.5, "y": 2.0})
     alive = weakref.ref(tree._program._run)
     gc.disable()  # the function and its namespace form no cycle
     try:
@@ -595,7 +591,7 @@ def test_generated_source_holds_no_tree_text():
         for got in _every_run(compile_trees(trees), bindings):
             assert _same_outcome(got, want)
     assert _same_bits(got[6], payload_nan) and _same_bits(got[4], -0.0)
-    text = expressions._source(compile_trees(trees))[0]
+    text = expressions._source(compile_trees(trees).layout)[0]
     for fragment in (name, "import", *(repr(c.value) for c in constants)):
         assert fragment not in text
 
@@ -617,17 +613,38 @@ def test_no_warning_escapes_a_generated_program(text, bindings):
     assert program._ufuncs == (text == "x^70")
 
 
-def test_trees_made_for_a_few_runs_generate_nothing(tmp_path, monkeypatch):
-    generated = []
-    source = expressions._source
-    monkeypatch.setattr(expressions, "_source", lambda p: generated.append(p) or source(p))
-    config = tmp_path / "lift.json"
-    config.write_text(json.dumps({"f": "(1+s^2)^2", "domain": [0.5, 1.5, 0.5, 1.5],
-                                  "nx": 33, "ny": 33, "boundary": "X^2-Y*arctan(Y)"}))
-    assert cli.main(["lift", "--in", str(config), "--out", str(tmp_path / "o")]) == 0
-    khabirov_push(parse("1+s^2"), checks=50)
-    subst(parse("sin(x)*x + x^3/(1+y^2)"), {"y": 3.0})
-    assert generated == []
+def test_requests_that_differ_in_constants_compile_no_new_layout(tmp_path):
+    def lift(boundary, out):
+        config = tmp_path / f"{out}.json"
+        config.write_text(json.dumps({"f": "(1+s^2)^2", "domain": [0.5, 1.5, 0.5, 1.5],
+                                      "nx": 33, "ny": 33, "boundary": boundary}))
+        assert cli.main(["lift", "--in", str(config), "--out", str(tmp_path / out)]) == 0
+
+    # each constant differs from the others of its programs: equal ones share a register
+    lift("X^2-0.5*Y*arctan(Y)", "first")
+    khabirov_push(parse("1.5+s^2"), checks=50)
+    misses = expressions._maker.cache_info().misses
+    lift("X^2-0.75*Y*arctan(Y)", "second")
+    khabirov_push(parse("2.5+s^2"), checks=50)
+    assert expressions._maker.cache_info().misses == misses
+
+
+def test_programs_of_one_layout_keep_their_own_constants():
+    payload_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_1234))[0]
+    x = np.array([2.0, -3.0])
+    for a, b in ((0.0, -0.0), (payload_nan, math.nan), (0.1, 0.2)):
+        pa, pb = (compile_trees((BinOp("*", Var("x"), Const(c)),)) for c in (a, b))
+        assert pa.layout == pb.layout
+        assert pa._run.__code__ is pb._run.__code__  # one compiled code, two closures
+        for bindings in ({"x": 2.0}, {"x": x}):
+            for program, c in ((pa, a), (pb, b), (pa, a)):
+                want = reference_evaluate(BinOp("*", Var("x"), Const(c)), bindings)
+                assert _same_bits(program(bindings)[0], want)
+    assert _same_bits(compile_trees((BinOp("+", Var("x"), Const(payload_nan)),))(
+        {"x": 1.0})[0], payload_nan)
+    square, cube = (compile_trees((parse(f"x^{k}"),)) for k in (2, 3))
+    assert square.layout != cube.layout
+    assert (square({"x": 3.0}), cube({"x": 3.0})) == ([9.0], [27.0])
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +683,29 @@ def test_print_reparse_is_stable(tree):
 def test_subst_folds_literals():
     f = subst(parse("(p^2+q^2)^2"), {"p": Var("s"), "q": 1.0})
     assert to_text(f) == "(s^2+1)^2"
+
+
+def test_a_literal_that_overflows_is_refused_at_its_offset():
+    for text, offset in (("1e400*X", 0), ("X*1e400", 2), ("1e400-1e400", 0),
+                         ("x^1" + "0" * 400, 2)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset and "overflows a double" in str(exc.value)
+    assert parse("1e-400*X") == BinOp("*", Const(0.0), Var("X"))  # underflow is finite
+
+
+def test_a_fold_that_overflows_keeps_its_literals():
+    for text, tree in (("1e308*10*X", subst(parse("a*b*X"), {"a": 1e308, "b": 10.0})),
+                       ("1e308*10-1e308*10+X", subst(parse("a*b-a*b+X"), {"a": 1e308, "b": 10.0}))):
+        assert tree == parse(text) and parse(to_text(tree)) == tree
+        assert _same_bits(evaluate(tree, {"X": 2.0}), reference_evaluate(tree, {"X": 2.0}))
+    assert evaluate(parse("1e308*10*X"), {"X": 2.0}) == math.inf
+
+
+def test_a_fold_to_nan_keeps_its_node():
+    tree = subst(parse("a-b"), {"a": math.inf, "b": math.inf})
+    assert tree == BinOp("-", Const(math.inf), Const(math.inf))
+    assert math.isnan(evaluate(tree, {}))
 
 
 def test_subst_is_simultaneous():
