@@ -1,0 +1,221 @@
+#!/usr/bin/env python3
+"""Stage-by-stage timing harness for the `lift` pipeline.
+
+For each lift family and boundary in CASES and each n of the ladder, the
+harness calls the public functions of one `lift` request in turn and times
+each: classify, problem_from_exprs, solve_dirichlet (with its V-cycles and
+hierarchy build), lift_parametric, resample onto the inferred n x n target,
+verify_lift, write_lifted and write_grid.  It adds an in-process `ma-lin lift`
+row per case at the ladder's first size and a fresh-process `import ma_lin`
+row, and writes the best of k runs, the solver's cycle counts, SHA-256
+prefixes of the two CSVs and the host (nproc, python, numpy) to a JSON file.
+
+Each pass runs in a fresh worker process that imports `ma_lin` from the
+tree under test and takes the best of k = 5 warm runs of every stage; 6 such
+passes are run per tree (--quick: n = 17 and 33, one run, one pass).  With --against REV, the `src/` of REV is
+exported by `git archive` into a temporary directory, its passes alternate
+with this tree's (the order flipping each round, since on a shared machine
+only runs made close together compare), and the directory is removed
+afterwards.
+
+    python scripts/bench.py --out BENCH.json
+    python scripts/bench.py --against HEAD~1 --out BENCH.json
+    python scripts/bench.py --quick --out /tmp/bench.json   # a smoke run
+"""
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (catalog id, boundary): Laplace and grad-inversion with the lift families'
+# boundary data, and each coefficient with the other's kind of data
+CASES = (("plane-strain-class", "X^2-Y^2"),
+         ("grad-inversion", "X^2-Y*arctan(Y)"),
+         ("grad-inversion", "X^2-Y^2"),
+         ("plane-strain-class", "exp(X)*cos(Y)"))
+DOMAIN = (0.5, 1.5, 0.5, 1.5)
+STAGES = ("classify", "problem", "solve", "lift", "resample", "verify",
+          "write_lifted", "write_grid")
+# (sizes, k runs of each stage per pass, passes per tree); the full ladder
+# takes about 9 minutes with --against on a 2-core machine
+FULL = ((65, 129, 257, 513), 5, 6)
+QUICK = ((17, 33), 1, 1)
+
+
+def _best(fn, k):
+    """fn's result and its best wall time over k calls."""
+    times = []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return out, min(times)
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:10]
+
+
+def worker(spec: dict) -> dict:
+    """One pass over the ladder in this process, with ma_lin from spec["src"]."""
+    sys.path.insert(0, spec["src"])
+    from ma_lin import (catalog_get, classify, geometry_from_domain, lift_parametric,
+                        linear_coefficient, parse, problem_from_exprs, resample,
+                        solve_dirichlet, verify_lift, write_grid, write_lifted)
+    from ma_lin.cli import main as cli_main
+    from ma_lin.lift import _infer_target  # the target `lift` infers, as the pipeline does
+
+    k, rows, cli_rows = spec["repeat"], [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, boundary in CASES:
+            for n in spec["sizes"]:
+                t, geom = {}, geometry_from_domain(*DOMAIN, n, n)
+                eq = catalog_get(family)
+                cls, t["classify"] = _best(lambda: classify(eq, seed=42), k)
+                coeff = linear_coefficient(cls)
+                problem, t["problem"] = _best(
+                    lambda: problem_from_exprs(geom, coeff, None, parse(boundary)), k)
+                (U, report), t["solve"] = _best(lambda: solve_dirichlet(problem), k)
+                surface, t["lift"] = _best(lambda: lift_parametric(U), k)
+                target = _infer_target(surface, n, n)
+                grid, t["resample"] = _best(lambda: resample(surface, target), k)
+                _, t["verify"] = _best(lambda: verify_lift(surface, eq), k)
+                lifted, resampled = Path(tmp, "lifted.csv"), Path(tmp, "resampled.csv")
+                _, t["write_lifted"] = _best(lambda: write_lifted(surface, lifted), k)
+                _, t["write_grid"] = _best(lambda: write_grid(grid.grid, resampled), k)
+                rows.append({"family": family, "boundary": boundary, "n": n,
+                             "iterations": report.iterations,
+                             "setup_s": report.setup_seconds, "stages": t,
+                             "lifted_sha256": _sha(lifted), "resampled_sha256": _sha(resampled)})
+            n = spec["sizes"][0]
+            cfg = Path(tmp, "lift.json")
+            cfg.write_text(json.dumps({"id": family, "domain": list(DOMAIN), "nx": n, "ny": n,
+                                       "boundary": boundary, "target_nx": n, "target_ny": n}))
+            code, seconds = _best(lambda: cli_main(["lift", "--in", str(cfg), "--out",
+                                                    str(Path(tmp, "out")), "--force"]), k)
+            if code != 0:
+                raise SystemExit(f"ma-lin lift of {family} with {boundary} exited {code}")
+            cli_rows.append({"family": family, "boundary": boundary, "n": n, "seconds": seconds})
+    return {"rows": rows, "cli_lift": cli_rows}
+
+
+def _import_seconds(src: str) -> float:
+    """Wall time of `import ma_lin` in a fresh interpreter."""
+    code = ("import time; t = time.perf_counter(); import ma_lin; "
+            "print(time.perf_counter() - t)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return float(out)
+
+
+def _pass(src: str, spec: dict) -> dict:
+    out = subprocess.run([sys.executable, __file__, "--worker", json.dumps({**spec, "src": src})],
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    result = json.loads(out)
+    result["import_s"] = min(_import_seconds(src) for _ in range(spec["repeat"]))
+    return result
+
+
+def _merge(passes: list) -> dict:
+    """The best of every timing over the passes of one tree; the cycle counts
+    and hashes, which every pass must agree on, from the first."""
+    first = passes[0]
+    for p in passes[1:]:
+        for row, other in zip(first["rows"], p["rows"]):
+            if (row["iterations"], row["lifted_sha256"], row["resampled_sha256"]) != (
+                    other["iterations"], other["lifted_sha256"], other["resampled_sha256"]):
+                raise SystemExit(f"passes disagree at {row['family']} n={row['n']}")
+            row["setup_s"] = min(row["setup_s"], other["setup_s"])
+            for stage in STAGES:
+                row["stages"][stage] = min(row["stages"][stage], other["stages"][stage])
+        for row, other in zip(first["cli_lift"], p["cli_lift"]):
+            row["seconds"] = min(row["seconds"], other["seconds"])
+        first["import_s"] = min(first["import_s"], p["import_s"])
+    return first
+
+
+def _git(*args) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _export_src(rev: str, dest: str) -> str:
+    """REV's src/ written under dest by `git archive`; its path."""
+    data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, members=[m for m in tar.getmembers() if m.isfile() or m.isdir()])
+    return str(Path(dest, "src"))
+
+
+def _host() -> dict:
+    import numpy
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "machine": platform.machine()}
+
+
+def _print(trees: dict) -> None:
+    names = list(trees)
+    print(f"{'case':<36} {'n':>4} {'tree':<8} {'cycles':>6} "
+          + " ".join(f"{s[:12]:>12}" for s in STAGES))
+    for k, row in enumerate(trees[names[0]]["rows"]):
+        for name in names:
+            r = trees[name]["rows"][k]
+            print(f"{r['family'] + ' ' + r['boundary']:<36} {r['n']:>4} {name:<8} "
+                  f"{r['iterations']:>6} " + " ".join(f"{r['stages'][s]:12.5f}" for s in STAGES))
+    for name in names:
+        rows = ", ".join(f"{r['family']} {r['seconds']:.4f}" for r in trees[name]["cli_lift"])
+        print(f"{name}: import ma_lin {trees[name]['import_s']:.4f} s; ma-lin lift {rows}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", help="JSON file to write (required)")
+    ap.add_argument("--against", metavar="REV", help="also time the src/ of this git revision")
+    ap.add_argument("--quick", action="store_true", help="n = 17, 33 with one run of each")
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.worker:
+        print(json.dumps(worker(json.loads(args.worker))))
+        return
+    if not args.out:
+        ap.error("--out is required")
+    sizes, repeat, rounds = QUICK if args.quick else FULL
+    spec = {"sizes": list(sizes), "repeat": repeat}
+    try:
+        rev = _git("rev-parse", "--short", "HEAD")
+        rev += " with uncommitted changes" if _git("status", "--porcelain", "src") else ""
+    except (OSError, subprocess.CalledProcessError):
+        rev = "unknown"
+    with tempfile.TemporaryDirectory() as tmp:
+        sources = {"this": (rev, str(ROOT / "src"))}
+        if args.against:
+            sources["against"] = (_git("rev-parse", "--short", args.against),
+                                  _export_src(args.against, tmp))
+        passes = {name: [] for name in sources}
+        for r in range(rounds):
+            for name in (list(sources) if r % 2 == 0 else list(sources)[::-1]):
+                passes[name].append(_pass(sources[name][1], spec))
+    trees = {name: {"rev": sources[name][0], **_merge(passes[name])} for name in sources}
+    report = {"host": _host(), "settings": {**spec, "rounds": rounds, "domain": DOMAIN,
+                                            "best_of": "k runs per pass, over every pass"},
+              "trees": trees}
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    _print(trees)
+
+
+if __name__ == "__main__":
+    main()

@@ -545,13 +545,19 @@ def compile_trees(trees) -> Program:
     """One program for the trees, in one walk of them: each distinct subtree,
     keyed by shape and constant bits, is one register.  Steps run children
     before parents and left before right, so the results and the first
-    EvalError are those of evaluating the trees one by one."""
-    nodes, keyed, layout = [], {}, []
+    EvalError are those of evaluating the trees one by one.  A node object
+    the trees share is walked once (by id, while `trees` holds it alive)."""
+    trees = tuple(trees)
+    nodes, keyed, layout, seen = [], {}, [], {}
+
+    def sub(e: Expr) -> int:
+        r = seen.get(id(e))
+        return reg(e) if r is None else r
 
     def reg(e: Expr) -> int:
         t = type(e)
         if t is BinOp:
-            key = (e.op, reg(e.left), reg(e.right))
+            key = (e.op, sub(e.left), sub(e.right))
             if e.op == "^":
                 key += (_product_exponent(nodes[key[2]]),)
         elif t is Const:
@@ -559,18 +565,18 @@ def compile_trees(trees) -> Program:
         elif t is Var:
             key = (e.name, None, None)
         elif t is Neg:
-            key = ("-", reg(e.arg), None)
+            key = ("-", sub(e.arg), None)
         elif t is Call:
-            key = (e.func, reg(e.arg), None)
+            key = (e.func, sub(e.arg), None)
         else:
             raise TypeError(f"not an Expr node: {e!r}")
-        r = keyed.setdefault(key, len(nodes))
+        r = seen[id(e)] = keyed.setdefault(key, len(nodes))
         if r == len(nodes):
             nodes.append(e)
             layout.append(None if t is Const else key)
         return r
 
-    outputs = tuple(reg(t) for t in trees)
+    outputs = tuple(sub(t) for t in trees)
     return Program(nodes, (outputs, *layout))
 
 

@@ -229,6 +229,26 @@ def zero_start_solve(problem, max_iter: int = 100_000):
     row that fail to halve the residual, or max_iter).  Returns the iterate,
     the V-cycles run, the final max-norm residual and whether it met the
     bound."""
+    return _reference_solve(problem, max_iter, nested=False)
+
+
+def linear_start_solve(problem, max_iter: int = 100_000):
+    """Reference for ma_lin.linsolve.solve_dirichlet with a nested start that
+    carries each coarse solution up by the V-cycle's linear interpolation
+    (`_Level.prolong`) instead of cubic; the rest as in zero_start_solve,
+    with the finest level's cycle of the start counted as the first."""
+    return _reference_solve(problem, max_iter, nested=True)
+
+
+def _linear_start(level, U, g) -> None:
+    if level.coarse is not None:
+        Uc = U[level.keep]
+        _linear_start(level.coarse, Uc, level.restrict(g))
+        U[1:-1, 1:-1] = level.prolong(Uc)[1:-1, 1:-1]
+    level.cycle(U, g)
+
+
+def _reference_solve(problem, max_iter: int, nested: bool):
     from ma_lin.linsolve import FLOOR_FACTOR, STALL_CYCLES, _Level, discrete_residual
     geom, f, g = problem.geom, problem.fcoeff.values, problem.source.values
     U = np.zeros((geom.ny, geom.nx))
@@ -237,6 +257,9 @@ def zero_start_solve(problem, max_iter: int = 100_000):
     top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
     scale = np.finfo(np.float64).eps * (2 / geom.dx ** 2 + 2 * np.max(f[1:-1, 1:-1]) / geom.dy ** 2)
     cycles, mark, since = 0, math.inf, 0
+    if nested:
+        _linear_start(top, U, g)
+        cycles = 1
     while True:
         res = np.max(np.abs(discrete_residual(U, f[1:-1, 1:-1], g[1:-1, 1:-1], geom.dx, geom.dy)))
         bound = FLOOR_FACTOR * scale * np.max(np.abs(U))

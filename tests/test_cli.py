@@ -109,6 +109,7 @@ def test_solve_not_elliptic_exits_2(tmp_path, capsys):
 def test_solve_not_converged_exits_3_with_report(tmp_path):
     data = _solve_config()
     data["max_iter"] = 1
+    data["boundary"] = "exp(X)*cos(Y)"  # data that one V-cycle does not solve
     cfg = _write(tmp_path / "p.json", data)
     out = tmp_path / "o"
     assert main(["solve", "--in", cfg, "--out", str(out)]) == 3
@@ -121,7 +122,8 @@ def test_solve_not_converged_exits_3_with_report(tmp_path):
 
 def test_solve_not_converged_says_so_on_stderr(tmp_path, capsys):
     # the same line a lift whose solve fails to converge prints
-    cfg = _write(tmp_path / "p.json", {**_solve_config(), "max_iter": 1})
+    cfg = _write(tmp_path / "p.json", {**_solve_config(), "max_iter": 1,
+                                        "boundary": "exp(X)*cos(Y)"})
     assert main(["solve", "--in", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("not converged: no convergence after 1 V-cycles")

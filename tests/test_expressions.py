@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import struct
+import sys
 import warnings
 import weakref
 
@@ -17,7 +18,7 @@ from ma_lin.equations import khabirov_push
 from ma_lin.expressions import (BinOp, Call, Const, EvalError, Neg, ParseError,
                                 Var, compile_trees, diff, evaluate, parse, subst,
                                 to_text, variables)
-from ma_lin.grids import GridGeometry, JetArrays
+from ma_lin.grids import GridGeometry, JetArrays, jet_exprs
 from ma_lin.lift import PipelineConfig
 from ma_lin.linsolve import SolveReport
 from ma_lin.transforms import ContactImage
@@ -508,6 +509,52 @@ def test_multi_tree_programs_share_subtrees_and_match_reference_walk():
                  BinOp("/", u, BinOp("+", t, Const(1.0))))
         raised.append(_check_program(trees, _cells(rng)))
     assert min(raised.count(True), raised.count(False)) >= 20
+
+
+def _objects(trees) -> set:
+    """The ids of the distinct node objects of the trees."""
+    seen, stack = set(), list(trees)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack += [getattr(e, a) for a in ("left", "right", "arg") if hasattr(e, a)]
+    return seen
+
+
+def _unshared(e):
+    """A copy of a tree in which no node object is reached twice."""
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _unshared(e.left), _unshared(e.right))
+    if isinstance(e, (Neg, Call)):
+        return type(e)(*e._key()[:-1], _unshared(e.arg))
+    return e._copy()
+
+
+def test_compile_trees_walks_each_node_object_once():
+    # the six jet trees of one expression reach 170 node objects 303 times;
+    # a doubling chain reaches its leaf by 2^16 paths
+    jets = jet_exprs(parse("X^2-Y*arctan(Y)+0.3*sin(X)*cos(Y)"), ("X", "Y"))
+    chain = Var("x")
+    for _ in range(16):
+        chain = BinOp("+", chain, chain)
+    for trees in (jets, (chain,)):
+        walks = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "reg" \
+                    and frame.f_code.co_filename == expressions.__file__:
+                walks[0] += 1
+        sys.setprofile(count)
+        try:
+            program = compile_trees(trees)
+        finally:
+            sys.setprofile(None)
+        assert walks[0] == len(_objects(trees)), walks
+    assert len(_objects(jets)) == 170 and program({"x": 1.0}) == [2.0 ** 16]
+    # the same layout, so the same code, as trees that share no object
+    assert compile_trees(jets).layout == compile_trees([_unshared(t) for t in jets]).layout
+    _check_program(jets, {"X": np.array([0.7, 1.3]), "Y": np.array([0.6, -0.2])})
 
 
 def test_program_keeps_zero_constants_of_either_sign_apart():

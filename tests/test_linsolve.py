@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (apply_reference, dense_dirichlet, dense_level_operator, dense_line_solve,
-                     measured_order, product_reference, src_env, transfers_reference,
-                     zero_start_solve)
+                     linear_start_solve, measured_order, product_reference, src_env,
+                     transfers_reference, zero_start_solve)
 from ma_lin import linsolve
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
@@ -16,7 +16,7 @@ from ma_lin.grids import geometry_from_domain, sample
 from ma_lin.linsolve import (DIRECT_SIDE, FLOOR_FACTOR, PCR_SIDE, BoundaryValues,
                              NotConvergedError, NotEllipticError,
                              boundary_from_edge_exprs, constant_f_family,
-                             discrete_residual, mms_source, _apply, _coarse_nodes,
+                             discrete_residual, mms_source, _apply, _coarse_nodes, _cubic,
                              _dense_inverse, _Level, _product, _terms, _transfers,
                              problem_from_exprs, solve_dirichlet)
 
@@ -125,7 +125,9 @@ def test_mixed_sign_coefficient_rejected():
 
 def test_not_converged_carries_report_and_grid():
     geom = geometry_from_domain(0, 1, 0, 1, 17, 17)
-    prob = problem_from_exprs(geom, parse("1"), None, parse("X^2-Y^2"))
+    # data that one V-cycle does not solve: the nested start reproduces a
+    # quadratic such as X^2-Y^2 exactly
+    prob = problem_from_exprs(geom, parse("1"), None, parse("exp(X)*cos(Y)"))
     with pytest.raises(NotConvergedError) as exc:
         solve_dirichlet(prob, max_iter=1)
     assert exc.value.report.converged is False
@@ -279,6 +281,20 @@ def test_nested_start_takes_no_more_cycles_than_a_zero_start():
         assert converged and rep.iterations <= cycles, (case, rep.iterations, cycles)
         total[0], total[1] = total[0] + rep.iterations, total[1] + cycles
     assert total[0] < 0.8 * total[1], total
+
+
+SWEEP_SHAPES = ((3, 3), (21, 21), (50, 37), (64, 64), (65, 65), (97, 33), (33, 97))
+
+
+def test_cubic_start_takes_fewer_cycles_than_a_linear_start():
+    # 462 V-cycles against 473 over the seeded problems, and 502 against 524
+    # over the sweep, when this test was written
+    seeded = [prob for _, prob in _seeded_problems()]
+    sweep = [_robust_problem(f, nx, ny) for f in SWEEP_COEFFS for nx, ny in SWEEP_SHAPES]
+    for problems in (seeded, sweep):
+        cubic = sum(solve_dirichlet(prob)[1].iterations for prob in problems)
+        linear = sum(linear_start_solve(prob)[1] for prob in problems)
+        assert cubic < linear, (cubic, linear)
 
 
 def _lift_family_problem(fcoeff, nx, ny):
@@ -489,10 +505,11 @@ def test_hierarchy_ends_at_the_first_coarse_level_within_the_limit(nx, ny, level
 def test_lift_families_take_no_more_cycles_with_the_direct_level(fcoeff):
     # the plane-strain-class and grad-inversion coefficients with their lift
     # boundary data; the V-cycles each took with the direct level and the
-    # nested start (11, 11, 11, 11 and 9, 10, 10, 10 when the hierarchy went
-    # on down to 3 nodes per axis and each solve started from zero), and no
-    # more than a zero start takes
-    before = {"1": (8, 8, 8, 7), "(1+Y^2)^2": (7, 7, 7, 6)}[fcoeff]
+    # cubic nested start (8, 8, 8, 7 and 7, 7, 7, 6 with a linear one; 11,
+    # 11, 11, 11 and 9, 10, 10, 10 when the hierarchy went on down to 3 nodes
+    # per axis and each solve started from zero), and no more than a zero
+    # start takes
+    before = {"1": (1, 1, 1, 1), "(1+Y^2)^2": (5, 5, 5, 5)}[fcoeff]
     for n, cycles, direct in zip((33, 65, 97, 129), before, (225, 225, 121, 225)):
         prob = _lift_family_problem(fcoeff, n, n)
         _, rep = solve_dirichlet(prob)
@@ -500,6 +517,57 @@ def test_lift_families_take_no_more_cycles_with_the_direct_level(fcoeff):
         assert rep.iterations <= zero_start_solve(prob)[1], n
         assert rep.direct_unknowns == direct <= DIRECT_SIDE ** 2
         assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+
+
+def _cubic_reproduces(pos, keep, degree):
+    idx, w = _cubic(pos, keep)
+    coarse = pos[keep].astype(float)
+    # each stencil is centred on the node's interval, except where it meets an end
+    last = len(keep) - 1
+    assert np.all((coarse[idx[:, 1]] <= pos) | (idx[:, 0] == 0))
+    assert np.all((pos <= coarse[idx[:, -2]]) | (idx[:, -1] == last))
+    for coeffs in ((1.0, -2.0, 0.5, 0.25), (0.3, 1.7, -0.9, -1.1)):
+        poly = np.polynomial.Polynomial(coeffs[:degree + 1])
+        got = (w * poly(coarse[idx])).sum(axis=1)
+        assert np.allclose(got, poly(pos), rtol=1e-13, atol=1e-13 * np.max(np.abs(poly(pos))))
+
+
+@pytest.mark.parametrize("pos", [
+    np.arange(17),                          # uniform, odd
+    np.arange(18),                          # even: the last coarse interval spans 3
+    np.arange(18)[_coarse_nodes(18)],       # that level's own non-uniform nodes
+    np.arange(8),                           # 4 coarse nodes, one stencil for all
+], ids=["odd", "even", "merged", "four"])
+def test_cubic_start_weights_reproduce_cubics(pos):
+    _cubic_reproduces(pos, _coarse_nodes(len(pos)), 3)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cubic_start_weights_on_a_3_node_coarse_axis_reproduce_quadratics(n):
+    keep = _coarse_nodes(n)
+    assert len(keep) == 3 and _cubic(np.arange(n), keep)[0].shape == (n, 3)
+    _cubic_reproduces(np.arange(n), keep, 2)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 17, 18, 33])
+def test_cubic_start_keeps_the_kept_nodes(n):
+    pos = np.arange(n)
+    keep = _coarse_nodes(n)
+    idx, w = _cubic(pos, keep)
+    assert np.all(idx >= 0) and np.all(idx < len(keep))
+    kw, ki = w[keep], idx[keep]
+    assert np.all((kw == 1.0).sum(axis=1) == 1)
+    assert np.array_equal(ki[kw == 1.0], np.arange(len(keep)))
+    assert np.all((kw == 1.0) | (kw == 0.0))
+    assert not np.any(np.signbit(w) & (w == 0.0))  # no -0.0 weights
+
+
+@pytest.mark.parametrize("n", [33, 65, 97, 129])
+def test_laplace_with_quadratic_data_converges_in_one_cycle(n):
+    # the five-point scheme and the cubic start both reproduce X^2-Y^2, so
+    # the start already sits at the rounding floor
+    _, rep = solve_dirichlet(_lift_family_problem("1", n, n))
+    assert rep.iterations == 1 and rep.residual <= FLOOR_FACTOR * rep.residual_floor
 
 
 def test_solution_bytes_independent_of_blas_threads():

@@ -1,7 +1,9 @@
 """Smoke runs of the study scripts at small sizes, in-process."""
 
+import json
 import math
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +39,42 @@ def test_solver_convergence_runs(monkeypatch, capsys):
         cycles, residual, floor = int(row[3]), float(row[4]), float(row[5])
         assert 1 <= cycles <= 30 and 0.0 < floor and residual <= FLOOR_FACTOR * floor
         assert len(row) == 7 and 0.0 <= float(row[6]) < 60.0
+
+
+def _git_head():
+    """HEAD of the git repository whose top level is this checkout, or None."""
+    try:
+        top, head = subprocess.run(
+            ["git", "-C", str(SCRIPTS.parent), "rev-parse", "--show-toplevel", "HEAD"],
+            check=True, capture_output=True, text=True).stdout.split()
+    except (OSError, subprocess.CalledProcessError, ValueError):
+        return None
+    return head if Path(top).resolve() == SCRIPTS.parent else None
+
+
+def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    head = _git_head()
+    _run(monkeypatch, "bench.py", "--quick", "--out", str(out),
+         *(["--against", head] if head else []))
+    report = json.loads(out.read_text())
+    assert {"nproc", "python", "numpy"} <= set(report["host"])
+    assert report["settings"]["sizes"] == [17, 33] and report["settings"]["repeat"] == 1
+    assert set(report["trees"]) == ({"this", "against"} if head else {"this"})
+    stages = ("classify", "problem", "solve", "lift", "resample", "verify",
+              "write_lifted", "write_grid")
+    for tree in report["trees"].values():
+        rows = tree["rows"]
+        assert [(r["family"], r["n"]) for r in rows][:2] == [("plane-strain-class", 17),
+                                                             ("plane-strain-class", 33)]
+        assert len(rows) == 8 and len(tree["cli_lift"]) == 4
+        for r in rows:
+            assert set(r["stages"]) == set(stages)
+            assert all(0.0 < v < 60.0 for v in r["stages"].values()), r
+            assert r["iterations"] >= 1 and 0.0 < r["setup_s"] < 60.0
+            assert len(r["lifted_sha256"]) == len(r["resampled_sha256"]) == 10
+        assert all(0.0 < r["seconds"] < 60.0 for r in tree["cli_lift"])
+        assert 0.0 < tree["import_s"] < 60.0
+    # the Laplace quadratic is reproduced by the nested start
+    assert [r["iterations"] for r in report["trees"]["this"]["rows"][:2]] == [1, 1]
+    assert "import ma_lin" in capsys.readouterr().out
