@@ -6,9 +6,13 @@ harness calls the public functions of one `lift` request in turn and times
 each: classify, problem_from_exprs, solve_dirichlet (with its V-cycles and
 hierarchy build), lift_parametric, resample onto the inferred n x n target,
 verify_lift, write_lifted and write_grid.  It adds an in-process `ma-lin lift`
-row per case at the ladder's first size and a fresh-process `import ma_lin`
-row, and writes the best of k runs, the solver's cycle counts, SHA-256
-prefixes of the two CSVs and the host (nproc, python, numpy) to a JSON file.
+row per case at the ladder's first size, a fresh-process `import ma_lin`
+row and, per lift family, a point row: `compose_chain` and
+`contact_map(symbolic_jet(...))` called once per point at POINTS seeded
+float64 points, as the closed-form benchmark calls them, timed per point
+with a SHA-256 prefix of the bits of every image field and `valid`.  It
+writes the best of k runs, the solver's cycle counts, SHA-256 prefixes of
+the two CSVs and the host (nproc, python, numpy) to a JSON file.
 
 Each pass runs in a fresh worker process that imports `ma_lin` from the
 tree under test and takes the best of k = 5 warm runs of every stage; 6 such
@@ -47,6 +51,10 @@ CASES = (("plane-strain-class", "X^2-Y^2"),
 DOMAIN = (0.5, 1.5, 0.5, 1.5)
 STAGES = ("classify", "problem", "solve", "lift", "resample", "verify",
           "write_lifted", "write_grid")
+# the point rows: each lift family's boundary, an exact U of its linear
+# equation, at POINTS seeded points of DOMAIN
+POINT_CASES = CASES[:2]
+POINTS = 200
 # (sizes, k runs of each stage per pass, passes per tree); the full ladder
 # takes about 9 minutes with --against on a 2-core machine
 FULL = ((65, 129, 257, 513), 5, 6)
@@ -65,6 +73,31 @@ def _best(fn, k):
 
 def _sha(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:10]
+
+
+def _point_rows(k: int) -> list:
+    """Per lift family, the best per-point time of a loop of compose_chain
+    and of contact_map(symbolic_jet(...)) over the seeded points, and a
+    digest of the bits of each route's images."""
+    import numpy as np
+    from ma_lin import compose_chain, contact_map, parse, symbolic_jet
+
+    (x0, x1, y0, y1), rows = DOMAIN, []
+    points = np.random.default_rng(42).uniform((x0, y0), (x1, y1), (POINTS, 2))
+    for family, boundary in POINT_CASES:
+        U, row = parse(boundary), {"family": family, "U": boundary, "points": POINTS}
+        routes = (("chain", lambda: [compose_chain(U, X, Y) for X, Y in points]),
+                  ("direct", lambda: [contact_map(symbolic_jet(U, ("X", "Y"), X, Y), X, Y)
+                                      for X, Y in points]))
+        for name, fn in routes:
+            fn()  # the first call compiles U's jet program
+            images, seconds = _best(fn, k)
+            fields = np.array([(m.x, m.y, m.jacobian, *m.jet.entries(), m.jet.valid)
+                               for m in images], dtype=np.float64)
+            row[f"{name}_us"] = seconds / POINTS * 1e6
+            row[f"{name}_sha256"] = hashlib.sha256(fields.tobytes()).hexdigest()[:10]
+        rows.append(row)
+    return rows
 
 
 def worker(spec: dict) -> dict:
@@ -107,7 +140,7 @@ def worker(spec: dict) -> dict:
             if code != 0:
                 raise SystemExit(f"ma-lin lift of {family} with {boundary} exited {code}")
             cli_rows.append({"family": family, "boundary": boundary, "n": n, "seconds": seconds})
-    return {"rows": rows, "cli_lift": cli_rows}
+    return {"rows": rows, "cli_lift": cli_rows, "points": _point_rows(k)}
 
 
 def _import_seconds(src: str) -> float:
@@ -142,6 +175,11 @@ def _merge(passes: list) -> dict:
                 row["stages"][stage] = min(row["stages"][stage], other["stages"][stage])
         for row, other in zip(first["cli_lift"], p["cli_lift"]):
             row["seconds"] = min(row["seconds"], other["seconds"])
+        for row, other in zip(first["points"], p["points"]):
+            for route in ("chain", "direct"):
+                if row[f"{route}_sha256"] != other[f"{route}_sha256"]:
+                    raise SystemExit(f"passes disagree at the {route} points of {row['family']}")
+                row[f"{route}_us"] = min(row[f"{route}_us"], other[f"{route}_us"])
         first["import_s"] = min(first["import_s"], p["import_s"])
     return first
 
@@ -178,6 +216,11 @@ def _print(trees: dict) -> None:
     for name in names:
         rows = ", ".join(f"{r['family']} {r['seconds']:.4f}" for r in trees[name]["cli_lift"])
         print(f"{name}: import ma_lin {trees[name]['import_s']:.4f} s; ma-lin lift {rows}")
+    for name in names:
+        for r in trees[name]["points"]:
+            print(f"{name}: {r['family']} {r['U']} per point: compose_chain "
+                  f"{r['chain_us']:.2f} us ({r['chain_sha256']}), contact_map(symbolic_jet) "
+                  f"{r['direct_us']:.2f} us ({r['direct_sha256']})")
 
 
 def main() -> None:

@@ -436,9 +436,14 @@ class Program:
 
     def __call__(self, bindings: Bindings) -> list:
         """The value of each tree, as `evaluate` would give it."""
-        env = {name: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray) and v.ndim
-               else float(v) for name, v in bindings.items()}
-        shapes = [v.shape for v in env.values() if isinstance(v, np.ndarray)]
+        env, shapes = {}, []
+        for name, v in bindings.items():
+            if isinstance(v, np.ndarray) and v.ndim:
+                v = np.asarray(v, dtype=np.float64)
+                shapes.append(v.shape)
+            else:
+                v = float(v)
+            env[name] = v
         shape = np.broadcast_shapes(*shapes) if shapes else ()
         # numpy warns on overflow in * and /; Python floats warn only in ufuncs
         if shape or self._ufuncs:
@@ -447,7 +452,7 @@ class Program:
         else:
             values = self._run(env, shape)
         if not shape:
-            return [float(v) for v in values]
+            return list(map(float, values))
         return [np.array(np.broadcast_to(v, shape), dtype=np.float64) for v in values]
 
 

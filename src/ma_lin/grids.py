@@ -170,11 +170,13 @@ class JetArrays(_Value):
 
 
 def _finite(values) -> np.ndarray:
-    """True where every value is finite; a numpy bool when no value is an
-    array, found by math.isfinite without numpy's per-call cost."""
-    if any(isinstance(a, np.ndarray) for a in values):
-        return functools.reduce(np.logical_and, map(np.isfinite, values))
-    return np.bool_(all(map(math.isfinite, values)))
+    """True where every value is finite.  With no array among the values,
+    a point, math.isfinite decides in Python bools, without numpy's per-call
+    cost, and the result is the numpy bool np.True_ or np.False_."""
+    for a in values:
+        if isinstance(a, np.ndarray):
+            return functools.reduce(np.logical_and, map(np.isfinite, values))
+    return np.True_ if all(map(math.isfinite, values)) else np.False_
 
 
 def interior_jets(g: Grid2) -> JetArrays:
@@ -236,7 +238,7 @@ def symbolic_jet(e: Expr, names: tuple[str, str], x, y) -> JetArrays:
     a point's entries are Python floats and its `valid` a numpy bool."""
     n1, n2 = names
     values = _jet_entry(e, names)[1]({n1: x, n2: y})
-    return JetArrays(*values, valid=_finite(values))
+    return JetArrays(*values, _finite(values))
 
 
 # ---------------------------------------------------------------------------

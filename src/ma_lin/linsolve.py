@@ -398,12 +398,13 @@ def _dense_inverse(W, E, S, N, C) -> np.ndarray:
     J, n = C.shape
     k = np.arange(n)
     Z = np.zeros((J, n, J * n))
+    D = np.zeros((J, n, n))  # the tridiagonal D_j of every row
+    D[:, k, k] = C
+    D[:, k[1:], k[:-1]] = -W[:, 1:]
+    D[:, k[:-1], k[1:]] = -E[:, :-1]
     G = []
     for j in range(J):
-        T = np.zeros((n, n))
-        T[k, k] = C[j]
-        T[k[1:], k[:-1]] = -W[j, 1:]
-        T[k[:-1], k[1:]] = -E[j, :-1]
+        T = D[j]
         if j:
             T -= S[j][:, None] * G[-1] * N[j - 1]
         G.append(_gauss_jordan(T))
@@ -442,9 +443,13 @@ class _Level:
                         if k < f.shape[0] - 1]
         if min(f.shape) > 3:
             kx, ky = _coarse_nodes(len(px)), _coarse_nodes(len(py))
-            self.prolong_x, self.restrict_x = (_terms(t, 1) for t in _transfers(px, kx))
-            self.prolong_y, self.restrict_y = (_terms(t, 0) for t in _transfers(py, ky))
-            self.start_x, self.start_y = _terms(_cubic(px, kx), 1), _terms(_cubic(py, ky), 0)
+            tx, cx = _transfers(px, kx), _cubic(px, kx)
+            # a square grid's axes share their transfers
+            ty, cy = ((tx, cx) if np.array_equal(px, py)
+                      else (_transfers(py, ky), _cubic(py, ky)))
+            self.prolong_x, self.restrict_x = (_terms(t, 1) for t in tx)
+            self.prolong_y, self.restrict_y = (_terms(t, 0) for t in ty)
+            self.start_x, self.start_y = _terms(cx, 1), _terms(cy, 0)
             self.keep = np.ix_(ky, kx)
             # a level with 3 nodes on an axis is already solved exactly by
             # one line solve, with nothing to build

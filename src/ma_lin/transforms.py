@@ -3,9 +3,12 @@
 Jets are `JetArrays`: float fields for one point or arrays for many, with the
 same bits for a point either way.  The rule is the evaluator's: arrays stay
 arrays, and a point's inputs become Python floats once, at entry, so a point
-runs plain float arithmetic through one set of jet formulas.  Only masking
-differs by kind (np.where for arrays, the fields or NaNs for a point), and a
-point's zero divisor gives numpy's ±inf or NaN, never ZeroDivisionError.
+runs plain float arithmetic through one set of jet formulas.  A point stays
+in Python floats and bools from entry to result: its validity is decided by
+short-circuit comparisons, and only the `valid` it returns is a numpy bool,
+np.True_ or np.False_.  Only masking differs by kind (np.where for arrays,
+the fields or NaNs for a point), and a point's zero divisor gives numpy's
+±inf or NaN, never ZeroDivisionError.
 
 `push_jet_arrays` sends jets of U(X, Y) to jets of u(x, y) with x = U_Y,
 y = U - Y*U_Y, u = X, masking where it folds; `contact_map` raises there
@@ -70,13 +73,13 @@ def _plain_all(*values) -> list:
     """The evaluator's rule at entry: arrays stay (float64) arrays, and
     anything else becomes a Python float once, so a point runs plain float
     arithmetic."""
-    return [float(v) if isinstance(v, float) else _plain(np.asarray(v, dtype=np.float64))
-            for v in values]
+    return [v if type(v) is float else float(v) if isinstance(v, float)
+            else _plain(np.asarray(v, dtype=np.float64)) for v in values]
 
 
 def _all_true(flags) -> bool:
-    """flags.all(), without numpy's reduction for a point's numpy bool."""
-    return bool(flags) if isinstance(flags, np.bool_) else flags.all()
+    """flags.all(), without numpy's reduction for a point's np.True_."""
+    return flags is np.True_ or flags.all()
 
 
 def _div(a, b):
@@ -159,26 +162,29 @@ def push_jet_arrays(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> Cont
     entries = _plain_all(*jet_U.entries(), X, Y)
     U, UX, UY, UXX, UXY, UYY, X, Y = entries
     jac = -UX * UYY
-    # valid draws on all eight inputs, so it has their broadcast shape, and
-    # np.where gives every field that shape
-    valid = (_finite(entries) & (abs(UX) > eps) & (abs(UYY) > eps) & (abs(jac) > eps))
+    valid = _finite(entries)
     if isinstance(valid, np.ndarray):
+        # valid draws on all eight inputs, so it has their broadcast shape,
+        # and np.where gives every field that shape
+        valid = valid & (abs(UX) > eps) & (abs(UYY) > eps) & (abs(jac) > eps)
         with np.errstate(divide="ignore", invalid="ignore"):
             fields = _pushed(*entries)
         fields = [np.where(valid, a, np.nan) for a in (*fields, jac)]
-    elif valid:
+    elif valid and abs(UX) > eps and abs(UYY) > eps and abs(jac) > eps:
         fields = (*_pushed(*entries), jac)
     else:
-        fields = (math.nan,) * 9
+        valid, fields = np.False_, (math.nan,) * 9
     x, y, u, ux, uy, uxx, uxy, uyy, jac = fields
-    return ContactImage(x=x, y=y, jet=JetArrays(u, ux, uy, uxx, uxy, uyy, valid=valid),
-                        jacobian=jac)
+    return ContactImage(x, y, JetArrays(u, ux, uy, uxx, uxy, uyy, valid), jac)
 
+
+# The steps build their records positionally, a JetArrays as (u, u_x, u_y,
+# u_xx, u_xy, u_yy, valid) and a ContactImage as (x, y, jet, jacobian): at a
+# point, keyword arguments cost about 0.4 us a record.
 
 def rotation_step(jet: JetArrays, X, Y):
     """The rotation tau = -Y, sigma = X, Z = -U: returns (tau, sigma, jet of Z)."""
-    return -Y, X, JetArrays(u=-jet.u, ux=jet.uy, uy=-jet.ux,
-                            uxx=-jet.uyy, uxy=jet.uxy, uyy=-jet.uxx, valid=jet.valid)
+    return -Y, X, JetArrays(-jet.u, jet.uy, -jet.ux, -jet.uyy, jet.uxy, -jet.uxx, jet.valid)
 
 
 def legendre_point_map(jet: JetArrays, X, Y, eps: float = DEGENERACY_EPS):
@@ -191,16 +197,8 @@ def legendre_point_map(jet: JetArrays, X, Y, eps: float = DEGENERACY_EPS):
     u, ux, uy, uxx, uxy, uyy, X, Y = _plain_all(*jet.entries(), X, Y)
     det = uxx * uyy - uxy * uxy
     _raise_first("U_XX*U_YY - U_XY^2", det, eps)
-    image = JetArrays(
-        u=X * ux + Y * uy - u,
-        ux=X,
-        uy=Y,
-        uxx=_div(uyy, det),
-        uxy=_div(-uxy, det),
-        uyy=_div(uxx, det),
-        valid=jet.valid,
-    )
-    return ux, uy, image
+    return ux, uy, JetArrays(X * ux + Y * uy - u, X, Y,
+                             _div(uyy, det), _div(-uxy, det), _div(uxx, det), jet.valid)
 
 
 def point_step(jet: JetArrays, xi, eta, eps: float = DEGENERACY_EPS):
@@ -208,15 +206,9 @@ def point_step(jet: JetArrays, xi, eta, eps: float = DEGENERACY_EPS):
     beta, jet of V).  |eta| at or below eps has no image."""
     _raise_first("eta", eta, eps)
     beta = _div(1.0, eta)
-    return xi, beta, JetArrays(
-        u=beta * jet.u,
-        ux=beta * jet.ux,
-        uy=jet.u - eta * jet.uy,
-        uxx=beta * jet.uxx,
-        uxy=jet.ux - eta * jet.uxy,
-        uyy=eta * eta * eta * jet.uyy,
-        valid=jet.valid,
-    )
+    return xi, beta, JetArrays(beta * jet.u, beta * jet.ux, jet.u - eta * jet.uy,
+                               beta * jet.uxx, jet.ux - eta * jet.uxy,
+                               eta * eta * eta * jet.uyy, jet.valid)
 
 
 def ampere_step(V: Union[JetArrays, Expr], alpha, beta, eps: float = DEGENERACY_EPS):
@@ -229,15 +221,9 @@ def ampere_step(V: Union[JetArrays, Expr], alpha, beta, eps: float = DEGENERACY_
         alpha, beta = _plain_all(alpha, beta)
         V = symbolic_jet(V, ("alpha", "beta"), alpha, beta)
     _raise_first("V_beta_beta", V.uyy, eps)
-    return alpha, V.uy, JetArrays(
-        u=V.u - beta * V.uy,
-        ux=V.ux,
-        uy=-beta,
-        uxx=V.uxx - _div(V.uxy * V.uxy, V.uyy),
-        uxy=_div(V.uxy, V.uyy),
-        uyy=_div(-1.0, V.uyy),
-        valid=V.valid,
-    )
+    return alpha, V.uy, JetArrays(V.u - beta * V.uy, V.ux, -beta,
+                                  V.uxx - _div(V.uxy * V.uxy, V.uyy), _div(V.uxy, V.uyy),
+                                  _div(-1.0, V.uyy), V.valid)
 
 
 def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
@@ -250,11 +236,10 @@ def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     """
     X, Y = _plain_all(X, Y)
     tau, sigma, zjet = rotation_step(symbolic_jet(U, ("X", "Y"), X, Y), X, Y)
-    xi, eta, wjet = legendre_point_map(zjet, tau, sigma, eps=eps)
-    alpha, beta, vjet = point_step(wjet, xi, eta, eps=eps)
-    x, y, ujet = ampere_step(vjet, alpha, beta, eps=eps)
-    jac = vjet.uyy * _div(-1.0, eta * eta) * zjet.hessian_det()
-    return ContactImage(x=x, y=y, jet=ujet, jacobian=jac)
+    xi, eta, wjet = legendre_point_map(zjet, tau, sigma, eps)
+    alpha, beta, vjet = point_step(wjet, xi, eta, eps)
+    x, y, ujet = ampere_step(vjet, alpha, beta, eps)
+    return ContactImage(x, y, ujet, vjet.uyy * _div(-1.0, eta * eta) * zjet.hessian_det())
 
 
 # ---------------------------------------------------------------------------

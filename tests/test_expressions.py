@@ -403,6 +403,29 @@ def test_array_evaluation_broadcasts_bindings():
     assert np.array_equal(evaluate(parse("2^3"), {"x": x, "y": y}), np.full((2, 3), 8.0))
 
 
+@pytest.mark.parametrize("bindings", [
+    {"x": 0.5, "y": np.linspace(-1.0, 2.0, 5)},
+    {"x": np.float64(0.5), "y": np.array(2.0)},
+    {"x": np.array(0.5), "y": np.array([[1.0], [-2.0]]), "z": 3},
+    {"x": np.array([1, 2, 3]), "y": True},
+    {"x": 2, "y": np.float32(0.1)},
+])
+def test_program_bindings_mix_floats_and_arrays_as_the_reference_does(bindings):
+    # a 0-d array or numpy scalar binds as a float, an array of one or more
+    # dimensions as a float64 array; every output has the reference's type
+    trees = [parse(t) for t in ("x*y+1", "sin(x)-y^2", "3", "x", "y/x")]
+    want = [reference_evaluate(t, bindings) for t in trees]
+    for got in _every_run(compile_trees(trees), bindings):
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert all(np.shape(a) == np.shape(b) and _same_bits(a, b) for a, b in zip(got, want))
+    bad = {"x": np.ones(2), "y": 1.0, "z": np.ones(3)}
+    with pytest.raises(ValueError) as ref:
+        reference_evaluate(parse("x+z"), bad)
+    with pytest.raises(ValueError) as err:
+        compile_trees((parse("x+z"),))(bad)
+    assert str(err.value) == str(ref.value)
+
+
 def test_variable_exponent_mixes_integer_and_fractional_cells():
     X = np.array([-2.0, -2.0, 2.0, 3.0, 2.0, 0.0, 1.5, -1.1, 1.0])
     Y = np.array([3.0, -2.0, 0.5, 1.5, 70.0, 0.0, -65.0, 67.0, 2.0 ** 40])

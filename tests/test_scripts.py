@@ -75,6 +75,12 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
             assert len(r["lifted_sha256"]) == len(r["resampled_sha256"]) == 10
         assert all(0.0 < r["seconds"] < 60.0 for r in tree["cli_lift"])
         assert 0.0 < tree["import_s"] < 60.0
+        assert [(r["family"], r["points"]) for r in tree["points"]] == [
+            ("plane-strain-class", 200), ("grad-inversion", 200)]
+        for r in tree["points"]:
+            assert 0.0 < r["chain_us"] < 1e4 and 0.0 < r["direct_us"] < 1e4, r
+            assert len(r["chain_sha256"]) == len(r["direct_sha256"]) == 10
     # the Laplace quadratic is reproduced by the nested start
     assert [r["iterations"] for r in report["trees"]["this"]["rows"][:2]] == [1, 1]
-    assert "import ma_lin" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "import ma_lin" in out and "per point: compose_chain" in out

@@ -451,6 +451,59 @@ def test_point_chain_where_eta_squared_underflows(kind):
     assert all(same_bits(a, b[0]) for a, b in zip(_image_fields(im), _image_fields(chained)))
 
 
+_EPS_UP = math.nextafter(DEGENERACY_EPS, math.inf)
+# (U, U_X, U_Y, U_XX, U_XY, U_YY, X, Y) around each test a point decides in
+# Python floats, and whether the image is valid: a NaN in each of the eight
+# inputs, U_X = -0.0, then |U_X|, |U_YY| and the jacobian -U_X U_YY exactly
+# at eps (0.5 * 2 eps is exact) and one ulp above it
+_EDGE_ROWS = tuple(
+    [(tuple(math.nan if i == k else v for i, v in enumerate(_PUSH_ROWS[0])), False)
+     for k in range(8)]
+    + [((1.0, ux, 0.2, 0.7, -0.4, uyy, 0.6, 0.9), ok) for ux, uyy, ok in (
+        (-0.0, 1.1, False), (DEGENERACY_EPS, 1.1, False), (-DEGENERACY_EPS, 1.1, False),
+        (_EPS_UP, 1.1, True), (1.3, DEGENERACY_EPS, False), (1.3, -DEGENERACY_EPS, False),
+        (1.3, _EPS_UP, True), (0.5, 2 * DEGENERACY_EPS, False),
+        (-0.5, 2 * DEGENERACY_EPS, False), (0.5, math.nextafter(2 * DEGENERACY_EPS, 1.0), True))])
+# how each of a point's eight inputs is given: all one kind, or mixed
+_INPUT_KINDS = {"float": (float,) * 8, "float64": (np.float64,) * 8, "0-d": (np.array,) * 8,
+                "mixed": (np.array, float, np.float64) * 2 + (np.float64, np.array)}
+
+
+@pytest.mark.parametrize("kinds", _INPUT_KINDS.values(), ids=_INPUT_KINDS.keys())
+def test_point_edges_give_the_array_bits_and_errors(kinds):
+    rows, expected = zip(*_EDGE_ROWS)
+    cols = np.array(rows).T
+    pushed = push_jet_arrays(JetArrays(*cols[:6], valid=None), cols[6], cols[7])
+    assert pushed.jet.valid.tolist() == list(expected)
+    for k, row in enumerate(rows):
+        point = [kind(v) for kind, v in zip(kinds, row)]
+        jet = point_jet(*point[:6])
+        im = push_jet_arrays(jet, *point[6:])
+        assert im.jet.valid is (np.True_ if expected[k] else np.False_), k
+        assert all(type(a) is float and same_bits(a, b[k])
+                   for a, b in zip(_image_fields(im), _image_fields(pushed))), k
+        if expected[k]:
+            direct = contact_map(jet, *point[6:])
+            assert direct.jet.valid is np.True_
+            assert all(same_bits(a, b) for a, b in zip(_image_fields(direct), _image_fields(im)))
+        else:
+            single = JetArrays(*cols[:6, k:k + 1], valid=None)
+            assert _contact_error(jet, *point[6:]) == _contact_error(
+                single, cols[6, k:k + 1], cols[7, k:k + 1]), k
+
+
+def test_point_valid_is_a_numpy_bool_singleton():
+    U = parse("X^2-Y^2")
+    assert symbolic_jet(U, ("X", "Y"), 1.0, 1.0).valid is np.True_
+    assert symbolic_jet(U, ("X", "Y"), 1e200, 1.0).valid is np.False_
+    assert point_jet(1.0, math.inf, 0.0, 0.0, 0.0, 0.0).finite() is np.False_
+    assert compose_chain(U, np.float64(1.0), 1.0).jet.valid is np.True_
+    assert contact_map(symbolic_jet(U, ("X", "Y"), 1.0, 1.0), 1.0, 1.0).jet.valid is np.True_
+    # a 0-d array among the entries is a point too
+    jet = JetArrays(1.0, np.array(1.3), 0.2, np.float64(0.7), -0.4, 1.1, valid=None)
+    assert jet.finite() is np.True_ and push_jet_arrays(jet, 0.6, 0.9).jet.valid is np.True_
+
+
 def test_compose_chain_degenerate_from_chain():
     with pytest.raises(DegenerateJetError):
         compose_chain(parse("X*Y"), 1.0, 1.0)
