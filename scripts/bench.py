@@ -10,9 +10,13 @@ row per case at the ladder's first size, a fresh-process `import ma_lin`
 row and, per lift family, a point row: `compose_chain` and
 `contact_map(symbolic_jet(...))` called once per point at POINTS seeded
 float64 points, as the closed-form benchmark calls them, timed per point
-with a SHA-256 prefix of the bits of every image field and `valid`.  It
-writes the best of k runs, the solver's cycle counts, SHA-256 prefixes of
-the two CSVs and the host (nproc, python, numpy) to a JSON file.
+with a SHA-256 prefix of the bits of every image field and `valid`.  The
+formatter rows time `grids._format_rows` on blocks of FORMATTER_VALUES
+values, whole rows of the 65 x 65 Laplace lifted surface as `write_lifted`
+writes it, with a SHA-256 prefix of each block's bytes; the smallest and the
+largest block give a fixed cost per call and a cost per value.  It writes
+the best of k runs, the solver's cycle counts, SHA-256 prefixes of the two
+CSVs and the host (nproc, python, numpy) to a JSON file.
 
 Each pass runs in a fresh worker process that imports `ma_lin` from the
 tree under test and takes the best of k = 5 warm runs of every stage; 6 such
@@ -55,6 +59,10 @@ STAGES = ("classify", "problem", "solve", "lift", "resample", "verify",
 # equation, at POINTS seeded points of DOMAIN
 POINT_CASES = CASES[:2]
 POINTS = 200
+# the formatter rows: 1, 99 and 744 rows of the 11-column lifted table, each
+# block formatted FORMATTER_CALLS // values + 1 times per timed run
+FORMATTER_VALUES = (11, 1089, 8184)
+FORMATTER_CALLS = 20000
 # (sizes, k runs of each stage per pass, passes per tree); the full ladder
 # takes about 9 minutes with --against on a 2-core machine
 FULL = ((65, 129, 257, 513), 5, 6)
@@ -100,6 +108,30 @@ def _point_rows(k: int) -> list:
     return rows
 
 
+def _formatter_rows(k: int) -> list:
+    """Per block of the 65 x 65 Laplace lifted surface, the best time per
+    `_format_rows` call and a digest of the bytes."""
+    import numpy as np
+    from ma_lin import (catalog_get, classify, geometry_from_domain, lift_parametric,
+                        linear_coefficient, parse, problem_from_exprs, solve_dirichlet)
+    from ma_lin.grids import _format_rows
+
+    coeff = linear_coefficient(classify(catalog_get(CASES[0][0]), seed=42))
+    problem = problem_from_exprs(geometry_from_domain(*DOMAIN, 65, 65), coeff, None,
+                                 parse(CASES[0][1]))
+    s = lift_parametric(solve_dirichlet(problem)[0])
+    columns = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
+    table = np.column_stack([c[s.valid] for c in columns])
+    rows = []
+    for values in FORMATTER_VALUES:
+        block, calls = table[:values // len(columns)], FORMATTER_CALLS // values + 1
+        text, _ = _format_rows(block)
+        _, seconds = _best(lambda: [_format_rows(block) for _ in range(calls)], k)
+        rows.append({"values": block.size, "us": seconds / calls * 1e6,
+                     "sha256": hashlib.sha256(text).hexdigest()[:10]})
+    return rows
+
+
 def worker(spec: dict) -> dict:
     """One pass over the ladder in this process, with ma_lin from spec["src"]."""
     sys.path.insert(0, spec["src"])
@@ -140,7 +172,8 @@ def worker(spec: dict) -> dict:
             if code != 0:
                 raise SystemExit(f"ma-lin lift of {family} with {boundary} exited {code}")
             cli_rows.append({"family": family, "boundary": boundary, "n": n, "seconds": seconds})
-    return {"rows": rows, "cli_lift": cli_rows, "points": _point_rows(k)}
+    return {"rows": rows, "cli_lift": cli_rows, "points": _point_rows(k),
+            "formatter": _formatter_rows(k)}
 
 
 def _import_seconds(src: str) -> float:
@@ -180,7 +213,17 @@ def _merge(passes: list) -> dict:
                 if row[f"{route}_sha256"] != other[f"{route}_sha256"]:
                     raise SystemExit(f"passes disagree at the {route} points of {row['family']}")
                 row[f"{route}_us"] = min(row[f"{route}_us"], other[f"{route}_us"])
+        for row, other in zip(first["formatter"], p["formatter"]):
+            if row["sha256"] != other["sha256"]:
+                raise SystemExit(f"passes disagree at the {row['values']}-value block")
+            row["us"] = min(row["us"], other["us"])
         first["import_s"] = min(first["import_s"], p["import_s"])
+    # the fixed cost per call and the cost per value, from the smallest and
+    # the largest formatter block
+    small, large = first["formatter"][0], first["formatter"][-1]
+    per_value = (large["us"] - small["us"]) / (large["values"] - small["values"])
+    first["formatter_cost"] = {"fixed_us": small["us"] - small["values"] * per_value,
+                               "per_value_ns": per_value * 1e3}
     return first
 
 
@@ -221,6 +264,12 @@ def _print(trees: dict) -> None:
             print(f"{name}: {r['family']} {r['U']} per point: compose_chain "
                   f"{r['chain_us']:.2f} us ({r['chain_sha256']}), contact_map(symbolic_jet) "
                   f"{r['direct_us']:.2f} us ({r['direct_sha256']})")
+    for name in names:
+        cost = trees[name]["formatter_cost"]
+        print(f"{name}: _format_rows " + ", ".join(
+            f"{r['values']} values {r['us']:.1f} us ({r['sha256']})"
+            for r in trees[name]["formatter"])
+            + f"; {cost['fixed_us']:.1f} us per call + {cost['per_value_ns']:.1f} ns per value")
 
 
 def main() -> None:

@@ -53,12 +53,8 @@ class UsageError(Exception):
 # output plumbing
 
 def _sha256(path) -> str:
-    """The file's SHA-256, read in 64 KiB pieces so that no artifact is held whole."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for piece in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(piece)
-    return digest.hexdigest()
+    """An input file's SHA-256; the artifacts are hashed as they are written."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class _Outputs:
@@ -98,32 +94,35 @@ class _Outputs:
                                       "exit_code": _exit_code(err)}
         self._replace("manifest.json", lambda p: _dump_json(p, self.manifest))
 
-    def _replace(self, name: str, writer) -> Path:
-        """Write name through a temporary file that replaces it whole."""
+    def _replace(self, name: str, writer) -> str:
+        """Write name through a temporary file that replaces it whole; return
+        the writer's result, the SHA-256 of the bytes written."""
         path = self.dir / name
         if path.exists() and not self.force:
             raise UsageError(f"refusing to overwrite {path} (use --force)")
         tmp = path.with_name(name + ".tmp")
         try:
-            writer(tmp)
+            digest = writer(tmp)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):  # a directory in the way stays
                 tmp.unlink()
             raise
-        return path
+        return digest
 
     def write_with(self, name: str, writer) -> None:
         self.writing = True
-        self.manifest["artifacts"][name] = _sha256(self._replace(name, writer))
+        self.manifest["artifacts"][name] = self._replace(name, writer)
         self.writing = False
 
     def write_json(self, name: str, data: dict) -> None:
         self.write_with(name, lambda p: _dump_json(p, data))
 
 
-def _dump_json(path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _dump_json(path, data: dict) -> str:
+    text = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+    path.write_bytes(text)
+    return hashlib.sha256(text).hexdigest()
 
 
 def _load_json(path: str) -> dict:

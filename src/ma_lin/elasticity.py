@@ -293,8 +293,8 @@ def deformation_from_dict(data: dict) -> Deformation:
 
 
 def write_deformed_points(d: Deformation, domain: tuple[float, float, float, float],
-                          n: int, path) -> None:
+                          n: int, path) -> str:
     """Material/spatial pairs over an n-by-n mesh, as CSV rows X,Y,x,y."""
     Xm, Ym = _material_mesh(domain, n)
     x, y = deform(d, (Xm, Ym))
-    write_table(path, "# deformed", [np.column_stack((Xm, Ym, x, y))])
+    return write_table(path, "# deformed", [np.column_stack((Xm, Ym, x, y))])

@@ -9,6 +9,7 @@ through any stencil that touches it.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import re
 
@@ -272,16 +273,25 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, a - h
 
 
+@functools.lru_cache(maxsize=256)  # a block's exponent range recurs from block to block
+def _powers(first: int, last: int) -> tuple[np.ndarray, ...]:
+    """For p = first..last: 10**p's hi, hi's Dekker halves, lo, lo == 0; read-only, shared."""
+    hi, lo = np.array([_pow10(q) for q in range(first, last + 1)]).T
+    tables = (hi, *_split(hi), lo, lo == 0.0)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _scaled(a: np.ndarray, p: np.ndarray):
     """a * 10**p as P + L: P the rounded product, L the rest to about 1e-14.
 
     Returns (P, L, exact), exact where 10**p is a double and P + L is exact."""
     first = int(p.min())
-    hi, lo = np.array([_pow10(q) for q in range(first, int(p.max()) + 1)]).T
-    h = hi.take(p - first)
+    at = p - first
+    h, hh, hl, l, exact = (t.take(at) for t in _powers(first, int(p.max())))
     P = a * h
     ah, al = _split(a)
-    hh, hl = _split(h)
     # L = (((ah*hh - P) + ah*hl) + al*hh) + al*hl + a*lo, in place
     L = ah * hh
     L -= P
@@ -291,8 +301,6 @@ def _scaled(a: np.ndarray, p: np.ndarray):
     L += hh
     hl *= al
     L += hl
-    l = lo.take(p - first)
-    exact = l == 0.0
     l *= a
     L += l
     return P, L, exact
@@ -306,14 +314,16 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|v| rounded half to even to 17 significant digits, as D * 10**(X-16).
 
     Returns (D, X, fast): D in [1e16, 1e17) (0 for zeros), the decimal
-    exponent X, and fast, False where v is non-finite, |v| lies outside
-    _FAST_RANGE, or the product lies within _NEAR_TIE of a rounding tie that
-    is not exact, so that D and X cannot be trusted.
+    exponent X as int16, and fast, False where v is non-finite, |v| lies
+    outside _FAST_RANGE, or the product lies within _NEAR_TIE of a rounding
+    tie that is not exact, so that D and X cannot be trusted.
     """
     a = np.abs(v)
-    zero = a == 0.0
-    inrange = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
-    a = np.where(inrange, a, 1.0)
+    if not (a.min() >= _FAST_RANGE[0] and a.max() <= _FAST_RANGE[1]):
+        zero, inrange = a == 0.0, (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
+        D, X, fast = _decimal(np.where(inrange, a, 1.0))
+        D *= ~zero  # zeros were scaled as 1.0, so their X is already 0
+        return D, X, zero | (inrange & fast)
     k = np.floor(np.log10(a)).astype(np.int64)
     P, L, exact = _scaled(a, 16 - k)
     # next to a power of ten log10 can miss floor(log10 a) by one, and the
@@ -327,12 +337,13 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         P[fix], L[fix], exact[fix] = _scaled(a[fix], 16 - k[fix])
     # P is an even integer, so P + L rounds half to even where L does
     r = np.rint(L)
-    fast = zero | (inrange & (exact | (np.abs(L - r) <= 0.5 - _NEAR_TIE)))
+    fast = exact | (np.abs(L - r) <= 0.5 - _NEAR_TIE)
     D = P.astype(np.int64) + r.astype(np.int64)
     carry = D == 10 ** 17
-    D = np.where(carry, 10 ** 16, D)
-    D *= ~zero  # zeros were scaled as 1.0, so their X is already 0
-    return D, k + carry, fast
+    if carry.any():
+        D[carry] = 10 ** 16
+        k += carry
+    return D, k.astype(np.int16), fast
 
 
 def _digit_rows(D: np.ndarray) -> np.ndarray:
@@ -360,6 +371,7 @@ _BLOCK_VALUES = 8192  # values per block of a blocked pass: bounds the working s
 # part, "e+XXX", the separator
 _SIGN, _LEAD, _BODY, _EXP, _SEP = 0, 1, 6, 24, 29
 _WIDTH = 30
+_ROWS = np.arange(18, dtype=np.uint8)[:, None]
 
 
 def _format_rows(rows: np.ndarray) -> tuple[bytes, int]:
@@ -379,30 +391,27 @@ def _format_rows(rows: np.ndarray) -> tuple[bytes, int]:
         return b"", 0
     D, X, fast = _decimal(v)
     digits = _digit_rows(D)
-    del D
-    # later[c]: a digit other than 0 sits at c or after it
-    later = np.zeros((18, n), bool)
-    np.not_equal(digits, 48, out=later[:17])
-    for c in range(15, -1, -1):
-        later[c] |= later[c + 1]
+    # last: one past the row of each value's last digit other than 0
+    last = ((digits != 48).view(np.uint8) * _ROWS[1:]).max(0)
     expo = (X < -4) | (X >= 17)
     small = (X < 0) & ~expo
-    last_int = np.where(expo, 0, np.where(small, -1, X))  # last integer digit
-    integer = np.arange(17, dtype=np.int8)[:, None] <= last_int.astype(np.int8)
+    last_int = np.maximum(X, -1) * ~expo  # last integer digit
+    top = int(last_int.max()) + 1  # rows that hold an integer digit
 
     m = np.zeros((_WIDTH, n), np.uint8)
     m[_SIGN] = np.signbit(v) * np.uint8(45)
-    lead = np.frombuffer(b"0.000", np.uint8)[:, None]
-    m[_LEAD:_BODY] = lead * (np.arange(5)[:, None] < np.where(small, 1 - X, 0))
-    # the digits one row down, trailing zeros dropped, then the integer
-    # digits one row up over them; the point goes between the two
-    np.multiply(digits, later[:17], out=m[_BODY + 1:_BODY + 18])
-    np.copyto(m[_BODY:_BODY + 17], digits, where=integer)
-    del digits, integer
-    at = np.arange(n)
-    m.reshape(-1)[(_BODY + 1 + last_int) * n + at] = (
-        later.reshape(-1)[(last_int + 1) * n + at] & ~small) * np.uint8(46)
-    del later
+    if small.any():
+        np.multiply(np.frombuffer(b"0.000", np.uint8)[:, None],
+                    _ROWS[:5] < (1 - X) * small, out=m[_LEAD:_BODY])
+    # the integer digits, then the point or nothing, then the other digits
+    # one row down with trailing zeros dropped: three disjoint sets of rows
+    keep = _ROWS[:17] < last
+    keep[:top] &= _ROWS[:top] > last_int
+    np.multiply(digits, keep, out=m[_BODY + 1:_BODY + 18])
+    m[_BODY:_BODY + top] += digits[:top] * (_ROWS[:top] <= last_int)
+    m[_BODY + 1:_BODY + 1 + top] += (_ROWS[:top] == last_int) * (
+        (last > last_int + 1) * np.uint8(46))
+    del D, digits, keep
     if expo.any():
         i = np.flatnonzero(expo)
         e = np.abs(X[i])
@@ -424,15 +433,21 @@ def _format_rows(rows: np.ndarray) -> tuple[bytes, int]:
     return m.T.tobytes().translate(None, b"\0"), slow.size
 
 
-def write_table(path, header: str, blocks) -> None:
+def write_table(path, header: str, blocks) -> str:
     """Write a CSV table: the header line, then the rows of each 2-D float
-    block in `blocks`, formatted _BLOCK_VALUES values (or one row) at a time."""
+    block in `blocks`, formatted _BLOCK_VALUES values (or one row) at a time.
+    Returns the SHA-256 hex digest of the bytes written, taken as they go."""
+    text = header.encode() + b"\n"
+    digest = hashlib.sha256(text)
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
+        fh.write(text)
         for rows in blocks:
             step = max(1, _BLOCK_VALUES // rows.shape[1])
             for first in range(0, len(rows), step):
-                fh.write(_format_rows(rows[first:first + step])[0])
+                text = _format_rows(rows[first:first + step])[0]
+                fh.write(text)
+                digest.update(text)
+    return digest.hexdigest()
 
 
 def _parse_real(token: str, line_no: int, col: int, finite: bool) -> float:
@@ -478,9 +493,9 @@ def read_table(path, width, finite: bool = False) -> tuple[str, np.ndarray]:
     return lines[0], values.reshape(-1, w)
 
 
-def write_grid(g: Grid2, path) -> None:
-    write_table(path, f"# nx={g.nx},ny={g.ny},x0={g.geom.x0:.17g},y0={g.geom.y0:.17g},"
-                      f"dx={g.dx:.17g},dy={g.dy:.17g}", [g.values])
+def write_grid(g: Grid2, path) -> str:
+    return write_table(path, f"# nx={g.nx},ny={g.ny},x0={g.geom.x0:.17g},y0={g.geom.y0:.17g},"
+                             f"dx={g.dx:.17g},dy={g.dy:.17g}", [g.values])
 
 
 def _grid_geometry(header: str) -> GridGeometry:

@@ -359,11 +359,11 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
 # ---------------------------------------------------------------------------
 # CSV export of the parametric surface (valid samples only)
 
-def write_lifted(s: LiftedSurface, path) -> None:
+def write_lifted(s: LiftedSurface, path) -> str:
     columns = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
     # a few mesh rows at a time, so the working set does not grow with the mesh
     step = max(1, _BLOCK_VALUES // (len(columns) * s.valid.shape[1]))
-    write_table(path, "# lifted", (
+    return write_table(path, "# lifted", (
         np.column_stack([c[j:j + step][s.valid[j:j + step]] for c in columns])
         for j in range(0, s.valid.shape[0], step)))
 

@@ -376,8 +376,8 @@ def ampere_discrete(V: Grid2) -> ScatteredSamples:
     )
 
 
-def write_scattered(s: ScatteredSamples, path) -> None:
-    write_table(path, "# scattered", [np.column_stack((s.x, s.y, s.u))])
+def write_scattered(s: ScatteredSamples, path) -> str:
+    return write_table(path, "# scattered", [np.column_stack((s.x, s.y, s.u))])
 
 
 def read_scattered(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

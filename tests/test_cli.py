@@ -795,18 +795,35 @@ def test_manifest_records_input_hash(tmp_path):
     assert len(man["inputs"][eq]) == 64  # sha256 hex digest
 
 
-def test_manifest_records_the_software_versions(tmp_path):
-    # every command's manifest; the CSV bytes are not affected by them
+def _every_command(tmp_path):
+    """A succeeding argv of each subcommand, without --out."""
     lift = {**_lift_config(), "boundary": "X^2-Y^2", "nx": 9, "ny": 9}
-    runs = [["classify", "--id", "grad-inversion"],
+    return [["classify", "--id", "grad-inversion"],
             ["solve", "--in", _write(tmp_path / "p.json", _solve_config())],
             ["lift", "--in", _write(tmp_path / "l.json", lift)],
             ["elasticity", "--in", _write(tmp_path / "d.json", {"kind": "from-U",
                                                                 "potential": "X^2+Y^2"}),
              "--domain=-1,1,-1,1", "--n", "5"],
             ["khabirov", "--g", "1+s^2"]]
+
+
+def test_manifest_records_the_software_versions(tmp_path):
+    # every command's manifest; the CSV bytes are not affected by them
     versions = {"python": platform.python_version(), "numpy": np.__version__}
-    for k, argv in enumerate(runs):
+    for k, argv in enumerate(_every_command(tmp_path)):
         out = tmp_path / f"o{k}"
         assert main([*argv, "--out", str(out)]) == 0, argv
         assert _read_json(out / "manifest.json")["versions"] == versions, argv
+
+
+def test_every_command_hashes_the_bytes_it_wrote(tmp_path):
+    # the digests are taken while writing, not by reading the files back
+    artifacts = [["classification.json"], ["solution.csv", "solve_report.json"],
+                 ["lifted.csv", "resampled.csv", "solve_report.json", "verification.json"],
+                 ["deformed.csv", "incompressibility.json"], ["khabirov.json"]]
+    for k, (argv, names) in enumerate(zip(_every_command(tmp_path), artifacts)):
+        out = tmp_path / f"o{k}"
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        man = _read_json(out / "manifest.json")
+        assert sorted(man["artifacts"]) == names and "error" not in man, argv
+        assert _listed_hashes_match(out, man), argv

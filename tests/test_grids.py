@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ from ma_lin.expressions import Const, Var, compile_trees, diff, evaluate, parse
 from ma_lin.grids import (Grid2, GridError, GridFormatError, GridGeometry,
                           MaskedGrid2, _format_rows, geometry_from_domain,
                           interior_jets, jet_exprs, read_grid, sample,
-                          symbolic_jet, write_grid)
+                          symbolic_jet, write_grid, write_table)
 
 
 def _unit_geom(n=3):
@@ -415,6 +416,48 @@ def test_format_rows_falls_back_to_python():
     text, fallbacks = _format_rows(rows)
     assert text == percent_g_rows(rows)
     assert fallbacks == 6
+
+
+# In the fast range and written without an exponent, values below and above
+# 1, with 1 to 17 significant digits: the block-wide branches of the
+# formatter take these, and each case below adds one value of another kind.
+_FAST_BLOCK = [1.5, -0.25, 123456.789, -2.0 ** 0.5, 0.1, 1e16 + 2.0, 0.00012345, 7.0,
+               -99999999999999999.0, 0.5 ** 20]
+
+
+@pytest.mark.parametrize("extra,fallbacks", [
+    ([], 0), ([0.0], 0), ([-0.0], 0), ([5e-324], 1), ([np.nan], 0), ([1e300], 1),
+    ([-1.25e-7], 0), ([6.02214076e23], 0),
+], ids=["fast-range", "zero", "negative-zero", "subnormal", "nan", "huge", "small-exponent",
+        "large-exponent"])
+def test_format_rows_fixed_blocks(extra, fallbacks):
+    for shape in ((1, -1), (-1, 1)):
+        rows = np.array(_FAST_BLOCK + extra).reshape(shape)
+        assert _format_rows(rows) == (percent_g_rows(rows), fallbacks)
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, -0.25, 0.001, 0.00012345, -0.999, 2.0 ** -13, 0.1 + 0.2],
+    [1.0, -2.5, 123.0, 7.25, 1e16, -12345678901234567.0, 2.0 ** 52 + 0.5],
+    [0.1], [-3.5], [0.0], [1e-5], [np.nan],
+], ids=["no-value-at-least-1", "no-value-below-1", "one-below-1", "one-above-1", "one-zero",
+        "one-exponent", "one-nan"])
+def test_format_rows_blocks_that_skip_a_branch(values):
+    rows = np.array([values])
+    assert _format_rows(rows) == (percent_g_rows(rows), 0)
+
+
+@pytest.mark.parametrize("block_values", [1, 11, 8192])
+def test_write_table_bytes_and_digest_do_not_depend_on_the_block(tmp_path, monkeypatch,
+                                                                 block_values):
+    rng = np.random.default_rng(25)
+    blocks = [rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-8, 20, (40, 3)),
+              np.array([[np.nan, -0.0, 1e300], [5e-324, 0.0, -1.25e-7]])]
+    monkeypatch.setattr(grids, "_BLOCK_VALUES", block_values)
+    digest = write_table(tmp_path / "t.csv", "# t", blocks)
+    data = (tmp_path / "t.csv").read_bytes()
+    assert data == b"# t\n" + b"".join(percent_g_rows(rows) for rows in blocks)
+    assert digest == hashlib.sha256(data).hexdigest()
 
 
 def test_write_grid_matches_percent_g(tmp_path):

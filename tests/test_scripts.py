@@ -80,7 +80,15 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
         for r in tree["points"]:
             assert 0.0 < r["chain_us"] < 1e4 and 0.0 < r["direct_us"] < 1e4, r
             assert len(r["chain_sha256"]) == len(r["direct_sha256"]) == 10
+        assert [r["values"] for r in tree["formatter"]] == [11, 1089, 8184]
+        for r in tree["formatter"]:
+            assert 0.0 < r["us"] < 1e6 and len(r["sha256"]) == 10, r
+        assert set(tree["formatter_cost"]) == {"fixed_us", "per_value_ns"}
+    # both trees format every block to the same bytes
+    assert len({tuple(r["sha256"] for r in tree["formatter"])
+                for tree in report["trees"].values()}) == 1
     # the Laplace quadratic is reproduced by the nested start
     assert [r["iterations"] for r in report["trees"]["this"]["rows"][:2]] == [1, 1]
     out = capsys.readouterr().out
     assert "import ma_lin" in out and "per point: compose_chain" in out
+    assert "_format_rows 11 values" in out and "ns per value" in out
