@@ -3,9 +3,10 @@
 
 Each row picks an exact solution U* and coefficient f, manufactures the source
 U*_XX + f U*_YY symbolically, solves with boundary data from U*, and reports
-the max-norm error against U* on a refinement ladder, with the multigrid
-V-cycles run, the final max-norm residual, its rounding floor and the
-solve's wall time in seconds (`SolveReport.elapsed`).
+the max-norm error against U* on a refinement ladder, with the start the
+solve took (`fourier` when f is constant along X, else `nested`), the
+multigrid V-cycles run after it, the final max-norm residual, its rounding
+floor and the solve's wall time in seconds (`SolveReport.elapsed`).
 """
 
 import argparse
@@ -32,7 +33,8 @@ def main() -> None:
 
     for ustar, fcoeff in CASES:
         print(f"\nU* = {ustar},  f = {fcoeff}")
-        print(f"{'n':>5} {'max error':>12} {'order':>7} {'cycles':>6} {'residual':>10} {'floor':>10} {'seconds':>8}")
+        print(f"{'n':>5} {'max error':>12} {'order':>7} {'start':>7} {'cycles':>6} {'residual':>10} "
+              f"{'floor':>10} {'seconds':>8}")
         prev = None
         for n in grids:
             geom = geometry_from_domain(0, 1, 0, 1, n, n)
@@ -41,7 +43,7 @@ def main() -> None:
             U, rep = solve_dirichlet(prob)
             err = float(np.max(np.abs(U.values - sample(parse(ustar), ("X", "Y"), geom).values)))
             order = f"{math.log2(prev / err):7.3f}" if prev else "      -"
-            print(f"{n:>5} {err:12.4e} {order} {rep.iterations:>6} "
+            print(f"{n:>5} {err:12.4e} {order} {rep.start:>7} {rep.iterations:>6} "
                   f"{rep.residual:10.3e} {rep.residual_floor:10.3e} {rep.elapsed:8.3f}")
             prev = err
 

@@ -346,6 +346,13 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
         target = (config.target if isinstance(config.target, GridGeometry)
                   else _infer_target(surface, *config.target))
         grid = resample(surface, target)
+        if grid.n_valid == 0:
+            x, y = surface.x[surface.valid], surface.y[surface.valid]
+            tx, ty = target.xs(), target.ys()
+            raise EmptyLiftError(
+                f"no target node was resampled: target [{tx[0]:g}, {tx[-1]:g}] x "
+                f"[{ty[0]:g}, {ty[-1]:g}], image [{x.min():g}, {x.max():g}] x "
+                f"[{y.min():g}, {y.max():g}]")
 
     with _stage("verify"):
         verification = verify_lift(surface, eq)

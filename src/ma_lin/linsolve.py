@@ -1,8 +1,15 @@
 """Dirichlet solver for U_XX + f(X, Y) U_YY = g(X, Y) on a rectangle.
 
-Five-point scheme, solved by geometric multigrid (Briggs, Henson and
-McCormick, *A Multigrid Tutorial*): V-cycles of alternating zebra line
-relaxation, which stays robust when f makes the problem strongly anisotropic.
+When the sampled f is constant along every grid row (f = f(Y): 1 or
+(1+Y^2)^2 for most of the catalog), the five-point scheme is solved directly
+by a sine transform in X and one tridiagonal solve in Y per mode (see
+`_fourier_start`); the multigrid below runs only if the residual that start
+leaves misses the bound.  The test is exact, on the grid values, and
+f = f(X) is deliberately not covered: it stays on the multigrid.
+
+Otherwise it is solved by geometric multigrid (Briggs, Henson and McCormick,
+*A Multigrid Tutorial*): V-cycles of alternating zebra line relaxation,
+which stays robust when f makes the problem strongly anisotropic.
 Each level keeps every other node of the finer one; an axis with an even node
 count merges its last three intervals into one.  The hierarchy ends at the
 first level with 3 nodes on some axis, where a single line solve is exact,
@@ -38,15 +45,16 @@ Lagrange interpolation (Trottenberg, Oosterlee and Schueller, *Multigrid*,
 2.6: linear interpolation's O(H^2) error cost 1-3 more cycles), and given one
 V-cycle.  The finest level's cycle is the first iteration counted; it leaves
 an error near the discretization error, and at the rounding floor for data
-that the scheme and the interpolation both reproduce (X^2-Y^2 with f = 1).
+that the scheme and the interpolation both reproduce (a quadratic U).
 
 Every operation in a cycle, and in building the inverse, is elementwise
 numpy arithmetic or a sum in a fixed order (the inverse's block products run
-in numpy's own einsum loop), with no BLAS or LAPACK call, so
-a given problem always produces a bit-identical solution whatever the thread
-count.  Convergence is declared on the max-norm of the discrete residual,
-matching the scheme the solution is supposed to satisfy, against a
-scale-aware bound: by default ``max|r| <= FLOOR_FACTOR * residual_floor``
+in numpy's own einsum loop), with no BLAS or LAPACK call, and the Fourier
+start's transforms run in numpy's pocketfft, which calls neither BLAS nor
+threads, so a given problem always produces a bit-identical solution
+whatever the thread count.  Convergence is declared on the max-norm of the
+discrete residual, matching the scheme the solution is supposed to satisfy,
+against a scale-aware bound: by default ``max|r| <= FLOOR_FACTOR * residual_floor``
 with ``residual_floor = eps * (2/dx^2 + 2*max f/dy^2) * max|U|``, the size of
 the residual that rounding U to doubles alone can leave.
 """
@@ -161,19 +169,22 @@ class SolveReport(_Value):
     residual: float
     converged: bool
     elapsed: float
-    setup_seconds: float  # of elapsed, building the hierarchy (its transfers, lines and inverse)
+    # of elapsed, running the Fourier start or building the hierarchy (its
+    # transfers, lines and inverse), or both when cycles follow the Fourier start
+    setup_seconds: float
     tol: float
     residual_floor: float
     residuals: tuple     # max|r| at each convergence check, the first after the start
-    levels: tuple        # (nx, ny) of each multigrid level, finest first
+    levels: tuple        # (nx, ny) of each multigrid level, finest first; () if none was built
     direct_unknowns: int  # interior nodes of the level solved exactly, 0 if none
+    start: str           # "fourier" or "nested"
 
     def __init__(self, iterations, residual, converged, elapsed, setup_seconds, tol,
-                 residual_floor, residuals, levels, direct_unknowns):
+                 residual_floor, residuals, levels, direct_unknowns, start):
         vars(self).update(iterations=iterations, residual=residual, converged=converged,
                           elapsed=elapsed, setup_seconds=setup_seconds, tol=tol,
                           residual_floor=residual_floor, residuals=residuals, levels=levels,
-                          direct_unknowns=direct_unknowns)
+                          direct_unknowns=direct_unknowns, start=start)
 
 
 def discrete_residual(U: np.ndarray, f_int: np.ndarray, g_int: np.ndarray,
@@ -512,6 +523,44 @@ class _Level:
         self.relax(U, g)
 
 
+def _fourier_start(U: np.ndarray, f: np.ndarray, g: np.ndarray, dx: float, dy: float) -> None:
+    """Solve the scheme directly into U's interior when f is constant along
+    every grid row (Hockney 1965; Buzbee, Golub and Nielson 1970).  With the
+    boundary values moved into the right-hand side, a sine transform in X
+    (DST-I, as the imaginary part of `rfft` of the odd extension, of length
+    2N with N = nx - 1) turns the scheme into one tridiagonal system in Y per
+    mode k = 1 ... N-1, with diagonal 4/dx^2 sin^2(pi k/2N) + 2 f_j/dy^2 and
+    couplings f_j/dy^2: strictly dominant, so the Thomas sweep, run over all
+    modes at once, needs no pivoting.  The same transform twice is 2N times
+    the identity."""
+    N = U.shape[1] - 1
+    e = f[1:-1, :1] / dy ** 2  # each interior row's coupling to the rows beside it
+    b = -g[1:-1, 1:-1]
+    b[:, 0] += U[1:-1, 0] / dx ** 2
+    b[:, -1] += U[1:-1, -1] / dx ** 2
+    b[0] += e[0] * U[0, 1:-1]
+    b[-1] += e[-1] * U[-1, 1:-1]
+
+    def dst(A):  # -2 sum_t A_t sin(pi k t/N) for k = 1 ... N-1
+        odd = np.zeros((A.shape[0], 2 * N))
+        odd[:, 1:N], odd[:, N + 1:] = A, -A[:, ::-1]
+        return np.fft.rfft(odd, axis=1).imag[:, 1:N]
+
+    # each row divided by its coupling, so that the couplings are all 1
+    d = 4.0 / dx ** 2 * np.sin(np.pi / (2 * N) * np.arange(1, N)) ** 2 / e + 2.0
+    r, p = dst(b) / e, np.empty(d.shape)
+    np.divide(1.0, d[0], out=p[0])
+    r[0] *= p[0]
+    for dj, rj, r_prev, pj, p_prev in zip(d[1:], r[1:], r, p[1:], p):
+        np.subtract(dj, p_prev, out=pj)
+        np.divide(1.0, pj, out=pj)
+        rj += r_prev
+        rj *= pj
+    for rj, r_next, pj in zip(r[-2::-1], r[:0:-1], p[-2::-1]):
+        rj += pj * r_next
+    U[1:-1, 1:-1] = dst(r) / (2 * N)
+
+
 def check_solve_limits(tol, max_iter) -> None:
     """Raise ValueError, naming the field, unless tol is None or a finite
     number >= 0 and max_iter is a whole number >= 1."""
@@ -528,9 +577,12 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
                     max_iter: int = 200_000) -> tuple[Grid2, SolveReport]:
     """Solve the five-point scheme to a max-norm residual below tol.
 
-    Starts by nested iteration (`_Level.start`): every coarser level is solved
-    first and its solution interpolated up, and the finest level's V-cycle
-    after that is the first of the `iterations` the report counts.  The
+    Starts directly (`_fourier_start`) when f is constant along every grid
+    row, and builds the hierarchy only if V-cycles must follow; the report's
+    `start` is then "fourier" and `iterations` counts those cycles alone.
+    Otherwise it starts by nested iteration (`_Level.start`): every coarser
+    level is solved first and its solution interpolated up, and the finest
+    level's V-cycle after that is the first of the `iterations`.  The
     default tol is FLOOR_FACTOR times the rounding floor of the current
     iterate; tol = 0 runs until the residual stalls.  Rejects any non-positive
     coefficient node (the Dirichlet problem is only well-posed for f > 0),
@@ -556,11 +608,22 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
     U[0, :] = problem.boundary.bottom
     U[-1, :] = problem.boundary.top
 
-    t0 = time.perf_counter()
-    top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
-    setup = time.perf_counter() - t0
-    top.start(U, g)
-    cycles, mark, since, residuals = 1, math.inf, 0, []
+    def build() -> _Level:
+        nonlocal setup
+        t0 = time.perf_counter()
+        level = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
+        setup += time.perf_counter() - t0
+        return level
+
+    setup, top, t0 = 0.0, None, time.perf_counter()
+    first = "fourier" if np.all(f == f[:, :1]) else "nested"
+    if first == "fourier":
+        _fourier_start(U, f, g, geom.dx, geom.dy)
+        setup, cycles = time.perf_counter() - t0, 0
+    else:
+        top, cycles = build(), 1
+        top.start(U, g)
+    mark, since, residuals = math.inf, 0, []
     while True:
         res = float(np.max(np.abs(discrete_residual(U, f_int, g_int, geom.dx, geom.dy))))
         residuals.append(res)
@@ -572,14 +635,16 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
             since += 1
         if res <= bound or cycles >= max_iter or since >= STALL_CYCLES:
             break
+        top = top or build()
         top.cycle(U, g)
         cycles += 1
-    levels = top.levels()
+    levels = top.levels() if top else []
+    inverse = levels[-1].inverse if levels else None
     report = SolveReport(iterations=cycles, residual=res, converged=res <= bound,
                          elapsed=time.perf_counter() - start, setup_seconds=setup, tol=bound,
                          residual_floor=floor, residuals=tuple(residuals),
                          levels=tuple(lev.shape[::-1] for lev in levels),
-                         direct_unknowns=0 if levels[-1].inverse is None else len(levels[-1].inverse))
+                         direct_unknowns=0 if inverse is None else len(inverse), start=first)
     if not report.converged:
         raise NotConvergedError(report, Grid2(geom, U))
     return Grid2(geom, U), report

@@ -109,7 +109,9 @@ def test_solve_not_elliptic_exits_2(tmp_path, capsys):
 def test_solve_not_converged_exits_3_with_report(tmp_path):
     data = _solve_config()
     data["max_iter"] = 1
-    data["boundary"] = "exp(X)*cos(Y)"  # data that one V-cycle does not solve
+    # data that one V-cycle does not solve, and an f that varies along X,
+    # which keeps the solve off the Fourier start
+    data["boundary"], data["fcoeff"] = "exp(X)*cos(Y)", "1+X*Y"
     cfg = _write(tmp_path / "p.json", data)
     out = tmp_path / "o"
     assert main(["solve", "--in", cfg, "--out", str(out)]) == 3
@@ -123,7 +125,7 @@ def test_solve_not_converged_exits_3_with_report(tmp_path):
 def test_solve_not_converged_says_so_on_stderr(tmp_path, capsys):
     # the same line a lift whose solve fails to converge prints
     cfg = _write(tmp_path / "p.json", {**_solve_config(), "max_iter": 1,
-                                        "boundary": "exp(X)*cos(Y)"})
+                                        "boundary": "exp(X)*cos(Y)", "fcoeff": "1+X*Y"})
     assert main(["solve", "--in", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("not converged: no convergence after 1 V-cycles")
@@ -257,6 +259,27 @@ def test_lift_all_nodes_degenerate_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path / "l.json", data)
     assert main(["lift", "--in", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "rejected: pipeline stage 'lift' failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x0,y0,code", [(100.0, 100.0, 2), (-2.5, 1.0, 0)],
+                         ids=["far", "partial"])
+def test_lift_with_no_resampled_value_exits_2(tmp_path, capsys, x0, y0, code):
+    # the image of this 17x17 mesh is about [-2.88, -1.13] x [0.63, 4.13]: a
+    # target far from it resamples no node, and one that overlaps it part
+    data = {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5], "nx": 17, "ny": 17,
+            "boundary": "X^2-Y^2",
+            "target": {"nx": 5, "ny": 5, "x0": x0, "y0": y0, "dx": 1.0, "dy": 1.0}}
+    out = tmp_path / "o"
+    assert main(["lift", "--in", _write(tmp_path / "l.json", data), "--out", str(out)]) == code
+    man = _read_json(out / "manifest.json")
+    if code == 0:
+        values = read_grid(out / "resampled.csv").values
+        assert 0 < np.isfinite(values).sum() < values.size and "error" not in man
+        return
+    assert man["artifacts"] == {}
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == ("resample", 2)
+    assert "target [100, 104] x [100, 104], image [-2.875, -1.125] x [0.6" in man["error"]["message"]
+    assert "rejected: pipeline stage 'resample' failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +730,31 @@ def test_lift_grad_inversion_n97_converges(tmp_path):
 
 
 def test_lift_solve_report_records_the_multigrid_levels(tmp_path):
-    cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+    # general-Au's coefficient X*(1+Y^2)^2 varies along X: the nested start runs
+    cfg = _write(tmp_path / "l.json", {"id": "general-Au", "domain": [0.5, 1.5, 0.5, 1.5],
                                         "nx": 65, "ny": 65, "boundary": "X^2-Y^2",
                                         "target_nx": 9, "target_ny": 9})
     out = tmp_path / "o"
     assert main(["lift", "--in", cfg, "--out", str(out)]) == 0
     rep = _read_json(out / "solve_report.json")
     # 65 -> 33 -> 17 nodes per axis; the 15x15 interior of the last is solved exactly
-    assert rep["levels"] == [[65, 65], [33, 33], [17, 17]]
+    assert rep["start"] == "nested" and rep["levels"] == [[65, 65], [33, 33], [17, 17]]
     assert rep["direct_unknowns"] == 225
+
+
+def test_lift_solve_report_records_the_fourier_start(tmp_path):
+    # plane-strain-class's coefficient 1 is constant along X: the Fourier
+    # start meets the bound, with no V-cycle and no hierarchy built
+    cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+                                        "nx": 65, "ny": 65, "boundary": "X^2-Y^2",
+                                        "target_nx": 9, "target_ny": 9})
+    out = tmp_path / "o"
+    assert main(["lift", "--in", cfg, "--out", str(out)]) == 0
+    rep = _read_json(out / "solve_report.json")
+    assert (rep["start"], rep["iterations"], rep["levels"], rep["direct_unknowns"]) == (
+        "fourier", 0, [], 0)
+    assert rep["residuals"] == [rep["residual"]] and rep["residual"] <= rep["tol"]
+    assert 0.0 < rep["setup_seconds"] < rep["elapsed"]
 
 
 def test_solve_reports_record_the_hierarchy_build_time(tmp_path):
@@ -730,7 +769,7 @@ def test_solve_reports_record_the_hierarchy_build_time(tmp_path):
 
 
 def test_lift_solve_report_records_the_residual_history(tmp_path):
-    cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+    cfg = _write(tmp_path / "l.json", {"id": "general-Au", "domain": [0.5, 1.5, 0.5, 1.5],
                                         "nx": 65, "ny": 65, "boundary": "X^2-Y^2",
                                         "target_nx": 9, "target_ny": 9})
     out = tmp_path / "o"

@@ -166,10 +166,10 @@ _CONFIG_TEXT = (f"PipelineConfig(geom={_GEOM_TEXT}, boundary=Var(name='X'), targ
     (PipelineConfig, (), dict(geom=GridGeometry(*_GEOM_ARGS), boundary=Var("X"),
                               target=(33, 33), solve_tol=None, seed=42), _CONFIG_TEXT),
     (SolveReport, (3, 1e-12, True, 0.5, 0.25, 4e-12, 1e-12, (1e-3, 1e-12), ((5, 5), (3, 3)),
-                   1), {},
+                   1, "nested"), {},
      "SolveReport(iterations=3, residual=1e-12, converged=True, elapsed=0.5, "
      "setup_seconds=0.25, tol=4e-12, residual_floor=1e-12, residuals=(0.001, 1e-12), "
-     "levels=((5, 5), (3, 3)), direct_unknowns=1)"),
+     "levels=((5, 5), (3, 3)), direct_unknowns=1, start='nested')"),
     (ContactImage, (1.0, 2.0, JetArrays(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, True), -4.0), {},
      "ContactImage(x=1.0, y=2.0, jet=JetArrays(u=1.0, ux=2.0, uy=3.0, uxx=4.0, uxy=5.0, "
      "uyy=6.0, valid=True), jacobian=-4.0)"),

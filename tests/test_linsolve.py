@@ -12,9 +12,9 @@ from helpers import (apply_reference, dense_dirichlet, dense_level_operator, den
 from ma_lin import linsolve
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
-from ma_lin.grids import geometry_from_domain, sample
+from ma_lin.grids import Grid2, geometry_from_domain, sample
 from ma_lin.linsolve import (DIRECT_SIDE, FLOOR_FACTOR, PCR_SIDE, BoundaryValues,
-                             NotConvergedError, NotEllipticError,
+                             EllipticProblem, NotConvergedError, NotEllipticError,
                              boundary_from_edge_exprs, constant_f_family,
                              discrete_residual, mms_source, _apply, _coarse_nodes, _cubic,
                              _dense_inverse, _Level, _product, _terms, _transfers,
@@ -126,8 +126,9 @@ def test_mixed_sign_coefficient_rejected():
 def test_not_converged_carries_report_and_grid():
     geom = geometry_from_domain(0, 1, 0, 1, 17, 17)
     # data that one V-cycle does not solve: the nested start reproduces a
-    # quadratic such as X^2-Y^2 exactly
-    prob = problem_from_exprs(geom, parse("1"), None, parse("exp(X)*cos(Y)"))
+    # quadratic such as X^2-Y^2 exactly, and an f that varies along X keeps
+    # the solve off the Fourier start
+    prob = problem_from_exprs(geom, parse("1+X*Y"), None, parse("exp(X)*cos(Y)"))
     with pytest.raises(NotConvergedError) as exc:
         solve_dirichlet(prob, max_iter=1)
     assert exc.value.report.converged is False
@@ -159,8 +160,10 @@ def test_tol_zero_and_whole_float_max_iter_stay_legal():
 
 
 def test_residuals_record_each_convergence_check():
+    # a coefficient of both coordinates, so that the nested start and its
+    # V-cycles run
     geom = geometry_from_domain(0, 1, 0, 1, 33, 33)
-    prob = problem_from_exprs(geom, parse("(1+Y^2)^2"), None, parse("X^2-Y^2"))
+    prob = problem_from_exprs(geom, parse("1+X*Y"), None, parse("X^2-Y^2"))
     _, rep = solve_dirichlet(prob)
     assert len(rep.residuals) == rep.iterations and rep.residuals[-1] == rep.residual
     assert all(b < 0.5 * a for a, b in zip(rep.residuals, rep.residuals[1:]))
@@ -230,16 +233,24 @@ def test_multigrid_matches_dense_reference(fcoeff, nx, ny):
     assert np.max(np.abs(U.values - ref)) <= bound
 
 
-@pytest.mark.parametrize("fcoeff", ROBUST_COEFFS)
+# the anisotropic ones of ROBUST_COEFFS made to vary along X, so that the
+# V-cycle rather than the Fourier start meets them
+VARYING_COEFFS = ("100*(1+0.1*X*Y)", "0.01*(1+0.1*X*Y)", "exp(3*Y)*(1+0.1*X)")
+
+
+@pytest.mark.parametrize("fcoeff", ROBUST_COEFFS + VARYING_COEFFS)
 @pytest.mark.parametrize("nx,ny", [(3, 3), (21, 21), (50, 37), (64, 64)])
 def test_multigrid_cycle_bound(fcoeff, nx, ny):
     prob = _robust_problem(fcoeff, nx, ny)
     _, rep = solve_dirichlet(prob)
     assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+    assert rep.start == "nested" or fcoeff not in VARYING_COEFFS
     # with a tol well above the floor only the convergence rate counts
     _, fast = solve_dirichlet(prob, tol=1e3 * rep.residual_floor)
     if (nx, ny) == (3, 3):
-        assert fast.iterations == 1  # one interior node: the line solve is exact
+        # one interior node: the line solve is exact, as the Fourier start
+        # is for an f constant along X
+        assert fast.iterations == {"nested": 1, "fourier": 0}[fast.start]
     assert fast.iterations <= 12, fast
 
 
@@ -297,11 +308,12 @@ def test_cubic_start_takes_fewer_cycles_than_a_linear_start():
         assert cubic < linear, (cubic, linear)
 
 
-def _lift_family_problem(fcoeff, nx, ny):
-    """A lift family's coefficient and boundary data, with no source."""
+def _lift_family_problem(fcoeff, nx, ny, times_x=False):
+    """A lift family's coefficient, or X times it, and boundary data, with no
+    source."""
     boundary = {"1": "X^2-Y^2", "(1+Y^2)^2": "X^2 - Y*arctan(Y)"}[fcoeff]
     return problem_from_exprs(geometry_from_domain(0.5, 1.5, 0.5, 1.5, nx, ny),
-                              parse(fcoeff), None, parse(boundary))
+                              parse(f"X*{fcoeff}" if times_x else fcoeff), None, parse(boundary))
 
 
 @pytest.mark.parametrize("make,fcoeff,nx,ny", [
@@ -504,16 +516,22 @@ def test_hierarchy_ends_at_the_first_coarse_level_within_the_limit(nx, ny, level
 @pytest.mark.parametrize("fcoeff", ["1", "(1+Y^2)^2"])
 def test_lift_families_take_no_more_cycles_with_the_direct_level(fcoeff):
     # the plane-strain-class and grad-inversion coefficients with their lift
-    # boundary data; the V-cycles each took with the direct level and the
-    # cubic nested start (8, 8, 8, 7 and 7, 7, 7, 6 with a linear one; 11,
+    # boundary data take the Fourier start, with no cycle and no hierarchy.
+    # X times each coefficient (X*(1+Y^2)^2 is general-Au's) keeps the same
+    # data on the multigrid: the V-cycles each took with the direct level and
+    # the cubic nested start (the coefficients themselves took 1, 1, 1, 1 and
+    # 5, 5, 5, 5 there; 8, 8, 8, 7 and 7, 7, 7, 6 with a linear start; 11,
     # 11, 11, 11 and 9, 10, 10, 10 when the hierarchy went on down to 3 nodes
     # per axis and each solve started from zero), and no more than a zero
     # start takes
-    before = {"1": (1, 1, 1, 1), "(1+Y^2)^2": (5, 5, 5, 5)}[fcoeff]
+    before = {"1": (7, 7, 7, 7), "(1+Y^2)^2": (6, 6, 6, 6)}[fcoeff]
     for n, cycles, direct in zip((33, 65, 97, 129), before, (225, 225, 121, 225)):
-        prob = _lift_family_problem(fcoeff, n, n)
+        _, rep = solve_dirichlet(_lift_family_problem(fcoeff, n, n))
+        assert (rep.start, rep.iterations, rep.levels, rep.direct_unknowns) == ("fourier", 0, (), 0)
+        assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+        prob = _lift_family_problem(fcoeff, n, n, times_x=True)
         _, rep = solve_dirichlet(prob)
-        assert rep.iterations <= cycles, (n, rep)
+        assert rep.start == "nested" and rep.iterations <= cycles, (n, rep)
         assert rep.iterations <= zero_start_solve(prob)[1], n
         assert rep.direct_unknowns == direct <= DIRECT_SIDE ** 2
         assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
@@ -564,10 +582,18 @@ def test_cubic_start_keeps_the_kept_nodes(n):
 
 @pytest.mark.parametrize("n", [33, 65, 97, 129])
 def test_laplace_with_quadratic_data_converges_in_one_cycle(n):
-    # the five-point scheme and the cubic start both reproduce X^2-Y^2, so
-    # the start already sits at the rounding floor
+    # Laplace takes the Fourier start, with no cycle.  With 1+X*Y, and the
+    # source that keeps X^2-Y^2 exact, the nested start runs: the five-point
+    # scheme, the restriction of a linear f and the cubic start all
+    # reproduce X^2-Y^2, so the start already sits at the rounding floor
     _, rep = solve_dirichlet(_lift_family_problem("1", n, n))
-    assert rep.iterations == 1 and rep.residual <= FLOOR_FACTOR * rep.residual_floor
+    assert rep.start == "fourier" and rep.iterations == 0
+    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+    geom = geometry_from_domain(0.5, 1.5, 0.5, 1.5, n, n)
+    quadratic, f = parse("X^2-Y^2"), parse("1+X*Y")
+    _, rep = solve_dirichlet(problem_from_exprs(geom, f, mms_source(quadratic, f), quadratic))
+    assert rep.start == "nested" and rep.iterations == 1
+    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
 
 
 def test_solution_bytes_independent_of_blas_threads():
@@ -586,6 +612,90 @@ def test_solution_bytes_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.split())
     assert outputs[0][0] == str(15 * 11) and len(outputs[0][1]) == 64
+    assert outputs[0] == outputs[1]
+
+
+FOURIER_COEFFS = ("1", "(1+Y^2)^2", "exp(3*Y)", "0.01", "100")
+
+
+@pytest.mark.parametrize("fcoeff", FOURIER_COEFFS)
+@pytest.mark.parametrize("nx,ny", [(3, 3), (4, 4), (21, 21), (20, 13), (5, 511), (511, 5),
+                                   (1020, 3)])
+def test_fourier_start_matches_dense_reference(fcoeff, nx, ny):
+    # f constant along X: the Fourier start meets the default bound with no
+    # V-cycle and builds no hierarchy; nx = 1020 gives a transform of length
+    # 2 * 1019, a prime times 2
+    prob = _robust_problem(fcoeff, nx, ny)
+    U, rep = solve_dirichlet(prob)
+    assert (rep.start, rep.iterations, rep.levels, rep.direct_unknowns) == ("fourier", 0, (), 0)
+    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor and len(rep.residuals) == 1
+    ref = dense_dirichlet(prob)
+    r_ref = _max_residual(prob, ref)
+    # the maximum-principle bound of test_multigrid_matches_dense_reference
+    bound = (rep.residual + r_ref) / 8 + 4 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(U.values - ref)) <= bound
+
+
+def _nested_reference(prob, cycles):
+    """The iterate of the nested start followed by cycles - 1 V-cycles."""
+    geom, f, g = prob.geom, prob.fcoeff.values, prob.source.values
+    U = np.zeros((geom.ny, geom.nx))
+    U[:, 0], U[:, -1] = prob.boundary.left, prob.boundary.right
+    U[0, :], U[-1, :] = prob.boundary.bottom, prob.boundary.top
+    top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
+    top.start(U, g)
+    for _ in range(cycles - 1):
+        top.cycle(U, g)
+    return U
+
+
+@pytest.mark.parametrize("fcoeff,nx,ny", [("(1+Y^2)^2", 65, 65), ("exp(3*Y)", 50, 37),
+                                          ("1+100*X^2", 33, 33)])
+def test_any_variation_along_x_takes_the_nested_start(fcoeff, nx, ny):
+    # one interior node moved by one ulp is enough to leave the Fourier
+    # start, and f = f(X) is not covered by it; those solves run the nested
+    # start and its V-cycles, node for node
+    prob = _robust_problem(fcoeff, nx, ny)
+    f = prob.fcoeff.values.copy()
+    if fcoeff != "1+100*X^2":
+        f[ny // 2, nx // 3] = np.nextafter(f[ny // 2, nx // 3], np.inf)
+        prob = EllipticProblem(prob.geom, Grid2(prob.geom, f), prob.source, prob.boundary)
+    U, rep = solve_dirichlet(prob)
+    assert rep.start == "nested" and rep.iterations >= 1 and rep.levels[0] == (nx, ny)
+    assert U.values.tobytes() == _nested_reference(prob, rep.iterations).tobytes()
+
+
+@pytest.mark.parametrize("fcoeff", ["1", "(1+Y^2)^2"])
+def test_tol_below_the_fourier_start_builds_the_hierarchy_and_stalls(fcoeff):
+    prob = _lift_family_problem(fcoeff, 65, 65)
+    _, first = solve_dirichlet(prob)
+    with pytest.raises(NotConvergedError) as exc:
+        solve_dirichlet(prob, tol=0)
+    rep = exc.value.report
+    assert rep.start == "fourier" and rep.residuals[0] == first.residual
+    # V-cycles run until STALL_CYCLES fail to halve the residual
+    assert 1 <= rep.iterations == len(rep.residuals) - 1 <= 30
+    assert rep.levels[0] == (65, 65) and rep.direct_unknowns == 225
+    with pytest.raises(NotConvergedError) as exc:
+        solve_dirichlet(prob, tol=0, max_iter=1)
+    assert exc.value.report.iterations == 1
+
+
+def test_fourier_solution_bytes_independent_of_blas_threads():
+    code = ("import hashlib; from ma_lin import geometry_from_domain, parse, "
+            "problem_from_exprs, solve_dirichlet; "
+            "g = geometry_from_domain(0.5, 1.5, 0.5, 1.5, 129, 100); "
+            "p = problem_from_exprs(g, parse('(1+Y^2)^2'), parse('X*Y'), parse('X^2-Y^2')); "
+            "U, rep = solve_dirichlet(p); "
+            "print(rep.start, hashlib.sha256(U.values.tobytes()).hexdigest())")
+    outputs = []
+    for threads in ("1", "2"):
+        env = src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert outputs[0][0] == "fourier" and len(outputs[0][1]) == 64
     assert outputs[0] == outputs[1]
 
 

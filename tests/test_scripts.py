@@ -33,12 +33,15 @@ def test_solver_convergence_runs(monkeypatch, capsys):
     rows = [ln.split() for ln in out.splitlines() if ln.strip().startswith(("9 ", "17 "))]
     assert len(rows) == 8
     assert all(math.isfinite(float(row[1])) for row in rows)
-    # n, error, order, V-cycles, final residual, rounding floor, seconds
-    assert "cycles" in out and "floor" in out and "seconds" in out
+    # n, error, order, start, V-cycles, final residual, rounding floor, seconds
+    assert "start" in out and "cycles" in out and "floor" in out and "seconds" in out
     for row in rows:
-        cycles, residual, floor = int(row[3]), float(row[4]), float(row[5])
-        assert 1 <= cycles <= 30 and 0.0 < floor and residual <= FLOOR_FACTOR * floor
-        assert len(row) == 7 and 0.0 <= float(row[6]) < 60.0
+        start, cycles, residual, floor = row[3], int(row[4]), float(row[5]), float(row[6])
+        # the first case's f = 1+X^2 varies along X; the others are constant along it
+        assert (start, cycles >= 1) in (("nested", True), ("fourier", False))
+        assert (start == "nested") == (row in rows[:2])
+        assert cycles <= 30 and 0.0 < floor and residual <= FLOOR_FACTOR * floor
+        assert len(row) == 8 and 0.0 <= float(row[7]) < 60.0
 
 
 def _git_head():
@@ -67,11 +70,11 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
         rows = tree["rows"]
         assert [(r["family"], r["n"]) for r in rows][:2] == [("plane-strain-class", 17),
                                                              ("plane-strain-class", 33)]
-        assert len(rows) == 8 and len(tree["cli_lift"]) == 4
+        assert len(rows) == 10 and len(tree["cli_lift"]) == 5
         for r in rows:
             assert set(r["stages"]) == set(stages)
             assert all(0.0 < v < 60.0 for v in r["stages"].values()), r
-            assert r["iterations"] >= 1 and 0.0 < r["setup_s"] < 60.0
+            assert r["iterations"] >= (r["start"] == "nested") and 0.0 < r["setup_s"] < 60.0
             assert len(r["lifted_sha256"]) == len(r["resampled_sha256"]) == 10
         assert all(0.0 < r["seconds"] < 60.0 for r in tree["cli_lift"])
         assert 0.0 < tree["import_s"] < 60.0
@@ -87,8 +90,12 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
     # both trees format every block to the same bytes
     assert len({tuple(r["sha256"] for r in tree["formatter"])
                 for tree in report["trees"].values()}) == 1
-    # the Laplace quadratic is reproduced by the nested start
-    assert [r["iterations"] for r in report["trees"]["this"]["rows"][:2]] == [1, 1]
+    # the one-variable coefficients take the Fourier start, which meets the
+    # bound with no V-cycle; general-Au's X*(1+Y^2)^2 runs the multigrid
+    rows = report["trees"]["this"]["rows"]
+    assert [(r["start"], r["iterations"]) for r in rows[:8]] == [("fourier", 0)] * 8
+    assert [(r["family"], r["start"]) for r in rows[8:]] == [("general-Au", "nested")] * 2
+    assert all(r["iterations"] >= 1 for r in rows[8:])
     out = capsys.readouterr().out
     assert "import ma_lin" in out and "per point: compose_chain" in out
     assert "_format_rows 11 values" in out and "ns per value" in out
