@@ -608,20 +608,15 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
     U[0, :] = problem.boundary.bottom
     U[-1, :] = problem.boundary.top
 
-    def build() -> _Level:
-        nonlocal setup
-        t0 = time.perf_counter()
-        level = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
-        setup += time.perf_counter() - t0
-        return level
-
-    setup, top, t0 = 0.0, None, time.perf_counter()
-    first = "fourier" if np.all(f == f[:, :1]) else "nested"
-    if first == "fourier":
+    t0 = time.perf_counter()
+    if np.all(f == f[:, :1]):
+        first, top, cycles = "fourier", None, 0
         _fourier_start(U, f, g, geom.dx, geom.dy)
-        setup, cycles = time.perf_counter() - t0, 0
     else:
-        top, cycles = build(), 1
+        first, cycles = "nested", 1
+        top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
+    setup = time.perf_counter() - t0
+    if top is not None:
         top.start(U, g)
     mark, since, residuals = math.inf, 0, []
     while True:
@@ -635,10 +630,13 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
             since += 1
         if res <= bound or cycles >= max_iter or since >= STALL_CYCLES:
             break
-        top = top or build()
+        if top is None:
+            t0 = time.perf_counter()
+            top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
+            setup += time.perf_counter() - t0
         top.cycle(U, g)
         cycles += 1
-    levels = top.levels() if top else []
+    levels = [] if top is None else top.levels()
     inverse = levels[-1].inverse if levels else None
     report = SolveReport(iterations=cycles, residual=res, converged=res <= bound,
                          elapsed=time.perf_counter() - start, setup_seconds=setup, tol=bound,

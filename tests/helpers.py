@@ -229,7 +229,7 @@ def zero_start_solve(problem, max_iter: int = 100_000):
     row that fail to halve the residual, or max_iter).  Returns the iterate,
     the V-cycles run, the final max-norm residual and whether it met the
     bound."""
-    return _reference_solve(problem, max_iter, nested=False)
+    return _reference_solve(problem, max_iter, None, start=None)
 
 
 def linear_start_solve(problem, max_iter: int = 100_000):
@@ -237,7 +237,18 @@ def linear_start_solve(problem, max_iter: int = 100_000):
     carries each coarse solution up by the V-cycle's linear interpolation
     (`_Level.prolong`) instead of cubic; the rest as in zero_start_solve,
     with the finest level's cycle of the start counted as the first."""
-    return _reference_solve(problem, max_iter, nested=True)
+    return _reference_solve(problem, max_iter, None, start=_linear_start)
+
+
+def nested_start_solve(problem, tol=None, max_iter: int = 100_000):
+    """ma_lin.linsolve.solve_dirichlet's multigrid path for any coefficient:
+    the cubic nested start (`_Level.start`) and V-cycles under the same
+    stopping rule, tol taken as solve_dirichlet takes it, run even where the
+    solver takes the Fourier start (f constant along X).  Where the solver
+    takes the nested start it gives the solver's bytes and V-cycles.  Returns
+    as zero_start_solve does."""
+    from ma_lin.linsolve import _Level
+    return _reference_solve(problem, max_iter, tol, start=_Level.start)
 
 
 def _linear_start(level, U, g) -> None:
@@ -248,7 +259,7 @@ def _linear_start(level, U, g) -> None:
     level.cycle(U, g)
 
 
-def _reference_solve(problem, max_iter: int, nested: bool):
+def _reference_solve(problem, max_iter: int, tol, start):
     from ma_lin.linsolve import FLOOR_FACTOR, STALL_CYCLES, _Level, discrete_residual
     geom, f, g = problem.geom, problem.fcoeff.values, problem.source.values
     U = np.zeros((geom.ny, geom.nx))
@@ -257,12 +268,12 @@ def _reference_solve(problem, max_iter: int, nested: bool):
     top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
     scale = np.finfo(np.float64).eps * (2 / geom.dx ** 2 + 2 * np.max(f[1:-1, 1:-1]) / geom.dy ** 2)
     cycles, mark, since = 0, math.inf, 0
-    if nested:
-        _linear_start(top, U, g)
+    if start is not None:
+        start(top, U, g)
         cycles = 1
     while True:
         res = np.max(np.abs(discrete_residual(U, f[1:-1, 1:-1], g[1:-1, 1:-1], geom.dx, geom.dy)))
-        bound = FLOOR_FACTOR * scale * np.max(np.abs(U))
+        bound = FLOOR_FACTOR * scale * np.max(np.abs(U)) if tol is None else tol
         mark, since = (res, 0) if res < 0.5 * mark else (mark, since + 1)
         if res <= bound or cycles >= max_iter or since >= STALL_CYCLES:
             return U, cycles, float(res), bool(res <= bound)

@@ -758,13 +758,16 @@ def test_lift_solve_report_records_the_fourier_start(tmp_path):
 
 
 def test_solve_reports_record_the_hierarchy_build_time(tmp_path):
-    cfg = _write(tmp_path / "l.json", {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5],
+    # coefficients that vary along X, so that both solves build the hierarchy
+    cfg = _write(tmp_path / "l.json", {"id": "general-Au", "domain": [0.5, 1.5, 0.5, 1.5],
                                         "nx": 33, "ny": 33, "boundary": "X^2-Y^2",
                                         "target_nx": 9, "target_ny": 9})
-    runs = [["lift", "--in", cfg], ["solve", "--in", _write(tmp_path / "p.json", _solve_config())]]
+    problem = _write(tmp_path / "p.json", {**_solve_config(), "fcoeff": "1+X*Y"})
+    runs = [["lift", "--in", cfg], ["solve", "--in", problem]]
     for k, argv in enumerate(runs):
         assert main([*argv, "--out", str(tmp_path / f"o{k}")]) == 0
         rep = _read_json(tmp_path / f"o{k}" / "solve_report.json")
+        assert rep["start"] == "nested" and rep["levels"], argv
         assert 0.0 < rep["setup_seconds"] < rep["elapsed"], argv
 
 

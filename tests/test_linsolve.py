@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (apply_reference, dense_dirichlet, dense_level_operator, dense_line_solve,
-                     linear_start_solve, measured_order, product_reference, src_env,
-                     transfers_reference, zero_start_solve)
+                     linear_start_solve, measured_order, nested_start_solve, product_reference,
+                     src_env, transfers_reference, zero_start_solve)
 from ma_lin import linsolve
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
@@ -96,12 +96,13 @@ def test_discrete_maximum_principle():
 
 def test_solver_is_deterministic_bitwise():
     geom = geometry_from_domain(0, 1, 0, 1, 21, 21)
-    prob = problem_from_exprs(geom, parse("(1+Y^2)^2"), parse("X*Y"),
-                              parse("X^2-Y^2"))
-    U1, r1 = solve_dirichlet(prob)
-    U2, r2 = solve_dirichlet(prob)
-    assert np.array_equal(U1.values, U2.values)
-    assert r1.iterations == r2.iterations and r1.residual == r2.residual
+    for fcoeff, start in (("(1+Y^2)^2", "fourier"), ("(1+X)*(1+Y^2)^2", "nested")):
+        prob = problem_from_exprs(geom, parse(fcoeff), parse("X*Y"), parse("X^2-Y^2"))
+        U1, r1 = solve_dirichlet(prob)
+        U2, r2 = solve_dirichlet(prob)
+        assert r1.start == start
+        assert np.array_equal(U1.values, U2.values)
+        assert r1.iterations == r2.iterations and r1.residual == r2.residual
 
 
 def test_converged_implies_residual_below_tol():
@@ -216,26 +217,46 @@ def _max_residual(prob, U):
     return float(np.max(np.abs(r)))
 
 
-@pytest.mark.parametrize("fcoeff", ROBUST_COEFFS)
-@pytest.mark.parametrize("nx,ny", [(3, 3), (21, 21), (21, 9)])
-def test_multigrid_matches_dense_reference(fcoeff, nx, ny):
-    prob = _robust_problem(fcoeff, nx, ny)
-    U, rep = solve_dirichlet(prob)
-    ref = dense_dirichlet(prob)
-    r_ref = _max_residual(prob, ref)
-    # both solutions sit at the rounding floor ...
-    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
-    assert r_ref <= FLOOR_FACTOR * rep.residual_floor
-    # ... and the scheme is exact on (X - X0)(X1 - X)/2, so the discrete
-    # maximum principle bounds their difference on the unit square by
+def _start_of(fcoeff):
+    """The start solve_dirichlet takes for a coefficient of these tests."""
+    return "nested" if "X" in fcoeff else "fourier"
+
+
+def _within_the_maximum_principle(U, res, ref, r_ref):
+    # the scheme is exact on (X - X0)(X1 - X)/2, so the discrete maximum
+    # principle bounds the difference of two solutions on the unit square by
     # max|L(U - ref)| / 8, plus rounding of the values themselves
-    bound = (rep.residual + r_ref) / 8 + 4 * np.finfo(float).eps * np.max(np.abs(ref))
-    assert np.max(np.abs(U.values - ref)) <= bound
+    bound = (res + r_ref) / 8 + 4 * np.finfo(float).eps * np.max(np.abs(ref))
+    return np.max(np.abs(U - ref)) <= bound
 
 
 # the anisotropic ones of ROBUST_COEFFS made to vary along X, so that the
-# V-cycle rather than the Fourier start meets them
+# solver's own V-cycle rather than the Fourier start meets them
 VARYING_COEFFS = ("100*(1+0.1*X*Y)", "0.01*(1+0.1*X*Y)", "exp(3*Y)*(1+0.1*X)")
+
+
+@pytest.mark.parametrize("fcoeff", ROBUST_COEFFS + ("1", "(1+Y^2)^2") + VARYING_COEFFS)
+@pytest.mark.parametrize("nx,ny", [(3, 3), (4, 4), (21, 21), (20, 13), (21, 9), (5, 511),
+                                   (511, 5), (1020, 3)])
+def test_multigrid_matches_dense_reference(fcoeff, nx, ny):
+    # an f constant along X takes the Fourier start, which meets the bound
+    # with no V-cycle and builds no hierarchy, and the multigrid is checked
+    # on the same problem; nx = 1020 gives a transform of length 2 * 1019,
+    # a prime times 2
+    prob = _robust_problem(fcoeff, nx, ny)
+    U, rep = solve_dirichlet(prob)
+    assert rep.start == _start_of(fcoeff)
+    ref = dense_dirichlet(prob)
+    r_ref = _max_residual(prob, ref)
+    # both solutions sit at the rounding floor, and agree
+    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+    assert r_ref <= FLOOR_FACTOR * rep.residual_floor
+    assert _within_the_maximum_principle(U.values, rep.residual, ref, r_ref)
+    if rep.start == "fourier":
+        assert (rep.iterations, rep.levels, rep.direct_unknowns) == (0, (), 0)
+        assert len(rep.residuals) == 1
+        V, _, res, converged = nested_start_solve(prob)
+        assert converged and _within_the_maximum_principle(V, res, ref, r_ref)
 
 
 @pytest.mark.parametrize("fcoeff", ROBUST_COEFFS + VARYING_COEFFS)
@@ -244,14 +265,14 @@ def test_multigrid_cycle_bound(fcoeff, nx, ny):
     prob = _robust_problem(fcoeff, nx, ny)
     _, rep = solve_dirichlet(prob)
     assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
-    assert rep.start == "nested" or fcoeff not in VARYING_COEFFS
-    # with a tol well above the floor only the convergence rate counts
-    _, fast = solve_dirichlet(prob, tol=1e3 * rep.residual_floor)
+    assert rep.start == _start_of(fcoeff)
+    # with a tol well above the floor only the V-cycle's convergence rate
+    # counts, on the nested start whichever start the solver takes
+    _, cycles, _, converged = nested_start_solve(prob, tol=1e3 * rep.residual_floor)
+    assert converged
     if (nx, ny) == (3, 3):
-        # one interior node: the line solve is exact, as the Fourier start
-        # is for an f constant along X
-        assert fast.iterations == {"nested": 1, "fourier": 0}[fast.start]
-    assert fast.iterations <= 12, fast
+        assert cycles == 1  # one interior node: the line solve is exact
+    assert cycles <= 12, cycles
 
 
 SWEEP_COEFFS = ("1", "100", "0.01", "1+100*X^2", "exp(3*Y)", "(1+Y^2)^2",
@@ -276,10 +297,16 @@ def _seeded_problems():
 
 def test_seeded_random_problems_converge_within_26_cycles():
     # rounding error the line solves leave in the cycle shows up here as a
-    # residual that stalls above FLOOR_FACTOR floors
+    # residual that stalls above FLOOR_FACTOR floors.  Where the solver
+    # takes the Fourier start, with no cycle, the multigrid runs on the same
+    # problem too
     for case, prob in _seeded_problems():
         _, rep = solve_dirichlet(prob)  # raises NotConvergedError on a stall
-        assert rep.iterations <= 26, (case, rep)
+        assert rep.start == _start_of(case[1]), case
+        assert rep.iterations <= {"nested": 26, "fourier": 0}[rep.start], (case, rep)
+        if rep.start == "fourier":
+            _, cycles, _, converged = nested_start_solve(prob)
+            assert converged and cycles <= 26, (case, cycles)
 
 
 def test_nested_start_takes_no_more_cycles_than_a_zero_start():
@@ -287,10 +314,10 @@ def test_nested_start_takes_no_more_cycles_than_a_zero_start():
     # this test was written
     total = [0, 0]
     for case, prob in _seeded_problems():
-        _, rep = solve_dirichlet(prob)
+        _, nested, _, met = nested_start_solve(prob)
         _, cycles, _, converged = zero_start_solve(prob)
-        assert converged and rep.iterations <= cycles, (case, rep.iterations, cycles)
-        total[0], total[1] = total[0] + rep.iterations, total[1] + cycles
+        assert met and converged and nested <= cycles, (case, nested, cycles)
+        total[0], total[1] = total[0] + nested, total[1] + cycles
     assert total[0] < 0.8 * total[1], total
 
 
@@ -303,7 +330,7 @@ def test_cubic_start_takes_fewer_cycles_than_a_linear_start():
     seeded = [prob for _, prob in _seeded_problems()]
     sweep = [_robust_problem(f, nx, ny) for f in SWEEP_COEFFS for nx, ny in SWEEP_SHAPES]
     for problems in (seeded, sweep):
-        cubic = sum(solve_dirichlet(prob)[1].iterations for prob in problems)
+        cubic = sum(nested_start_solve(prob)[1] for prob in problems)
         linear = sum(linear_start_solve(prob)[1] for prob in problems)
         assert cubic < linear, (cubic, linear)
 
@@ -326,14 +353,16 @@ def _lift_family_problem(fcoeff, nx, ny, times_x=False):
     (_lift_family_problem, "(1+Y^2)^2", 65, 65),
 ], ids=["65x65", "511x5", "5x511", "257x7", "3x3", "lift-laplace-65", "lift-grad-inversion-65"])
 def test_nested_start_agrees_with_a_zero_start(make, fcoeff, nx, ny):
+    # the nested start whichever start the solver takes; the solver agrees too
     prob = make(fcoeff, nx, ny)
-    U, rep = solve_dirichlet(prob)
     ref, cycles, r_ref, converged = zero_start_solve(prob)
-    assert converged and rep.converged and rep.iterations <= cycles
-    # the discrete maximum principle on a domain one unit wide, as in
-    # test_multigrid_matches_dense_reference
-    bound = (rep.residual + r_ref) / 8 + 4 * np.finfo(float).eps * np.max(np.abs(ref))
-    assert np.max(np.abs(U.values - ref)) <= bound
+    U, nested, res, met = nested_start_solve(prob)
+    assert converged and met and nested <= cycles
+    # the discrete maximum principle on a domain one unit wide
+    assert _within_the_maximum_principle(U, res, ref, r_ref)
+    V, rep = solve_dirichlet(prob)
+    assert rep.start == _start_of(fcoeff)
+    assert _within_the_maximum_principle(V.values, rep.residual, ref, r_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +545,23 @@ def test_hierarchy_ends_at_the_first_coarse_level_within_the_limit(nx, ny, level
 @pytest.mark.parametrize("fcoeff", ["1", "(1+Y^2)^2"])
 def test_lift_families_take_no_more_cycles_with_the_direct_level(fcoeff):
     # the plane-strain-class and grad-inversion coefficients with their lift
-    # boundary data take the Fourier start, with no cycle and no hierarchy.
-    # X times each coefficient (X*(1+Y^2)^2 is general-Au's) keeps the same
-    # data on the multigrid: the V-cycles each took with the direct level and
-    # the cubic nested start (the coefficients themselves took 1, 1, 1, 1 and
-    # 5, 5, 5, 5 there; 8, 8, 8, 7 and 7, 7, 7, 6 with a linear start; 11,
-    # 11, 11, 11 and 9, 10, 10, 10 when the hierarchy went on down to 3 nodes
-    # per axis and each solve started from zero), and no more than a zero
-    # start takes
+    # boundary data take the Fourier start, with no cycle and no hierarchy;
+    # on the multigrid they take 1, 1, 1, 1 and 5, 5, 5, 5 V-cycles.  X times
+    # each coefficient (X*(1+Y^2)^2 is general-Au's) keeps the same data on
+    # the solver's multigrid: the V-cycles each took with the direct level
+    # and the cubic nested start (the coefficients themselves took 8, 8, 8, 7
+    # and 7, 7, 7, 6 with a linear start; 11, 11, 11, 11 and 9, 10, 10, 10
+    # when the hierarchy went on down to 3 nodes per axis and each solve
+    # started from zero), and no more than a zero start takes
+    own = {"1": (1, 1, 1, 1), "(1+Y^2)^2": (5, 5, 5, 5)}[fcoeff]
     before = {"1": (7, 7, 7, 7), "(1+Y^2)^2": (6, 6, 6, 6)}[fcoeff]
-    for n, cycles, direct in zip((33, 65, 97, 129), before, (225, 225, 121, 225)):
-        _, rep = solve_dirichlet(_lift_family_problem(fcoeff, n, n))
+    for n, mine, cycles, direct in zip((33, 65, 97, 129), own, before, (225, 225, 121, 225)):
+        prob = _lift_family_problem(fcoeff, n, n)
+        _, rep = solve_dirichlet(prob)
         assert (rep.start, rep.iterations, rep.levels, rep.direct_unknowns) == ("fourier", 0, (), 0)
         assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
+        _, nested, _, converged = nested_start_solve(prob)
+        assert converged and nested <= mine and nested <= zero_start_solve(prob)[1], n
         prob = _lift_family_problem(fcoeff, n, n, times_x=True)
         _, rep = solve_dirichlet(prob)
         assert rep.start == "nested" and rep.iterations <= cycles, (n, rep)
@@ -582,11 +615,15 @@ def test_cubic_start_keeps_the_kept_nodes(n):
 
 @pytest.mark.parametrize("n", [33, 65, 97, 129])
 def test_laplace_with_quadratic_data_converges_in_one_cycle(n):
-    # Laplace takes the Fourier start, with no cycle.  With 1+X*Y, and the
-    # source that keeps X^2-Y^2 exact, the nested start runs: the five-point
-    # scheme, the restriction of a linear f and the cubic start all
-    # reproduce X^2-Y^2, so the start already sits at the rounding floor
-    _, rep = solve_dirichlet(_lift_family_problem("1", n, n))
+    # the five-point scheme and the cubic start both reproduce X^2-Y^2, so
+    # the nested start already sits at the rounding floor; the solver takes
+    # the Fourier start for Laplace, with no cycle.  With 1+X*Y, and the
+    # source that keeps X^2-Y^2 exact, the solver's own nested start runs, and
+    # the restriction of a linear f reproduces the quadratic too
+    prob = _lift_family_problem("1", n, n)
+    _, cycles, _, converged = nested_start_solve(prob)
+    assert converged and cycles == 1
+    _, rep = solve_dirichlet(prob)
     assert rep.start == "fourier" and rep.iterations == 0
     assert rep.residual <= FLOOR_FACTOR * rep.residual_floor
     geom = geometry_from_domain(0.5, 1.5, 0.5, 1.5, n, n)
@@ -615,40 +652,6 @@ def test_solution_bytes_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-FOURIER_COEFFS = ("1", "(1+Y^2)^2", "exp(3*Y)", "0.01", "100")
-
-
-@pytest.mark.parametrize("fcoeff", FOURIER_COEFFS)
-@pytest.mark.parametrize("nx,ny", [(3, 3), (4, 4), (21, 21), (20, 13), (5, 511), (511, 5),
-                                   (1020, 3)])
-def test_fourier_start_matches_dense_reference(fcoeff, nx, ny):
-    # f constant along X: the Fourier start meets the default bound with no
-    # V-cycle and builds no hierarchy; nx = 1020 gives a transform of length
-    # 2 * 1019, a prime times 2
-    prob = _robust_problem(fcoeff, nx, ny)
-    U, rep = solve_dirichlet(prob)
-    assert (rep.start, rep.iterations, rep.levels, rep.direct_unknowns) == ("fourier", 0, (), 0)
-    assert rep.residual <= FLOOR_FACTOR * rep.residual_floor and len(rep.residuals) == 1
-    ref = dense_dirichlet(prob)
-    r_ref = _max_residual(prob, ref)
-    # the maximum-principle bound of test_multigrid_matches_dense_reference
-    bound = (rep.residual + r_ref) / 8 + 4 * np.finfo(float).eps * np.max(np.abs(ref))
-    assert np.max(np.abs(U.values - ref)) <= bound
-
-
-def _nested_reference(prob, cycles):
-    """The iterate of the nested start followed by cycles - 1 V-cycles."""
-    geom, f, g = prob.geom, prob.fcoeff.values, prob.source.values
-    U = np.zeros((geom.ny, geom.nx))
-    U[:, 0], U[:, -1] = prob.boundary.left, prob.boundary.right
-    U[0, :], U[-1, :] = prob.boundary.bottom, prob.boundary.top
-    top = _Level(f, np.arange(geom.nx), np.arange(geom.ny), geom.dx, geom.dy)
-    top.start(U, g)
-    for _ in range(cycles - 1):
-        top.cycle(U, g)
-    return U
-
-
 @pytest.mark.parametrize("fcoeff,nx,ny", [("(1+Y^2)^2", 65, 65), ("exp(3*Y)", 50, 37),
                                           ("1+100*X^2", 33, 33)])
 def test_any_variation_along_x_takes_the_nested_start(fcoeff, nx, ny):
@@ -662,7 +665,8 @@ def test_any_variation_along_x_takes_the_nested_start(fcoeff, nx, ny):
         prob = EllipticProblem(prob.geom, Grid2(prob.geom, f), prob.source, prob.boundary)
     U, rep = solve_dirichlet(prob)
     assert rep.start == "nested" and rep.iterations >= 1 and rep.levels[0] == (nx, ny)
-    assert U.values.tobytes() == _nested_reference(prob, rep.iterations).tobytes()
+    V, cycles, res, _ = nested_start_solve(prob)
+    assert (U.values.tobytes(), rep.iterations, rep.residual) == (V.tobytes(), cycles, res)
 
 
 @pytest.mark.parametrize("fcoeff", ["1", "(1+Y^2)^2"])
