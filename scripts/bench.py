@@ -13,9 +13,11 @@ float64 points, as the closed-form benchmark calls them, timed per point
 with a SHA-256 prefix of the bits of every image field and `valid`.  The
 formatter rows time `grids._format_rows` on blocks of FORMATTER_VALUES
 values, whole rows of the 65 x 65 Laplace lifted surface (of the sampled
-exact solution) as `write_lifted` writes it, with a SHA-256 prefix of each
-block's bytes; the smallest and the largest block give a fixed cost per call
-and a cost per value.  It writes the best of k runs, the solver's start and
+exact solution) as `write_lifted` writes it, and on the largest of them with
+one value scaled by 1e-7, which gives the whole block the exponent rows of
+the formatter's wide layout, each with a SHA-256 prefix of the block's bytes;
+the smallest and the largest table block give a fixed cost per call and a
+cost per value.  It writes the best of k runs, the solver's start and
 cycle counts, SHA-256 prefixes of the two CSVs and the host (nproc, python,
 numpy) to a JSON file.
 
@@ -64,7 +66,8 @@ STAGES = ("classify", "problem", "solve", "lift", "resample", "verify",
 # equation, at POINTS seeded points of DOMAIN
 POINT_CASES = CASES[:2]
 POINTS = 200
-# the formatter rows: 1, 99 and 744 rows of the 11-column lifted table, each
+# the formatter rows: 1, 99 and 744 rows of the 11-column lifted table, then
+# the 744 rows again with their first value scaled by 1e-7 ("wide"), each
 # block formatted FORMATTER_CALLS // values + 1 times per timed run
 FORMATTER_VALUES = (11, 1089, 8184)
 FORMATTER_CALLS = 20000
@@ -126,12 +129,15 @@ def _formatter_rows(k: int) -> list:
                                geometry_from_domain(*DOMAIN, 65, 65)))
     columns = (s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac)
     table = np.column_stack([c[s.valid] for c in columns])
+    blocks = [("table", table[:values // len(columns)]) for values in FORMATTER_VALUES]
+    wide = blocks[-1][1].copy()
+    wide[0, 0] *= 1e-7
     rows = []
-    for values in FORMATTER_VALUES:
-        block, calls = table[:values // len(columns)], FORMATTER_CALLS // values + 1
+    for layout, block in blocks + [("wide", wide)]:
+        calls = FORMATTER_CALLS // block.size + 1
         text, _ = _format_rows(block)
         _, seconds = _best(lambda: [_format_rows(block) for _ in range(calls)], k)
-        rows.append({"values": block.size, "us": seconds / calls * 1e6,
+        rows.append({"values": block.size, "layout": layout, "us": seconds / calls * 1e6,
                      "sha256": hashlib.sha256(text).hexdigest()[:10]})
     return rows
 
@@ -221,12 +227,13 @@ def _merge(passes: list) -> dict:
                 row[f"{route}_us"] = min(row[f"{route}_us"], other[f"{route}_us"])
         for row, other in zip(first["formatter"], p["formatter"]):
             if row["sha256"] != other["sha256"]:
-                raise SystemExit(f"passes disagree at the {row['values']}-value block")
+                raise SystemExit(f"passes disagree at the {row['values']}-value "
+                                 f"{row['layout']} block")
             row["us"] = min(row["us"], other["us"])
         first["import_s"] = min(first["import_s"], p["import_s"])
     # the fixed cost per call and the cost per value, from the smallest and
-    # the largest formatter block
-    small, large = first["formatter"][0], first["formatter"][-1]
+    # the largest table block
+    small, large = first["formatter"][0], first["formatter"][len(FORMATTER_VALUES) - 1]
     per_value = (large["us"] - small["us"]) / (large["values"] - small["values"])
     first["formatter_cost"] = {"fixed_us": small["us"] - small["values"] * per_value,
                                "per_value_ns": per_value * 1e3}
@@ -273,7 +280,7 @@ def _print(trees: dict) -> None:
     for name in names:
         cost = trees[name]["formatter_cost"]
         print(f"{name}: _format_rows " + ", ".join(
-            f"{r['values']} values {r['us']:.1f} us ({r['sha256']})"
+            f"{r['values']} values ({r['layout']}) {r['us']:.1f} us ({r['sha256']})"
             for r in trees[name]["formatter"])
             + f"; {cost['fixed_us']:.1f} us per call + {cost['per_value_ns']:.1f} ns per value")
 

@@ -292,7 +292,9 @@ def cmd_lift(args) -> int:
         out.write_with("lifted.csv", lambda p: write_lifted(result.surface, p))
         out.write_with("resampled.csv", lambda p: write_grid(result.resampled.grid, p))
         out.write_json("verification.json", {**result.verification.to_dict(), "seed": args.seed,
-                                             "coefficient": to_text(result.coefficient)})
+                                             "coefficient": to_text(result.coefficient),
+                                             "resampled_targets": result.resampled.mask.size,
+                                             "resampled_hits": result.resampled.n_valid})
         out.write_json("solve_report.json", {**result.solve_report.to_dict(), "seed": args.seed})
     return EXIT_OK
 

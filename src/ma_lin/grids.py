@@ -286,10 +286,11 @@ def _powers(first: int, last: int) -> tuple[np.ndarray, ...]:
 def _scaled(a: np.ndarray, p: np.ndarray):
     """a * 10**p as P + L: P the rounded product, L the rest to about 1e-14.
 
-    Returns (P, L, exact), exact where 10**p is a double and P + L is exact."""
-    first = int(p.min())
-    at = p - first
-    h, hh, hl, l, exact = (t.take(at) for t in _powers(first, int(p.max())))
+    Returns (P, L, exact): True when every 10**p is a double (p = 0..22), so
+    that P + L is a * 10**p exactly and lo is not read, else a mask of that."""
+    first, last = int(p.min()), int(p.max())
+    whole = 0 <= first and last <= 22
+    h, hh, hl, *rest = (t.take(p - first) for t in _powers(first, last)[:3 if whole else 5])
     P = a * h
     ah, al = _split(a)
     # L = (((ah*hh - P) + ah*hl) + al*hh) + al*hl + a*lo, in place
@@ -301,6 +302,9 @@ def _scaled(a: np.ndarray, p: np.ndarray):
     L += hh
     hl *= al
     L += hl
+    if whole:
+        return P, L, True
+    l, exact = rest
     l *= a
     L += l
     return P, L, exact
@@ -316,7 +320,8 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (D, X, fast): D in [1e16, 1e17) (0 for zeros), the decimal
     exponent X as int16, and fast, False where v is non-finite, |v| lies
     outside _FAST_RANGE, or the product lies within _NEAR_TIE of a rounding
-    tie that is not exact, so that D and X cannot be trusted.
+    tie that is not exact, so that D and X cannot be trusted; np.True_ when
+    every 10**p taken is a double.
     """
     a = np.abs(v)
     if not (a.min() >= _FAST_RANGE[0] and a.max() <= _FAST_RANGE[1]):
@@ -327,17 +332,23 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.floor(np.log10(a)).astype(np.int64)
     P, L, exact = _scaled(a, 16 - k)
     # next to a power of ten log10 can miss floor(log10 a) by one, and the
-    # product then falls outside [1e16, 1e17); P - 1e16 and P - 1e17 are
-    # exact wherever the sign of the sum with L is in doubt
-    shift = (((P - 1e17) + L >= 0).view(np.int8)
-             - ((P - 1e16) + L < 0).view(np.int8))
-    fix = np.flatnonzero(shift)
-    if fix.size:
-        k[fix] += shift[fix]
-        P[fix], L[fix], exact[fix] = _scaled(a[fix], 16 - k[fix])
+    # product then falls outside [1e16, 1e17); elsewhere P lies more than
+    # 1e3 inside, far beyond |L|.  P - 1e16 and P - 1e17 are exact wherever
+    # the sign of the sum with L is in doubt
+    edge = np.flatnonzero((P < 1e16 + 1e3) | (P > 1e17 - 1e3))
+    if edge.size:
+        Pe, Le = P[edge], L[edge]
+        shift = (((Pe - 1e17) + Le >= 0).view(np.int8)
+                 - ((Pe - 1e16) + Le < 0).view(np.int8))
+        fix = edge[shift != 0]
+        if fix.size:
+            k[edge] += shift
+            P[fix], L[fix], fixed = _scaled(a[fix], 16 - k[fix])
+            exact = np.full(a.shape, exact)  # a mask, also where it was True
+            exact[fix] = fixed
     # P is an even integer, so P + L rounds half to even where L does
     r = np.rint(L)
-    fast = exact | (np.abs(L - r) <= 0.5 - _NEAR_TIE)
+    fast = np.True_ if exact is True else exact | (np.abs(L - r) <= 0.5 - _NEAR_TIE)
     D = P.astype(np.int64) + r.astype(np.int64)
     carry = D == 10 ** 17
     if carry.any():
@@ -366,11 +377,6 @@ def _digit_rows(D: np.ndarray) -> np.ndarray:
 
 
 _BLOCK_VALUES = 8192  # values per block of a blocked pass: bounds the working set
-# rows of the field matrix, one column per value: the sign, "0.000" before
-# the digits of 1e-4 <= |v| < 1, 17 digits with a point after the integer
-# part, "e+XXX", the separator
-_SIGN, _LEAD, _BODY, _EXP, _SEP = 0, 1, 6, 24, 29
-_WIDTH = 30
 _ROWS = np.arange(18, dtype=np.uint8)[:, None]
 
 
@@ -380,8 +386,8 @@ def _format_rows(rows: np.ndarray) -> tuple[bytes, int]:
 
     Returns the bytes and the number of values that Python's own % formats:
     those where _decimal is not fast, apart from NaN, which is always "nan".
-    Each value gets a fixed-width field of NUL-padded ASCII in the layout
-    %.17g takes for its exponent, and the NULs are dropped.
+    Each value gets a field of NUL-padded ASCII, as wide as the block needs,
+    in the layout %.17g takes for its exponent, and the NULs are dropped.
     """
     rows = np.asarray(rows, dtype=np.float64)
     ncols = rows.shape[1]
@@ -390,46 +396,54 @@ def _format_rows(rows: np.ndarray) -> tuple[bytes, int]:
     if n == 0:
         return b"", 0
     D, X, fast = _decimal(v)
+    slow = np.flatnonzero(~fast)
+    nan = np.isnan(v[slow])  # masked cells: "nan" whatever the sign bit
     digits = _digit_rows(D)
     # last: one past the row of each value's last digit other than 0
     last = ((digits != 48).view(np.uint8) * _ROWS[1:]).max(0)
     expo = (X < -4) | (X >= 17)
+    i = np.flatnonzero(expo)
     small = (X < 0) & ~expo
     last_int = np.maximum(X, -1) * ~expo  # last integer digit
     top = int(last_int.max()) + 1  # rows that hold an integer digit
+    low = int((X * small).min())  # the exponent of the smallest 1e-4 <= |v| < 1, or 0
 
-    m = np.zeros((_WIDTH, n), np.uint8)
-    m[_SIGN] = np.signbit(v) * np.uint8(45)
-    if small.any():
-        np.multiply(np.frombuffer(b"0.000", np.uint8)[:, None],
-                    _ROWS[:5] < (1 - X) * small, out=m[_LEAD:_BODY])
+    # rows of the field matrix, one column per value: the sign, "0.000" cut
+    # to what the smallest 1e-4 <= |v| < 1 takes before its digits, 17
+    # digits with a point after the integer part, then "e+XXX" only where a
+    # value takes it or % writes one, the separator
+    body = 2 - low if low else 1
+    sep = body + 18 + 5 * bool(i.size or slow.size and not nan.all())
+    m = np.zeros((sep + 1, n), np.uint8)
+    m[0] = np.signbit(v) * np.uint8(45)
+    if low:
+        np.multiply(np.frombuffer(b"0.000", np.uint8)[:body - 1, None],
+                    _ROWS[:body - 1] < (1 - X) * small, out=m[1:body])
     # the integer digits, then the point or nothing, then the other digits
     # one row down with trailing zeros dropped: three disjoint sets of rows
     keep = _ROWS[:17] < last
     keep[:top] &= _ROWS[:top] > last_int
-    np.multiply(digits, keep, out=m[_BODY + 1:_BODY + 18])
-    m[_BODY:_BODY + top] += digits[:top] * (_ROWS[:top] <= last_int)
-    m[_BODY + 1:_BODY + 1 + top] += (_ROWS[:top] == last_int) * (
+    np.multiply(digits, keep, out=m[body + 1:body + 18])
+    m[body:body + top] += digits[:top] * (_ROWS[:top] <= last_int)
+    m[body + 1:body + 1 + top] += (_ROWS[:top] == last_int) * (
         (last > last_int + 1) * np.uint8(46))
     del D, digits, keep
-    if expo.any():
-        i = np.flatnonzero(expo)
-        e = np.abs(X[i])
-        m[_EXP, i] = 101
-        m[_EXP + 1, i] = np.where(X[i] < 0, 45, 43)
-        m[_EXP + 2, i] = (e >= 100) * (e // 100 + 48)
-        m[_EXP + 3, i] = e // 10 % 10 + 48
-        m[_EXP + 4, i] = e % 10 + 48
-    slow = np.flatnonzero(~fast)
+    if i.size:
+        e, row = np.abs(X[i]), body + 18
+        m[row, i] = 101
+        m[row + 1, i] = np.where(X[i] < 0, 45, 43)
+        m[row + 2, i] = (e >= 100) * (e // 100 + 48)
+        m[row + 3, i] = e // 10 % 10 + 48
+        m[row + 4, i] = e % 10 + 48
     if slow.size:
-        m[:_SEP, slow] = 0
-        nan = np.isnan(v[slow])  # masked cells: "nan" whatever the sign bit
-        m[_BODY:_BODY + 3, slow[nan]] = np.frombuffer(b"nan", np.uint8)[:, None]
+        m[:sep, slow] = 0
+        m[body:body + 3, slow[nan]] = np.frombuffer(b"nan", np.uint8)[:, None]
         slow = slow[~nan]
+    if slow.size:  # the exponent rows are there: room for 24 characters
         text = np.array(["%.17g" % x for x in v[slow].tolist()], dtype="S24")
         m[:24, slow] = text.view(np.uint8).reshape(-1, 24).T
-    m[_SEP] = 44
-    m[_SEP, ncols - 1::ncols] = 10
+    m[sep] = 44
+    m[sep, ncols - 1::ncols] = 10
     return m.T.tobytes().translate(None, b"\0"), slow.size
 
 

@@ -541,8 +541,8 @@ def _fourier_start(U: np.ndarray, f: np.ndarray, g: np.ndarray, dx: float, dy: f
     b[0] += e[0] * U[0, 1:-1]
     b[-1] += e[-1] * U[-1, 1:-1]
 
+    odd = np.zeros((len(b), 2 * N))  # both transforms' odd extension: columns 0 and N stay 0
     def dst(A):  # -2 sum_t A_t sin(pi k t/N) for k = 1 ... N-1
-        odd = np.zeros((A.shape[0], 2 * N))
         odd[:, 1:N], odd[:, N + 1:] = A, -A[:, ::-1]
         return np.fft.rfft(odd, axis=1).imag[:, 1:N]
 

@@ -282,6 +282,19 @@ def test_lift_with_no_resampled_value_exits_2(tmp_path, capsys, x0, y0, code):
     assert "rejected: pipeline stage 'resample' failed" in capsys.readouterr().err
 
 
+def test_lift_records_how_much_of_the_target_was_resampled(tmp_path):
+    # the image of the Laplace lift of exp(X)*cos(Y) covers only part of the
+    # target inferred from its box: partial coverage exits 0 and says so
+    data = {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5], "nx": 17, "ny": 17,
+            "boundary": "exp(X)*cos(Y)", "target_nx": 9, "target_ny": 11}
+    out = tmp_path / "o"
+    assert main(["lift", "--in", _write(tmp_path / "l.json", data), "--out", str(out)]) == 0
+    ver = _read_json(out / "verification.json")
+    values = read_grid(out / "resampled.csv").values
+    assert ver["resampled_targets"] == values.size == 99
+    assert 0 < ver["resampled_hits"] == np.isfinite(values).sum() < values.size
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

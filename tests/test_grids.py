@@ -418,11 +418,16 @@ def test_format_rows_falls_back_to_python():
     assert fallbacks == 6
 
 
-# In the fast range and written without an exponent, values below and above
-# 1, with 1 to 17 significant digits: the block-wide branches of the
-# formatter take these, and each case below adds one value of another kind.
+# In the fast range, values below and above 1 with 1 to 17 significant
+# digits: the block-wide branches of the formatter take these, and each case
+# below adds one value of another kind.  _FAST_BLOCK spans p = -1 ... 23, so
+# it scales through the double-double powers of ten, and its 0.5**20 and 1e17
+# take the exponent rows; every |v| of _EXACT_BLOCK lies in [1e-6, 1e17), so
+# it scales by exact powers of ten, and none takes an exponent.
 _FAST_BLOCK = [1.5, -0.25, 123456.789, -2.0 ** 0.5, 0.1, 1e16 + 2.0, 0.00012345, 7.0,
                -99999999999999999.0, 0.5 ** 20]
+_EXACT_BLOCK = [1.5, -0.25, 123456.789, -2.0 ** 0.5, 0.1, 1e16 + 2.0, 7.0, 0.5 ** 5,
+                -12345678901234567.0]
 
 
 @pytest.mark.parametrize("extra,fallbacks", [
@@ -431,17 +436,23 @@ _FAST_BLOCK = [1.5, -0.25, 123456.789, -2.0 ** 0.5, 0.1, 1e16 + 2.0, 0.00012345,
 ], ids=["fast-range", "zero", "negative-zero", "subnormal", "nan", "huge", "small-exponent",
         "large-exponent"])
 def test_format_rows_fixed_blocks(extra, fallbacks):
-    for shape in ((1, -1), (-1, 1)):
-        rows = np.array(_FAST_BLOCK + extra).reshape(shape)
-        assert _format_rows(rows) == (percent_g_rows(rows), fallbacks)
+    for block in (_FAST_BLOCK, _EXACT_BLOCK):
+        for shape in ((1, -1), (-1, 1)):
+            rows = np.array(block + extra).reshape(shape)
+            assert _format_rows(rows) == (percent_g_rows(rows), fallbacks)
 
 
 @pytest.mark.parametrize("values", [
     [0.5, -0.25, 0.001, 0.00012345, -0.999, 2.0 ** -13, 0.1 + 0.2],
     [1.0, -2.5, 123.0, 7.25, 1e16, -12345678901234567.0, 2.0 ** 52 + 0.5],
     [0.1], [-3.5], [0.0], [1e-5], [np.nan],
+    [0.5, -12.25, 3.0], [0.05, -0.5, 12.25], [-0.005, 0.25, 12.25], [0.0005, 0.75, -12.25],
+    [1.5, np.nan, -0.25],
+    [1e-6, 2.5], [np.nextafter(1e-6, 0.0), 2.5], [9.999999999999999e16, 2.5], [1e17, 2.5],
 ], ids=["no-value-at-least-1", "no-value-below-1", "one-below-1", "one-above-1", "one-zero",
-        "one-exponent", "one-nan"])
+        "one-exponent", "one-nan", "lead-of-2", "lead-of-3", "lead-of-4", "lead-of-5",
+        "nan-the-only-slow-value", "1e-6", "just-below-1e-6",
+        "just-below-1e17", "1e17"])
 def test_format_rows_blocks_that_skip_a_branch(values):
     rows = np.array([values])
     assert _format_rows(rows) == (percent_g_rows(rows), 0)

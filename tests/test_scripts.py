@@ -83,7 +83,8 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
         for r in tree["points"]:
             assert 0.0 < r["chain_us"] < 1e4 and 0.0 < r["direct_us"] < 1e4, r
             assert len(r["chain_sha256"]) == len(r["direct_sha256"]) == 10
-        assert [r["values"] for r in tree["formatter"]] == [11, 1089, 8184]
+        assert [(r["values"], r["layout"]) for r in tree["formatter"]] == [
+            (11, "table"), (1089, "table"), (8184, "table"), (8184, "wide")]
         for r in tree["formatter"]:
             assert 0.0 < r["us"] < 1e6 and len(r["sha256"]) == 10, r
         assert set(tree["formatter_cost"]) == {"fixed_us", "per_value_ns"}
