@@ -6,8 +6,9 @@ harness calls the public functions of one `lift` request in turn and times
 each: classify, problem_from_exprs, solve_dirichlet (with its V-cycles and
 hierarchy build), lift_parametric, resample onto the inferred n x n target,
 verify_lift, write_lifted and write_grid.  It adds an in-process `ma-lin lift`
-row per case at the ladder's first size, a fresh-process `import ma_lin`
-row and, per lift family, a point row: `compose_chain` and
+row per case at the ladder's first size, a fresh-process
+`import ma_lin, ma_lin.cli` row (compiled from source, with the ma_lin
+modules it loaded) and, per lift family, a point row: `compose_chain` and
 `contact_map(symbolic_jet(...))` called once per point at POINTS seeded
 float64 points, as the closed-form benchmark calls them, timed per point
 with a SHA-256 prefix of the bits of every image field and `valid`.  The
@@ -188,21 +189,29 @@ def worker(spec: dict) -> dict:
             "formatter": _formatter_rows(k)}
 
 
-def _import_seconds(src: str) -> float:
-    """Wall time of `import ma_lin` in a fresh interpreter."""
-    code = ("import time; t = time.perf_counter(); import ma_lin; "
-            "print(time.perf_counter() - t)")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return float(out)
+def _import_seconds(src: str) -> tuple[float, list]:
+    """Wall time of `import ma_lin, ma_lin.cli` in a fresh interpreter, and
+    the ma_lin modules it loaded.  The interpreter writes no bytecode and
+    finds none (its cache prefix is an empty directory), so it compiles
+    src/ as bench/run.py's set-up does under PYTHONDONTWRITEBYTECODE=1."""
+    code = ("import sys, time; t = time.perf_counter(); import ma_lin, ma_lin.cli; "
+            "t = time.perf_counter() - t; import json; "
+            "print(json.dumps([t, sorted(m for m in sys.modules if m.startswith('ma_lin.'))]))")
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=cache)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+    return tuple(json.loads(out))
 
 
 def _pass(src: str, spec: dict) -> dict:
     out = subprocess.run([sys.executable, __file__, "--worker", json.dumps({**spec, "src": src})],
                          check=True, stdout=subprocess.PIPE, text=True).stdout
     result = json.loads(out)
-    result["import_s"] = min(_import_seconds(src) for _ in range(spec["repeat"]))
+    imports = [_import_seconds(src) for _ in range(spec["repeat"])]
+    result["import_s"] = min(seconds for seconds, _ in imports)
+    result["import_modules"] = imports[0][1]
     return result
 
 
@@ -230,6 +239,8 @@ def _merge(passes: list) -> dict:
                 raise SystemExit(f"passes disagree at the {row['values']}-value "
                                  f"{row['layout']} block")
             row["us"] = min(row["us"], other["us"])
+        if p["import_modules"] != first["import_modules"]:
+            raise SystemExit("passes disagree on the modules that the import loads")
         first["import_s"] = min(first["import_s"], p["import_s"])
     # the fixed cost per call and the cost per value, from the smallest and
     # the largest table block
@@ -271,7 +282,8 @@ def _print(trees: dict) -> None:
                   f"{r['start']:>7} {r['iterations']:>6} " + " ".join(f"{r['stages'][s]:12.5f}" for s in STAGES))
     for name in names:
         rows = ", ".join(f"{r['family']} {r['seconds']:.4f}" for r in trees[name]["cli_lift"])
-        print(f"{name}: import ma_lin {trees[name]['import_s']:.4f} s; ma-lin lift {rows}")
+        print(f"{name}: import ma_lin, ma_lin.cli {trees[name]['import_s']:.4f} s "
+              f"({', '.join(trees[name]['import_modules'])}); ma-lin lift {rows}")
     for name in names:
         for r in trees[name]["points"]:
             print(f"{name}: {r['family']} {r['U']} per point: compose_chain "

@@ -9,8 +9,8 @@ step by residual and identity checks.
 """
 
 from .expressions import (Bindings, Const, EvalError, Expr, ExprError, Neg,
-                          BinOp, Call, ParseError, Var, as_expr, diff,
-                          evaluate, parse, subst, to_text, variables)
+                          BinOp, Call, ParseError, Rejection, Var, as_expr,
+                          diff, evaluate, parse, subst, to_text, variables)
 from .grids import (Grid2, GridError, GridFormatError, GridGeometry, JetArrays,
                     MaskedGrid2, geometry_from_domain, interior_jets, jet_exprs,
                     read_grid, sample, symbolic_jet, write_grid)
@@ -32,9 +32,19 @@ from .lift import (EmptyLiftError, LiftedSurface, PipelineConfig,
                    PipelineError, PipelineResult, VerificationReport,
                    lift_parametric, pipeline, resample, verify_lift,
                    write_lifted)
-from .elasticity import (AxisymDeformation, IncompressibilityReport,
-                         MembraneDeformation, PlaneDeformation, deform,
-                         deformation_from_dict, incompressibility_check,
-                         inversion_coords, jacobian, jacobian_from_jet)
 
 __version__ = "0.1.0"
+
+# the finite-elasticity names: of the commands only `ma-lin elasticity` uses
+# them, so `ma_lin.elasticity` loads on the first read of one of them
+_ELASTICITY = frozenset((
+    "AxisymDeformation", "IncompressibilityReport", "MembraneDeformation", "PlaneDeformation",
+    "deform", "deformation_from_dict", "incompressibility_check", "inversion_coords",
+    "jacobian", "jacobian_from_jet"))
+
+
+def __getattr__(name: str):
+    if name in _ELASTICITY:
+        from . import elasticity
+        return getattr(elasticity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,8 +5,8 @@ past its input checks writes a manifest naming the inputs, seed, tolerances,
 python and numpy versions and SHA-256 hashes of the artifacts it committed,
 and why it failed if it did; re-running a command with the same inputs
 reproduces bit-identical CSV files.  Exit codes: 0 success, 1 usage or parse
-error, 2 mathematical rejection (not in class, not elliptic, all nodes
-degenerate), 3 non-convergence.
+error, 2 mathematical rejection (an `expressions.Rejection`: not in class,
+not elliptic, all nodes degenerate), 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -25,19 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .elasticity import (ElasticityError, deformation_from_dict,
-                         incompressibility_check, write_deformed_points)
-from .equations import (KhabirovError, NotInClassError, catalog_get,
-                        classification_report, equation_from_dict,
+from .equations import (catalog_get, classification_report, equation_from_dict,
                         equation_to_dict, khabirov_push)
-from .expressions import ExprError, parse, to_text, variables
+from .expressions import ExprError, Rejection, parse, to_text, variables
 from .grids import GridError, geometry_from_domain, write_grid, GridGeometry
-from .lift import (EmptyLiftError, PipelineConfig, PipelineError, pipeline,
-                   write_lifted)
-from .linsolve import (NotConvergedError, NotEllipticError, boundary_from_expr,
-                       boundary_from_edge_exprs, check_solve_limits,
-                       problem_from_exprs, solve_dirichlet)
-from .transforms import TransformError
+from .lift import PipelineConfig, PipelineError, pipeline, write_lifted
+from .linsolve import (NotConvergedError, boundary_from_expr, boundary_from_edge_exprs,
+                       check_solve_limits, problem_from_exprs, solve_dirichlet)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,11 +45,6 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-def _sha256(path) -> str:
-    """An input file's SHA-256; the artifacts are hashed as they are written."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
 
 class _Outputs:
     """Atomic, overwrite-guarded artifact writing for one run, as a `with` block.
@@ -125,17 +114,21 @@ def _dump_json(path, data: dict) -> str:
     return hashlib.sha256(text).hexdigest()
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[dict, dict]:
+    """The JSON object in an input file, and the manifest's `inputs` entry
+    for it: the SHA-256 of the bytes parsed, which are read once, so that a
+    file replaced during the run cannot give the digest of other bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as err:
         raise UsageError(f"malformed JSON in {path}: {err}") from None
     if not isinstance(data, dict):
         raise UsageError(f"{path} must hold a JSON object")
-    return data
+    return data, {path: hashlib.sha256(raw).hexdigest()}
 
 
 def _check_keys(obj, reads, where: str) -> None:
@@ -214,12 +207,11 @@ def cmd_classify(args) -> int:
         eq = catalog_get(args.id)
         inputs = {"catalog_id": args.id}
     elif args.infile:
-        data = _load_json(args.infile)
+        data, inputs = _load_json(args.infile)
         _check_keys(data, ("id", "F", "note"), "equation")
         for key in ("id", "F"):
             _need(data, key, "equation")
         eq = equation_from_dict(data)
-        inputs = {args.infile: _sha256(args.infile)}
     else:
         raise UsageError("classify needs --in FILE or --id CATALOG-ID")
     with _Outputs(args, inputs) as out:
@@ -229,7 +221,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_json(args.infile)
+    cfg, inputs = _load_json(args.infile)
     grid_keys = ("geometry",) if "geometry" in cfg else ("domain", "nx", "ny")
     _check_keys(cfg, grid_keys + ("fcoeff", "source", "boundary", "tol", "max_iter"), "solve config")
     tol = args.tol if args.tol is not None else cfg.get("tol")
@@ -249,7 +241,6 @@ def cmd_solve(args) -> int:
         parse(str(cfg["source"])) if cfg.get("source") else None,
         _boundary_from_config(cfg, geom, "solve config"),
     )
-    inputs = {args.infile: _sha256(args.infile)}
     with _Outputs(args, inputs, {"tol": tol, "max_iter": max_iter}) as out:
 
         def write(report, grid):
@@ -266,7 +257,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    cfg = _load_json(args.infile)
+    cfg, inputs = _load_json(args.infile)
     equation = ("id",) if "id" in cfg else ("f",)
     target_keys = ("target",) if "target" in cfg else ("target_nx", "target_ny")
     _check_keys(cfg, equation + ("domain", "nx", "ny", "boundary") + target_keys + ("tol",),
@@ -282,11 +273,15 @@ def cmd_lift(args) -> int:
     check_solve_limits(tol, 1)
     domain, nx, ny = _domain(cfg, args.nx, args.ny, "lift config")
     geom = geometry_from_domain(*domain, nx, ny)
-    target = (_grid_fields(cfg["target"], "target") if "target" in cfg else
-              tuple(_count(cfg.get(k, 33), k) for k in target_keys))
+    if "target" in cfg:
+        target = _grid_fields(cfg["target"], "target")
+    else:  # the inferred target's node counts, refused before any output as nx and ny are
+        target = tuple(_count(cfg.get(k, 33), k) for k in target_keys)
+        for k, n in zip(target_keys, target):
+            if n < 2:
+                raise UsageError(f"{k} must be at least 2, got {n}")
     pc = PipelineConfig(geom, _boundary_from_config(cfg, geom, "lift config"), target,
                         solve_tol=tol, seed=args.seed)
-    inputs = {args.infile: _sha256(args.infile)}
     with _Outputs(args, inputs, {"tol": tol}) as out:
         result = pipeline(f_or_id, pc)
         out.write_with("lifted.csv", lambda p: write_lifted(result.surface, p))
@@ -300,7 +295,9 @@ def cmd_lift(args) -> int:
 
 
 def cmd_elasticity(args) -> int:
-    data = _load_json(args.infile)
+    from .elasticity import deformation_from_dict, incompressibility_check, write_deformed_points
+
+    data, inputs = _load_json(args.infile)
     _check_keys(data, ("kind", "potential", "domain", "n"), "elasticity config")
     d = deformation_from_dict({k: _need(data, k, "elasticity config")
                                for k in ("kind", "potential")})
@@ -315,7 +312,7 @@ def cmd_elasticity(args) -> int:
     n = args.n if args.n is not None else _count(data.get("n", 20), "n")
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
-    with _Outputs(args, {args.infile: _sha256(args.infile)}) as out:
+    with _Outputs(args, inputs) as out:
         out.write_json("incompressibility.json", {
             **incompressibility_check(d, domain=domain, n=n).to_dict(), "seed": args.seed})
         out.write_with("deformed.csv", lambda p: write_deformed_points(d, domain, n, p))
@@ -329,10 +326,9 @@ def cmd_khabirov(args) -> int:
         g = parse(args.g)
         inputs = {"g": args.g}
     elif args.infile:
-        data = _load_json(args.infile)
+        data, inputs = _load_json(args.infile)
         _check_keys(data, ("g",), "khabirov config")
         g = parse(str(_need(data, "g", "khabirov config")))
-        inputs = {args.infile: _sha256(args.infile)}
     else:
         raise UsageError("khabirov needs --g EXPR or --in FILE with {\"g\": ...}")
     extra = variables(g) - {"s"}
@@ -403,10 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # The exit code of each exception a run may end with: the first row whose
 # types match decides, and what matches nothing is a usage error.  A
 # PipelineError counts as its cause, so a library error gives the same code
-# whether or not a pipeline stage wrapped it.
+# whether or not a pipeline stage wrapped it.  Every mathematical rejection
+# derives from Rejection, so that a new one needs no row here and the table
+# loads no module that defines one.
 _EXIT_CODES = (
-    ((NotEllipticError, NotInClassError, EmptyLiftError, TransformError, ElasticityError,
-      KhabirovError), EXIT_REJECTED),
+    ((Rejection,), EXIT_REJECTED),
     ((NotConvergedError,), EXIT_NOT_CONVERGED),
     ((UsageError, ExprError, GridError, KeyError, ValueError, OSError, RecursionError,
       PipelineError), EXIT_USAGE),

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .expressions import Expr, _Value, diff, evaluate, subst, parse, variables
+from .expressions import Expr, Rejection, _Value, diff, evaluate, subst, parse, variables
 from .grids import Grid2, JetArrays, interior_jets, symbolic_jet, write_table
 from .lift import LiftedSurface
 
@@ -29,7 +29,7 @@ __all__ = [
 _GRAD_EPS = 1e-12
 
 
-class ElasticityError(Exception):
+class ElasticityError(Rejection):
     pass
 
 

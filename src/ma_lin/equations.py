@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expressions import (Const, Expr, Var, _Value, evaluate, parse, subst, to_text,
-                          variables)
+from .expressions import (Const, Expr, Rejection, Var, _Value, evaluate, parse, subst,
+                          to_text, variables)
 from .grids import JetArrays
 from .transforms import legendre_point_map
 
@@ -65,7 +65,7 @@ class LinearizableClass(_Value):
         vars(self).update(f=f, even=even, seed=seed)
 
 
-class NotInClassError(Exception):
+class NotInClassError(Rejection):
     def __init__(self, reason: str, witness: dict):
         super().__init__(reason)
         self.reason = reason
@@ -168,7 +168,7 @@ def equation_from_class_function(f: Expr, id: str = "", note: str = "") -> MAEqu
 # ---------------------------------------------------------------------------
 # the Legendre push of Hessian-determinant equations with RHS x^-4 * g(y/x)
 
-class KhabirovError(Exception):
+class KhabirovError(Rejection):
     pass
 
 

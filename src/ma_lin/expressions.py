@@ -22,12 +22,18 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Call",
-    "Bindings", "ExprError", "ParseError", "EvalError",
+    "Bindings", "Rejection", "ExprError", "ParseError", "EvalError",
     "FUNCTIONS", "Program", "as_expr", "parse", "compile_trees", "evaluate", "diff", "subst",
     "variables", "to_text",
 ]
 
 Bindings = Mapping[str, Union[float, np.ndarray]]
+
+
+class Rejection(Exception):
+    """Base class of the mathematical rejections: an input the package reads
+    but whose mathematics it refuses, such as an equation outside the class or
+    a coefficient that is not positive.  `ma-lin` exits 2 on any of them."""
 
 
 class ExprError(Exception):

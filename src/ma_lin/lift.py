@@ -19,7 +19,7 @@ import numpy as np
 from .equations import (LinearizableClass, MAEquation, catalog_get, classify,
                         equation_from_class_function, linear_coefficient,
                         residual)
-from .expressions import Expr, _Value, to_text
+from .expressions import Expr, Rejection, _Value, to_text
 from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, MaskedGrid2,
                     geometry_from_domain, interior_jets, read_table, symbolic_jet,
                     write_table)
@@ -39,7 +39,7 @@ class LiftError(Exception):
     pass
 
 
-class EmptyLiftError(LiftError):
+class EmptyLiftError(LiftError, Rejection):
     pass
 
 

@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .expressions import Expr, _Value, _plain
+from .expressions import Expr, Rejection, _Value, _plain
 from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, _finite, read_table,
                     symbolic_jet, write_table)
 
@@ -47,7 +47,7 @@ __all__ = [
 DEGENERACY_EPS = 1e-8
 
 
-class TransformError(Exception):
+class TransformError(Rejection):
     pass
 
 

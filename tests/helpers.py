@@ -173,7 +173,7 @@ def dense_level_operator(op) -> np.ndarray:
 
 
 def transfers_reference(pos, keep):
-    """Node-by-node reference for ma_lin.linsolve._transfers: linear
+    """Node-by-node reference for ma_lin.multigrid._transfers: linear
     interpolation from pos[keep] to pos, and its transpose weighted by
     control-volume widths, each as zero-padded (index, weight) arrays."""
     def ell(rows):
@@ -204,14 +204,14 @@ def transfers_reference(pos, keep):
 
 
 def product_reference(A, B) -> np.ndarray:
-    """Reference for ma_lin.linsolve._product: the matrix product as one
+    """Reference for ma_lin.multigrid._product: the matrix product as one
     multiply over a broadcast (n, n, m) array and a sum over its leading
     axis, which adds the terms of each entry in order."""
     return (A.T[:, :, None] * B[:, None, :]).sum(axis=0)
 
 
 def apply_reference(ell, A, axis: int) -> np.ndarray:
-    """Reference for ma_lin.linsolve._apply: a zero-padded (index, weight)
+    """Reference for ma_lin.multigrid._apply: a zero-padded (index, weight)
     transfer applied along one axis of A, slicing each term's columns as it
     goes, term by term in a fixed order."""
     idx, w = ell
@@ -247,7 +247,7 @@ def nested_start_solve(problem, tol=None, max_iter: int = 100_000):
     solver takes the Fourier start (f constant along X).  Where the solver
     takes the nested start it gives the solver's bytes and V-cycles.  Returns
     as zero_start_solve does."""
-    from ma_lin.linsolve import _Level
+    from ma_lin.multigrid import _Level
     return _reference_solve(problem, max_iter, tol, start=_Level.start)
 
 
@@ -260,7 +260,8 @@ def _linear_start(level, U, g) -> None:
 
 
 def _reference_solve(problem, max_iter: int, tol, start):
-    from ma_lin.linsolve import FLOOR_FACTOR, STALL_CYCLES, _Level, discrete_residual
+    from ma_lin.linsolve import FLOOR_FACTOR, STALL_CYCLES, discrete_residual
+    from ma_lin.multigrid import _Level
     geom, f, g = problem.geom, problem.fcoeff.values, problem.source.values
     U = np.zeros((geom.ny, geom.nx))
     U[:, 0], U[:, -1] = problem.boundary.left, problem.boundary.right

@@ -421,6 +421,14 @@ def test_zero_node_count_flags_are_values_not_absent(tmp_path, capsys, command, 
     assert message in err
 
 
+@pytest.mark.parametrize("count", [0, 1, -3])
+@pytest.mark.parametrize("key", ["target_nx", "target_ny"])
+def test_inferred_target_counts_below_2_exit_1_before_any_output(tmp_path, capsys, key, count):
+    data = _with(_lift_config, target=None, boundary="X^2-Y^2", **{key: count})
+    err = _refused_before_any_output(tmp_path, capsys, "lift", data)
+    assert err == f"error: {key} must be at least 2, got {count}\n"
+
+
 def test_config_must_be_a_json_object(tmp_path, capsys):
     cfg = _write(tmp_path / "p.json", [1, 2])
     assert main(["solve", "--in", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -817,6 +825,57 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def _loaded_in_a_fresh_interpreter(code: str) -> str:
+    """Which of the modules that load on first use, the multigrid and the
+    elasticity module, are loaded after `import ma_lin, ma_lin.cli` and code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, ma_lin, ma_lin.cli; {code}; "
+         "print(sorted(m for m in ('ma_lin.multigrid', 'ma_lin.elasticity') if m in sys.modules))"],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def _lift_argv(tmp_path, catalog_id, out):
+    cfg = _write(tmp_path / f"{catalog_id}.json", {
+        "id": catalog_id, "domain": [0.5, 1.5, 0.5, 1.5], "nx": 33, "ny": 33,
+        "boundary": "X^2-Y^2", "target_nx": 9, "target_ny": 9})
+    return ["lift", "--in", cfg, "--out", str(tmp_path / out)]
+
+
+@pytest.mark.parametrize("catalog_id", ["plane-strain-class", "grad-inversion"])
+def test_a_one_variable_lift_loads_neither_the_multigrid_nor_elasticity(tmp_path, catalog_id):
+    # f = 1 and f = (1+Y^2)^2: the Fourier start meets the bound, so no
+    # hierarchy is built
+    argv = _lift_argv(tmp_path, catalog_id, "o")
+    assert _loaded_in_a_fresh_interpreter(f"assert ma_lin.cli.main({argv!r}) == 0") == "[]"
+    assert _read_json(tmp_path / "o" / "solve_report.json")["start"] == "fourier"
+
+
+def test_the_elasticity_names_and_command_load_elasticity(tmp_path):
+    loaded = "['ma_lin.elasticity']"
+    assert _loaded_in_a_fresh_interpreter("ma_lin.PlaneDeformation") == loaded
+    argv = [*_every_command(tmp_path)[3], "--out", str(tmp_path / "o")]
+    assert _loaded_in_a_fresh_interpreter(f"assert ma_lin.cli.main({argv!r}) == 0") == loaded
+
+
+def test_a_two_variable_lift_loads_the_multigrid_with_the_same_results(tmp_path):
+    # general-Au's X*(1+Y^2)^2 takes the nested start: the multigrid loads in
+    # the run and gives what the same lift in this process gives, in the 6
+    # V-cycles on two levels that the solver took before it was a module
+    fresh = _lift_argv(tmp_path, "general-Au", "fresh")
+    assert _loaded_in_a_fresh_interpreter(
+        f"assert ma_lin.cli.main({fresh!r}) == 0") == "['ma_lin.multigrid']"
+    assert main(_lift_argv(tmp_path, "general-Au", "here")) == 0
+    for name in ("lifted.csv", "resampled.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    reports = [_read_json(tmp_path / side / "solve_report.json") for side in ("fresh", "here")]
+    for key in ("start", "iterations", "residuals", "levels"):
+        assert reports[0][key] == reports[1][key], key
+    assert reports[0]["start"] == "nested" and reports[0]["iterations"] == 6
+    assert reports[0]["levels"] == [[33, 33], [17, 17]]
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     # nodes and results are value classes that generate no code when defined;
     # numpy and the standard modules the CLI imports do not load dataclasses
@@ -848,6 +907,38 @@ def test_manifest_records_input_hash(tmp_path):
     assert main(["classify", "--in", eq, "--out", str(out)]) == 0
     man = _read_json(out / "manifest.json")
     assert len(man["inputs"][eq]) == 64  # sha256 hex digest
+
+
+# an input file of each subcommand that reads one
+_INPUT_FILES = {
+    "classify": {"id": "g", "F": "(p^2+q^2)^2", "note": ""},
+    "solve": _solve_config(),
+    "lift": {**_lift_config(), "boundary": "X^2-Y^2", "nx": 9, "ny": 9},
+    "elasticity": {"kind": "from-U", "potential": "X^2+Y^2", "domain": [-1, 1, -1, 1], "n": 5},
+    "khabirov": {"g": "1+s^2"},
+}
+
+
+@pytest.mark.parametrize("command", list(_INPUT_FILES))
+def test_the_manifest_hashes_the_input_bytes_that_were_parsed(tmp_path, monkeypatch, command):
+    # the file is replaced as soon as it is parsed: a second read would hash
+    # bytes that the run never used
+    path = tmp_path / "in.json"
+    parsed = json.dumps(_INPUT_FILES[command]).encode()
+    path.write_bytes(parsed)
+    loads = json.loads
+
+    def loads_then_replace(*args, **kwargs):
+        data = loads(*args, **kwargs)
+        path.write_bytes(parsed + b"\n")
+        return data
+
+    monkeypatch.setattr(json, "loads", loads_then_replace)
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "o")]) == 0
+    monkeypatch.undo()
+    assert path.read_bytes() != parsed
+    assert _read_json(tmp_path / "o" / "manifest.json")["inputs"] == {
+        str(path): hashlib.sha256(parsed).hexdigest()}
 
 
 def _every_command(tmp_path):

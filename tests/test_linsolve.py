@@ -9,16 +9,17 @@ import pytest
 from helpers import (apply_reference, dense_dirichlet, dense_level_operator, dense_line_solve,
                      linear_start_solve, measured_order, nested_start_solve, product_reference,
                      src_env, transfers_reference, zero_start_solve)
-from ma_lin import linsolve
+from ma_lin import multigrid
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
 from ma_lin.grids import Grid2, geometry_from_domain, sample
 from ma_lin.linsolve import (DIRECT_SIDE, FLOOR_FACTOR, PCR_SIDE, BoundaryValues,
                              EllipticProblem, NotConvergedError, NotEllipticError,
                              boundary_from_edge_exprs, constant_f_family,
-                             discrete_residual, mms_source, _apply, _coarse_nodes, _cubic,
-                             _dense_inverse, _Level, _product, _terms, _transfers,
-                             problem_from_exprs, solve_dirichlet)
+                             discrete_residual, mms_source, problem_from_exprs,
+                             solve_dirichlet)
+from ma_lin.multigrid import (_apply, _coarse_nodes, _cubic, _dense_inverse, _Level, _product,
+                              _terms, _transfers)
 
 
 def _solve_expr(fcoeff, Ustar, n, tol=None, source=None):
@@ -498,7 +499,7 @@ def test_direct_inverse_matches_the_broadcast_sum_build(monkeypatch, fcoeff, nx,
     f = sample(parse(fcoeff), ("X", "Y"), geom).values
     lev = _Level(f, np.arange(nx), np.arange(ny), geom.dx, geom.dy).levels()[-1]
     assert lev.inverse is not None and lev.op[4].shape == interior
-    monkeypatch.setattr(linsolve, "_product", product_reference)
+    monkeypatch.setattr(multigrid, "_product", product_reference)
     assert lev.inverse.tobytes() == _dense_inverse(*lev.op).tobytes()
 
 

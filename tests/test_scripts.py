@@ -78,6 +78,8 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
             assert len(r["lifted_sha256"]) == len(r["resampled_sha256"]) == 10
         assert all(0.0 < r["seconds"] < 60.0 for r in tree["cli_lift"])
         assert 0.0 < tree["import_s"] < 60.0
+        assert "ma_lin.cli" in tree["import_modules"]
+        assert tree["import_modules"] == sorted(tree["import_modules"])
         assert [(r["family"], r["points"]) for r in tree["points"]] == [
             ("plane-strain-class", 200), ("grad-inversion", 200)]
         for r in tree["points"]:
@@ -91,6 +93,9 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
     # both trees format every block to the same bytes
     assert len({tuple(r["sha256"] for r in tree["formatter"])
                 for tree in report["trees"].values()}) == 1
+    # the multigrid and the elasticity module load on first use, not on import
+    assert not {"ma_lin.multigrid", "ma_lin.elasticity"} & set(
+        report["trees"]["this"]["import_modules"])
     # the one-variable coefficients take the Fourier start, which meets the
     # bound with no V-cycle; general-Au's X*(1+Y^2)^2 runs the multigrid
     rows = report["trees"]["this"]["rows"]
