@@ -2,13 +2,12 @@
 """Stage-by-stage timing harness for the `lift` pipeline.
 
 For each lift family and boundary in CASES and each n of the ladder, the
-harness calls the public functions of one `lift` request in turn and times
-each: classify, problem_from_exprs, solve_dirichlet (with its V-cycles and
-hierarchy build), lift_parametric, resample onto the inferred n x n target,
-verify_lift, write_lifted and write_grid.  It adds an in-process `ma-lin lift`
-row per case at the ladder's first size, a fresh-process
-`import ma_lin, ma_lin.cli` row (compiled from source, with the ma_lin
-modules it loaded) and, per lift family, a point row: `compose_chain` and
+harness times in-process `ma-lin lift` requests on an n x n mesh with an
+n x n inferred target, and reads back the seconds of each pipeline stage
+and artifact write and the CSV digests from their `manifest.json`, and
+the solver's start, cycles and set-up from `solve_report.json`.  It adds a
+fresh-process `import ma_lin, ma_lin.cli` row (compiled from source, with
+the ma_lin modules it loaded) and, per lift family, a point row: `compose_chain` and
 `contact_map(symbolic_jet(...))` called once per point at POINTS seeded
 float64 points, as the closed-form benchmark calls them, timed per point
 with a SHA-256 prefix of the bits of every image field and `valid`.  The
@@ -19,16 +18,17 @@ one value scaled by 1e-7, which gives the whole block the exponent rows of
 the formatter's wide layout, each with a SHA-256 prefix of the block's bytes;
 the smallest and the largest table block give a fixed cost per call and a
 cost per value.  It writes the best of k runs, the solver's start and
-cycle counts, SHA-256 prefixes of the two CSVs and the host (nproc, python,
-numpy) to a JSON file.
+cycle counts, the CSV digests and the host (nproc, python, numpy) to a
+JSON file.
 
 Each pass runs in a fresh worker process that imports `ma_lin` from the
-tree under test and takes the best of k = 5 warm runs of every stage; 6 such
-passes are run per tree (--quick: n = 17 and 33, one run, one pass).  With --against REV, the `src/` of REV is
-exported by `git archive` into a temporary directory, its passes alternate
-with this tree's (the order flipping each round, since on a shared machine
-only runs made close together compare), and the directory is removed
-afterwards.
+tree under test and takes the best of k = 5 warm requests; 6 such passes
+are run per tree (--quick: n = 17 and 33, one run, one pass).  With
+--against REV, the `src/` of REV is exported by `git archive` into a
+temporary directory, its passes alternate with this tree's (the order
+flipping each round, since on a shared machine only runs made close
+together compare), and the directory is removed afterwards.  A REV whose
+`lift` manifest records no `timings` ends the run with a line naming it.
 
     python scripts/bench.py --out BENCH.json
     python scripts/bench.py --against HEAD~1 --out BENCH.json
@@ -61,8 +61,6 @@ CASES = (("plane-strain-class", "X^2-Y^2"),
          ("plane-strain-class", "exp(X)*cos(Y)"),
          ("general-Au", "X^2-Y^2"))
 DOMAIN = (0.5, 1.5, 0.5, 1.5)
-STAGES = ("classify", "problem", "solve", "lift", "resample", "verify",
-          "write_lifted", "write_grid")
 # the point rows: each lift family's boundary, an exact U of its linear
 # equation, at POINTS seeded points of DOMAIN
 POINT_CASES = CASES[:2]
@@ -86,10 +84,6 @@ def _best(fn, k):
         out = fn()
         times.append(time.perf_counter() - t0)
     return out, min(times)
-
-
-def _sha(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:10]
 
 
 def _point_rows(k: int) -> list:
@@ -143,50 +137,45 @@ def _formatter_rows(k: int) -> list:
     return rows
 
 
+def _fold(row: dict, other: dict) -> None:
+    """Keep in row the best of each timing of two runs of one request, which
+    must agree on everything else, the stage names included."""
+    keys = ("start", "iterations", "lifted_sha256", "resampled_sha256")
+    if ([row[key] for key in keys] != [other[key] for key in keys]
+            or list(row["stages"]) != list(other["stages"])):
+        raise SystemExit(f"runs disagree at {row['family']} {row['boundary']} n={row['n']}")
+    for key in ("seconds", "setup_s"):
+        row[key] = min(row[key], other[key])
+    row["stages"] = {stage: min(t, other["stages"][stage]) for stage, t in row["stages"].items()}
+
+
 def worker(spec: dict) -> dict:
     """One pass over the ladder in this process, with ma_lin from spec["src"]."""
     sys.path.insert(0, spec["src"])
-    from ma_lin import (catalog_get, classify, geometry_from_domain, lift_parametric,
-                        linear_coefficient, parse, problem_from_exprs, resample,
-                        solve_dirichlet, verify_lift, write_grid, write_lifted)
     from ma_lin.cli import main as cli_main
-    from ma_lin.lift import _infer_target  # the target `lift` infers, as the pipeline does
 
-    k, rows, cli_rows = spec["repeat"], [], []
+    k, rows = spec["repeat"], []
     with tempfile.TemporaryDirectory() as tmp:
-        for family, boundary in CASES:
-            for n in spec["sizes"]:
-                t, geom = {}, geometry_from_domain(*DOMAIN, n, n)
-                eq = catalog_get(family)
-                cls, t["classify"] = _best(lambda: classify(eq, seed=42), k)
-                coeff = linear_coefficient(cls)
-                problem, t["problem"] = _best(
-                    lambda: problem_from_exprs(geom, coeff, None, parse(boundary)), k)
-                (U, report), t["solve"] = _best(lambda: solve_dirichlet(problem), k)
-                surface, t["lift"] = _best(lambda: lift_parametric(U), k)
-                target = _infer_target(surface, n, n)
-                grid, t["resample"] = _best(lambda: resample(surface, target), k)
-                _, t["verify"] = _best(lambda: verify_lift(surface, eq), k)
-                lifted, resampled = Path(tmp, "lifted.csv"), Path(tmp, "resampled.csv")
-                _, t["write_lifted"] = _best(lambda: write_lifted(surface, lifted), k)
-                _, t["write_grid"] = _best(lambda: write_grid(grid.grid, resampled), k)
-                rows.append({"family": family, "boundary": boundary, "n": n,
-                             # a tree from before the Fourier start ran only the nested one
-                             "start": getattr(report, "start", "nested"),
-                             "iterations": report.iterations,
-                             "setup_s": report.setup_seconds, "stages": t,
-                             "lifted_sha256": _sha(lifted), "resampled_sha256": _sha(resampled)})
-            n = spec["sizes"][0]
-            cfg = Path(tmp, "lift.json")
+        cfg, out = Path(tmp, "lift.json"), Path(tmp, "out")
+        argv = ["lift", "--in", str(cfg), "--out", str(out), "--force"]
+        for (family, boundary), n in ((case, n) for case in CASES for n in spec["sizes"]):
             cfg.write_text(json.dumps({"id": family, "domain": list(DOMAIN), "nx": n, "ny": n,
                                        "boundary": boundary, "target_nx": n, "target_ny": n}))
-            code, seconds = _best(lambda: cli_main(["lift", "--in", str(cfg), "--out",
-                                                    str(Path(tmp, "out")), "--force"]), k)
-            if code != 0:
-                raise SystemExit(f"ma-lin lift of {family} with {boundary} exited {code}")
-            cli_rows.append({"family": family, "boundary": boundary, "n": n, "seconds": seconds})
-    return {"rows": rows, "cli_lift": cli_rows, "points": _point_rows(k),
-            "formatter": _formatter_rows(k)}
+            for run in range(k):
+                code, seconds = _best(lambda: cli_main(argv), 1)
+                if code != 0:
+                    raise SystemExit(f"ma-lin lift of {family} with {boundary} exited {code}")
+                manifest, report = (json.loads(Path(out, name).read_text())
+                                    for name in ("manifest.json", "solve_report.json"))
+                if "timings" not in manifest:
+                    raise SystemExit("its `ma-lin lift` manifest records no timings")
+                row = {"family": family, "boundary": boundary, "n": n, "seconds": seconds,
+                       "start": report["start"], "iterations": report["iterations"],
+                       "setup_s": report["setup_seconds"], "stages": manifest["timings"],
+                       "lifted_sha256": manifest["artifacts"]["lifted.csv"][:10],
+                       "resampled_sha256": manifest["artifacts"]["resampled.csv"][:10]}
+                _fold(rows[-1], row) if run else rows.append(row)
+    return {"rows": rows, "points": _point_rows(k), "formatter": _formatter_rows(k)}
 
 
 def _import_seconds(src: str) -> tuple[float, list]:
@@ -205,10 +194,12 @@ def _import_seconds(src: str) -> tuple[float, list]:
     return tuple(json.loads(out))
 
 
-def _pass(src: str, spec: dict) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--worker", json.dumps({**spec, "src": src})],
-                         check=True, stdout=subprocess.PIPE, text=True).stdout
-    result = json.loads(out)
+def _pass(rev: str, src: str, spec: dict) -> dict:
+    run = subprocess.run([sys.executable, __file__, "--worker", json.dumps({**spec, "src": src})],
+                         capture_output=True, text=True)
+    if run.returncode:  # the worker's last line says why
+        raise SystemExit(f"{rev}: {(run.stderr.strip() or 'the worker failed').splitlines()[-1]}")
+    result = json.loads(run.stdout)
     imports = [_import_seconds(src) for _ in range(spec["repeat"])]
     result["import_s"] = min(seconds for seconds, _ in imports)
     result["import_modules"] = imports[0][1]
@@ -221,14 +212,7 @@ def _merge(passes: list) -> dict:
     first = passes[0]
     for p in passes[1:]:
         for row, other in zip(first["rows"], p["rows"]):
-            keys = ("start", "iterations", "lifted_sha256", "resampled_sha256")
-            if [row[key] for key in keys] != [other[key] for key in keys]:
-                raise SystemExit(f"passes disagree at {row['family']} n={row['n']}")
-            row["setup_s"] = min(row["setup_s"], other["setup_s"])
-            for stage in STAGES:
-                row["stages"][stage] = min(row["stages"][stage], other["stages"][stage])
-        for row, other in zip(first["cli_lift"], p["cli_lift"]):
-            row["seconds"] = min(row["seconds"], other["seconds"])
+            _fold(row, other)
         for row, other in zip(first["points"], p["points"]):
             for route in ("chain", "direct"):
                 if row[f"{route}_sha256"] != other[f"{route}_sha256"]:
@@ -273,17 +257,18 @@ def _host() -> dict:
 
 def _print(trees: dict) -> None:
     names = list(trees)
-    print(f"{'case':<36} {'n':>4} {'tree':<8} {'start':>7} {'cycles':>6} "
-          + " ".join(f"{s[:12]:>12}" for s in STAGES))
+    stages = list(trees[names[0]]["rows"][0]["stages"])
+    print(f"{'case':<36} {'n':>4} {'tree':<8} {'start':>7} {'cycles':>6} {'seconds':>9} "
+          + " ".join(f"{s[:12]:>12}" for s in stages))
     for k, row in enumerate(trees[names[0]]["rows"]):
         for name in names:
             r = trees[name]["rows"][k]
             print(f"{r['family'] + ' ' + r['boundary']:<36} {r['n']:>4} {name:<8} "
-                  f"{r['start']:>7} {r['iterations']:>6} " + " ".join(f"{r['stages'][s]:12.5f}" for s in STAGES))
+                  f"{r['start']:>7} {r['iterations']:>6} {r['seconds']:9.5f} "
+                  + " ".join(f"{r['stages'][s]:12.5f}" for s in stages))
     for name in names:
-        rows = ", ".join(f"{r['family']} {r['seconds']:.4f}" for r in trees[name]["cli_lift"])
         print(f"{name}: import ma_lin, ma_lin.cli {trees[name]['import_s']:.4f} s "
-              f"({', '.join(trees[name]['import_modules'])}); ma-lin lift {rows}")
+              f"({', '.join(trees[name]['import_modules'])})")
     for name in names:
         for r in trees[name]["points"]:
             print(f"{name}: {r['family']} {r['U']} per point: compose_chain "
@@ -325,7 +310,7 @@ def main() -> None:
         passes = {name: [] for name in sources}
         for r in range(rounds):
             for name in (list(sources) if r % 2 == 0 else list(sources)[::-1]):
-                passes[name].append(_pass(sources[name][1], spec))
+                passes[name].append(_pass(*sources[name], spec))
     trees = {name: {"rev": sources[name][0], **_merge(passes[name])} for name in sources}
     report = {"host": _host(), "settings": {**spec, "rounds": rounds, "domain": DOMAIN,
                                             "best_of": "k runs per pass, over every pass"},

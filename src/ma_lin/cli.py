@@ -20,6 +20,7 @@ import numbers
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -51,17 +52,18 @@ class _Outputs:
 
     Without `--force`, opening the block refuses a directory that already
     holds a `manifest.json`.  Leaving the block writes `manifest.json`,
-    listing exactly the artifacts this run committed; when the block raised,
-    it also records why as `error: {stage, message, exit_code}`.  The stage
-    is a pipeline stage's own name, else `write` while an artifact was being
-    written, else the command's name.
+    listing exactly the artifacts this run committed, and under `timings`
+    the seconds of each artifact's write and of each `lift` stage; when the
+    block raised, it also records why as `error: {stage, message,
+    exit_code}`.  The stage is a pipeline stage's own name, else `write`
+    while an artifact was being written, else the command's name.
     """
 
     def __init__(self, args, inputs: dict, tolerances: Optional[dict] = None):
         self.dir = Path(args.out)
         self.force = args.force
         self.manifest = {"command": args.command, "inputs": inputs, "seed": args.seed,
-                         "tolerances": tolerances or {}, "artifacts": {},
+                         "tolerances": tolerances or {}, "artifacts": {}, "timings": {},
                          "versions": {"python": platform.python_version(),
                                       "numpy": np.__version__}}
         self.writing = False
@@ -100,9 +102,10 @@ class _Outputs:
         return digest
 
     def write_with(self, name: str, writer) -> None:
-        self.writing = True
+        self.writing, t0 = True, time.perf_counter()
         self.manifest["artifacts"][name] = self._replace(name, writer)
         self.writing = False
+        self.manifest["timings"][name] = time.perf_counter() - t0
 
     def write_json(self, name: str, data: dict) -> None:
         self.write_with(name, lambda p: _dump_json(p, data))
@@ -162,6 +165,13 @@ def _count(value, name: str) -> int:
 
 
 _GRID_FIELDS = ("nx", "ny", "x0", "y0", "dx", "dy")
+
+
+def _at_least(low: int, **counts: int) -> None:
+    """Refuse a count below low, naming its key, before any output."""
+    for key, n in counts.items():
+        if n < low:
+            raise UsageError(f"{key} must be at least {low}, got {n}")
 
 
 def _grid_fields(obj, where: str) -> GridGeometry:
@@ -273,17 +283,17 @@ def cmd_lift(args) -> int:
     check_solve_limits(tol, 1)
     domain, nx, ny = _domain(cfg, args.nx, args.ny, "lift config")
     geom = geometry_from_domain(*domain, nx, ny)
+    _at_least(4, nx=nx, ny=ny)  # the lift keeps the (nx-2) x (ny-2) interior; resample needs 2x2
     if "target" in cfg:
         target = _grid_fields(cfg["target"], "target")
-    else:  # the inferred target's node counts, refused before any output as nx and ny are
+    else:  # the inferred target's node counts
         target = tuple(_count(cfg.get(k, 33), k) for k in target_keys)
-        for k, n in zip(target_keys, target):
-            if n < 2:
-                raise UsageError(f"{k} must be at least 2, got {n}")
+        _at_least(2, **dict(zip(target_keys, target)))
     pc = PipelineConfig(geom, _boundary_from_config(cfg, geom, "lift config"), target,
                         solve_tol=tol, seed=args.seed)
     with _Outputs(args, inputs, {"tol": tol}) as out:
         result = pipeline(f_or_id, pc)
+        out.manifest["timings"].update(result.stages)
         out.write_with("lifted.csv", lambda p: write_lifted(result.surface, p))
         out.write_with("resampled.csv", lambda p: write_grid(result.resampled.grid, p))
         out.write_json("verification.json", {**result.verification.to_dict(), "seed": args.seed,
@@ -310,8 +320,7 @@ def cmd_elasticity(args) -> int:
         raise UsageError("elasticity needs a material domain: --domain X0,X1,Y0,Y1 "
                          "or \"domain\" in the config")
     n = args.n if args.n is not None else _count(data.get("n", 20), "n")
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
+    _at_least(1, n=n)
     with _Outputs(args, inputs) as out:
         out.write_json("incompressibility.json", {
             **incompressibility_check(d, domain=domain, n=n).to_dict(), "seed": args.seed})

@@ -11,6 +11,7 @@ each target keeps its first hit in that order.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Optional, Union
 
@@ -296,12 +297,13 @@ class PipelineResult(_Value):
     surface: LiftedSurface
     resampled: MaskedGrid2
     verification: VerificationReport
+    stages: dict  # stage name -> wall seconds, in run order
 
     def __init__(self, equation, lin_class, coefficient, solution, solve_report, surface,
-                 resampled, verification):
+                 resampled, verification, stages):
         vars(self).update(equation=equation, lin_class=lin_class, coefficient=coefficient,
                           solution=solution, solve_report=solve_report, surface=surface,
-                          resampled=resampled, verification=verification)
+                          resampled=resampled, verification=verification, stages=stages)
 
 
 def _infer_target(surface: LiftedSurface, nx: int, ny: int) -> GridGeometry:
@@ -315,34 +317,40 @@ def _infer_target(surface: LiftedSurface, nx: int, ny: int) -> GridGeometry:
 
 
 @contextmanager
-def _stage(name: str):
-    """Wrap any failure inside the block as PipelineError(name, cause)."""
+def _stage(name: str, seconds: dict):
+    """Wrap any failure inside the block as PipelineError(name, cause), and
+    record the wall time of a block that completes as seconds[name]."""
+    t0 = time.perf_counter()
     try:
         yield
     except Exception as err:
         raise PipelineError(name, err) from err
+    seconds[name] = time.perf_counter() - t0
 
 
 def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResult:
-    """classify -> linear coefficient -> solve -> lift -> resample -> verify."""
-    with _stage("classify"):
+    """classify -> linear coefficient -> solve (with the problem build) ->
+    lift -> resample -> verify; the result's `stages` holds each stage's wall
+    seconds in that order, and a failing stage raises PipelineError naming it."""
+    stages = {}
+    with _stage("classify", stages):
         if isinstance(f_or_id, str):
             eq = catalog_get(f_or_id)
         else:
             eq = equation_from_class_function(f_or_id)
         cls = classify(eq, seed=config.seed)
 
-    with _stage("coefficient"):
+    with _stage("coefficient", stages):
         coeff = linear_coefficient(cls)
 
-    with _stage("solve"):
+    with _stage("solve", stages):
         problem = problem_from_exprs(config.geom, coeff, None, config.boundary)
         solution, report = solve_dirichlet(problem, tol=config.solve_tol)
 
-    with _stage("lift"):
+    with _stage("lift", stages):
         surface = lift_parametric(solution)
 
-    with _stage("resample"):
+    with _stage("resample", stages):
         target = (config.target if isinstance(config.target, GridGeometry)
                   else _infer_target(surface, *config.target))
         grid = resample(surface, target)
@@ -354,13 +362,13 @@ def pipeline(f_or_id: Union[Expr, str], config: PipelineConfig) -> PipelineResul
                 f"[{ty[0]:g}, {ty[-1]:g}], image [{x.min():g}, {x.max():g}] x "
                 f"[{y.min():g}, {y.max():g}]")
 
-    with _stage("verify"):
+    with _stage("verify", stages):
         verification = verify_lift(surface, eq)
 
     return PipelineResult(equation=eq, lin_class=cls, coefficient=coeff,
                           solution=solution, solve_report=report,
                           surface=surface, resampled=grid,
-                          verification=verification)
+                          verification=verification, stages=stages)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .expressions import Const, Expr, Rejection, Var, _Value, diff, evaluate
 from .grids import Grid2, GridGeometry, sample
 
 __all__ = [
-    "FLOOR_FACTOR", "DIRECT_SIDE", "PCR_SIDE", "BoundaryValues", "EllipticProblem", "SolveReport",
+    "FLOOR_FACTOR", "BoundaryValues", "EllipticProblem", "SolveReport",
     "NotEllipticError", "NotConvergedError", "check_solve_limits", "solve_dirichlet",
     "boundary_from_expr", "boundary_from_edge_exprs", "problem_from_exprs",
     "mms_source", "constant_f_family", "discrete_residual",
@@ -49,15 +49,6 @@ __all__ = [
 # to 2 floors on grids of 3 to 129 nodes per axis; 4 leaves room for the spread.
 FLOOR_FACTOR = 4.0
 STALL_CYCLES = 3    # give up when this many V-cycles in a row fail to halve the residual
-
-
-def __getattr__(name: str):
-    """The multigrid's sizes DIRECT_SIDE and PCR_SIDE, read from
-    `ma_lin.multigrid`, which the first such read loads."""
-    if name in ("DIRECT_SIDE", "PCR_SIDE"):
-        from . import multigrid
-        return getattr(multigrid, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotEllipticError(Rejection):

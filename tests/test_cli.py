@@ -429,6 +429,20 @@ def test_inferred_target_counts_below_2_exit_1_before_any_output(tmp_path, capsy
     assert err == f"error: {key} must be at least 2, got {count}\n"
 
 
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("key", ["nx", "ny"])
+def test_lift_grid_counts_below_4_exit_1_before_any_output(tmp_path, capsys, key, count,
+                                                           source):
+    # the lift keeps the (nx-2) x (ny-2) interior, and resampling needs 2x2
+    # of its nodes, so a smaller count could only fail after the solve
+    data = _with(_lift_config, boundary="X^2-Y^2",
+                 **({key: count} if source == "config" else {}))
+    flags = [f"--{key}", str(count)] if source == "flag" else []
+    err = _refused_before_any_output(tmp_path, capsys, "lift", data, *flags)
+    assert err == f"error: {key} must be at least 4, got {count}\n"
+
+
 def test_config_must_be_a_json_object(tmp_path, capsys):
     cfg = _write(tmp_path / "p.json", [1, 2])
     assert main(["solve", "--in", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -960,6 +974,27 @@ def test_manifest_records_the_software_versions(tmp_path):
         out = tmp_path / f"o{k}"
         assert main([*argv, "--out", str(out)]) == 0, argv
         assert _read_json(out / "manifest.json")["versions"] == versions, argv
+
+
+def test_a_lift_manifest_times_its_stages_and_its_writes(tmp_path):
+    data = _with(_lift_config, boundary="X^2-Y^2")
+    out = tmp_path / "o"
+    assert main(["lift", "--in", _write(tmp_path / "l.json", data), "--out", str(out)]) == 0
+    man = _read_json(out / "manifest.json")
+    stages = ["classify", "coefficient", "solve", "lift", "resample", "verify"]
+    assert sorted(man["timings"]) == sorted(stages + list(man["artifacts"]))
+    assert len(man["artifacts"]) == 4
+    assert all(0.0 <= t < 60.0 for t in man["timings"].values()), man["timings"]
+
+
+def test_a_solve_manifest_times_its_two_writes(tmp_path):
+    out = tmp_path / "o"
+    assert main(["solve", "--in", _write(tmp_path / "p.json", _solve_config()),
+                 "--out", str(out)]) == 0
+    man = _read_json(out / "manifest.json")
+    assert sorted(man["timings"]) == sorted(man["artifacts"]) == ["solution.csv",
+                                                                  "solve_report.json"]
+    assert all(0.0 <= t < 60.0 for t in man["timings"].values()), man["timings"]
 
 
 def test_every_command_hashes_the_bytes_it_wrote(tmp_path):

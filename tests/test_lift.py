@@ -319,6 +319,18 @@ def test_pipeline_u_weighted_class_runs_and_verifies():
     assert res.verification.samples > 0
 
 
+def test_pipeline_times_each_stage_in_run_order():
+    cfg = PipelineConfig(geom=geometry_from_domain(0.5, 1.5, 0.5, 1.5, 33, 33),
+                         boundary=parse("X^2-Y^2"), target=(9, 9))
+    t0 = time.perf_counter()
+    res = pipeline("general-Au", cfg)
+    wall = time.perf_counter() - t0
+    assert list(res.stages) == ["classify", "coefficient", "solve", "lift", "resample",
+                                "verify"]
+    assert all(t >= 0.0 for t in res.stages.values()), res.stages
+    assert sum(res.stages.values()) <= wall
+
+
 def test_pipeline_stage_labels():
     cfg = PipelineConfig(geom=geometry_from_domain(-1.5, 1.5, 0.5, 1.5, 9, 9),
                          boundary=parse("X^2-Y^2"))

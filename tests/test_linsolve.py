@@ -13,13 +13,12 @@ from ma_lin import multigrid
 from ma_lin.equations import catalog_get, classify, linear_coefficient
 from ma_lin.expressions import Const, evaluate, parse
 from ma_lin.grids import Grid2, geometry_from_domain, sample
-from ma_lin.linsolve import (DIRECT_SIDE, FLOOR_FACTOR, PCR_SIDE, BoundaryValues,
-                             EllipticProblem, NotConvergedError, NotEllipticError,
-                             boundary_from_edge_exprs, constant_f_family,
-                             discrete_residual, mms_source, problem_from_exprs,
-                             solve_dirichlet)
-from ma_lin.multigrid import (_apply, _coarse_nodes, _cubic, _dense_inverse, _Level, _product,
-                              _terms, _transfers)
+from ma_lin.linsolve import (FLOOR_FACTOR, BoundaryValues, EllipticProblem,
+                             NotConvergedError, NotEllipticError, boundary_from_edge_exprs,
+                             constant_f_family, discrete_residual, mms_source,
+                             problem_from_exprs, solve_dirichlet)
+from ma_lin.multigrid import (DIRECT_SIDE, PCR_SIDE, _apply, _coarse_nodes, _cubic,
+                              _dense_inverse, _Level, _product, _terms, _transfers)
 
 
 def _solve_expr(fcoeff, Ustar, n, tol=None, source=None):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ma_lin.linsolve import FLOOR_FACTOR
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -64,19 +66,20 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
     assert {"nproc", "python", "numpy"} <= set(report["host"])
     assert report["settings"]["sizes"] == [17, 33] and report["settings"]["repeat"] == 1
     assert set(report["trees"]) == ({"this", "against"} if head else {"this"})
-    stages = ("classify", "problem", "solve", "lift", "resample", "verify",
-              "write_lifted", "write_grid")
+    # the stage and write times of each request, read back from its manifest
+    stages = ("classify", "coefficient", "solve", "lift", "resample", "verify",
+              "lifted.csv", "resampled.csv", "solve_report.json", "verification.json")
     for tree in report["trees"].values():
         rows = tree["rows"]
         assert [(r["family"], r["n"]) for r in rows][:2] == [("plane-strain-class", 17),
                                                              ("plane-strain-class", 33)]
-        assert len(rows) == 10 and len(tree["cli_lift"]) == 5
+        assert len(rows) == 10 and "cli_lift" not in tree
         for r in rows:
             assert set(r["stages"]) == set(stages)
             assert all(0.0 < v < 60.0 for v in r["stages"].values()), r
+            assert sum(r["stages"].values()) <= r["seconds"] < 60.0, r
             assert r["iterations"] >= (r["start"] == "nested") and 0.0 < r["setup_s"] < 60.0
             assert len(r["lifted_sha256"]) == len(r["resampled_sha256"]) == 10
-        assert all(0.0 < r["seconds"] < 60.0 for r in tree["cli_lift"])
         assert 0.0 < tree["import_s"] < 60.0
         assert "ma_lin.cli" in tree["import_modules"]
         assert tree["import_modules"] == sorted(tree["import_modules"])
@@ -90,7 +93,9 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
         for r in tree["formatter"]:
             assert 0.0 < r["us"] < 1e6 and len(r["sha256"]) == 10, r
         assert set(tree["formatter_cost"]) == {"fixed_us", "per_value_ns"}
-    # both trees format every block to the same bytes
+    # both trees write the same CSVs and format every block to the same bytes
+    assert len({tuple((r["lifted_sha256"], r["resampled_sha256"]) for r in tree["rows"])
+                for tree in report["trees"].values()}) == 1
     assert len({tuple(r["sha256"] for r in tree["formatter"])
                 for tree in report["trees"].values()}) == 1
     # the multigrid and the elasticity module load on first use, not on import
@@ -105,3 +110,23 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out
     assert "import ma_lin" in out and "per point: compose_chain" in out
     assert "_format_rows 11 values" in out and "ns per value" in out
+
+
+def test_bench_names_a_revision_whose_manifest_records_no_timings(tmp_path):
+    # a stand-in ma_lin whose `lift` writes a manifest without `timings`, as
+    # every revision from before the pipeline timed its stages does
+    package = tmp_path / "src" / "ma_lin"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import json\nfrom pathlib import Path\n\n"
+        "def main(argv):\n"
+        "    out = Path(argv[argv.index('--out') + 1])\n"
+        "    out.mkdir(parents=True, exist_ok=True)\n"
+        "    (out / 'manifest.json').write_text(json.dumps({'artifacts': {}}))\n"
+        "    (out / 'solve_report.json').write_text('{}')\n"
+        "    return 0\n")
+    bench = runpy.run_path(str(SCRIPTS / "bench.py"))
+    with pytest.raises(SystemExit) as exc:
+        bench["_pass"]("abc1234", str(tmp_path / "src"), {"sizes": [17], "repeat": 1})
+    assert exc.value.code == "abc1234: its `ma-lin lift` manifest records no timings"
