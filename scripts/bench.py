@@ -17,7 +17,12 @@ exact solution) as `write_lifted` writes it, and on the largest of them with
 one value scaled by 1e-7, which gives the whole block the exponent rows of
 the formatter's wide layout, each with a SHA-256 prefix of the block's bytes;
 the smallest and the largest table block give a fixed cost per call and a
-cost per value.  It writes the best of k runs, the solver's start and
+cost per value.  The conjugate rows time `discrete_legendre_2d` of a convex
+and a concave quartic form, the closed-form benchmark's shape, sampled on
+CONJUGATE_N x CONJUGATE_N nodes of DOMAIN, with SLOPES_N x SLOPES_N slopes on
+[-3, 3] x [-6, 6], per call, with a SHA-256 prefix of the bits of the values.
+With --against, the this/against ratio of each point and conjugate row is
+printed too.  It writes the best of k runs, the solver's start and
 cycle counts, the CSV digests and the host (nproc, python, numpy) to a
 JSON file.
 
@@ -70,6 +75,10 @@ POINTS = 200
 # block formatted FORMATTER_CALLS // values + 1 times per timed run
 FORMATTER_VALUES = (11, 1089, 8184)
 FORMATTER_CALLS = 20000
+# the conjugate rows: sign * (p X^2 + r X Y + q Y^2 + e Y^4), the form of
+# bench/workloads.py, at the closed-form benchmark's sizes
+CONJUGATE_FORM = "{sign}*(1.1*X^2+0.6*X*Y+0.8*Y^2+0.7*Y^4)"
+CONJUGATE_N, SLOPES_N = 65, 33
 # (sizes, k runs of each stage per pass, passes per tree); the full ladder
 # takes about 9 minutes with --against on a 2-core machine
 FULL = ((65, 129, 257, 513), 5, 6)
@@ -137,6 +146,23 @@ def _formatter_rows(k: int) -> list:
     return rows
 
 
+def _conjugate_rows(k: int) -> list:
+    """Per form, the best time of one discrete_legendre_2d call and a digest
+    of the bits of the conjugate's values."""
+    from ma_lin import discrete_legendre_2d, geometry_from_domain, parse, sample
+
+    nodes = geometry_from_domain(*DOMAIN, CONJUGATE_N, CONJUGATE_N)
+    slopes = geometry_from_domain(-3.0, 3.0, -6.0, 6.0, SLOPES_N, SLOPES_N)
+    rows = []
+    for form, sign in (("convex", 1.0), ("concave", -1.0)):
+        g = sample(parse(CONJUGATE_FORM.format(sign=sign)), ("X", "Y"), nodes)
+        discrete_legendre_2d(g, slopes)
+        W, seconds = _best(lambda: discrete_legendre_2d(g, slopes), k)
+        rows.append({"form": form, "n": CONJUGATE_N, "slopes": SLOPES_N, "us": seconds * 1e6,
+                     "sha256": hashlib.sha256(W.values.tobytes()).hexdigest()[:10]})
+    return rows
+
+
 def _fold(row: dict, other: dict) -> None:
     """Keep in row the best of each timing of two runs of one request, which
     must agree on everything else, the stage names included."""
@@ -175,7 +201,8 @@ def worker(spec: dict) -> dict:
                        "lifted_sha256": manifest["artifacts"]["lifted.csv"][:10],
                        "resampled_sha256": manifest["artifacts"]["resampled.csv"][:10]}
                 _fold(rows[-1], row) if run else rows.append(row)
-    return {"rows": rows, "points": _point_rows(k), "formatter": _formatter_rows(k)}
+    return {"rows": rows, "points": _point_rows(k), "formatter": _formatter_rows(k),
+            "conjugate": _conjugate_rows(k)}
 
 
 def _import_seconds(src: str) -> tuple[float, list]:
@@ -222,6 +249,10 @@ def _merge(passes: list) -> dict:
             if row["sha256"] != other["sha256"]:
                 raise SystemExit(f"passes disagree at the {row['values']}-value "
                                  f"{row['layout']} block")
+            row["us"] = min(row["us"], other["us"])
+        for row, other in zip(first["conjugate"], p["conjugate"]):
+            if row["sha256"] != other["sha256"]:
+                raise SystemExit(f"passes disagree at the {row['form']} conjugate")
             row["us"] = min(row["us"], other["us"])
         if p["import_modules"] != first["import_modules"]:
             raise SystemExit("passes disagree on the modules that the import loads")
@@ -280,6 +311,19 @@ def _print(trees: dict) -> None:
             f"{r['values']} values ({r['layout']}) {r['us']:.1f} us ({r['sha256']})"
             for r in trees[name]["formatter"])
             + f"; {cost['fixed_us']:.1f} us per call + {cost['per_value_ns']:.1f} ns per value")
+    for name in names:
+        print(f"{name}: discrete_legendre_2d, {CONJUGATE_N}^2 nodes, {SLOPES_N}^2 slopes: "
+              + ", ".join(f"{r['form']} {r['us']:.1f} us ({r['sha256']})"
+                          for r in trees[name]["conjugate"]))
+    if len(names) == 2:
+        this, against = (trees[name] for name in names)
+        for r, a in zip(this["points"], against["points"]):
+            print(f"this/against: {r['family']} {r['U']} per point: compose_chain "
+                  f"{r['chain_us'] / a['chain_us']:.3f}, contact_map(symbolic_jet) "
+                  f"{r['direct_us'] / a['direct_us']:.3f}")
+        print("this/against: discrete_legendre_2d " + ", ".join(
+            f"{r['form']} {r['us'] / a['us']:.3f}"
+            for r, a in zip(this["conjugate"], against["conjugate"])))
 
 
 def main() -> None:

@@ -53,9 +53,9 @@ class _Outputs:
     Without `--force`, opening the block refuses a directory that already
     holds a `manifest.json`.  Leaving the block writes `manifest.json`,
     listing exactly the artifacts this run committed, and under `timings`
-    the seconds of each artifact's write and of each `lift` stage; when the
-    block raised, it also records why as `error: {stage, message,
-    exit_code}`.  The stage is a pipeline stage's own name, else `write`
+    the seconds of each artifact's write and of each `lift` stage that
+    completed; when the block raised, it also records why as `error: {stage,
+    message, exit_code}`.  The stage is a pipeline stage's own name, else `write`
     while an artifact was being written, else the command's name.
     """
 
@@ -78,6 +78,8 @@ class _Outputs:
         return self
 
     def __exit__(self, kind, err, traceback) -> None:
+        if isinstance(err, PipelineError):
+            self.manifest["timings"].update(err.stages)
         if err is not None:
             stage = (err.stage if isinstance(err, PipelineError) else
                      "write" if self.writing else self.manifest["command"])

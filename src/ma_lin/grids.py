@@ -239,6 +239,8 @@ def symbolic_jet(e: Expr, names: tuple[str, str], x, y) -> JetArrays:
     a point's entries are Python floats and its `valid` a numpy bool."""
     n1, n2 = names
     values = _jet_entry(e, names)[1]({n1: x, n2: y})
+    if type(values[0]) is float:  # a point: the program gave Python floats
+        return JetArrays(*values, np.True_ if all(map(math.isfinite, values)) else np.False_)
     return JetArrays(*values, _finite(values))
 
 

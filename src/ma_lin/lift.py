@@ -269,10 +269,11 @@ def resample(s: LiftedSurface, target: GridGeometry) -> MaskedGrid2:
 # the whole program as one operation
 
 class PipelineError(Exception):
-    def __init__(self, stage: str, cause: Exception):
+    def __init__(self, stage: str, cause: Exception, stages: Optional[dict] = None):
         super().__init__(f"pipeline stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+        self.stages = stages or {}  # the seconds of each stage that completed
 
 
 class PipelineConfig(_Value):
@@ -318,13 +319,13 @@ def _infer_target(surface: LiftedSurface, nx: int, ny: int) -> GridGeometry:
 
 @contextmanager
 def _stage(name: str, seconds: dict):
-    """Wrap any failure inside the block as PipelineError(name, cause), and
-    record the wall time of a block that completes as seconds[name]."""
+    """Wrap any failure inside the block as PipelineError(name, cause, seconds),
+    and record the wall time of a block that completes as seconds[name]."""
     t0 = time.perf_counter()
     try:
         yield
     except Exception as err:
-        raise PipelineError(name, err) from err
+        raise PipelineError(name, err, seconds) from err
     seconds[name] = time.perf_counter() - t0
 
 

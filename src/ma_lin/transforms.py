@@ -14,9 +14,9 @@ the fields or NaNs for a point), and a point's zero divisor gives numpy's
 y = U - Y*U_Y, u = X, masking where it folds; `contact_map` raises there
 instead.  The paper's four elementary steps, `rotation_step`,
 `legendre_point_map`, `point_step` and `ampere_step`, each push a jet at a
-point to its image jet at the image point, in the order the linearization
-runs them; `compose_chain` is their composition, so the equivalence of the
-two routes is testable.
+point to its image, in the order the linearization runs them, through a
+core on plain jet entries; `compose_chain` runs the symbolic jet's values
+through the four cores into one record, so the two routes test each other.
 
 Discrete counterparts: the convex conjugate of sampled 1-D/2-D data, taken as
 the maximum over all (slope, node) pairs in blocks of bounded size, and a
@@ -31,7 +31,7 @@ from typing import Union
 import numpy as np
 
 from .expressions import Expr, Rejection, _Value, _plain
-from .grids import (_BLOCK_VALUES, Grid2, GridGeometry, JetArrays, _finite, read_table,
+from .grids import (Grid2, GridGeometry, JetArrays, _finite, _jet_entry, read_table,
                     symbolic_jet, write_table)
 
 __all__ = [
@@ -77,11 +77,6 @@ def _plain_all(*values) -> list:
             else _plain(np.asarray(v, dtype=np.float64)) for v in values]
 
 
-def _all_true(flags) -> bool:
-    """flags.all(), without numpy's reduction for a point's np.True_."""
-    return flags is np.True_ or flags.all()
-
-
 def _div(a, b):
     """a / b as numpy divides: a point's zero divisor gives numpy's ±inf or
     NaN, where Python float division would raise ZeroDivisionError."""
@@ -96,6 +91,8 @@ def _raise_first(quantity: str, value, eps: float, bad=None) -> None:
     """Raise DegenerateJetError at the first flat index where `bad` holds,
     by default where |value| <= eps."""
     bad = abs(value) <= eps if bad is None else bad
+    if bad is False:  # a point that passes, decided in Python floats
+        return
     if not isinstance(bad, np.ndarray):
         if bad:
             raise DegenerateJetError(quantity, float(value), eps, 0)
@@ -104,11 +101,13 @@ def _raise_first(quantity: str, value, eps: float, bad=None) -> None:
         raise DegenerateJetError(quantity, float(np.ravel(value)[k]), eps, k)
 
 
-def _require_finite(jet: JetArrays, eps: float) -> None:
+def _require_finite(entries, eps: float) -> None:
     """Raise for the first non-finite entry, u first and u_yy last."""
-    if not _all_true(jet.finite()):
-        for a in jet.entries():
-            _raise_first("non-finite", a, eps, ~np.isfinite(a))
+    for a in entries:
+        if type(a) is not float or not math.isfinite(a):
+            for b in entries:
+                _raise_first("non-finite", b, eps, ~np.isfinite(b))
+            return
 
 
 class ContactImage(_Value):
@@ -130,8 +129,8 @@ def contact_map(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> ContactI
     the fold lines of the map.
     """
     im = push_jet_arrays(jet_U, X, Y, eps=eps)
-    if not _all_true(im.jet.valid):
-        _require_finite(jet_U, eps)
+    if im.jet.valid is not np.True_ and not im.jet.valid.all():
+        _require_finite(jet_U.entries(), eps)
         for base in (X, Y):
             base = np.broadcast_to(np.asarray(base, dtype=np.float64), np.shape(im.x))
             _raise_first("non-finite", base, eps, ~np.isfinite(base))
@@ -178,13 +177,42 @@ def push_jet_arrays(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> Cont
     return ContactImage(x, y, JetArrays(u, ux, uy, uxx, uxy, uyy, valid), jac)
 
 
-# The steps build their records positionally, a JetArrays as (u, u_x, u_y,
-# u_xx, u_xy, u_yy, valid) and a ContactImage as (x, y, jet, jacobian): at a
-# point, keyword arguments cost about 0.4 us a record.
+# Each step is written once, as a core on plain values: the six jet entries
+# (u, u_x, u_y, u_xx, u_xy, u_yy), then the point.  A core makes the step's
+# checks and returns the image in the same layout, so cores chain.
+
+def _rotation(values, eps):
+    u, ux, uy, uxx, uxy, uyy, X, Y = values
+    return -u, uy, -ux, -uyy, uxy, -uxx, -Y, X
+
+
+def _legendre(values, eps):
+    u, ux, uy, uxx, uxy, uyy, X, Y = values
+    _require_finite((u, ux, uy, uxx, uxy, uyy), eps)
+    det = uxx * uyy - uxy * uxy
+    _raise_first("U_XX*U_YY - U_XY^2", det, eps)
+    return X * ux + Y * uy - u, X, Y, _div(uyy, det), _div(-uxy, det), _div(uxx, det), ux, uy
+
+
+def _point(values, eps):
+    u, ux, uy, uxx, uxy, uyy, xi, eta = values
+    _raise_first("eta", eta, eps)
+    beta = _div(1.0, eta)
+    return (beta * u, beta * ux, u - eta * uy, beta * uxx, ux - eta * uxy,
+            eta * eta * eta * uyy, xi, beta)
+
+
+def _ampere(values, eps):
+    u, ux, uy, uxx, uxy, uyy, alpha, beta = values
+    _raise_first("V_beta_beta", uyy, eps)
+    return (u - beta * uy, ux, -beta, uxx - _div(uxy * uxy, uyy), _div(uxy, uyy),
+            _div(-1.0, uyy), alpha, uy)
+
 
 def rotation_step(jet: JetArrays, X, Y):
     """The rotation tau = -Y, sigma = X, Z = -U: returns (tau, sigma, jet of Z)."""
-    return -Y, X, JetArrays(-jet.u, jet.uy, -jet.ux, -jet.uyy, jet.uxy, -jet.uxx, jet.valid)
+    *image, tau, sigma = _rotation((*jet.entries(), X, Y), None)
+    return tau, sigma, JetArrays(*image, jet.valid)
 
 
 def legendre_point_map(jet: JetArrays, X, Y, eps: float = DEGENERACY_EPS):
@@ -193,22 +221,15 @@ def legendre_point_map(jet: JetArrays, X, Y, eps: float = DEGENERACY_EPS):
     Returns (x, y, image jet). The image second derivatives are the inverse
     Hessian, so applying the map twice is the identity.
     """
-    _require_finite(jet, eps)
-    u, ux, uy, uxx, uxy, uyy, X, Y = _plain_all(*jet.entries(), X, Y)
-    det = uxx * uyy - uxy * uxy
-    _raise_first("U_XX*U_YY - U_XY^2", det, eps)
-    return ux, uy, JetArrays(X * ux + Y * uy - u, X, Y,
-                             _div(uyy, det), _div(-uxy, det), _div(uxx, det), jet.valid)
+    *image, x, y = _legendre(_plain_all(*jet.entries(), X, Y), eps)
+    return x, y, JetArrays(*image, jet.valid)
 
 
 def point_step(jet: JetArrays, xi, eta, eps: float = DEGENERACY_EPS):
     """The point step alpha = xi, beta = 1/eta, V = beta*W: returns (alpha,
     beta, jet of V).  |eta| at or below eps has no image."""
-    _raise_first("eta", eta, eps)
-    beta = _div(1.0, eta)
-    return xi, beta, JetArrays(beta * jet.u, beta * jet.ux, jet.u - eta * jet.uy,
-                               beta * jet.uxx, jet.ux - eta * jet.uxy,
-                               eta * eta * eta * jet.uyy, jet.valid)
+    *image, alpha, beta = _point((*jet.entries(), xi, eta), eps)
+    return alpha, beta, JetArrays(*image, jet.valid)
 
 
 def ampere_step(V: Union[JetArrays, Expr], alpha, beta, eps: float = DEGENERACY_EPS):
@@ -220,14 +241,12 @@ def ampere_step(V: Union[JetArrays, Expr], alpha, beta, eps: float = DEGENERACY_
     if isinstance(V, Expr):
         alpha, beta = _plain_all(alpha, beta)
         V = symbolic_jet(V, ("alpha", "beta"), alpha, beta)
-    _raise_first("V_beta_beta", V.uyy, eps)
-    return alpha, V.uy, JetArrays(V.u - beta * V.uy, V.ux, -beta,
-                                  V.uxx - _div(V.uxy * V.uxy, V.uyy), _div(V.uxy, V.uyy),
-                                  _div(-1.0, V.uyy), V.valid)
+    *image, x, y = _ampere((*V.entries(), alpha, beta), eps)
+    return x, y, JetArrays(*image, V.valid)
 
 
 def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
-    """Run the four elementary steps in sequence starting from U(X, Y).
+    """Run the four elementary steps' cores in sequence starting from U(X, Y).
 
     Each step pushes the full second-order jet with the chain rule for that
     step alone; nothing here reuses the combined contact_map formulas, so
@@ -235,11 +254,15 @@ def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     nondegeneracy condition must hold at every point.
     """
     X, Y = _plain_all(X, Y)
-    tau, sigma, zjet = rotation_step(symbolic_jet(U, ("X", "Y"), X, Y), X, Y)
-    xi, eta, wjet = legendre_point_map(zjet, tau, sigma, eps)
-    alpha, beta, vjet = point_step(wjet, xi, eta, eps)
-    x, y, ujet = ampere_step(vjet, alpha, beta, eps)
-    return ContactImage(x, y, ujet, vjet.uyy * _div(-1.0, eta * eta) * zjet.hessian_det())
+    values = _jet_entry(U, ("X", "Y"))[1]({"X": X, "Y": Y})
+    z = _rotation((*values, X, Y), eps)
+    w = _legendre(z, eps)
+    v = _point(w, eps)
+    u, ux, uy, uxx, uxy, uyy, x, y = _ampere(v, eps)
+    # a point past the Legendre core is finite, so valid; jacobian: det Z'' * -1/eta^2 * V_bb
+    valid = np.True_ if type(u) is float else _finite(values)
+    return ContactImage(x, y, JetArrays(u, ux, uy, uxx, uxy, uyy, valid),
+                        v[5] * _div(-1.0, w[7] * w[7]) * (z[3] * z[5] - z[4] * z[4]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +301,11 @@ def _max_affine(slopes: np.ndarray, xs: np.ndarray, offsets: np.ndarray) -> np.n
     over every (row, slope, node) triple; with offsets = -v this is the
     maximum of slopes[k]*xs[i] - v[r, i], since a - b and a + (-b) are the
     same IEEE operation.  Rows go in blocks whose temporary holds at most
-    _BLOCK_VALUES doubles, or one row's worth if that is more."""
+    16,384 doubles, or one row's worth if that is more: 7 rows of 33 slopes
+    by 65 nodes, where the CSV formatter's 8,192 took 3 in twice the calls."""
     products = slopes[:, None] * xs[None, :]
     out = np.empty((offsets.shape[0], slopes.size))
-    step = max(1, _BLOCK_VALUES // products.size)
+    step = max(1, 16384 // products.size)
     for r in range(0, offsets.shape[0], step):
         np.max(products + offsets[r:r + step, None, :], axis=2, out=out[r:r + step])
     return out

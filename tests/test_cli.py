@@ -997,6 +997,31 @@ def test_a_solve_manifest_times_its_two_writes(tmp_path):
     assert all(0.0 <= t < 60.0 for t in man["timings"].values()), man["timings"]
 
 
+def test_a_failed_lift_manifest_times_the_stages_that_completed(tmp_path):
+    # the far target of test_lift_with_no_resampled_value_exits_2: resample
+    # fails after four stages completed, and the manifest times those four
+    far = {"id": "plane-strain-class", "domain": [0.5, 1.5, 0.5, 1.5], "nx": 17, "ny": 17,
+           "boundary": "X^2-Y^2",
+           "target": {"nx": 5, "ny": 5, "x0": 100.0, "y0": 100.0, "dx": 1.0, "dy": 1.0}}
+    out = tmp_path / "far"
+    assert main(["lift", "--in", _write(tmp_path / "far.json", far), "--out", str(out)]) == 2
+    man = _read_json(out / "manifest.json")
+    assert (man["error"]["stage"], man["artifacts"]) == ("resample", {})
+    assert sorted(man["timings"]) == ["classify", "coefficient", "lift", "solve"]
+    assert all(0.0 <= t < 60.0 for t in man["timings"].values()), man["timings"]
+    # a lift whose first stage, classify, fails (exit 2) and a usage error
+    # of the classify command (exit 1) complete no stage
+    for k, argv in enumerate((
+            ["lift", "--in", _write(tmp_path / "axisym.json", {
+                "id": "axisym", "domain": [0.5, 1.5, 0.5, 1.5], "boundary": "X^2-Y^2"})],
+            ["classify", "--in", _write(tmp_path / "bad.json", {"id": "t",
+                                                                "F": "sqrt(-1-p^2)"})])):
+        out = tmp_path / f"o{k}"
+        assert main([*argv, "--out", str(out)]) == 2 - k
+        man = _read_json(out / "manifest.json")
+        assert (man["error"]["stage"], man["timings"]) == ("classify", {})
+
+
 def test_every_command_hashes_the_bytes_it_wrote(tmp_path):
     # the digests are taken while writing, not by reading the files back
     artifacts = [["classification.json"], ["solution.csv", "solve_report.json"],

@@ -93,10 +93,17 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
         for r in tree["formatter"]:
             assert 0.0 < r["us"] < 1e6 and len(r["sha256"]) == 10, r
         assert set(tree["formatter_cost"]) == {"fixed_us", "per_value_ns"}
+        assert [(r["form"], r["n"], r["slopes"]) for r in tree["conjugate"]] == [
+            ("convex", 65, 33), ("concave", 65, 33)]
+        for r in tree["conjugate"]:
+            assert 0.0 < r["us"] < 1e7 and len(r["sha256"]) == 10, r
     # both trees write the same CSVs and format every block to the same bytes
     assert len({tuple((r["lifted_sha256"], r["resampled_sha256"]) for r in tree["rows"])
                 for tree in report["trees"].values()}) == 1
     assert len({tuple(r["sha256"] for r in tree["formatter"])
+                for tree in report["trees"].values()}) == 1
+    # and take the same conjugates bit for bit
+    assert len({tuple(r["sha256"] for r in tree["conjugate"])
                 for tree in report["trees"].values()}) == 1
     # the multigrid and the elasticity module load on first use, not on import
     assert not {"ma_lin.multigrid", "ma_lin.elasticity"} & set(
@@ -110,6 +117,9 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out
     assert "import ma_lin" in out and "per point: compose_chain" in out
     assert "_format_rows 11 values" in out and "ns per value" in out
+    assert "discrete_legendre_2d, 65^2 nodes, 33^2 slopes: convex" in out
+    # with a second tree, the ratio of each point and conjugate row
+    assert (out.count("this/against: ") == 3) == bool(head)
 
 
 def test_bench_names_a_revision_whose_manifest_records_no_timings(tmp_path):

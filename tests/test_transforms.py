@@ -515,6 +515,53 @@ def test_compose_chain_jacobian_consistency():
     assert abs(im.jacobian - (-jet.ux * jet.uyy)) <= 1e-12 * (1 + abs(im.jacobian))
 
 
+def _steps_by_hand(U, X, Y, eps=DEGENERACY_EPS):
+    """compose_chain spelled out as the four public steps on symbolic_jet:
+    the image fields, the jacobian as the steps' product, and valid."""
+    tau, sigma, Z = rotation_step(symbolic_jet(U, ("X", "Y"), X, Y), X, Y)
+    xi, eta, W = legendre_point_map(Z, tau, sigma, eps)
+    alpha, beta, V = point_step(W, xi, eta, eps)
+    x, y, u = ampere_step(V, alpha, beta, eps)
+    return (x, y, V.uyy * (-1.0 / (eta * eta)) * Z.hessian_det(), *u.entries()), u.valid
+
+
+@pytest.mark.parametrize("kind", (*_POINT_KINDS, "1-D"))
+def test_compose_chain_is_the_composition_of_the_public_steps(kind):
+    rng = np.random.default_rng(30)
+    X, Y = rng.uniform(0.5, 1.5, (2, 8))
+    calls = ([(X, Y)] if kind == "1-D" else [(kind(a), kind(b)) for a, b in zip(X, Y)])
+    for text in (*_LIFT_FAMILIES, "exp(0.3*X)+cosh(Y)"):
+        U = parse(text)
+        for X0, Y0 in calls:
+            im = compose_chain(U, X0, Y0)
+            fields, valid = _steps_by_hand(U, X0, Y0)
+            for a, b in zip(_image_fields(im), fields):
+                assert type(a) is type(b) and same_bits(a, b), (text, kind)
+            if kind == "1-D":
+                assert valid.dtype == im.jet.valid.dtype == bool and valid.all()
+                assert same_bits(im.jet.valid, valid)
+            else:
+                assert type(im.x) is float and im.jet.valid is valid is np.True_
+    # where a step degenerates, both routes raise for the same quantity at
+    # the same first index: V_bb = 0 for X*Y, a singular Hessian for
+    # (X+Y)^2, eta = -U_X = 0 at X = 0, X^2 overflowing to inf, and U = inf
+    # with a singular Hessian, where the finiteness check comes first
+    for text, bad, quantity in (("X*Y", 0.7, "V_beta_beta"),
+                                ("(X+Y)^2", 0.7, "U_XX*U_YY - U_XY^2"),
+                                ("X^2-Y^2", 0.0, "eta"), ("X^2-Y^2", 1e200, "non-finite"),
+                                ("1e300*X", 1e10, "non-finite")):
+        # the other forms degenerate everywhere
+        X0 = np.array([0.6, 1.3, bad]) if text == "X^2-Y^2" else np.full(3, bad)
+        X0, Y0 = (X0, np.full(3, 0.9)) if kind == "1-D" else (kind(X0[-1]), kind(0.9))
+        errors = []
+        for route in (compose_chain, _steps_by_hand):
+            with pytest.raises(DegenerateJetError) as exc:
+                route(parse(text), X0, Y0)
+            errors.append((exc.value.quantity, exc.value.index, str(exc.value)))
+        assert errors[0] == errors[1] and errors[0][0] == quantity, (text, kind)
+        assert errors[0][1] == (np.size(X0) - 1 if text == "X^2-Y^2" else 0), (text, kind)
+
+
 # ---------------------------------------------------------------------------
 # push-forward consistency: contact_map jets vs finite differences of the
 # surface tabulated by direct Newton inversion of the parametric map
