@@ -161,7 +161,7 @@ class JetArrays(_Value):
         return _finite(self.entries())
 
     def hessian_det(self) -> np.ndarray:
-        return self.uxx * self.uyy - self.uxy * self.uxy
+        return _hessian_det(self.uxx, self.uxy, self.uyy)
 
     def compress(self) -> "JetArrays":
         """The valid jets of an array jet only, as flat arrays in row-major node order."""
@@ -170,14 +170,21 @@ class JetArrays(_Value):
                          self.uxy[v], self.uyy[v], valid=v[v])
 
 
+def _hessian_det(uxx, uxy, uyy):
+    return uxx * uyy - uxy * uxy
+
+
 def _finite(values) -> np.ndarray:
     """True where every value is finite.  With no array among the values,
-    a point, math.isfinite decides in Python bools, without numpy's per-call
+    a point, math.isfinite decides in one pass, without numpy's per-call
     cost, and the result is the numpy bool np.True_ or np.False_."""
+    finite = True
     for a in values:
-        if isinstance(a, np.ndarray):
+        if type(a) is not float and isinstance(a, np.ndarray):
             return functools.reduce(np.logical_and, map(np.isfinite, values))
-    return np.True_ if all(map(math.isfinite, values)) else np.False_
+        if not math.isfinite(a):
+            finite = False
+    return np.True_ if finite else np.False_
 
 
 def interior_jets(g: Grid2) -> JetArrays:
@@ -239,8 +246,6 @@ def symbolic_jet(e: Expr, names: tuple[str, str], x, y) -> JetArrays:
     a point's entries are Python floats and its `valid` a numpy bool."""
     n1, n2 = names
     values = _jet_entry(e, names)[1]({n1: x, n2: y})
-    if type(values[0]) is float:  # a point: the program gave Python floats
-        return JetArrays(*values, np.True_ if all(map(math.isfinite, values)) else np.False_)
     return JetArrays(*values, _finite(values))
 
 

@@ -31,8 +31,8 @@ from typing import Union
 import numpy as np
 
 from .expressions import Expr, Rejection, _Value, _plain
-from .grids import (Grid2, GridGeometry, JetArrays, _finite, _jet_entry, read_table,
-                    symbolic_jet, write_table)
+from .grids import (Grid2, GridGeometry, JetArrays, _finite, _hessian_det, _jet_entry,
+                    read_table, symbolic_jet, write_table)
 
 __all__ = [
     "DEGENERACY_EPS", "TransformError", "DegenerateJetError", "FoldError",
@@ -103,11 +103,10 @@ def _raise_first(quantity: str, value, eps: float, bad=None) -> None:
 
 def _require_finite(entries, eps: float) -> None:
     """Raise for the first non-finite entry, u first and u_yy last."""
-    for a in entries:
-        if type(a) is not float or not math.isfinite(a):
-            for b in entries:
-                _raise_first("non-finite", b, eps, ~np.isfinite(b))
-            return
+    valid = _finite(entries)
+    if valid is not np.True_ and not valid.all():
+        for a in entries:
+            _raise_first("non-finite", a, eps, ~np.isfinite(a))
 
 
 class ContactImage(_Value):
@@ -177,9 +176,8 @@ def push_jet_arrays(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> Cont
     return ContactImage(x, y, JetArrays(u, ux, uy, uxx, uxy, uyy, valid), jac)
 
 
-# Each step is written once, as a core on plain values: the six jet entries
-# (u, u_x, u_y, u_xx, u_xy, u_yy), then the point.  A core makes the step's
-# checks and returns the image in the same layout, so cores chain.
+# Each step is written once, as a core: the six jet entries and the point, as one
+# sequence, go to the image's in the same layout, after the step's checks.
 
 def _rotation(values, eps):
     u, ux, uy, uxx, uxy, uyy, X, Y = values
@@ -189,7 +187,7 @@ def _rotation(values, eps):
 def _legendre(values, eps):
     u, ux, uy, uxx, uxy, uyy, X, Y = values
     _require_finite((u, ux, uy, uxx, uxy, uyy), eps)
-    det = uxx * uyy - uxy * uxy
+    det = _hessian_det(uxx, uxy, uyy)
     _raise_first("U_XX*U_YY - U_XY^2", det, eps)
     return X * ux + Y * uy - u, X, Y, _div(uyy, det), _div(-uxy, det), _div(uxx, det), ux, uy
 
@@ -251,18 +249,17 @@ def compose_chain(U: Expr, X, Y, eps: float = DEGENERACY_EPS) -> ContactImage:
     Each step pushes the full second-order jet with the chain rule for that
     step alone; nothing here reuses the combined contact_map formulas, so
     agreement between the two is a real consistency check.  Every intermediate
-    nondegeneracy condition must hold at every point.
+    nondegeneracy condition must hold at every point, so every image is valid.
     """
     X, Y = _plain_all(X, Y)
-    values = _jet_entry(U, ("X", "Y"))[1]({"X": X, "Y": Y})
+    values = _jet_entry(U, ("X", "Y"))[1]({"X": X, "Y": Y})  # symbolic_jet's entries
     z = _rotation((*values, X, Y), eps)
     w = _legendre(z, eps)
     v = _point(w, eps)
-    u, ux, uy, uxx, uxy, uyy, x, y = _ampere(v, eps)
-    # a point past the Legendre core is finite, so valid; jacobian: det Z'' * -1/eta^2 * V_bb
-    valid = np.True_ if type(u) is float else _finite(values)
-    return ContactImage(x, y, JetArrays(u, ux, uy, uxx, uxy, uyy, valid),
-                        v[5] * _div(-1.0, w[7] * w[7]) * (z[3] * z[5] - z[4] * z[4]))
+    *image, x, y = _ampere(v, eps)
+    valid = np.True_ if type(image[0]) is float else np.ones(np.shape(image[0]), bool)
+    return ContactImage(x, y, JetArrays(*image, valid),
+                        v[5] * _div(-1.0, w[7] * w[7]) * _hessian_det(z[3], z[4], z[5]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +298,7 @@ def _max_affine(slopes: np.ndarray, xs: np.ndarray, offsets: np.ndarray) -> np.n
     over every (row, slope, node) triple; with offsets = -v this is the
     maximum of slopes[k]*xs[i] - v[r, i], since a - b and a + (-b) are the
     same IEEE operation.  Rows go in blocks whose temporary holds at most
-    16,384 doubles, or one row's worth if that is more: 7 rows of 33 slopes
-    by 65 nodes, where the CSV formatter's 8,192 took 3 in twice the calls."""
+    16,384 doubles (7 rows of 33 slopes by 65 nodes), or one row if more."""
     products = slopes[:, None] * xs[None, :]
     out = np.empty((offsets.shape[0], slopes.size))
     step = max(1, 16384 // products.size)
