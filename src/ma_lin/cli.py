@@ -16,7 +16,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import numbers
 import os
 import platform
 import sys
@@ -32,7 +31,8 @@ from .expressions import ExprError, Rejection, parse, to_text, variables
 from .grids import GridError, geometry_from_domain, write_grid, GridGeometry
 from .lift import PipelineConfig, PipelineError, pipeline, write_lifted
 from .linsolve import (NotConvergedError, boundary_from_expr, boundary_from_edge_exprs,
-                       check_solve_limits, problem_from_exprs, solve_dirichlet)
+                       check_solve_limits, finite_number, problem_from_exprs,
+                       solve_dirichlet)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,7 +114,7 @@ class _Outputs:
 
 
 def _dump_json(path, data: dict) -> str:
-    text = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+    text = (json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
     path.write_bytes(text)
     return hashlib.sha256(text).hexdigest()
 
@@ -153,8 +153,7 @@ def _need(obj: dict, key: str, where: str):
 
 
 def _real(value, name: str) -> float:
-    big = sys.float_info.max  # compared, not converted: 10**400 is refused, not an OverflowError
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -big <= value <= big:
+    if not finite_number(value):
         raise UsageError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -3,9 +3,9 @@
 Plane kinds map a material point (X, Y) to a spatial point (x, y) through the
 gradient of a potential, optionally composed with the conformal inversion
 (X, Y) -> (X, -Y)/(X^2+Y^2).  Axisymmetric kinds do the same in the (R, Z)
-half-plane.  Each kind has a matching balance equation for its potential; the
-incompressibility report re-checks that residual next to |J - 1| instead of
-assuming it.
+half-plane.  Each kind has a matching balance equation for its potential,
+the catalog's where the catalog has it; the incompressibility report
+re-checks that residual next to |J - 1| instead of assuming it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .equations import MAEquation, catalog_get, residual
 from .expressions import Expr, Rejection, _Value, diff, evaluate, subst, parse, variables
 from .grids import Grid2, JetArrays, interior_jets, symbolic_jet, write_table
 from .lift import LiftedSurface
@@ -28,9 +29,30 @@ __all__ = [
 
 _GRAD_EPS = 1e-12
 
+# What each kind means: its potential's variables; the material variables of
+# its inversion chart, or None (from-W inverts the gradient instead); and the
+# balance equation of its potential, with x, y the potential's own variables.
+_KINDS = {
+    "from-U": (("X", "Y"), None, MAEquation("plane-strain-raw", parse("1"))),
+    "from-V": (("alpha", "beta"), ("X", "Y"), catalog_get("inverted-plane-strain")),
+    "from-W": (("X", "Y"), None, catalog_get("grad-inversion")),
+    "axisym-U": (("R", "Z"), None, catalog_get("axisym")),
+    "axisym-V": (("alpha", "beta"), ("R", "Z"), catalog_get("axisym-inverted")),
+    "membrane": (("alpha", "beta"), ("X", "Y"), catalog_get("membrane")),
+}
+
+KIND_VARIABLES = {kind: names for kind, (names, _, _) in _KINDS.items()}
+
 
 class ElasticityError(Rejection):
     pass
+
+
+def _meaning(kind: str) -> tuple:
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ElasticityError(f"unknown kind {kind!r}") from None
 
 
 class PlaneDeformation(_Value):
@@ -39,7 +61,7 @@ class PlaneDeformation(_Value):
     note: str
 
     def __init__(self, kind, potential, note=""):
-        if kind not in ("from-U", "from-V", "from-W"):
+        if not (kind in _KINDS and kind.startswith("from-")):
             raise ElasticityError(f"unknown plane kind {kind!r}")
         vars(self).update(kind=kind, potential=potential, note=note)
 
@@ -49,12 +71,13 @@ class AxisymDeformation(_Value):
     potential: Expr
 
     def __init__(self, kind, potential):
-        if kind not in ("axisym-U", "axisym-V"):
+        if not (kind in _KINDS and kind.startswith("axisym-")):
             raise ElasticityError(f"unknown axisymmetric kind {kind!r}")
         vars(self).update(kind=kind, potential=potential)
 
 
 class MembraneDeformation(_Value):
+    kind = "membrane"  # not a field: the class is the kind
     potential: Expr  # V(alpha, beta); only the in-plane map is exposed
 
     def __init__(self, potential):
@@ -67,81 +90,53 @@ class MembraneDeformation(_Value):
 # earlier import of the package alive after a re-import.
 Deformation = (PlaneDeformation, AxisymDeformation, MembraneDeformation)
 
-# potential variables per kind
-KIND_VARIABLES = {
-    "from-U": ("X", "Y"),
-    "from-V": ("alpha", "beta"),
-    "from-W": ("X", "Y"),
-    "axisym-U": ("R", "Z"),
-    "axisym-V": ("alpha", "beta"),
-    "membrane": ("alpha", "beta"),
-}
 
-
-def _kind(d: Deformation) -> str:
-    if isinstance(d, MembraneDeformation):
-        return "membrane"
-    return d.kind
-
-
-def _uses_inversion(kind: str) -> bool:
-    return kind in ("from-V", "axisym-V", "membrane")
+def _chart_r2(X, Y):
+    """X^2 + Y^2, refused where it vanishes: the inversion's singular point."""
+    r2 = X * X + Y * Y
+    if np.any(r2 == 0.0):
+        raise ElasticityError("inversion is singular at the origin")
+    return r2
 
 
 def inversion_coords(X, Y):
     """The involutive intermediate chart (X, Y) -> (X, -Y)/(X^2 + Y^2), pointwise."""
-    r2 = X * X + Y * Y
-    if np.any(r2 == 0.0):
-        raise ElasticityError("inversion is singular at the origin")
+    r2 = _chart_r2(X, Y)
     return X / r2, -Y / r2
 
 
-def _potential_variables(kind: str, pot: Expr) -> tuple[str, str]:
-    v1, v2 = KIND_VARIABLES[kind]
+def _expression(d: Deformation) -> Expr:
+    """The potential of a deformation, which must be an expression in its kind's variables."""
+    pot = d.potential
+    if not isinstance(pot, Expr):
+        raise ElasticityError(f"{d.kind} with a {type(pot).__name__} potential has no "
+                              "symbolic map; use the jet-based operations")
+    v1, v2 = KIND_VARIABLES[d.kind]
     extra = variables(pot) - {v1, v2}
     if extra:
         raise ElasticityError(
-            f"{kind} potential must be a function of ({v1}, {v2}), found {sorted(extra)}")
-    return v1, v2
+            f"{d.kind} potential must be a function of ({v1}, {v2}), found {sorted(extra)}")
+    return pot
 
 
-def _component_exprs(d: Deformation) -> tuple[Expr, Expr, tuple[str, str]]:
-    """Spatial coordinates as expressions in the material variables."""
-    kind = _kind(d)
-    pot = d.potential
-    if not isinstance(pot, Expr):
-        raise ElasticityError(f"{kind} with a {type(pot).__name__} potential has no "
-                              "symbolic map; use the jet-based operations")
-    v1, v2 = _potential_variables(kind, pot)
-    g1, g2 = diff(pot, v1), diff(pot, v2)
-    if kind in ("from-U", "axisym-U"):
-        return g1, g2, (v1, v2)
-    if kind == "from-W":
-        den = g1 * g1 + g2 * g2
-        return g1 / den, (-g2) / den, (v1, v2)
-    # inversion kinds: compose the gradient map with the intermediate chart
-    mat = ("X", "Y") if kind in ("from-V", "membrane") else ("R", "Z")
-    m1, m2 = mat
-    r2 = parse(f"{m1}^2+{m2}^2")
-    chart = {v1: parse(m1) / r2, v2: -(parse(m2) / r2)}
-    return subst(g1, chart), subst(g2, chart), mat
+def _chart_jet(d: Deformation, material: tuple) -> tuple[JetArrays, tuple]:
+    """The expression potential's jet at the chart image of material points, and that image."""
+    names, chart, _ = _KINDS[d.kind]
+    pot = _expression(d)
+    at = inversion_coords(*material) if chart else material
+    return symbolic_jet(pot, names, *at), at
 
 
 def deform(d: Deformation, point: tuple) -> tuple:
     """Image of a material point, or of arrays of points, under the deformation map."""
-    kind = _kind(d)
-    X, Y = point
-    if _uses_inversion(kind) and np.any(X * X + Y * Y == 0.0):
-        raise ElasticityError("inversion is singular at the origin")
-    xe, ye, mat = _component_exprs(d)
-    b = {mat[0]: X, mat[1]: Y}
-    if kind == "from-W":
-        pot = d.potential
-        g1 = evaluate(diff(pot, "X"), b)
-        g2 = evaluate(diff(pot, "Y"), b)
-        if np.any(g1 * g1 + g2 * g2 <= _GRAD_EPS):
-            raise ElasticityError(f"zero potential gradient at {point}")
-    return evaluate(xe, b), evaluate(ye, b)
+    jet = _chart_jet(d, point)[0]
+    g1, g2 = jet.ux, jet.uy
+    if d.kind != "from-W":
+        return g1, g2
+    den = g1 * g1 + g2 * g2
+    if np.any(den <= _GRAD_EPS):
+        raise ElasticityError(f"zero potential gradient at {point}")
+    return g1 / den, (-g2) / den
 
 
 def jacobian(d: Deformation, point: tuple):
@@ -149,19 +144,24 @@ def jacobian(d: Deformation, point: tuple):
     at a material point or at arrays of them.
 
     For the gradient kinds this is the potential's Hessian determinant, with
-    the same arithmetic the balance residual uses.
+    the same arithmetic the balance residual uses; the others differentiate
+    the composed map, independently of `deform` and `jacobian_from_jet`.
     """
-    kind = _kind(d)
-    if isinstance(d.potential, Expr) and kind in ("from-U", "axisym-U"):
-        v1, v2 = KIND_VARIABLES[kind]
-        return symbolic_jet(d.potential, (v1, v2), *point).hessian_det()
-    xe, ye, mat = _component_exprs(d)
-    m1, m2 = mat
+    (v1, v2), chart, _ = _KINDS[d.kind]
+    if chart is None and d.kind != "from-W":
+        return _chart_jet(d, point)[0].hessian_det()
+    pot = _expression(d)
+    g1, g2 = diff(pot, v1), diff(pot, v2)
+    if chart is None:  # from-W: the gradient, inverted
+        den = g1 * g1 + g2 * g2
+        xe, ye, (m1, m2) = g1 / den, (-g2) / den, (v1, v2)
+    else:  # the gradient, composed with the intermediate chart
+        m1, m2 = chart
+        r2 = parse(f"{m1}^2+{m2}^2")
+        at = {v1: parse(m1) / r2, v2: -(parse(m2) / r2)}
+        xe, ye = subst(g1, at), subst(g2, at)
     b = {m1: point[0], m2: point[1]}
-    j11 = evaluate(diff(xe, m1), b)
-    j12 = evaluate(diff(xe, m2), b)
-    j21 = evaluate(diff(ye, m1), b)
-    j22 = evaluate(diff(ye, m2), b)
+    j11, j12, j21, j22 = (evaluate(diff(e, m), b) for e in (xe, ye) for m in (m1, m2))
     return j11 * j22 - j12 * j21
 
 
@@ -173,50 +173,30 @@ def jacobian_from_jet(kind: str, jet: JetArrays,
     |grad W|^-4 for the gradient-inversion kind.  With an array jet and
     arrays of material points, the jacobian at every node at once.
     """
+    chart = _meaning(kind)[1]
     det = jet.hessian_det()
-    if kind in ("from-U", "axisym-U"):
-        return det
     if kind == "from-W":
         g2 = jet.ux * jet.ux + jet.uy * jet.uy
         if np.any(g2 <= _GRAD_EPS):
             raise ElasticityError("zero potential gradient")
         return det / (g2 * g2)
-    if kind in ("from-V", "axisym-V", "membrane"):
-        if material_point is None:
-            raise ElasticityError(f"{kind} needs the material point for the inversion factor")
-        X, Y = material_point
-        r2 = X * X + Y * Y
-        if np.any(r2 == 0.0):
-            raise ElasticityError("inversion is singular at the origin")
-        return det / (r2 * r2)
-    raise ElasticityError(f"unknown kind {kind!r}")
+    if chart is None:
+        return det
+    if material_point is None:
+        raise ElasticityError(f"{kind} needs the material point for the inversion factor")
+    r2 = _chart_r2(*material_point)
+    return det / (r2 * r2)
 
 
 def ma_residual_from_jet(kind: str, jet: JetArrays, point: tuple):
-    """Residual of the balance equation matching the kind, at a potential jet.
+    """Residual of the kind's balance equation at a potential jet: the
+    catalog equation's `residual`, so a zero divisor raises EvalError.
 
     `point` is the potential's own chart: (X, Y) for from-U/from-W,
     (alpha, beta) for the inversion kinds, (R, Z) for axisym-U.  Like
     jacobian_from_jet, it takes a jet and a point or arrays of both.
     """
-    det = jet.hessian_det()
-    a, b = point
-    if kind == "from-U":
-        return det - 1.0
-    if kind == "from-W":
-        g2 = jet.ux * jet.ux + jet.uy * jet.uy
-        return det - g2 * g2
-    r2 = a * a + b * b
-    if kind in ("from-V",):
-        return det - 1.0 / (r2 * r2)
-    if kind == "membrane":
-        combo = a * jet.ux + b * jet.uy - jet.u
-        return det - 1.0 / (r2 * r2) / combo
-    if kind == "axisym-U":
-        return det - a / jet.ux
-    if kind == "axisym-V":
-        return det - a / (r2 * r2 * jet.ux)
-    raise ElasticityError(f"unknown kind {kind!r}")
+    return residual(_meaning(kind)[2], jet, *point)
 
 
 class IncompressibilityReport(_Value):
@@ -247,16 +227,12 @@ def incompressibility_check(d: Deformation,
     domain.  Grid potentials use their own interior nodes; lifted-surface
     potentials use their stored jets at every valid sample.
     """
-    kind = _kind(d)
     pot = d.potential
-
     if isinstance(pot, Expr):
         if domain is None:
             raise ElasticityError("expression potentials need a material domain")
-        names = _potential_variables(kind, pot)
         material = _material_mesh(domain, n)
-        chart = inversion_coords(*material) if _uses_inversion(kind) else material
-        jet = symbolic_jet(pot, names, *chart)
+        jet, chart = _chart_jet(d, material)
     elif isinstance(pot, LiftedSurface):
         jet = pot.jets().compress()
         material = chart = (pot.x[pot.valid], pot.y[pot.valid])
@@ -268,12 +244,12 @@ def incompressibility_check(d: Deformation,
     else:
         raise ElasticityError(f"unsupported potential type {type(pot).__name__}")
 
-    devs = np.abs(jacobian_from_jet(kind, jet, material_point=material) - 1.0)
+    devs = np.abs(jacobian_from_jet(d.kind, jet, material_point=material) - 1.0)
     if devs.size == 0:
         raise ElasticityError("no usable sample points")
-    residuals = np.abs(ma_residual_from_jet(kind, jet, chart))
+    residuals = np.abs(ma_residual_from_jet(d.kind, jet, chart))
     return IncompressibilityReport(
-        kind=kind, samples=devs.size,
+        kind=d.kind, samples=devs.size,
         max_jac_dev=float(devs.max()), mean_jac_dev=float(devs.mean()),
         max_ma_residual=float(np.max(residuals)))
 
@@ -281,15 +257,13 @@ def incompressibility_check(d: Deformation,
 def deformation_from_dict(data: dict) -> Deformation:
     """Build a deformation from {"kind": ..., "potential": "expr"}."""
     kind = str(data["kind"])
-    if kind not in KIND_VARIABLES:
+    if kind not in _KINDS:
         raise ValueError(f"unknown deformation kind {kind!r}; "
-                         f"known kinds: {', '.join(KIND_VARIABLES)}")
+                         f"known kinds: {', '.join(_KINDS)}")
     pot = parse(str(data["potential"]))
-    if kind == "membrane":
-        return MembraneDeformation(potential=pot)
-    if kind.startswith("axisym"):
-        return AxisymDeformation(kind=kind, potential=pot)
-    return PlaneDeformation(kind=kind, potential=pot)
+    if kind == MembraneDeformation.kind:
+        return MembraneDeformation(pot)
+    return (AxisymDeformation if kind.startswith("axisym-") else PlaneDeformation)(kind, pot)
 
 
 def write_deformed_points(d: Deformation, domain: tuple[float, float, float, float],

@@ -247,7 +247,7 @@ def _entry(id: str, F: str, note: str) -> MAEquation:
     return MAEquation(id=id, F=parse(F), note=note)
 
 
-_CATALOG: tuple[MAEquation, ...] = (
+_CATALOG: dict[str, MAEquation] = {eq.id: eq for eq in (
     _entry("plane-strain", "q^4",
            "Plane-strain class form with unit class function (linear target is "
            "the Laplace equation).  The raw plane-strain balance has constant "
@@ -264,30 +264,29 @@ _CATALOG: tuple[MAEquation, ...] = (
            "depends on x, so outside the class.  Catalog and residual use only."),
     _entry("axisym-inverted", "x/((x^2+y^2)^2*p)",
            "Axially symmetric form in inverted coordinates; outside the class."),
-    _entry("membrane", "(x^2+y^2)^(-2)*(x*p+y*q-u)^(-1)",
+    _entry("membrane", "(x^2+y^2)^(-2)/(x*p+y*q-u)",
            "Plane-stress membrane potential equation; outside the class as "
            "stated.  Its full Legendre image is the u*(grad)^4 member."),
     _entry("general-A1", "(p^2+q^2)^2",
            "General gradient-quartic family with constant multiplier 1."),
     _entry("general-Au", "u*(p^2+q^2)^2",
            "General gradient-quartic family with multiplier u."),
-)
+)}
 
 
 def catalog() -> tuple[MAEquation, ...]:
-    return _CATALOG
+    return tuple(_CATALOG.values())
 
 
 def catalog_map() -> dict[str, MAEquation]:
-    return {eq.id: eq for eq in _CATALOG}
+    return dict(_CATALOG)
 
 
 def catalog_get(id: str) -> MAEquation:
     try:
-        return catalog_map()[id]
+        return _CATALOG[id]
     except KeyError:
-        known = ", ".join(eq.id for eq in _CATALOG)
-        raise KeyError(f"no catalog equation {id!r}; known ids: {known}") from None
+        raise KeyError(f"no catalog equation {id!r}; known ids: {', '.join(_CATALOG)}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ from .grids import Grid2, GridGeometry, sample
 
 __all__ = [
     "FLOOR_FACTOR", "BoundaryValues", "EllipticProblem", "SolveReport",
-    "NotEllipticError", "NotConvergedError", "check_solve_limits", "solve_dirichlet",
+    "NotEllipticError", "NotConvergedError", "finite_number", "check_solve_limits",
+    "solve_dirichlet",
     "boundary_from_expr", "boundary_from_edge_exprs", "problem_from_exprs",
     "mms_source", "constant_f_family", "discrete_residual",
 ]
@@ -190,15 +191,19 @@ def _hierarchy(f: np.ndarray, geom: GridGeometry):
     return top, time.perf_counter() - t0
 
 
+def finite_number(v) -> bool:
+    """A real within the doubles' range that is not a bool.  Compared, not
+    converted: an int too large for a double is refused, not an OverflowError."""
+    big = sys.float_info.max
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -big <= v <= big
+
+
 def check_solve_limits(tol, max_iter) -> None:
     """Raise ValueError, naming the field, unless tol is None or a finite
     number >= 0 and max_iter is a whole number >= 1."""
-    def finite(v):  # compared, not converted: an int too large for a double is refused too
-        big = sys.float_info.max
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and -big <= v <= big
-    if tol is not None and not (finite(tol) and tol >= 0):
+    if tol is not None and not (finite_number(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    if not (finite(max_iter) and max_iter == int(max_iter) and max_iter >= 1):
+    if not (finite_number(max_iter) and max_iter == int(max_iter) and max_iter >= 1):
         raise ValueError(f"max_iter must be a whole number >= 1, got {max_iter!r}")
 
 
@@ -215,7 +220,8 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
     The default tol is FLOOR_FACTOR times the rounding floor of the current
     iterate; tol = 0 runs until the residual stalls.  Rejects any non-positive
     coefficient node (the Dirichlet problem is only well-posed for f > 0),
-    and a tol or max_iter that `check_solve_limits` refuses.  Raises
+    a tol or max_iter that `check_solve_limits` refuses, and data on which
+    the five-point operator overflows doubles (ValueError).  Raises
     NotConvergedError, carrying the report and the last iterate, when
     max_iter V-cycles are run or when STALL_CYCLES cycles in a row fail to
     halve the residual, whichever is first.
@@ -229,13 +235,20 @@ def solve_dirichlet(problem: EllipticProblem, tol: Optional[float] = None,
     geom = problem.geom
     g = problem.source.values
     f_int, g_int = f[1:-1, 1:-1], g[1:-1, 1:-1]
-    scale = float(np.finfo(np.float64).eps) * (2.0 / geom.dx ** 2 + 2.0 * float(np.max(f_int)) / geom.dy ** 2)
+    stencil = 2.0 / geom.dx ** 2 + 2.0 * float(np.max(f_int)) / geom.dy ** 2
+    scale = float(np.finfo(np.float64).eps) * stencil
 
     U = np.zeros((geom.ny, geom.nx))
     U[:, 0] = problem.boundary.left
     U[:, -1] = problem.boundary.right
     U[0, :] = problem.boundary.bottom
     U[-1, :] = problem.boundary.top
+    # the operator's terms at the data, summed over every node as the starts'
+    # transforms and the cycles' transfers may sum them, must stay doubles
+    data, source = float(np.max(np.abs(U))), float(np.max(np.abs(g)))
+    if not (2.0 * stencil * data + source) * U.size < sys.float_info.max:
+        raise ValueError(f"the five-point operator overflows doubles on this data: max |boundary| "
+                         f"{data:g}, max |source| {source:g}, 2/dx^2 + 2 max f/dy^2 = {stencil:g}")
 
     if np.all(f == f[:, :1]):
         first, top, cycles = "fourier", None, 0

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ma_lin.expressions import (BinOp, Call, Const, EvalError, Expr, Neg, Var, _call,
-                                _guard, _power, evaluate, parse)
+                                _guard, _power, diff, evaluate, parse, subst)
 from ma_lin.grids import JetArrays, jet_exprs
 
 
@@ -92,6 +92,27 @@ def ma_residual_reference(kind: str, jet: tuple, point: tuple) -> float:
          "axisym-U": lambda: a / ux,
          "axisym-V": lambda: a / (r2 * r2 * ux)}[kind]()
     return det - F
+
+
+def deform_reference(kind: str, potential: Expr, point):
+    """Image of a material point, or of arrays of them, under a deformation
+    kind: the potential's gradient, with the inversion chart substituted into
+    it for the (alpha, beta) kinds and inverted for from-W, evaluated by the
+    recursive walk, so neither jets nor compiled programs take part."""
+    v1, v2 = {"from-U": ("X", "Y"), "from-W": ("X", "Y"), "axisym-U": ("R", "Z")}.get(
+        kind, ("alpha", "beta"))
+    m1, m2 = ("R", "Z") if kind.startswith("axisym-") else ("X", "Y")
+    g1, g2 = diff(potential, v1), diff(potential, v2)
+    if v1 == "alpha":
+        r2 = Var(m1) * Var(m1) + Var(m2) * Var(m2)
+        chart = {v1: Var(m1) / r2, v2: -(Var(m2) / r2)}
+        g1, g2 = subst(g1, chart), subst(g2, chart)
+    env = {m1: point[0], m2: point[1]}
+    x, y = reference_evaluate(g1, env), reference_evaluate(g2, env)
+    if kind != "from-W":
+        return x, y
+    den = x * x + y * y
+    return x / den, -y / den
 
 
 def measured_order(err_coarse: float, err_fine: float) -> float:

@@ -106,6 +106,31 @@ def test_solve_not_elliptic_exits_2(tmp_path, capsys):
     assert "positive" in error["message"]
 
 
+@pytest.mark.parametrize("fcoeff", ["1", "1+X*Y"], ids=["fourier-start", "nested-start"])
+def test_data_that_overflow_the_scheme_are_refused(tmp_path, capsys, fcoeff):
+    # 2e307 on the boundary times 2/dx^2 + 2/dy^2 = 256 is past the largest
+    # double: the solve refuses it before either start, with no warning
+    cfg = _write(tmp_path / "p.json", {"domain": [0, 1, 0, 1], "nx": 9, "ny": 9,
+                                       "fcoeff": fcoeff, "boundary": "1e307*(X+Y)"})
+    out = tmp_path / "o"
+    assert main(["solve", "--in", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the five-point operator overflows doubles on this data: "
+                          "max |boundary| 2e+307, max |source| 0, 2/dx^2 + 2 max f/dy^2 = ")
+    man = _read_json(out / "manifest.json")
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == ("solve", 1)
+    assert man["artifacts"] == {} and [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert b"NaN" not in (out / "manifest.json").read_bytes()
+
+
+def test_no_json_artifact_holds_a_non_finite_number(tmp_path):
+    from ma_lin.cli import _dump_json
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _dump_json(tmp_path / "r.json", {"residual": bad})
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_solve_not_converged_exits_3_with_report(tmp_path):
     data = _solve_config()
     data["max_iter"] = 1
@@ -528,6 +553,64 @@ def test_elasticity_negative_control(tmp_path):
     rep = _read_json(out / "incompressibility.json")
     assert abs(rep["max_jac_dev"] - 3.0) <= 1e-12
     assert abs(rep["max_ma_residual"] - 3.0) <= 1e-12
+
+
+_DEFORMATION_DOMAIN = [0.5, 1.5, 0.4, 1.3]
+
+
+# SHA-256 of deformed.csv and incompressibility.json for one potential per
+# kind at n = 9, as written while elasticity spelt each balance residual out
+# by hand; through the catalog's equations the bytes must stay the same
+@pytest.mark.parametrize("kind,potential,digests", [
+    ("from-U", "X^2+X*Y+Y^2/2+0.1*X^3",
+     ("3072d5b67447979c5261867c280776f55ff63dee2d1041544bf695eb90a48ac1",
+      "b59657cf3f0ed36deafb306e9d391b403060b20c35cd09db9ba62692ed0e6030")),
+    ("from-V", "(alpha^2+beta^2)/2+alpha^3/3",
+     ("8724cd1b7bd2a928e65eb6a17f89e29d7d1d6c3596755eab35758d20d6101879",
+      "1eb7525b16bbd84649511bdd8a035f82dd887d467a38968f98cf9037d23f46da")),
+    ("from-W", "X^2-Y*arctan(Y)+0.2*X*Y",
+     ("059f92e944dc9d357963c5024395c41cbff9f0a943b3e60e37aa7df1da57d101",
+      "61503de3bc5b5333d19a09eb2a4d1ea00c26f195833ca742f756527a3da58438")),
+    ("axisym-U", "R^2/2+R*Z+Z^3/7",
+     ("76caee326a91814fcc5842ab63c0d177d8f43974f933632354a695c02d0afebb",
+      "f06dd3fff6c596c460cda59efb696d164e1d6c9ba0eba494ccf64b485e3bd10e")),
+    ("axisym-V", "alpha^2/2+alpha*beta+beta^2+3*alpha",
+     ("57af808bb96f98c0bd46164e68d8e669528169fcb170aa17e7c9e24f244da67c",
+      "2d7fd89743364ad32dc51c7ee77e9e119ac2c180049d9efd2b5f4f21b5fd3f82")),
+    ("membrane", "alpha*beta+alpha^2+exp(beta)",
+     ("5e2cd3435b92c75b8e5933bdb42c0ef0aaad8151db2092bf4a018bc32b280ae6",
+      "ca48f08b614b9803256dc69c273a4ecaa8d5cd0ca0543b71ebe6a7664b179dce")),
+])
+def test_elasticity_artifacts_keep_their_bytes(tmp_path, kind, potential, digests):
+    d = _write(tmp_path / "d.json", {"kind": kind, "potential": potential,
+                                     "domain": _DEFORMATION_DOMAIN, "n": 9})
+    out = tmp_path / "o"
+    assert main(["elasticity", "--in", d, "--out", str(out)]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("deformed.csv", "incompressibility.json"))
+    assert got == digests
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"kind": "axisym-U", "potential": "R^2/2 - R + Z^2/2", "domain": [0.5, 1.5, 0.5, 1.5],
+      "n": 3}, "division by zero at flat index 3 in `x/p`"),
+    ({"kind": "axisym-V", "potential": "alpha^2/2+alpha*beta+beta^2",
+      "domain": _DEFORMATION_DOMAIN, "n": 9},
+     "division by zero at flat index 11 in `x/((x^2+y^2)^2*p)`"),
+    ({"kind": "membrane", "potential": "alpha*beta+alpha^2", "domain": _DEFORMATION_DOMAIN,
+      "n": 9}, "division by zero at flat index 11 in `(x^2+y^2)^-2/(x*p+y*q-u)`"),
+], ids=["axisym-U", "axisym-V", "membrane"])
+def test_a_balance_residual_that_divides_by_zero_exits_1(tmp_path, capsys, data, message):
+    # U_R or the membrane's x*p+y*q-u vanishes at a sample: the residual is
+    # the catalog equation's, whose division refuses, not an infinite report
+    out = tmp_path / "o"
+    assert main(["elasticity", "--in", _write(tmp_path / "d.json", data),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    man = _read_json(out / "manifest.json")
+    assert (man["error"]["stage"], man["error"]["exit_code"]) == ("elasticity", 1)
+    assert man["artifacts"] == {} and [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert b"Infinity" not in (out / "manifest.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

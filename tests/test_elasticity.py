@@ -8,7 +8,8 @@ from ma_lin.elasticity import (AxisymDeformation, ElasticityError,
                                deformation_from_dict, incompressibility_check,
                                inversion_coords, jacobian, jacobian_from_jet,
                                ma_residual_from_jet)
-from helpers import jacobian_reference, ma_residual_reference, point_jet, same_bits
+from helpers import (deform_reference, jacobian_reference, ma_residual_reference, point_jet,
+                     same_bits)
 from ma_lin.expressions import parse
 from ma_lin.grids import JetArrays, geometry_from_domain, symbolic_jet
 from ma_lin.lift import PipelineConfig, pipeline
@@ -88,11 +89,39 @@ def test_membrane_map_matches_plane_from_v():
     assert deform(m, (1.0, 2.0)) == deform(p, (1.0, 2.0))
 
 
+# one potential per kind, each in its kind's variables
+_POTENTIALS = {
+    "from-U": "X^2+X*Y+Y^2/2+0.1*X^3",
+    "from-V": "(alpha^2+beta^2)/2+alpha^3/3",
+    "from-W": "X^2-Y*arctan(Y)+0.2*X*Y",
+    "axisym-U": "R^2/2+R*Z+Z^3/7",
+    "axisym-V": "alpha^2/2+alpha*beta+beta^2+3*alpha",
+    "membrane": "alpha*beta+alpha^2+exp(beta)",
+}
+
+
+@pytest.mark.parametrize("kind", list(_POTENTIALS))
+def test_deform_equals_the_substituted_gradient_bit_for_bit(kind):
+    rng = np.random.default_rng(33)
+    X, Y = rng.uniform(0.3, 1.7, (2, 200)) * rng.choice((-1.0, 1.0), (2, 200))
+    d = deformation_from_dict({"kind": kind, "potential": _POTENTIALS[kind]})
+    x, y = deform(d, (X, Y))
+    want = deform_reference(kind, d.potential, (X, Y))
+    assert same_bits(x, want[0]) and same_bits(y, want[1])
+    for k in range(0, 200, 40):  # a single point gives floats with the same bits
+        p = (float(X[k]), float(Y[k]))
+        got = deform(d, p)
+        assert all(type(v) is float for v in got)
+        assert same_bits(got, deform_reference(kind, d.potential, p))
+        assert same_bits(got, (x[k], y[k]))
+
+
 def test_deformation_from_dict():
     d = deformation_from_dict({"kind": "from-W", "potential": "X^2-Y^2"})
     assert isinstance(d, PlaneDeformation) and d.kind == "from-W"
     m = deformation_from_dict({"kind": "membrane", "potential": "alpha*beta"})
-    assert isinstance(m, MembraneDeformation)
+    assert isinstance(m, MembraneDeformation) and m.kind == "membrane"
+    assert m.to_dict() == {"potential": m.potential}  # the kind is the class's, not a field
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,19 @@ def test_catalog_classification_suite():
         rep = classification_report(eq, seed=42)
         assert rep["in_class"] == (eq.id in expected_in), eq.id
         assert rep["seed"] == 42
+
+
+def test_the_catalog_is_one_table_in_its_order():
+    ids = ["plane-strain", "plane-strain-class", "inverted-plane-strain", "grad-inversion",
+           "axisym", "axisym-inverted", "membrane", "general-A1", "general-Au"]
+    assert [eq.id for eq in catalog()] == ids
+    table = catalog_map()
+    assert list(table) == ids and all(table[i] is catalog_get(i) for i in ids)
+    table.clear()  # a copy: the catalog keeps its entries
+    assert [eq.id for eq in catalog()] == ids and catalog_map() != {}
+    with pytest.raises(KeyError, match=re.escape("no catalog equation 'nope'; known ids: "
+                                                 + ", ".join(ids))):
+        catalog_get("nope")
 
 
 def test_catalog_witness_names_failed_test():

@@ -15,7 +15,7 @@ from ma_lin.expressions import Const, evaluate, parse
 from ma_lin.grids import Grid2, geometry_from_domain, sample
 from ma_lin.linsolve import (FLOOR_FACTOR, BoundaryValues, EllipticProblem,
                              NotConvergedError, NotEllipticError, boundary_from_edge_exprs,
-                             constant_f_family, discrete_residual, mms_source,
+                             constant_f_family, discrete_residual, finite_number, mms_source,
                              problem_from_exprs, solve_dirichlet)
 from ma_lin.multigrid import (DIRECT_SIDE, PCR_SIDE, _apply, _coarse_nodes, _cubic,
                               _dense_inverse, _Level, _product, _terms, _transfers)
@@ -799,3 +799,26 @@ def test_constant_family_rejects_bad_arguments():
         constant_f_family(-1.0, 2)
     with pytest.raises(ValueError):
         constant_f_family(1.0, 0)
+
+
+@pytest.mark.parametrize("value,finite", [
+    (1, True), (-2.5, True), (np.float64(3.0), True), (10 ** 308, True), (-sys.float_info.max, True),
+    (True, False), (float("nan"), False), (float("inf"), False), (10 ** 400, False), ("1", False),
+    (None, False)])
+def test_finite_number_compares_without_converting(value, finite):
+    assert finite_number(value) == finite
+
+
+@pytest.mark.parametrize("fcoeff", ["1", "1+X*Y"])
+def test_the_overflow_refusal_keeps_large_data_that_the_scheme_holds(fcoeff):
+    # 2e300 on the boundary of a 33 x 33 grid stays a double through either
+    # start and every cycle; 2e307 does not, and is refused before the start
+    geom = geometry_from_domain(0, 1, 0, 1, 33, 33)
+    for scale, solves in (("1e300", True), ("1e307", False)):
+        prob = problem_from_exprs(geom, parse(fcoeff), None, parse(f"{scale}*(X+Y)"))
+        if solves:
+            U, rep = solve_dirichlet(prob)
+            assert rep.converged and np.all(np.isfinite(U.values))
+        else:
+            with pytest.raises(ValueError, match="the five-point operator overflows doubles"):
+                solve_dirichlet(prob)
