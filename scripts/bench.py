@@ -163,16 +163,22 @@ def _conjugate_rows(k: int) -> list:
     return rows
 
 
+def _timing(key: str) -> bool:
+    return key in ("seconds", "setup_s", "us") or key.endswith("_us")
+
+
 def _fold(row: dict, other: dict) -> None:
-    """Keep in row the best of each timing of two runs of one request, which
-    must agree on everything else, the stage names included."""
-    keys = ("start", "iterations", "lifted_sha256", "resampled_sha256")
-    if ([row[key] for key in keys] != [other[key] for key in keys]
-            or list(row["stages"]) != list(other["stages"])):
-        raise SystemExit(f"runs disagree at {row['family']} {row['boundary']} n={row['n']}")
-    for key in ("seconds", "setup_s"):
-        row[key] = min(row[key], other[key])
-    row["stages"] = {stage: min(t, other["stages"][stage]) for stage, t in row["stages"].items()}
+    """Keep in row the best of each timing of two runs of one measurement:
+    `seconds`, `setup_s`, `us`, each `*_us` and each stage of `stages`.
+    Every other key, and the stage names, must agree."""
+    for key, value in row.items():
+        if _timing(key):
+            row[key] = min(value, other[key])
+        elif key == "stages" and list(value) == list(other[key]):
+            row[key] = {stage: min(t, other[key][stage]) for stage, t in value.items()}
+        elif value != other[key]:
+            named = {k: v for k, v in row.items() if not _timing(k) and k != "stages"}
+            raise SystemExit(f"runs disagree on {key} at {named}")
 
 
 def worker(spec: dict) -> dict:
@@ -238,22 +244,9 @@ def _merge(passes: list) -> dict:
     and hashes, which every pass must agree on, from the first."""
     first = passes[0]
     for p in passes[1:]:
-        for row, other in zip(first["rows"], p["rows"]):
-            _fold(row, other)
-        for row, other in zip(first["points"], p["points"]):
-            for route in ("chain", "direct"):
-                if row[f"{route}_sha256"] != other[f"{route}_sha256"]:
-                    raise SystemExit(f"passes disagree at the {route} points of {row['family']}")
-                row[f"{route}_us"] = min(row[f"{route}_us"], other[f"{route}_us"])
-        for row, other in zip(first["formatter"], p["formatter"]):
-            if row["sha256"] != other["sha256"]:
-                raise SystemExit(f"passes disagree at the {row['values']}-value "
-                                 f"{row['layout']} block")
-            row["us"] = min(row["us"], other["us"])
-        for row, other in zip(first["conjugate"], p["conjugate"]):
-            if row["sha256"] != other["sha256"]:
-                raise SystemExit(f"passes disagree at the {row['form']} conjugate")
-            row["us"] = min(row["us"], other["us"])
+        for kind in ("rows", "points", "formatter", "conjugate"):
+            for row, other in zip(first[kind], p[kind]):
+                _fold(row, other)
         if p["import_modules"] != first["import_modules"]:
             raise SystemExit("passes disagree on the modules that the import loads")
         first["import_s"] = min(first["import_s"], p["import_s"])

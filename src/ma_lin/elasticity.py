@@ -80,9 +80,6 @@ class MembraneDeformation(_Value):
     kind = "membrane"  # not a field: the class is the kind
     potential: Expr  # V(alpha, beta); only the in-plane map is exposed
 
-    def __init__(self, potential):
-        vars(self).update(potential=potential)
-
 
 # The deformation classes, which annotations name as `Deformation`.  A
 # tuple, not a typing.Union: typing caches every Union it builds for the
@@ -91,11 +88,20 @@ class MembraneDeformation(_Value):
 Deformation = (PlaneDeformation, AxisymDeformation, MembraneDeformation)
 
 
+def _first(bad, point) -> str:
+    """The first flat sample where `bad` holds, with its point as plain floats if given."""
+    k = int(np.argmax(bad))
+    if point is None:
+        return f"sample {k}"
+    X, Y = (float(np.broadcast_to(c, np.shape(bad)).flat[k]) for c in point)
+    return f"sample {k}, point ({X!r}, {Y!r})"
+
+
 def _chart_r2(X, Y):
     """X^2 + Y^2, refused where it vanishes: the inversion's singular point."""
     r2 = X * X + Y * Y
     if np.any(r2 == 0.0):
-        raise ElasticityError("inversion is singular at the origin")
+        raise ElasticityError(f"inversion is singular at the origin: {_first(r2 == 0.0, (X, Y))}")
     return r2
 
 
@@ -135,7 +141,7 @@ def deform(d: Deformation, point: tuple) -> tuple:
         return g1, g2
     den = g1 * g1 + g2 * g2
     if np.any(den <= _GRAD_EPS):
-        raise ElasticityError(f"zero potential gradient at {point}")
+        raise ElasticityError(f"zero potential gradient at {_first(den <= _GRAD_EPS, point)}")
     return g1 / den, (-g2) / den
 
 
@@ -178,7 +184,8 @@ def jacobian_from_jet(kind: str, jet: JetArrays,
     if kind == "from-W":
         g2 = jet.ux * jet.ux + jet.uy * jet.uy
         if np.any(g2 <= _GRAD_EPS):
-            raise ElasticityError("zero potential gradient")
+            raise ElasticityError(
+                f"zero potential gradient at {_first(g2 <= _GRAD_EPS, material_point)}")
         return det / (g2 * g2)
     if chart is None:
         return det
@@ -206,10 +213,6 @@ class IncompressibilityReport(_Value):
     mean_jac_dev: float
     max_ma_residual: float
 
-    def __init__(self, kind, samples, max_jac_dev, mean_jac_dev, max_ma_residual):
-        vars(self).update(kind=kind, samples=samples, max_jac_dev=max_jac_dev,
-                          mean_jac_dev=mean_jac_dev, max_ma_residual=max_ma_residual)
-
 
 def _material_mesh(domain: tuple[float, float, float, float], n: int):
     """The n-by-n material points of a domain, flattened X-major."""
@@ -233,6 +236,8 @@ def incompressibility_check(d: Deformation,
             raise ElasticityError("expression potentials need a material domain")
         material = _material_mesh(domain, n)
         jet, chart = _chart_jet(d, material)
+        if not jet.valid.all():
+            raise ValueError(f"the potential's jet is not finite at {_first(~jet.valid, material)}")
     elif isinstance(pot, LiftedSurface):
         jet = pot.jets().compress()
         material = chart = (pot.x[pot.valid], pot.y[pot.valid])

@@ -61,9 +61,6 @@ class LinearizableClass(_Value):
     even: bool  # whether F(u,-p,-q) = F(u,p,q) held on the samples
     seed: int
 
-    def __init__(self, f, even, seed):
-        vars(self).update(f=f, even=even, seed=seed)
-
 
 class NotInClassError(Rejection):
     def __init__(self, reason: str, witness: dict):
@@ -177,9 +174,6 @@ class KhabirovCase(_Value):
     gstar: Expr    # s^4 * g(s)
     Gstar: Expr    # 1/gstar
     equation: MAEquation  # transformed RHS q^4 * Gstar(q/p) in jet variables
-
-    def __init__(self, g, gstar, Gstar, equation):
-        vars(self).update(g=g, gstar=gstar, Gstar=Gstar, equation=equation)
 
 
 def khabirov_push(g: Expr, seed: int = 42, checks: int = 50) -> KhabirovCase:

@@ -66,12 +66,6 @@ class LiftedSurface(_Value):
     source_kind: str  # "symbolic" or "grid"
     source_desc: str
 
-    def __init__(self, X, Y, x, y, u, ux, uy, uxx, uxy, uyy, jac, valid, source_kind,
-                 source_desc):
-        vars(self).update(X=X, Y=Y, x=x, y=y, u=u, ux=ux, uy=uy, uxx=uxx, uxy=uxy, uyy=uyy,
-                          jac=jac, valid=valid, source_kind=source_kind,
-                          source_desc=source_desc)
-
     @property
     def n_valid(self) -> int:
         return int(self.valid.sum())
@@ -93,13 +87,6 @@ class VerificationReport(_Value):
     mean_abs_residual: float
     path: str  # "symbolic" or "grid"
     mask_fraction: float
-
-    def __init__(self, equation_id, samples, max_abs_residual, mean_abs_residual, path,
-                 mask_fraction):
-        vars(self).update(equation_id=equation_id, samples=samples,
-                          max_abs_residual=max_abs_residual,
-                          mean_abs_residual=mean_abs_residual, path=path,
-                          mask_fraction=mask_fraction)
 
 
 def lift_parametric(U: Union[Expr, Grid2],
@@ -280,13 +267,9 @@ class PipelineConfig(_Value):
     geom: GridGeometry  # the linear grid
     boundary: Union[Expr, BoundaryValues]
     # the resampling grid, or the (nx, ny) node counts of one inferred from the image
-    target: Union[GridGeometry, tuple[int, int]]
-    solve_tol: Optional[float]
-    seed: int
-
-    def __init__(self, geom, boundary, target=(33, 33), solve_tol=None, seed=42):
-        vars(self).update(geom=geom, boundary=boundary, target=target, solve_tol=solve_tol,
-                          seed=seed)
+    target: Union[GridGeometry, tuple[int, int]] = (33, 33)
+    solve_tol: Optional[float] = None
+    seed: int = 42
 
 
 class PipelineResult(_Value):
@@ -299,12 +282,6 @@ class PipelineResult(_Value):
     resampled: MaskedGrid2
     verification: VerificationReport
     stages: dict  # stage name -> wall seconds, in run order
-
-    def __init__(self, equation, lin_class, coefficient, solution, solve_report, surface,
-                 resampled, verification, stages):
-        vars(self).update(equation=equation, lin_class=lin_class, coefficient=coefficient,
-                          solution=solution, solve_report=solve_report, surface=surface,
-                          resampled=resampled, verification=verification, stages=stages)
 
 
 def _infer_target(surface: LiftedSurface, nx: int, ny: int) -> GridGeometry:

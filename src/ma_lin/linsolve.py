@@ -127,13 +127,6 @@ class SolveReport(_Value):
     direct_unknowns: int  # interior nodes of the level solved exactly, 0 if none
     start: str           # "fourier" or "nested"
 
-    def __init__(self, iterations, residual, converged, elapsed, setup_seconds, tol,
-                 residual_floor, residuals, levels, direct_unknowns, start):
-        vars(self).update(iterations=iterations, residual=residual, converged=converged,
-                          elapsed=elapsed, setup_seconds=setup_seconds, tol=tol,
-                          residual_floor=residual_floor, residuals=residuals, levels=levels,
-                          direct_unknowns=direct_unknowns, start=start)
-
 
 def discrete_residual(U: np.ndarray, f_int: np.ndarray, g_int: np.ndarray,
                       dx: float, dy: float) -> np.ndarray:

@@ -269,9 +269,6 @@ class DualGrid1(_Value):
     slopes: np.ndarray
     values: np.ndarray
 
-    def __init__(self, slopes, values):
-        vars(self).update(slopes=slopes, values=values)
-
 
 def _check_increasing(a: np.ndarray, what: str) -> None:
     if a.ndim != 1:
@@ -351,9 +348,6 @@ class ScatteredSamples(_Value):
     y: np.ndarray
     u: np.ndarray
     column_branch: tuple[str, ...]  # "convex" or "concave" per alpha-column
-
-    def __init__(self, x, y, u, column_branch):
-        vars(self).update(x=x, y=y, u=u, column_branch=column_branch)
 
     def __len__(self):
         return self.x.size

@@ -25,8 +25,11 @@ def test_inversion_examples():
 
 
 def test_inversion_rejects_origin():
-    with pytest.raises(ElasticityError):
+    with pytest.raises(ElasticityError, match=r"origin: sample 0, point \(0\.0, 0\.0\)$"):
         inversion_coords(0.0, 0.0)
+    # arrays name the first flat sample, and the point as plain floats
+    with pytest.raises(ElasticityError, match=r"origin: sample 3, point \(0\.0, -0\.0\)$"):
+        inversion_coords(np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([1.0, -0.0]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -65,8 +68,15 @@ def test_gradient_inversion_unit_gradient_fixed_point():
 
 def test_gradient_inversion_rejects_zero_gradient():
     d = PlaneDeformation("from-W", parse("X^2+Y^2"))
-    with pytest.raises(ElasticityError):
+    with pytest.raises(ElasticityError, match=r"gradient at sample 0, point \(0\.0, 0\.0\)$"):
         deform(d, (0.0, 0.0))
+    X, Y = np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])
+    with pytest.raises(ElasticityError, match=r"gradient at sample 1, point \(0\.0, 0\.0\)$"):
+        deform(d, (X, Y))
+    with pytest.raises(ElasticityError, match=r"gradient at sample 1, point \(0\.0, 0\.0\)$"):
+        jacobian_from_jet("from-W", symbolic_jet(d.potential, ("X", "Y"), X, Y), (X, Y))
+    with pytest.raises(ElasticityError, match=r"gradient at sample 1$"):
+        jacobian_from_jet("from-W", symbolic_jet(d.potential, ("X", "Y"), X, Y))
 
 
 def test_intermediate_chart_map_composes_inversion():

@@ -140,3 +140,20 @@ def test_bench_names_a_revision_whose_manifest_records_no_timings(tmp_path):
     with pytest.raises(SystemExit) as exc:
         bench["_pass"]("abc1234", str(tmp_path / "src"), {"sizes": [17], "repeat": 1})
     assert exc.value.code == "abc1234: its `ma-lin lift` manifest records no timings"
+
+
+def test_bench_folds_every_row_kind_by_one_rule():
+    # timings take the best of two runs, stage by stage; any other key,
+    # the stage names included, must agree or the run ends naming it
+    fold = runpy.run_path(str(SCRIPTS / "bench.py"))["_fold"]
+    row = {"family": "f", "n": 17, "seconds": 2.0, "setup_s": 0.5, "chain_us": 3.0,
+           "us": 1.0, "stages": {"solve": 1.0, "lift": 2.0}, "sha256": "ab"}
+    fold(row, {**row, "seconds": 1.0, "setup_s": 0.75, "chain_us": 4.0, "us": 0.5,
+               "stages": {"solve": 1.5, "lift": 0.25}})
+    assert row == {"family": "f", "n": 17, "seconds": 1.0, "setup_s": 0.5, "chain_us": 3.0,
+                   "us": 0.5, "stages": {"solve": 1.0, "lift": 0.25}, "sha256": "ab"}
+    for key, value in (("sha256", "cd"), ("stages", {"lift": 1.0, "solve": 1.0})):
+        with pytest.raises(SystemExit) as exc:
+            fold(dict(row), {**row, key: value})
+        assert exc.value.code == (f"runs disagree on {key} at "
+                                  "{'family': 'f', 'n': 17, 'sha256': 'ab'}")
