@@ -11,7 +11,11 @@ the ma_lin modules it loaded) and, per lift family, a point row: `compose_chain`
 `contact_map(symbolic_jet(...))` called once per point at POINTS seeded
 float64 points, as the closed-form benchmark calls them, timed per point
 with a SHA-256 prefix of the bits of every image field and `valid`.  The
-formatter rows time `grids._format_rows` on blocks of FORMATTER_VALUES
+array rows time, per call, `lift_parametric` of each lift family's U on an
+ARRAY_N x ARRAY_N mesh of DOMAIN, with a SHA-256 prefix of the bits of every
+field, and `classify` of a member equation of the closed-form benchmark's
+form, with one of the class function's text and evenness.  The formatter
+rows time `grids._format_rows` on blocks of FORMATTER_VALUES
 values, whole rows of the 65 x 65 Laplace lifted surface (of the sampled
 exact solution) as `write_lifted` writes it, and on the largest of them with
 one value scaled by 1e-7, which gives the whole block the exponent rows of
@@ -21,10 +25,11 @@ cost per value.  The conjugate rows time `discrete_legendre_2d` of a convex
 and a concave quartic form, the closed-form benchmark's shape, sampled on
 CONJUGATE_N x CONJUGATE_N nodes of DOMAIN, with SLOPES_N x SLOPES_N slopes on
 [-3, 3] x [-6, 6], per call, with a SHA-256 prefix of the bits of the values.
-With --against, the this/against ratio of each point and conjugate row is
-printed too.  It writes the best of k runs, the solver's start and
-cycle counts, the CSV digests and the host (nproc, python, numpy) to a
-JSON file.
+With --against, the median over the rounds of the ratio of this tree's
+pass to the other tree's pass that ran beside it is recorded and printed for
+each timing of the point, array and conjugate rows (`pass_ratios`).  It
+writes the best of k runs, the solver's start and cycle counts, the CSV
+digests and the host (nproc, python, numpy) to a JSON file.
 
 Each pass runs in a fresh worker process that imports `ma_lin` from the
 tree under test and takes the best of k = 5 warm requests; 6 such passes
@@ -46,6 +51,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -70,6 +76,11 @@ DOMAIN = (0.5, 1.5, 0.5, 1.5)
 # equation, at POINTS seeded points of DOMAIN
 POINT_CASES = CASES[:2]
 POINTS = 200
+# the array rows: lift_parametric of each point case's U on an ARRAY_N x
+# ARRAY_N mesh of DOMAIN, and classify of a member equation of the
+# closed-form benchmark's form q^4 (a + b u^2)(1 + (p/q)^2)^2
+ARRAY_N = 65
+MEMBER_F = "(1.25+0.5*u^2)*(1+s^2)^2"
 # the formatter rows: 1, 99 and 744 rows of the 11-column lifted table, then
 # the 744 rows again with their first value scaled by 1e-7 ("wide"), each
 # block formatted FORMATTER_CALLS // values + 1 times per timed run
@@ -117,6 +128,32 @@ def _point_rows(k: int) -> list:
             row[f"{name}_us"] = seconds / POINTS * 1e6
             row[f"{name}_sha256"] = hashlib.sha256(fields.tobytes()).hexdigest()[:10]
         rows.append(row)
+    return rows
+
+
+def _array_rows(k: int) -> list:
+    """Per lift family, the best time of one lift_parametric call of its U on
+    the ARRAY_N x ARRAY_N mesh and a digest of the bits of every field; then
+    the best time of one classify call of the member equation and a digest
+    of the class function's text and evenness."""
+    import numpy as np
+    from ma_lin import classify, equation_from_class_function, lift_parametric, parse
+
+    rows = []
+    for family, boundary in POINT_CASES:
+        U = parse(boundary)
+        lift_parametric(U, DOMAIN, ARRAY_N)
+        s, seconds = _best(lambda: lift_parametric(U, DOMAIN, ARRAY_N), k)
+        fields = np.stack([s.X, s.Y, s.x, s.y, s.u, s.ux, s.uy, s.uxx, s.uxy, s.uyy, s.jac,
+                           s.valid])
+        rows.append({"call": "lift_parametric", "family": family, "U": boundary,
+                     "n": ARRAY_N, "us": seconds * 1e6,
+                     "sha256": hashlib.sha256(fields.tobytes()).hexdigest()[:10]})
+    eq = equation_from_class_function(parse(MEMBER_F))
+    classify(eq)
+    cls, seconds = _best(lambda: classify(eq), k)
+    rows.append({"call": "classify", "f": MEMBER_F, "us": seconds * 1e6, "sha256": hashlib.sha256(
+        f"{cls.f} {cls.even}".encode()).hexdigest()[:10]})
     return rows
 
 
@@ -207,8 +244,8 @@ def worker(spec: dict) -> dict:
                        "lifted_sha256": manifest["artifacts"]["lifted.csv"][:10],
                        "resampled_sha256": manifest["artifacts"]["resampled.csv"][:10]}
                 _fold(rows[-1], row) if run else rows.append(row)
-    return {"rows": rows, "points": _point_rows(k), "formatter": _formatter_rows(k),
-            "conjugate": _conjugate_rows(k)}
+    return {"rows": rows, "points": _point_rows(k), "arrays": _array_rows(k),
+            "formatter": _formatter_rows(k), "conjugate": _conjugate_rows(k)}
 
 
 def _import_seconds(src: str) -> tuple[float, list]:
@@ -244,7 +281,7 @@ def _merge(passes: list) -> dict:
     and hashes, which every pass must agree on, from the first."""
     first = passes[0]
     for p in passes[1:]:
-        for kind in ("rows", "points", "formatter", "conjugate"):
+        for kind in ("rows", "points", "arrays", "formatter", "conjugate"):
             for row, other in zip(first[kind], p[kind]):
                 _fold(row, other)
         if p["import_modules"] != first["import_modules"]:
@@ -257,6 +294,22 @@ def _merge(passes: list) -> dict:
     first["formatter_cost"] = {"fixed_us": small["us"] - small["values"] * per_value,
                                "per_value_ns": per_value * 1e3}
     return first
+
+
+def _pass_ratios(this: list, against: list) -> dict:
+    """For each timing of the point, array and conjugate rows, the median
+    over the rounds of this tree's pass over the other tree's pass beside it."""
+    ratios = {}
+    for kind in ("points", "arrays", "conjugate"):
+        ratios[kind] = []
+        for k, row in enumerate(this[0][kind]):
+            named = {key: v for key, v in row.items()
+                     if not (_timing(key) or key.endswith("sha256"))}
+            for key in filter(_timing, row):
+                named[key] = statistics.median(t[kind][k][key] / a[kind][k][key]
+                                               for t, a in zip(this, against))
+            ratios[kind].append(named)
+    return ratios
 
 
 def _git(*args) -> str:
@@ -279,7 +332,7 @@ def _host() -> dict:
             "numpy": numpy.__version__, "machine": platform.machine()}
 
 
-def _print(trees: dict) -> None:
+def _print(trees: dict, ratios) -> None:
     names = list(trees)
     stages = list(trees[names[0]]["rows"][0]["stages"])
     print(f"{'case':<36} {'n':>4} {'tree':<8} {'start':>7} {'cycles':>6} {'seconds':>9} "
@@ -299,6 +352,10 @@ def _print(trees: dict) -> None:
                   f"{r['chain_us']:.2f} us ({r['chain_sha256']}), contact_map(symbolic_jet) "
                   f"{r['direct_us']:.2f} us ({r['direct_sha256']})")
     for name in names:
+        print(f"{name}: " + ", ".join(
+            f"{r['call']} {r.get('U', r.get('f'))} {r['us']:.1f} us ({r['sha256']})"
+            for r in trees[name]["arrays"]))
+    for name in names:
         cost = trees[name]["formatter_cost"]
         print(f"{name}: _format_rows " + ", ".join(
             f"{r['values']} values ({r['layout']}) {r['us']:.1f} us ({r['sha256']})"
@@ -308,15 +365,15 @@ def _print(trees: dict) -> None:
         print(f"{name}: discrete_legendre_2d, {CONJUGATE_N}^2 nodes, {SLOPES_N}^2 slopes: "
               + ", ".join(f"{r['form']} {r['us']:.1f} us ({r['sha256']})"
                           for r in trees[name]["conjugate"]))
-    if len(names) == 2:
-        this, against = (trees[name] for name in names)
-        for r, a in zip(this["points"], against["points"]):
+    if ratios:
+        print("each this/against below is the median of the per-pass ratios")
+        for r in ratios["points"]:
             print(f"this/against: {r['family']} {r['U']} per point: compose_chain "
-                  f"{r['chain_us'] / a['chain_us']:.3f}, contact_map(symbolic_jet) "
-                  f"{r['direct_us'] / a['direct_us']:.3f}")
+                  f"{r['chain_us']:.3f}, contact_map(symbolic_jet) {r['direct_us']:.3f}")
+        print("this/against: " + ", ".join(f"{r['call']} {r.get('U', r.get('f'))} {r['us']:.3f}"
+                                           for r in ratios["arrays"]))
         print("this/against: discrete_legendre_2d " + ", ".join(
-            f"{r['form']} {r['us'] / a['us']:.3f}"
-            for r, a in zip(this["conjugate"], against["conjugate"])))
+            f"{r['form']} {r['us']:.3f}" for r in ratios["conjugate"]))
 
 
 def main() -> None:
@@ -348,12 +405,15 @@ def main() -> None:
         for r in range(rounds):
             for name in (list(sources) if r % 2 == 0 else list(sources)[::-1]):
                 passes[name].append(_pass(*sources[name], spec))
+    ratios = _pass_ratios(*passes.values()) if args.against else None  # before _merge folds
     trees = {name: {"rev": sources[name][0], **_merge(passes[name])} for name in sources}
     report = {"host": _host(), "settings": {**spec, "rounds": rounds, "domain": DOMAIN,
                                             "best_of": "k runs per pass, over every pass"},
               "trees": trees}
+    if ratios:
+        report["pass_ratios"] = ratios
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    _print(trees)
+    _print(trees, ratios)
 
 
 if __name__ == "__main__":

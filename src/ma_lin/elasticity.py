@@ -249,10 +249,16 @@ def incompressibility_check(d: Deformation,
     else:
         raise ElasticityError(f"unsupported potential type {type(pot).__name__}")
 
-    devs = np.abs(jacobian_from_jet(d.kind, jet, material_point=material) - 1.0)
-    if devs.size == 0:
-        raise ElasticityError("no usable sample points")
-    residuals = np.abs(ma_residual_from_jet(d.kind, jet, chart))
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = jacobian_from_jet(d.kind, jet, material_point=material)
+        if J.size == 0:
+            raise ElasticityError("no usable sample points")
+        residuals = ma_residual_from_jet(d.kind, jet, chart)
+    for what, value in (("jacobian", J), ("balance residual", residuals)):
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise ValueError(f"the {what} is not finite at {_first(bad, material)}")
+    devs, residuals = np.abs(J - 1.0), np.abs(residuals)
     return IncompressibilityReport(
         kind=d.kind, samples=devs.size,
         max_jac_dev=float(devs.max()), mean_jac_dev=float(devs.mean()),

@@ -356,6 +356,7 @@ FUNCTIONS: dict[str, Callable] = {
 }
 
 _OVERFLOWING = frozenset(("exp", "sinh", "cosh"))
+_QUIET = frozenset(("sqrt", "ln", "arctan", "abs"))  # past the guard, no FP flag on a float
 _MAX_INT_EXPONENT = 2.0 ** 31
 _MAX_PRODUCT_POWER = 64  # larger integer powers go through pow()
 _FRACTIONAL_BASE = "power with non-integer exponent requires a positive base, got {!r}"
@@ -439,21 +440,25 @@ class Program:
     def __init__(self, nodes: list, layout: tuple):
         """A program of `layout` whose registers hold `nodes`, one node each."""
         self.layout = layout
-        make, self._ufuncs = _maker(layout)  # _ufuncs: whether a scalar run may call a ufunc
+        make, self._ufuncs = _maker(layout)  # _ufuncs: whether a scalar run may set an FP flag
         self._run = make(nodes)
 
     def __call__(self, bindings: Bindings) -> list:
-        """The value of each tree, as `evaluate` would give it."""
-        env, shapes = {}, []
+        """The value of each tree, as `evaluate` would give it.  An array run
+        returns a step's result as it is if it is a float64 ndarray of the
+        broadcast shape, not a binding and not an output already returned,
+        and a float64 copy of that shape of any other value (a constant, a
+        bare variable, a repeated register, a smaller shape)."""
+        env, shape = {}, ()
         for name, v in bindings.items():
             if isinstance(v, np.ndarray) and v.ndim:
                 v = np.asarray(v, dtype=np.float64)
-                shapes.append(v.shape)
-            else:
+                if v.shape != shape:
+                    shape = np.broadcast_shapes(shape, v.shape) if shape else v.shape
+            elif type(v) is not float:
                 v = float(v)
             env[name] = v
-        shape = np.broadcast_shapes(*shapes) if shapes else ()
-        # numpy warns on overflow in * and /; Python floats warn only in ufuncs
+        # numpy warns on overflow in * and /; Python floats only in some ufuncs
         if shape or self._ufuncs:
             with np.errstate(all="ignore"):
                 values = self._run(env, shape)
@@ -461,7 +466,13 @@ class Program:
             values = self._run(env, shape)
         if not shape:
             return list(map(float, values))
-        return [np.array(np.broadcast_to(v, shape), dtype=np.float64) for v in values]
+        owned = {id(v) for v in env.values()}
+        for k, v in enumerate(values):
+            if type(v) is not np.ndarray or v.dtype != np.float64 or v.shape != shape \
+                    or id(v) in owned:
+                v = values[k] = np.array(np.broadcast_to(v, shape), dtype=np.float64)
+            owned.add(id(v))
+        return values
 
 
 def _product_exponent(e: Expr):
@@ -473,7 +484,7 @@ def _product_exponent(e: Expr):
 @lru_cache(maxsize=256)
 def _maker(layout: tuple) -> tuple[Callable, bool]:
     """`make(nodes) -> run` for the programs of one layout, compiled once, and
-    whether a step calls a ufunc."""
+    whether a scalar run may set a floating-point flag."""
     text, ufuncs = _source(layout)
     namespace = {"_call": _call, "_power": _power, "_guard": _guard, "_variable": _variable,
                  "EvalError": EvalError}
@@ -482,9 +493,9 @@ def _maker(layout: tuple) -> tuple[Callable, bool]:
 
 
 def _source(layout: tuple) -> tuple[str, bool]:
-    """The source of `make(nodes)` for a layout, and whether a step calls a
-    ufunc.  `make` reads one program's nodes, constants and names into closure
-    cells (`n`, `c` and `v`, each with a register number) and returns
+    """The source of `make(nodes)` for a layout, and whether a step may set
+    an FP flag.  `make` reads one program's nodes, constants and names into
+    closure cells (`n`, `c` and `v`, each with a register number) and returns
     `run(env, shape)`, which does the steps, one statement each, and releases
     each register after its last read.  No constant, node or name reaches the
     source, so every constant keeps its bits and no tree's text is compiled."""
@@ -522,7 +533,7 @@ def _source(layout: tuple) -> tuple[str, bool]:
                 cells.update((n, v))
                 head.append(f"{v} = {n}.func")
                 lines.append(f"{r} = _call({v}, {ref(a)}, {n}, shape)")
-                ufuncs = True
+                ufuncs = ufuncs or op not in _QUIET
         elif op in ("*", "+", "-"):
             lines.append(f"{r} = {ref(a)} {op} {ref(b)}")
         elif op == "/":

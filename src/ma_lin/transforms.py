@@ -163,11 +163,13 @@ def push_jet_arrays(jet_U: JetArrays, X, Y, eps: float = DEGENERACY_EPS) -> Cont
     valid = _finite(entries)
     if isinstance(valid, np.ndarray):
         # valid draws on all eight inputs, so it has their broadcast shape,
-        # and np.where gives every field that shape
+        # and np.where gives every field that shape; the fields are new, so
+        # where no node is masked and each has that shape they are kept
         valid = valid & (abs(UX) > eps) & (abs(UYY) > eps) & (abs(jac) > eps)
         with np.errstate(divide="ignore", invalid="ignore"):
-            fields = _pushed(*entries)
-        fields = [np.where(valid, a, np.nan) for a in (*fields, jac)]
+            fields = (*_pushed(*entries), jac)
+        if not valid.all() or any(np.shape(a) != valid.shape for a in fields):
+            fields = [np.where(valid, a, np.nan) for a in fields]
     elif valid and abs(UX) > eps and abs(UYY) > eps and abs(jac) > eps:
         fields = (*_pushed(*entries), jac)
     else:

@@ -617,11 +617,14 @@ def test_a_balance_residual_that_divides_by_zero_exits_1(tmp_path, capsys, data,
     # 1e200*X^2 overflows to inf before the second 1e200: no J can be formed
     ({"kind": "from-U", "potential": "1e200*X^2*1e200", "domain": [0.5, 1.5, 0.5, 1.5],
       "n": 3}, 1, "error: the potential's jet is not finite at sample 0, point (0.5, 0.5)"),
+    # a finite jet whose Hessian determinant 4e320 overflows
+    ({"kind": "from-U", "potential": "1e160*X^2+1e160*Y^2", "domain": [0.5, 1.5, 0.5, 1.5],
+      "n": 3}, 1, "error: the jacobian is not finite at sample 0, point (0.5, 0.5)"),
     ({"kind": "from-W", "potential": "X^2+Y^2", "domain": [-1, 1, -1, 1], "n": 3}, 2,
      "rejected: zero potential gradient at sample 4, point (0.0, 0.0)"),
     ({"kind": "from-V", "potential": "alpha*beta", "domain": [-1, 1, -1, 1], "n": 3}, 2,
      "rejected: inversion is singular at the origin: sample 4, point (0.0, 0.0)"),
-], ids=["non-finite-jet", "zero-gradient", "inversion-origin"])
+], ids=["non-finite-jet", "hessian-overflow", "zero-gradient", "inversion-origin"])
 def test_an_elasticity_refusal_names_the_first_sample(tmp_path, capsys, data, code, message):
     out = tmp_path / "o"
     assert main(["elasticity", "--in", _write(tmp_path / "d.json", data),

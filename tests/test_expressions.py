@@ -761,6 +761,62 @@ def test_no_warning_escapes_a_generated_program(text, bindings):
     assert program._ufuncs == (text == "x^70")
 
 
+@pytest.mark.parametrize("bindings", [
+    {"X": np.linspace(0.5, 1.5, 6), "Y": np.linspace(-1.0, 1.0, 6)},
+    {"X": np.linspace(0.5, 1.5, 5)[:, None], "Y": np.linspace(-1.0, 1.0, 4)[None, :]},
+    {"X": 0.75, "Y": np.linspace(-1.0, 1.0, 6)},
+], ids=["equal-shapes", "broadcast", "float-and-array"])
+def test_every_array_output_is_a_new_float64_array_of_the_broadcast_shape(bindings):
+    # a bare variable, a constant, one register returned twice, a fresh step
+    # result, and a jet whose trees mix all of them
+    shape = np.broadcast_shapes(*(np.shape(v) for v in bindings.values()))
+    xy = parse("X*Y")
+    arrays = [v for v in bindings.values() if isinstance(v, np.ndarray)]
+    for trees in ([parse("X")], [parse("2")], [xy, xy], [parse("X+Y")],
+                  list(jet_exprs(parse("X^2-Y*arctan(Y)"), ("X", "Y")))):
+        got = compile_trees(trees)(bindings)
+        for k, (v, tree) in enumerate(zip(got, trees)):
+            assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
+            assert _same_bits(v, reference_evaluate(tree, bindings))
+            assert not any(np.shares_memory(v, other) for other in arrays + got[:k])
+
+
+@pytest.mark.parametrize("text", ["arctan(X*1e200*1e200)", "abs(X)", "sqrt(X)", "ln(X)"])
+def test_a_quiet_scalar_program_sets_no_floating_point_flag(text):
+    # these calls set no flag past their guards, so a point runs outside errstate
+    tree = parse(text)
+    program = compile_trees((tree,))
+    assert not program._ufuncs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        old = np.seterr(all="raise")
+        try:
+            for x in (math.inf, -math.inf, math.nan, 5e-324, -5e-324, 0.0, -0.0, 1e-310):
+                want = _outcome(lambda: [reference_evaluate(tree, {"X": x})])
+                assert _same_outcome(_outcome(lambda: program({"X": x})), want), x
+                assert np.geterr() == dict.fromkeys(old, "raise")
+        finally:
+            np.seterr(**old)
+
+
+@pytest.mark.parametrize("settings", [None, "raise"])
+def test_a_scalar_exp_still_reports_its_overflow_and_keeps_the_flags(settings):
+    program = compile_trees((parse("exp(X)"),))
+    assert program._ufuncs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        old = np.seterr(all=settings) if settings else np.geterr()
+        try:
+            before = np.geterr()
+            for _ in range(2):
+                with pytest.raises(EvalError, match="^overflow in `exp"):
+                    program({"X": 1000.0})
+                assert np.geterr() == before
+            assert program({"X": -1000.0}) == [0.0] and np.geterr() == before
+        finally:
+            np.seterr(**old)
+
+
 def test_requests_that_differ_in_constants_compile_no_new_layout(tmp_path):
     def lift(boundary, out):
         config = tmp_path / f"{out}.json"

@@ -88,6 +88,11 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
         for r in tree["points"]:
             assert 0.0 < r["chain_us"] < 1e4 and 0.0 < r["direct_us"] < 1e4, r
             assert len(r["chain_sha256"]) == len(r["direct_sha256"]) == 10
+        assert [(r["call"], r.get("family"), r.get("n")) for r in tree["arrays"]] == [
+            ("lift_parametric", "plane-strain-class", 65), ("lift_parametric", "grad-inversion", 65),
+            ("classify", None, None)]
+        for r in tree["arrays"]:
+            assert 0.0 < r["us"] < 1e7 and len(r["sha256"]) == 10, r
         assert [(r["values"], r["layout"]) for r in tree["formatter"]] == [
             (11, "table"), (1089, "table"), (8184, "table"), (8184, "wide")]
         for r in tree["formatter"]:
@@ -102,9 +107,23 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
                 for tree in report["trees"].values()}) == 1
     assert len({tuple(r["sha256"] for r in tree["formatter"])
                 for tree in report["trees"].values()}) == 1
-    # and take the same conjugates bit for bit
-    assert len({tuple(r["sha256"] for r in tree["conjugate"])
-                for tree in report["trees"].values()}) == 1
+    # and take the same conjugates, lifts and class functions bit for bit
+    for kind in ("conjugate", "arrays"):
+        assert len({tuple(r["sha256"] for r in tree[kind])
+                    for tree in report["trees"].values()}) == 1
+    # with a second tree, each point, array and conjugate row's timings as the
+    # median of the ratios of the passes that ran side by side
+    if head:
+        ratios = report["pass_ratios"]
+        this = report["trees"]["this"]
+        assert [r["family"] for r in ratios["points"]] == [r["family"] for r in this["points"]]
+        assert [r["call"] for r in ratios["arrays"]] == [r["call"] for r in this["arrays"]]
+        assert [r["form"] for r in ratios["conjugate"]] == [r["form"] for r in this["conjugate"]]
+        for r in (*ratios["points"], *ratios["arrays"], *ratios["conjugate"]):
+            assert not any(key.endswith("sha256") for key in r), r
+            assert all(0.0 < r[key] < 100.0 for key in r if key == "us" or key.endswith("_us")), r
+    else:
+        assert "pass_ratios" not in report
     # the multigrid and the elasticity module load on first use, not on import
     assert not {"ma_lin.multigrid", "ma_lin.elasticity"} & set(
         report["trees"]["this"]["import_modules"])
@@ -118,8 +137,10 @@ def test_bench_quick_runs(monkeypatch, capsys, tmp_path):
     assert "import ma_lin" in out and "per point: compose_chain" in out
     assert "_format_rows 11 values" in out and "ns per value" in out
     assert "discrete_legendre_2d, 65^2 nodes, 33^2 slopes: convex" in out
-    # with a second tree, the ratio of each point and conjugate row
-    assert out.count("this/against: ") == (3 if head else 0)
+    assert "lift_parametric X^2-Y^2" in out and "classify (1.25" in out
+    assert ("median of the per-pass ratios" in out) == bool(head)
+    # with a second tree, the ratios of the point, array and conjugate rows
+    assert out.count("this/against: ") == (4 if head else 0)
 
 
 def test_bench_names_a_revision_whose_manifest_records_no_timings(tmp_path):

@@ -120,6 +120,29 @@ def test_push_jet_arrays_fields_share_the_broadcast_shape():
     assert im.jet.compress().u.tolist() == [0.5, 1.5]
 
 
+def test_an_all_valid_push_has_the_bits_it_has_beside_a_masked_node():
+    U = parse(_LIFT_FAMILIES[1])
+    X, Y = np.meshgrid(np.linspace(0.5, 1.5, 7), np.linspace(0.5, 1.5, 5), indexing="ij")
+    jet = symbolic_jet(U, ("X", "Y"), X, Y)
+    im = push_jet_arrays(jet, X, Y)
+    assert im.jet.valid.all()
+    fields = _image_fields(im)
+    for k, a in enumerate(fields):
+        assert type(a) is np.ndarray and a.shape == X.shape
+        assert not any(np.shares_memory(a, b) for b in (*jet.entries(), X, Y, *fields[:k]))
+    # the same nodes, flattened, beside one whose base point is NaN
+    entries = [np.append(a.ravel(), a.flat[0]) for a in jet.entries()]
+    beside = push_jet_arrays(JetArrays(*entries, valid=None), np.append(X.ravel(), np.nan),
+                             np.append(Y.ravel(), 1.0))
+    assert beside.jet.valid.tolist() == [True] * X.size + [False]
+    for a, b in zip(fields, _image_fields(beside)):
+        assert same_bits(a.ravel(), b[:-1]) and math.isnan(b[-1])
+    # a point jet at points that broadcast: every field takes their shape
+    point = JetArrays(*(float(a.flat[3]) for a in jet.entries()), valid=None)
+    im = push_jet_arrays(point, X[:3, :1], Y[:1, :2])
+    assert im.jet.valid.all() and {np.shape(a) for a in _image_fields(im)} == {(3, 2)}
+
+
 def test_contact_map_raises_exactly_where_push_jet_arrays_masks():
     rng = np.random.default_rng(3)
     J = {k: rng.uniform(-2, 2, 60) for k in "abcdef"}
