@@ -228,7 +228,9 @@ def incompressibility_check(d: Deformation,
 
     Expression potentials are sampled on an n-by-n mesh over the material
     domain.  Grid potentials use their own interior nodes; lifted-surface
-    potentials use their stored jets at every valid sample.
+    potentials use their stored jets at every valid sample.  Those are chart
+    points: for the inversion-chart kinds, their material points are their
+    images under the chart.
     """
     pot = d.potential
     if isinstance(pot, Expr):
@@ -240,14 +242,16 @@ def incompressibility_check(d: Deformation,
             raise ValueError(f"the potential's jet is not finite at {_first(~jet.valid, material)}")
     elif isinstance(pot, LiftedSurface):
         jet = pot.jets().compress()
-        material = chart = (pot.x[pot.valid], pot.y[pot.valid])
+        chart = (pot.x[pot.valid], pot.y[pot.valid])
     elif isinstance(pot, Grid2):
         jets = interior_jets(pot)
         Xg, Yg = np.meshgrid(pot.xs()[1:-1], pot.ys()[1:-1])
         jet = jets.compress()
-        material = chart = (Xg[jets.valid], Yg[jets.valid])
+        chart = (Xg[jets.valid], Yg[jets.valid])
     else:
         raise ElasticityError(f"unsupported potential type {type(pot).__name__}")
+    if not isinstance(pot, Expr):  # the chart is an involution
+        material = inversion_coords(*chart) if _meaning(d.kind)[1] else chart
 
     with np.errstate(over="ignore", invalid="ignore"):
         J = jacobian_from_jet(d.kind, jet, material_point=material)

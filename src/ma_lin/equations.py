@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expressions import (Const, Expr, Rejection, Var, _Value, evaluate, parse, subst,
-                          to_text, variables)
+from .expressions import (Const, Expr, Rejection, Var, _guard, _Value, evaluate, parse,
+                          subst, to_text, variables)
 from .grids import JetArrays
 from .transforms import legendre_point_map
 
@@ -70,11 +70,15 @@ class NotInClassError(Rejection):
 
 
 def _eval_F(F: Expr, x, y, u, p, q) -> np.ndarray:
-    return evaluate(F, {"x": x, "y": y, "u": u, "p": p, "q": q})
+    """F at the samples, refused at the first that is not finite: no test can compare it."""
+    v = evaluate(F, {"x": x, "y": y, "u": u, "p": p, "q": q})
+    _guard(~np.isfinite(v), "non-finite value {!r}", v, F, v.shape)
+    return v
 
 
 def _differs(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    return np.abs(a - b) > tol * (1.0 + np.abs(b))
+    with np.errstate(over="ignore"):  # finite values whose difference overflows differ
+        return np.abs(a - b) > tol * (1.0 + np.abs(b))
 
 
 def _first_failure(bad: list[np.ndarray]):
@@ -93,7 +97,7 @@ def classify(eq: MAEquation, seed: int = 42) -> LinearizableClass:
     degree 4 in (p, q).  Evenness in (p, q) is recorded but not required; f is
     extracted on the chart q > 0 only.  Raises NotInClassError carrying the
     first failed test and a witness sample, and EvalError when F cannot be
-    evaluated at some sample.
+    evaluated, or is not finite, at some sample.
     """
     rng = np.random.default_rng(seed)
     F = eq.F

@@ -235,6 +235,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# The grammar's binary operators, which `parse` and `to_text` both read:
+# op -> (its level, the least level of its left operand, of its right one).
+# A unary minus and a negative literal are level 3; a number, name, call or
+# parenthesis is level 5.  So + - * / are left-associative, ^ is
+# right-associative and binds tighter than a unary minus (-x^2 is -(x^2)),
+# and a minus may open any right operand (x^-2, a*-b).
+_BINARY = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3), "^": (4, 5, 3)}
+_UNARY, _ATOM = 3, 5
+
+
+def _negative(v: float) -> bool:
+    """Whether a literal's text starts with a minus: below zero, or -0.0."""
+    return v < 0 or (v == 0.0 and math.copysign(1.0, v) < 0)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -255,46 +270,26 @@ class _Parser:
             raise ParseError(off, f"expected {op!r}, found {got}")
         self.advance()
 
-    # expr := term (('+'|'-') term)*
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                e = BinOp(val, e, self.term())
-            else:
-                return e
-
-    # term := factor (('*'|'/') factor)*
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                e = BinOp(val, e, self.factor())
-            else:
-                return e
-
-    # factor := '-' factor | base ('^' factor)?
-    # Unary minus binds looser than '^', so -x^2 parses as -(x^2).  Minus a
-    # bare number is a negative constant, so x^-2 has a literal exponent; a
-    # second minus stays a Neg, so --2 still prints as it reads.
-    def factor(self) -> Expr:
+    # expr(least) := ('-' expr(3) | base) (op expr(right of op))*, taking each
+    # op of level >= least whose left operand the expression so far may be.
+    # Minus a bare number is a negative constant, so x^-2 has a literal
+    # exponent; a second minus stays a Neg, so --2 still prints as it reads.
+    def expr(self, least: int = 1) -> Expr:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            arg = self.factor()
-            if type(arg) is Const and math.copysign(1.0, arg.value) > 0:
-                return Const(-arg.value)
-            return Neg(arg)
-        b = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+            arg = self.expr(_UNARY)
+            e = Const(-arg.value) if type(arg) is Const and not _negative(arg.value) else Neg(arg)
+            level = _UNARY
+        else:
+            e, level = self.base(), _ATOM
+        while True:
+            val = self.peek()[1]  # only an op token's text can be an operator
+            op_level, left, right = _BINARY.get(val, (0, 0, 0))  # level 0: none
+            if op_level < least or level < left:
+                return e
             self.advance()
-            return BinOp("^", b, self.factor())
-        return b
+            e, level = BinOp(val, e, self.expr(right)), op_level
 
     # base := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
     def base(self) -> Expr:
@@ -770,52 +765,36 @@ def subst(e: Expr, mapping: Mapping[str, Union[Expr, int, float]]) -> Expr:
 # ---------------------------------------------------------------------------
 # printing
 
-# Levels mirror the grammar: 1 expr (+,-), 2 term (*,/), 3 factor (unary -),
-# 4 power, 5 base.  A child is parenthesized when its level is below the
-# minimum its slot requires, which makes parse(to_text(parse(s))) == parse(s).
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, Const):
-        neg = e.value < 0 or (e.value == 0.0 and math.copysign(1.0, e.value) < 0)
-        return 3 if neg else 5
-    if isinstance(e, (Var, Call)):
-        return 5
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, BinOp):
-        return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[e.op]
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
 def _fmt_magnitude(v: float) -> str:
     if math.isfinite(v) and v == math.floor(v) and abs(v) < 1e16:
         return repr(int(v))
     return repr(v)
 
 
-def _wrap(e: Expr, min_prec: int) -> str:
-    s = to_text(e)
-    return f"({s})" if _prec(e) < min_prec else s
+def _text(e: Expr) -> tuple[str, int]:
+    """The text of e with the fewest parentheses, and its level in the grammar."""
+    t = type(e)
+    if t is Const:
+        v = e.value
+        return ("-" + _fmt_magnitude(-v), _UNARY) if _negative(v) else (_fmt_magnitude(v), _ATOM)
+    if t is Var:
+        return e.name, _ATOM
+    if t is Call:
+        return f"{e.func}({_text(e.arg)[0]})", _ATOM
+    if t is Neg:
+        return "-" + _operand(e.arg, _UNARY), _UNARY
+    if t is BinOp and e.op in _BINARY:
+        level, left, right = _BINARY[e.op]
+        return _operand(e.left, left) + e.op + _operand(e.right, right), level
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _operand(e: Expr, least: int) -> str:
+    """The text of e, parenthesized where its level is below `least`."""
+    s, level = _text(e)
+    return s if level >= least else f"({s})"
 
 
 def to_text(e: Expr) -> str:
-    if isinstance(e, Const):
-        v = e.value
-        if v < 0 or (v == 0.0 and math.copysign(1.0, v) < 0):
-            return "-" + _fmt_magnitude(-v)
-        return _fmt_magnitude(v)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({to_text(e.arg)})"
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, 3)
-    if isinstance(e, BinOp):
-        l, r = e.left, e.right
-        if e.op in "+-":
-            return f"{_wrap(l, 1)}{e.op}{_wrap(r, 2)}"
-        if e.op in "*/":
-            return f"{_wrap(l, 2)}{e.op}{_wrap(r, 3)}"
-        if e.op == "^":
-            return f"{_wrap(l, 5)}^{_wrap(r, 3)}"
-    raise TypeError(f"not an Expr node: {e!r}")
+    """The text that `parse` reads back into e."""
+    return _text(e)[0]

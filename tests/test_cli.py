@@ -65,6 +65,27 @@ def test_an_overflowing_literal_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,data,message", [
+    ("classify", {"id": "bad", "F": "q^4*(1e200*1e200-1e200*1e200)"},
+     "non-finite value nan at flat index 0 in `q^4*(1e+200*1e+200-1e+200*1e+200)`"),
+    ("classify", {"id": "bad", "F": "x*1e200*1e200*q^4"},
+     "non-finite value inf at flat index 0 in `x*1e+200*1e+200*q^4`"),
+    ("lift", {"f": "1e200*1e200-1e200*1e200", "domain": [0.5, 1.5, 0.5, 1.5],
+              "boundary": "X^2-Y^2"},
+     "non-finite value nan at flat index 0 in `q^4*(1e+200*1e+200-1e+200*1e+200)`"),
+    ("lift", {"f": "u*1e200*1e200", "domain": [0.5, 1.5, 0.5, 1.5], "boundary": "X^2-Y^2"},
+     "non-finite value inf at flat index 0 in `q^4*(u*1e+200*1e+200)`"),
+], ids=["classify-nan", "classify-inf", "lift-nan", "lift-inf"])
+def test_an_F_that_is_not_finite_at_a_sample_exits_1_at_classify(tmp_path, capsys, command,
+                                                                  data, message):
+    out = tmp_path / "o"
+    assert main([command, "--in", _write(tmp_path / "eq.json", data), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    man = _read_json(out / "manifest.json")
+    assert man["error"] == {"stage": "classify", "message": message, "exit_code": 1}
+
+
 def test_classify_needs_input(tmp_path):
     assert main(["classify", "--out", str(tmp_path / "o")]) == 1
 

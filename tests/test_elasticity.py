@@ -11,8 +11,8 @@ from ma_lin.elasticity import (AxisymDeformation, ElasticityError,
 from helpers import (deform_reference, jacobian_reference, ma_residual_reference, point_jet,
                      same_bits)
 from ma_lin.expressions import parse
-from ma_lin.grids import JetArrays, geometry_from_domain, symbolic_jet
-from ma_lin.lift import PipelineConfig, pipeline
+from ma_lin.grids import JetArrays, geometry_from_domain, sample, symbolic_jet
+from ma_lin.lift import LiftedSurface, PipelineConfig, pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,40 @@ def test_incompressibility_lifted_surface_potential():
     assert rep.samples == res.surface.n_valid
     # bounded by the lift residual scale (solver tail), far below h^2
     assert rep.max_jac_dev <= 1e-8
+
+
+_CHART_POTENTIAL = parse("(alpha^2+beta^2)/2+alpha*beta/3")
+
+
+def _assert_jacobian_deviation_at_inverted_points(report, d, points):
+    # a chart point's material point is its image under the involutive chart
+    want = np.abs(jacobian(d, inversion_coords(*points)) - 1.0)
+    assert report.samples == want.size
+    assert report.max_jac_dev == pytest.approx(want.max(), rel=1e-12)
+    assert report.mean_jac_dev == pytest.approx(want.mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda pot: PlaneDeformation("from-V", pot),
+    lambda pot: AxisymDeformation("axisym-V", pot),
+    MembraneDeformation,
+], ids=["from-V", "axisym-V", "membrane"])
+def test_incompressibility_grid_potential_of_an_inversion_chart_kind(make):
+    # a quadratic's centred differences are exact, so the grid's jets are the expression's
+    geom = geometry_from_domain(0.5, 1.5, 0.4, 1.3, 9, 9)
+    rep = incompressibility_check(make(sample(_CHART_POTENTIAL, ("alpha", "beta"), geom)))
+    chart = np.meshgrid(geom.xs()[1:-1], geom.ys()[1:-1])
+    _assert_jacobian_deviation_at_inverted_points(rep, make(_CHART_POTENTIAL), chart)
+
+
+def test_incompressibility_lifted_surface_potential_of_an_inversion_chart_kind():
+    a, b = np.meshgrid(np.linspace(0.5, 1.5, 5), np.linspace(0.4, 1.3, 5))
+    jet = symbolic_jet(_CHART_POTENTIAL, ("alpha", "beta"), a, b)
+    surface = LiftedSurface(a, b, a, b, *jet.entries(), np.ones_like(a), jet.valid,
+                            "symbolic", "V")
+    rep = incompressibility_check(PlaneDeformation("from-V", surface))
+    _assert_jacobian_deviation_at_inverted_points(
+        rep, PlaneDeformation("from-V", _CHART_POTENTIAL), (a, b))
 
 
 def test_incompressibility_requires_domain_for_expressions():

@@ -68,6 +68,13 @@ def test_classify_rejects_wrong_homogeneity():
     assert "homogeneous" in exc.value.reason
 
 
+def test_classify_counts_an_overflowing_difference_as_differing():
+    # every sample of F is finite, but F(x2) - F(x1) overflows at some of them
+    with pytest.raises(NotInClassError) as exc:
+        classify(MAEquation("t", parse("1.7e308*sin(50*x)")))
+    assert exc.value.reason == "x-dependence"
+
+
 def test_classify_odd_class_function_flagged():
     # q^3*|q| is positively homogeneous of degree 4 but flips sign with (p, q),
     # so it lives on the q > 0 chart only; the evenness flag records that

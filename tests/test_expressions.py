@@ -90,11 +90,26 @@ def test_parse_numbers():
     assert parse(".5") == Const(0.5)
 
 
+_OPERAND = "expected a number, identifier or '(', found"
+
+
 def test_parse_error_offset():
     with pytest.raises(ParseError) as exc:
         parse("q^")
     assert exc.value.offset == 2
     assert "expected" in str(exc.value)
+    for text, offset, message in (
+            ("2+", 2, f"{_OPERAND} end of input"),
+            ("(2", 2, "expected ')', found end of input"),
+            ("2 3", 2, "expected end of input, found '3'"),
+            ("-", 1, f"{_OPERAND} end of input"),
+            ("x^", 2, f"{_OPERAND} end of input"),
+            ("*2", 0, f"{_OPERAND} '*'"),
+            ("sin 2", 4, "expected end of input, found '2'")):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset, text
+        assert str(exc.value) == f"syntax error at offset {offset}: {message}"
 
 
 def test_parse_error_unknown_function():
@@ -108,6 +123,45 @@ def test_parse_error_stray_token():
     with pytest.raises(ParseError) as exc:
         parse("x + * y")
     assert exc.value.offset == 4
+
+
+# Each operand kind below, as the left and as the right operand of each
+# binary operator and as the operand of a unary minus, printed with the
+# fewest parentheses that parse back to the same tree.
+_OPERANDS = ("+", "-", "*", "/", "^", "neg", "literal")
+_MINIMAL_TEXTS = {
+    ("+", "left"): ("a+b+c", "a-b+c", "a*b+c", "a/b+c", "a^b+c", "-a+c", "-2+c"),
+    ("+", "right"): ("a+(b+c)", "a+(b-c)", "a+b*c", "a+b/c", "a+b^c", "a+-b", "a+-2"),
+    ("-", "left"): ("a+b-c", "a-b-c", "a*b-c", "a/b-c", "a^b-c", "-a-c", "-2-c"),
+    ("-", "right"): ("a-(b+c)", "a-(b-c)", "a-b*c", "a-b/c", "a-b^c", "a--b", "a--2"),
+    ("*", "left"): ("(a+b)*c", "(a-b)*c", "a*b*c", "a/b*c", "a^b*c", "-a*c", "-2*c"),
+    ("*", "right"): ("a*(b+c)", "a*(b-c)", "a*(b*c)", "a*(b/c)", "a*b^c", "a*-b", "a*-2"),
+    ("/", "left"): ("(a+b)/c", "(a-b)/c", "a*b/c", "a/b/c", "a^b/c", "-a/c", "-2/c"),
+    ("/", "right"): ("a/(b+c)", "a/(b-c)", "a/(b*c)", "a/(b/c)", "a/b^c", "a/-b", "a/-2"),
+    ("^", "left"): ("(a+b)^c", "(a-b)^c", "(a*b)^c", "(a/b)^c", "(a^b)^c", "(-a)^c", "(-2)^c"),
+    ("^", "right"): ("a^(b+c)", "a^(b-c)", "a^(b*c)", "a^(b/c)", "a^b^c", "a^-b", "a^-2"),
+    ("neg", "arg"): ("-(a+b)", "-(a-b)", "-(a*b)", "-(a/b)", "-a^b", "--a", "--2"),
+}
+
+
+def _operand(kind: str, x: Var, y: Var):
+    return Neg(x) if kind == "neg" else Const(-2.0) if kind == "literal" else BinOp(kind, x, y)
+
+
+@pytest.mark.parametrize("outer,slot", list(_MINIMAL_TEXTS))
+def test_every_operator_pair_prints_with_the_fewest_parentheses(outer, slot):
+    a, b, c = Var("a"), Var("b"), Var("c")
+    for kind, text in zip(_OPERANDS, _MINIMAL_TEXTS[outer, slot]):
+        tree = (Neg(_operand(kind, a, b)) if outer == "neg" else
+                BinOp(outer, _operand(kind, a, b), c) if slot == "left" else
+                BinOp(outer, a, _operand(kind, b, c)))
+        assert to_text(tree) == text, (kind, text)
+        assert parse(text) == tree, text
+
+
+def test_an_unknown_operator_is_not_printed():
+    with pytest.raises(TypeError, match="not an Expr node"):
+        to_text(Neg(BinOp("%", Var("a"), Var("b"))))
 
 
 # ---------------------------------------------------------------------------
