@@ -124,15 +124,17 @@ def classify(eq: MAEquation, seed: int = 42) -> LinearizableClass:
 
     lams = (0.5, 2.0, 3.0)
     scaled = [_eval_F(F, xs1, ys1, us, lam * ps, lam * qs) for lam in lams]
-    wants = [lam ** 4 * base for lam in lams]
-    first = _first_failure([_differs(sc, want, _CLASS_TOL) for sc, want in zip(scaled, wants)])
+    with np.errstate(over="ignore"):  # a finite F cannot equal a lambda^4 F that overflows
+        wants = [lam ** 4 * base for lam in lams]
+    first = _first_failure([_differs(sc, want, _CLASS_TOL) | ~np.isfinite(want)
+                            for sc, want in zip(scaled, wants)])
     if first is not None:
         m, k = first
         raise NotInClassError(
             "not positively homogeneous of degree 4 in (p, q)",
             {"test": "homogeneity-degree-4",
              "sample": {"u": us[k], "p": ps[k], "q": qs[k], "lambda": lams[m]},
-             "values": [float(scaled[m][k]), float(wants[m][k])]})
+             "values": [float(scaled[m][k]), float(base[k])]})
 
     flipped = _eval_F(F, xs1, ys1, us, -ps, -qs)
     even = not _differs(flipped, base, _CLASS_TOL).any()

@@ -628,16 +628,21 @@ def variables(e: Expr) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# construction helpers that fold all-literal subtrees (and nothing else)
+# differentiation and substitution, whose new nodes fold all-literal subtrees
 
-def _folded(node: Expr, *args: Const) -> Expr:
-    """Const of node's operation on the literals `args`, by a one-step
-    program; node itself where that fails or is not finite, as a non-finite
-    Const would print as a name."""
-    if type(node) is Call:
-        key = (node.func, 0, None)
+def _fold(op: str, *args: Expr) -> Expr:
+    """The BinOp `op` of two operands, or the Neg (op "-") or Call of one.
+    Where every operand is a literal it is the Const of the node's value, by
+    the node's one-step program, unless that fails or is not finite, as a
+    non-finite Const would print as a name."""
+    if len(args) == 2:
+        node = BinOp(op, *args)
+        key = (op, 0, 1, _product_exponent(args[1])) if op == "^" else (op, 0, 1)
     else:
-        key = (node.op, 0, 1, _product_exponent(args[1])) if node.op == "^" else (node.op, 0, 1)
+        node, key = Neg(*args) if op == "-" else Call(op, *args), (op, 0, None)
+    for a in args:
+        if type(a) is not Const:
+            return node
     try:
         v = Program([*args, node], ((len(args),), *[None] * len(args), key))({})[0]
     except EvalError:
@@ -645,60 +650,17 @@ def _folded(node: Expr, *args: Const) -> Expr:
     return Const(v) if math.isfinite(v) else node
 
 
-def _fold2(op: str, a: Expr, b: Expr) -> Expr:
-    node = BinOp(op, a, b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _folded(node, a, b)
-    return node
-
-
-def _fold_call(func: str, a: Expr) -> Expr:
-    node = Call(func, a)
-    if isinstance(a, Const):
-        return _folded(node, a)
-    return node
-
-
-def _neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    return Neg(a)
-
-
-def _add(a, b):
-    return _fold2("+", a, b)
-
-
-def _sub(a, b):
-    return _fold2("-", a, b)
-
-
-def _mul(a, b):
-    return _fold2("*", a, b)
-
-
-def _div(a, b):
-    return _fold2("/", a, b)
-
-
-def _pow(a, b):
-    return _fold2("^", a, b)
-
-
-# ---------------------------------------------------------------------------
-# differentiation
-
 _DERIVATIVES: dict[str, Callable[[Expr, Expr], Expr]] = {
-    "sqrt": lambda a, da: _div(da, _mul(Const(2.0), Call("sqrt", a))),
-    "exp": lambda a, da: _mul(Call("exp", a), da),
-    "ln": lambda a, da: _div(da, a),
-    "sin": lambda a, da: _mul(Call("cos", a), da),
-    "cos": lambda a, da: _neg(_mul(Call("sin", a), da)),
-    "sinh": lambda a, da: _mul(Call("cosh", a), da),
-    "cosh": lambda a, da: _mul(Call("sinh", a), da),
-    "arctan": lambda a, da: _div(da, _add(Const(1.0), _mul(a, a))),
+    "sqrt": lambda a, da: _fold("/", da, _fold("*", Const(2.0), _fold("sqrt", a))),
+    "exp": lambda a, da: _fold("*", _fold("exp", a), da),
+    "ln": lambda a, da: _fold("/", da, a),
+    "sin": lambda a, da: _fold("*", _fold("cos", a), da),
+    "cos": lambda a, da: _fold("-", _fold("*", _fold("sin", a), da)),
+    "sinh": lambda a, da: _fold("*", _fold("cosh", a), da),
+    "cosh": lambda a, da: _fold("*", _fold("sinh", a), da),
+    "arctan": lambda a, da: _fold("/", da, _fold("+", Const(1.0), _fold("*", a, a))),
     # d|f| = (f/|f|) f'; evaluating at f = 0 reports the kink as a domain error
-    "abs": lambda a, da: _mul(_div(a, Call("abs", a)), da),
+    "abs": lambda a, da: _fold("*", _fold("/", a, _fold("abs", a)), da),
 }
 
 
@@ -713,30 +675,27 @@ def diff(e: Expr, name: str) -> Expr:
     if isinstance(e, Var):
         return Const(1.0)
     if isinstance(e, Neg):
-        return _neg(diff(e.arg, name))
+        return _fold("-", diff(e.arg, name))
     if isinstance(e, BinOp):
-        l, r = e.left, e.right
-        if e.op == "+":
-            return _add(diff(l, name), diff(r, name))
-        if e.op == "-":
-            return _sub(diff(l, name), diff(r, name))
-        if e.op == "*":
-            return _add(_mul(diff(l, name), r), _mul(l, diff(r, name)))
-        if e.op == "/":
-            num = _sub(_mul(diff(l, name), r), _mul(l, diff(r, name)))
-            return _div(num, _mul(r, r))
-        if e.op == "^":
-            if name not in variables(r):
-                # power rule with a var-free exponent
-                em1 = _sub(r, Const(1.0))
-                return _mul(_mul(r, _pow(l, em1)), diff(l, name))
+        l, r, op = e.left, e.right, e.op
+        if op in ("+", "-"):
+            return _fold(op, diff(l, name), diff(r, name))
+        if op == "*":
+            return _fold("+", _fold("*", diff(l, name), r), _fold("*", l, diff(r, name)))
+        if op == "/":
+            num = _fold("-", _fold("*", diff(l, name), r), _fold("*", l, diff(r, name)))
+            return _fold("/", num, _fold("*", r, r))
+        if op == "^":
+            if name not in variables(r):  # power rule with a var-free exponent
+                return _fold("*", _fold("*", r, _fold("^", l, _fold("-", r, Const(1.0)))),
+                             diff(l, name))
+            # a^g: ln(a) stays a call where a is a literal, so 2^x gives 2^x*ln(2)*1
+            ln_l = Call("ln", l)
             if name not in variables(l):
-                # pure exponential a^g
-                return _mul(_mul(BinOp("^", l, r), Call("ln", l)), diff(r, name))
-            inner = _add(_mul(diff(r, name), Call("ln", l)),
-                         _div(_mul(r, diff(l, name)), l))
-            return _mul(BinOp("^", l, r), inner)
-        raise ExprError(f"unknown operator {e.op!r}")
+                return _fold("*", _fold("*", e, ln_l), diff(r, name))
+            return _fold("*", e, _fold("+", _fold("*", diff(r, name), ln_l),
+                                       _fold("/", _fold("*", r, diff(l, name)), l)))
+        raise ExprError(f"unknown operator {op!r}")
     if isinstance(e, Call):
         return _DERIVATIVES[e.func](e.arg, diff(e.arg, name))
     raise TypeError(f"not an Expr node: {e!r}")
@@ -752,11 +711,11 @@ def subst(e: Expr, mapping: Mapping[str, Union[Expr, int, float]]) -> Expr:
         if isinstance(t, Const):
             return t
         if isinstance(t, Neg):
-            return _neg(go(t.arg))
+            return _fold("-", go(t.arg))
         if isinstance(t, BinOp):
-            return _fold2(t.op, go(t.left), go(t.right))
+            return _fold(t.op, go(t.left), go(t.right))
         if isinstance(t, Call):
-            return _fold_call(t.func, go(t.arg))
+            return _fold(t.func, go(t.arg))
         raise TypeError(f"not an Expr node: {t!r}")
 
     return go(e)

@@ -90,6 +90,25 @@ def test_classify_needs_input(tmp_path):
     assert main(["classify", "--out", str(tmp_path / "o")]) == 1
 
 
+def _strict_json(path):
+    """The JSON in path, refusing NaN and Infinity as the artifact writer does."""
+    return json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))
+
+
+def test_an_F_whose_scaled_value_overflows_is_not_homogeneous(tmp_path, capsys):
+    # lambda^4 F is past the largest double at some samples; F itself is finite
+    eq = _write(tmp_path / "eq.json", {"id": "big", "F": "1e307*(1+q)"})
+    out = tmp_path / "o"
+    assert main(["classify", "--in", eq, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    witness = _strict_json(out / "classification.json")["witness"]
+    assert witness["test"] == "homogeneity-degree-4"
+    lam, q = witness["sample"]["lambda"], witness["sample"]["q"]
+    # [F(lambda p, lambda q), F(p, q)]
+    assert witness["values"] == [1e307 * (1 + lam * q), 1e307 * (1 + q)]
+    assert list(_strict_json(out / "manifest.json")["artifacts"]) == ["classification.json"]
+
+
 def test_grid_options_only_on_solver_subcommands(tmp_path):
     out = str(tmp_path / "o")
     assert main(["classify", "--id", "grad-inversion", "--nx", "5", "--out", out]) == 1
@@ -756,6 +775,39 @@ def test_a_run_into_another_runs_directory_writes_nothing(tmp_path, capsys):
     assert "refusing to overwrite" in capsys.readouterr().err
     assert not (out / "khabirov.json").exists()
     assert (out / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--in", "{tmp}/missing.json"], "input file not found: {tmp}/missing.json"),
+    (["classify", "--in", "{tmp}/cut.json"],
+     "malformed JSON in {tmp}/cut.json: Expecting value: line 1 column 8 (char 7)"),
+    (["lift", "--in", "{tmp}/lift.json"],
+     "lift config needs 'id' (catalog) or 'f' (class function in u, s)"),
+    (["khabirov"], 'khabirov needs --g EXPR or --in FILE with {"g": ...}'),
+], ids=["missing-file", "truncated-json", "lift-without-equation", "khabirov-without-g"])
+def test_a_usage_error_exits_1_and_creates_no_output(tmp_path, capsys, argv, message):
+    (tmp_path / "cut.json").write_text('{"id": ')
+    _write(tmp_path / "lift.json", {"domain": [0.5, 1.5, 0.5, 1.5], "nx": 9, "ny": 9,
+                                    "boundary": "X^2-Y^2"})
+    out = tmp_path / "o"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+    assert not out.exists()
+
+
+def test_an_artifact_left_without_a_manifest_is_not_overwritten(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "classification.json").write_bytes(b'{"x": 1}\n')
+    assert main(["classify", "--id", "grad-inversion", "--out", str(out)]) == 1
+    message = f"refusing to overwrite {out / 'classification.json'} (use --force)"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (out / "classification.json").read_bytes() == b'{"x": 1}\n'
+    assert sorted(p.name for p in out.iterdir()) == ["classification.json", "manifest.json"]
+    man = _read_json(out / "manifest.json")
+    assert man["artifacts"] == {}
+    assert man["error"] == {"stage": "write", "message": message, "exit_code": 1}
 
 
 def test_a_refused_run_does_no_work(tmp_path, capsys, monkeypatch):

@@ -75,6 +75,25 @@ def test_classify_counts_an_overflowing_difference_as_differing():
     assert exc.value.reason == "x-dependence"
 
 
+def test_classify_counts_an_overflowing_scaled_value_as_not_homogeneous():
+    # c q^4 (2 + cos(2 pi log2 q)) is homogeneous for lambda = 1/2 and 2 but
+    # not 3; 81 F overflows at some samples, where F(3p, 3q) stays finite
+    F = parse("1e305*q^4*(2+cos(9.064720283654388*ln(q)))")
+    with pytest.raises(NotInClassError) as exc:
+        classify(MAEquation("t", F))
+    witness = exc.value.witness
+    assert witness["test"] == "homogeneity-degree-4" and witness["sample"]["lambda"] == 3.0
+    p, q = witness["sample"]["p"], witness["sample"]["q"]
+    at = {"x": 1.0, "y": 1.0, "u": witness["sample"]["u"]}
+    assert witness["values"] == [evaluate(F, {**at, "p": 3 * p, "q": 3 * q}),
+                                 evaluate(F, {**at, "p": p, "q": q})]
+    rng = np.random.default_rng(42)
+    rng.uniform(size=128)  # classify draws its 64 u, then its 64 p samples
+    qs = rng.uniform(0.2, 2.0, 64)  # and then these q samples
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(81 * evaluate(F, {**at, "p": 0.0, "q": qs})).all()
+
+
 def test_classify_odd_class_function_flagged():
     # q^3*|q| is positively homogeneous of degree 4 but flips sign with (p, q),
     # so it lives on the q > 0 chart only; the evenness flag records that

@@ -966,6 +966,43 @@ def test_a_fold_to_nan_keeps_its_node():
     assert math.isnan(evaluate(tree, {}))
 
 
+@pytest.mark.parametrize("text,mapping,folded", [
+    # a fold that fails or is not finite keeps its node
+    ("sqrt(x)", {"x": -1.0}, "sqrt(-1)"),
+    ("ln(x)", {"x": 0.0}, "ln(0)"),
+    ("1/x", {"x": 0.0}, "1/0"),
+    ("x^-1", {"x": 0.0}, "0^-1"),
+    ("exp(x)", {"x": 1000.0}, "exp(1000)"),
+    ("x*x", {"x": 1e300}, "1e+300*1e+300"),
+    ("x^y", {"x": -8.0, "y": 1 / 3}, "(-8)^0.3333333333333333"),
+    # one that succeeds is a literal; -0.0 would print as -0
+    ("-x", {"x": 2.0}, "-2"),
+    ("-x", {"x": -0.0}, "0"),
+    ("sin(x)", {"x": 0.0}, "0"),
+    ("abs(x)", {"x": -3.0}, "3"),
+    ("(-x)^2", {"x": 3.0}, "9"),
+])
+def test_subst_folds_each_node_kind_or_keeps_it(text, mapping, folded):
+    tree = subst(parse(text), mapping)
+    assert to_text(tree) == folded and parse(folded) == tree
+
+
+@pytest.mark.parametrize("text,name,derivative", [
+    ("2^x", "x", "2^x*ln(2)*1"),
+    ("x^y", "y", "x^y*ln(x)*1"),
+    ("x^x", "x", "x^x*(1*ln(x)+x*1/x)"),
+    ("x^y", "x", "y*x^(y-1)*1"),
+    ("(1+x^2)^sin(x)", "x",
+     "(1+x^2)^sin(x)*(cos(x)*1*ln(1+x^2)+sin(x)*(0+2*x^1*1)/(1+x^2))"),
+])
+def test_diff_of_a_power_in_each_branch(text, name, derivative):
+    d = diff(parse(text), name)
+    assert to_text(d) == derivative and parse(derivative) == d
+    at, h = {"x": 0.7, "y": 1.3}, 1e-6
+    step = lambda sign: evaluate(parse(text), {**at, name: at[name] + sign * h})
+    assert evaluate(d, at) == pytest.approx((step(1) - step(-1)) / (2 * h), rel=1e-6)
+
+
 def test_subst_is_simultaneous():
     # replacements are not re-substituted: the s inside 1/s survives
     e = subst(parse("q^4*G"), {"G": parse("1/s"), "s": parse("q/p")})
